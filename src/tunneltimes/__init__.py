@@ -44,7 +44,6 @@ from .errors import (
 from .momentum import (
     EffectiveKinematics,
     MomentumSpectrum,
-    effective_kinematics,
     momentum_amplitude,
     momentum_spectrum,
 )
@@ -52,7 +51,6 @@ from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     differentiate_phase,
-    find_first_crossing,
     integrate,
 )
 from .sweep import (

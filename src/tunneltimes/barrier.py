@@ -123,13 +123,6 @@ class StationarySolution:
         """Reflection probability |R|^2."""
         return abs(self.R) ** 2
 
-    def psi_left(self, x):
-        """Incident-plus-reflected wave, valid for x <= 0."""
-        k = self.wavenumbers.k
-        xarr = np.asarray(x, dtype=float)
-        out = np.exp(1j * k * xarr) + self.R * np.exp(-1j * k * xarr)
-        return complex(out) if xarr.ndim == 0 else out
-
     def psi_barrier(self, x):
         """In-barrier wave A e^{kappa x} + B e^{-kappa x}; requires 0 <= x <= d."""
         xarr = np.asarray(x, dtype=float)

@@ -15,10 +15,21 @@ kinetic energy into the dimensionless uncertainty coefficient
 i.e. eps_eff * tau_eff = xi * hbar / 2.
 
 The exp(-2) threshold is kept at full double precision; 0.135 is only its
-display rounding. The crossing search scans densely before bisecting because
-only the *first* crossing is the depth; for this solution the density is
-monotone on [0, d], so the dense scan is cheap insurance rather than a
-correctness requirement.
+display rounding. The depth has a closed form. With u = exp(2 kappa x),
+
+    |psi_barrier(x)|^2 = |A|^2 u + |B|^2 / u + 2 Re(A B*),
+
+and rho = A / B = exp(-2 kappa d) (1 + i r) / (1 - i r) with r = k / kappa.
+Multiplying |psi_barrier(x)|^2 = exp(-2) |psi_barrier(0)|^2 by u / |B|^2
+gives the quadratic
+
+    exp(-4 kappa d) u^2 + (2 Re rho - exp(-2) |1 + rho|^2) u + 1 = 0.
+
+As a function of u the density is convex with its minimum at u = exp(2 kappa d),
+i.e. at x = d, so it falls monotonically on [0, d] and the first crossing is
+the smaller root. Only exp(-2 kappa d) appears, so nothing overflows however
+thick the barrier: for exp(-4 kappa d) below the smallest double the root
+reduces to the linear one.
 """
 
 from __future__ import annotations
@@ -28,19 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierProblem, StationarySolution, stationary_solution
+from .barrier import BarrierProblem, StationarySolution, wavenumbers
 from .constants import CONSTANTS
 from .errors import DomainError
 from .momentum import momentum_spectrum
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, find_first_crossing
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
 
 _HBAR = CONSTANTS.hbar
 
 #: Relative-density threshold defining the penetration depth.
 DEPTH_LEVEL = math.exp(-2.0)
-
-#: Scan resolution for the first-crossing search over [0, d].
-DEPTH_SCAN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -70,28 +78,32 @@ def relative_density(sol: StationarySolution, x):
     return np.abs(sol.psi_barrier(x)) ** 2 / entry
 
 
-def penetration_depth(
-    problem: BarrierProblem, scan_points: int = DEPTH_SCAN_POINTS
-) -> float | None:
-    """First x in (0, d] where the relative density reaches exp(-2), or None."""
-    sol = stationary_solution(problem)
-    return find_first_crossing(
-        lambda x: relative_density(sol, x),
-        DEPTH_LEVEL,
-        0.0,
-        problem.thickness,
-        scan_points,
-    )
+def penetration_depth(problem: BarrierProblem) -> float | None:
+    """First x in (0, d] where the relative density reaches exp(-2), or None.
+
+    The smaller root of the quadratic in u = exp(2 kappa x) from the module
+    docstring, taken by the cancellation-free form 2 / (sqrt(b^2 - 4a) - b).
+    """
+    wn = wavenumbers(problem)
+    r2 = (wn.k / wn.kappa) ** 2
+    decay = math.exp(-2.0 * wn.kappa * problem.thickness)
+    a = decay * decay  # |rho|^2
+    re_rho = decay * (1.0 - r2) / (1.0 + r2)
+    b = 2.0 * re_rho - DEPTH_LEVEL * (1.0 + 2.0 * re_rho + a)  # |1 + rho|^2 expanded
+    disc = b * b - 4.0 * a
+    if b >= 0.0 or disc < 0.0:  # no root with u > 0
+        return None
+    depth = math.log(2.0 / (math.sqrt(disc) - b)) / (2.0 * wn.kappa)
+    return depth if 0.0 < depth <= problem.thickness else None
 
 
 def uncertainty_report(
     problem: BarrierProblem,
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    scan_points: int = DEPTH_SCAN_POINTS,
 ) -> DepthReport:
     """Assemble depth, tau_eff = s / v_rms, eps_eff, and xi for one problem."""
     kin = momentum_spectrum(problem, quadrature).kinematics()
-    depth = penetration_depth(problem, scan_points)
+    depth = penetration_depth(problem)
     if depth is None:
         tau_eff = None
         xi = None

@@ -11,6 +11,11 @@ probability distribution over the wavenumber K. Its root-mean-square defines a
 tunneling velocity v_rms = hbar K_rms / m, a transit time t_eff = d / v_rms,
 and a kinetic energy eps_eff = m v_rms^2 / 2.
 
+The normalization and the second moment come from one quadrature: each node
+samples |amplitude|^2 once, and the two moments are integrated as two rows of
+one integrand, each converging on its own. kinematics() is then arithmetic
+on the stored moments.
+
 The window cutoff matters: the distribution has heavy tails, so K_rms (and
 everything downstream of it) grows slowly but without bound as the window
 widens. The cutoff is therefore an explicit field of BarrierProblem rather
@@ -79,11 +84,11 @@ class EffectiveKinematics:
 
 @dataclass(frozen=True)
 class MomentumSpectrum:
-    """A solution plus the normalization of its in-barrier momentum density."""
+    """A solution plus the zeroth and second moments of its momentum density."""
 
     solution: StationarySolution
     normalization: float  # integral of |amplitude|^2 over the window, m
-    quadrature: QuadratureSpec
+    second_moment: float  # integral of K^2 |amplitude|^2 over the window, 1/m
 
     def __post_init__(self):
         if not self.normalization > 0:
@@ -106,14 +111,7 @@ class MomentumSpectrum:
 
     def kinematics(self) -> EffectiveKinematics:
         """rms wavenumber of the density and the derived velocity/time/energy."""
-        cut = self.problem.cutoff
-        second_moment = integrate(
-            lambda K: K**2 * np.abs(self.amplitude(K)) ** 2,
-            -cut,
-            cut,
-            self.quadrature,
-        )
-        k_rms = math.sqrt(second_moment / self.normalization)
+        k_rms = math.sqrt(self.second_moment / self.normalization)
         v_rms = _HBAR * k_rms / _M
         return EffectiveKinematics(
             k_rms=k_rms,
@@ -128,17 +126,13 @@ def momentum_spectrum(
     quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
     solution: StationarySolution | None = None,
 ) -> MomentumSpectrum:
-    """Build the spectrum for a problem, normalizing over its window."""
+    """Build the spectrum for a problem: both moments over its window."""
     sol = stationary_solution(problem) if solution is None else solution
+
+    def moments(wavenumber):
+        density = np.abs(momentum_amplitude(sol, wavenumber)) ** 2
+        return np.stack((density, wavenumber**2 * density))
+
     cut = problem.cutoff
-    norm = integrate(
-        lambda K: np.abs(momentum_amplitude(sol, K)) ** 2, -cut, cut, quadrature
-    )
-    return MomentumSpectrum(solution=sol, normalization=norm, quadrature=quadrature)
-
-
-def effective_kinematics(
-    problem: BarrierProblem, quadrature: QuadratureSpec = DEFAULT_QUADRATURE
-) -> EffectiveKinematics:
-    """Convenience route: spectrum construction plus kinematics in one call."""
-    return momentum_spectrum(problem, quadrature).kinematics()
+    norm, second = integrate(moments, -cut, cut, quadrature)
+    return MomentumSpectrum(solution=sol, normalization=norm, second_moment=second)

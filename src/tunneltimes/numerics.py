@@ -1,9 +1,10 @@
-"""Shared numerical kernels: quadrature, phase differentiation, crossing search.
+"""Shared numerical kernels: adaptive quadrature and phase differentiation.
 
-All routines are pure functions of their arguments. Integrands and scanned
-functions are expected to accept a 1-D numpy array and return an array of the
-same shape (numpy-style broadcasting); plain scalar callables are accepted too
-and evaluated pointwise as a fallback.
+All routines are pure functions of their arguments. Integrands are expected to
+accept a 1-D numpy array of n points and return n values (numpy-style
+broadcasting), or an (m, n) array holding m integrands on the same points,
+which are then integrated together from one set of samples. Plain scalar
+callables are accepted too and evaluated pointwise as a fallback.
 """
 
 from __future__ import annotations
@@ -66,10 +67,20 @@ def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
         fx = np.asarray(f(xs), dtype=float)
     except (TypeError, ValueError):
         fx = np.array([float(f(x)) for x in xs])
-    if fx.shape != xs.shape:
-        raise DomainError("integrand must map an array of points to like-shaped values")
+    if fx.ndim not in (1, 2) or fx.shape[-1:] != xs.shape:
+        raise DomainError(
+            "integrand must map an array of points to like-shaped values "
+            "or to rows of like-shaped values"
+        )
     if not np.all(np.isfinite(fx)):
         raise DomainError("function returned non-finite values on the interval")
+    return fx
+
+
+def _sample_rows(f: Callable, xs: np.ndarray, rows: int) -> np.ndarray:
+    fx = np.atleast_2d(_sample(f, xs))
+    if fx.shape[0] != rows:
+        raise DomainError("integrand changed its number of rows between passes")
     return fx
 
 
@@ -78,8 +89,8 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _estimate(f: Callable, a: float, b: float, n: int, method: str) -> tuple[float, float]:
-    """One quadrature pass; returns (integral, integrand scale)."""
+def _rule(a: float, b: float, n: int, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one quadrature pass."""
     if method == COMPOSITE_SIMPSON:
         xs = np.linspace(a, b, n + 1)
         w = np.ones(n + 1)
@@ -90,9 +101,7 @@ def _estimate(f: Callable, a: float, b: float, n: int, method: str) -> tuple[flo
         x, wref = _gauss_rule(n)
         xs = 0.5 * (b - a) * x + 0.5 * (a + b)
         w = 0.5 * (b - a) * wref
-    fx = _sample(f, xs)
-    scale = (b - a) * float(np.max(np.abs(fx)))
-    return float(np.dot(w, fx)), scale
+    return xs, w
 
 
 def integrate(
@@ -100,15 +109,23 @@ def integrate(
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+) -> float | tuple[float, ...]:
     """Definite integral of ``f`` over [a, b] to relative tolerance spec.rel_tol.
+
+    ``f`` maps an array of n points to n values, or to an (m, n) array holding
+    m integrands on the same points; the call then returns a tuple of m
+    floats. Each row converges on its own: its value is the estimate of the
+    first refinement at which it met the tolerance, and refinement continues
+    until every row has, so each row comes out bit-identical to integrating
+    it alone.
 
     The error estimate is the plain difference between successive refinements
     (each pass doubles the resolution), so the quoted tolerance is
     conservative for smooth integrands. Convergence is declared when that
     difference drops below ``rel_tol`` relative to the current value, or below
     the double-precision noise floor of the integrand scale, whichever is
-    hit first.
+    hit first. Composite Simpson grids are nested, so each refinement samples
+    only the new midpoints; Gauss-Legendre resamples every node.
 
     Raises NoConvergence if the refinement cap is reached, and DomainError for
     an empty interval or a non-finite integrand.
@@ -116,14 +133,36 @@ def integrate(
     if not a < b:
         raise DomainError(f"integration interval requires a < b, got [{a}, {b}]")
     n = spec.panels_or_nodes
-    prev, _ = _estimate(f, a, b, n, spec.method)
+    xs, w = _rule(a, b, n, spec.method)
+    first = _sample(f, xs)
+    fx = np.atleast_2d(first)
+    rows = fx.shape[0]
+    prev = [float(np.dot(w, row)) for row in fx]
+    done: list[float | None] = [None] * rows
     for _ in range(_MAX_REFINEMENTS):
         n *= 2
-        cur, scale = _estimate(f, a, b, n, spec.method)
-        err = abs(cur - prev)
-        if err <= spec.rel_tol * abs(cur) or err <= _NOISE_FLOOR * scale:
-            return cur
-        prev = cur
+        xs, w = _rule(a, b, n, spec.method)
+        if spec.method == COMPOSITE_SIMPSON:
+            # linspace(a, b, 2n + 1)[::2] is the previous grid bit for bit
+            coarse, fx = fx, np.empty((rows, n + 1))
+            fx[:, ::2] = coarse
+            fx[:, 1::2] = _sample_rows(f, xs[1::2].copy(), rows)
+        else:
+            fx = _sample_rows(f, xs, rows)
+        err = 0.0
+        for i, row in enumerate(fx):
+            if done[i] is not None:
+                continue
+            cur = float(np.dot(w, row))
+            step = abs(cur - prev[i])
+            scale = (b - a) * float(np.max(np.abs(row)))
+            if step <= spec.rel_tol * abs(cur) or step <= _NOISE_FLOOR * scale:
+                done[i] = cur
+            else:
+                prev[i] = cur
+                err = max(err, step)
+        if None not in done:
+            return done[0] if first.ndim == 1 else tuple(done)
     raise NoConvergence(
         f"quadrature stalled at {n} {spec.method} panels/nodes "
         f"(last refinement changed the value by {err:.3e})"
@@ -163,51 +202,3 @@ def differentiate_phase(
     delta = math.atan2(gp.imag, gp.real) - math.atan2(gm.imag, gm.real)
     delta -= TWO_PI * math.ceil((delta - math.pi) / TWO_PI)  # wrap into (-pi, pi]
     return delta / (2.0 * h)
-
-
-def find_first_crossing(
-    f: Callable,
-    level: float,
-    a: float,
-    b: float,
-    scan_points: int = 4096,
-) -> float | None:
-    """Smallest x in [a, b] where ``f(x)`` crosses ``level``, or None.
-
-    [a, b] is scanned on a uniform ``scan_points`` grid for the first sign
-    change of f - level; that bracket is then bisected down to an absolute
-    width of (b - a) * 1e-10. A grid point sitting exactly on the level counts
-    as a crossing. None (no crossing anywhere on the grid) is an ordinary
-    answer, not an error.
-    """
-    if not a < b:
-        raise DomainError(f"scan interval requires a < b, got [{a}, {b}]")
-    if scan_points < 64:
-        raise DomainError("scan_points must be at least 64")
-    xs = np.linspace(a, b, scan_points)
-    residual = _sample(f, xs) - level
-
-    hits = np.flatnonzero(residual == 0.0)
-    brackets = np.flatnonzero(residual[:-1] * residual[1:] < 0.0)
-    first_hit = int(hits[0]) if hits.size else None
-    first_bracket = int(brackets[0]) if brackets.size else None
-
-    if first_hit is not None and (first_bracket is None or first_hit <= first_bracket):
-        return float(xs[first_hit])
-    if first_bracket is None:
-        return None
-
-    lo = float(xs[first_bracket])
-    hi = float(xs[first_bracket + 1])
-    lo_negative = residual[first_bracket] < 0.0
-    tol = (b - a) * 1e-10
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = float(f(mid)) - level
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM
+from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, scanned_depth
 from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import CONSTANTS, length_si_to_nm
 from tunneltimes.depth import (
@@ -93,6 +94,36 @@ class TestPenetrationDepth:
         ]
         spread = max(depths) - min(depths)
         assert length_si_to_nm(spread) < 0.0005
+
+    def test_deep_barrier_depth_saturates_without_overflow(self):
+        # exp(kappa d) would overflow here; the depth is the decay length 1/kappa
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 1000.0)
+        assert length_si_to_nm(penetration_depth(p)) == pytest.approx(0.08733, abs=5e-6)
+
+
+class TestClosedFormAgainstScan:
+    """The closed-form root against a dense scan plus bisection of the density."""
+
+    REL_TOL = 2e-9
+
+    def check(self, problem):
+        closed = penetration_depth(problem)
+        scanned = scanned_depth(problem)
+        assert (closed is None) == (scanned is None)
+        if closed is not None:
+            assert abs(closed - scanned) <= self.REL_TOL * scanned
+
+    def test_dense_grid(self):
+        for e_ratio in (i / 100.0 for i in range(1, 100)):
+            for d_nm in (i / 10.0 for i in range(1, 11)):
+                self.check(BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm))
+
+    def test_random_thin_barriers(self):
+        rng = random.Random(20070624)
+        for _ in range(300):
+            v0_ev = rng.uniform(1.0, 20.0)
+            e_ev = rng.uniform(max(0.01 * v0_ev, 0.1), 0.99 * v0_ev)
+            self.check(BarrierProblem.from_ev_nm(e_ev, v0_ev, rng.uniform(0.05, 3.0)))
 
 
 class TestUncertaintyReport:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import quartile_width
+from oracles import quartile_width, two_integral_kinematics
 from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import CONSTANTS, SPEED_OF_LIGHT, energy_si_to_ev
 from tunneltimes.errors import DomainError
@@ -84,6 +84,13 @@ class TestMomentumPdf:
 
 
 class TestEffectiveKinematics:
+    @pytest.mark.parametrize(
+        "e_ratio, d_nm", [(0.01, 0.1), (0.1, 1.0), (0.5, 0.4), (0.9, 0.7), (0.99, 1.0)]
+    )
+    def test_one_pass_moments_equal_two_integrals_bit_for_bit(self, e_ratio, d_nm):
+        p = BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
+        assert momentum_spectrum(p).kinematics() == two_integral_kinematics(p)
+
     def test_derived_quantities_are_consistent(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
         kin = momentum_spectrum(p).kinematics()

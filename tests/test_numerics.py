@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import find_first_crossing
 from tunneltimes.errors import DomainError, NoConvergence, ValidationError
 from tunneltimes.numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     differentiate_phase,
-    find_first_crossing,
     integrate,
 )
+
+GAUSS = QuadratureSpec("gauss-legendre", 64, 1e-9)
 
 
 class TestQuadratureSpec:
@@ -81,6 +83,82 @@ class TestIntegrate:
         step = lambda x: np.where(x > 1.0 / math.pi, 1.0, 0.0)
         with pytest.raises(NoConvergence):
             integrate(step, 0.0, 1.0, QuadratureSpec(panels_or_nodes=8, rel_tol=1e-9))
+
+
+class TestStackedIntegrands:
+    ROWS = (
+        lambda x: np.exp(-x) * np.sin(3.0 * x),
+        lambda x: x**2,
+        lambda x: np.cos(40.0 * x) / (1.0 + x),
+    )
+
+    @pytest.mark.parametrize(
+        "spec", [DEFAULT_QUADRATURE, GAUSS], ids=["simpson", "gauss"]
+    )
+    def test_each_row_equals_integrating_it_alone(self, spec):
+        stacked = integrate(lambda x: np.stack([f(x) for f in self.ROWS]), 0.0, 2.0, spec)
+        assert stacked == tuple(integrate(f, 0.0, 2.0, spec) for f in self.ROWS)
+
+    def test_rows_converge_at_their_own_level(self):
+        # x^2 is exact on the first doubling; sin(5x) needs several more, and
+        # the x^2 row keeps the value it converged at
+        spec = QuadratureSpec(panels_or_nodes=8, rel_tol=1e-9)
+        smooth = lambda x: x**2
+        wiggly = lambda x: np.sin(5.0 * x)
+        sizes = []
+
+        def both(x):
+            sizes.append(x.size)
+            return np.stack([smooth(x), wiggly(x)])
+
+        pair = integrate(both, 0.0, 1.0, spec)
+        assert len(sizes) > 3
+        alone = (integrate(smooth, 0.0, 1.0, spec), integrate(wiggly, 0.0, 1.0, spec))
+        assert pair == alone
+
+    def test_single_row_stack_returns_a_tuple(self):
+        got = integrate(lambda x: np.exp(-x)[np.newaxis], 0.0, 2.0)
+        assert got == (integrate(lambda x: np.exp(-x), 0.0, 2.0),)
+
+    def test_simpson_samples_only_the_new_midpoints(self):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return np.exp(-x)
+
+        integrate(counted, 0.0, 2.0)
+        assert sizes == [4001, 4000]
+
+    def test_gauss_legendre_resamples_every_node(self):
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return np.exp(-x)
+
+        integrate(counted, 0.0, 2.0, GAUSS)
+        assert sizes == [64, 128]
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(lambda x: np.ones((2, 2, x.size)), 0.0, 1.0)
+        with pytest.raises(DomainError):
+            integrate(lambda x: np.ones(x.size + 1), 0.0, 1.0)
+
+    def test_changing_row_count_rejected(self):
+        calls = []
+
+        def shifty(x):
+            calls.append(None)
+            return np.ones((len(calls), x.size))
+
+        with pytest.raises(DomainError):
+            integrate(shifty, 0.0, 1.0)
+
+    def test_non_finite_row_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(lambda x: np.stack([x, np.full_like(x, np.nan)]), 0.0, 1.0)
 
 
 class TestDifferentiatePhase:
