@@ -27,13 +27,7 @@ from .constants import (
     length_nm_to_si,
     length_si_to_nm,
 )
-from .depth import (
-    DEPTH_LEVEL,
-    DepthReport,
-    penetration_depth,
-    relative_density,
-    uncertainty_report,
-)
+from .depth import DEPTH_LEVEL, penetration_depth, relative_density
 from .errors import (
     DomainError,
     MissingGridPoint,
@@ -58,17 +52,17 @@ from .sweep import (
     SweepRecord,
     emit_figure_data,
     emit_table1,
+    evaluate,
     parse_config,
     parse_records,
     records_to_csv,
     run_sweep,
 )
 from .times import (
-    TimeReport,
     bl_time,
     dwell_time_analytic,
     dwell_time_numeric,
     phase_time_analytic,
     phase_time_numeric,
-    time_report,
+    shared_denominator,
 )

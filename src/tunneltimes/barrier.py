@@ -15,9 +15,15 @@ value continuity at x = 0. The slope condition at x = 0 is not imposed
 separately: it holds identically for this S, and continuity_residual()
 certifies all four matching conditions numerically.
 
-kappa*d stays below about 16.2 on the supported parameter range, so the bare
-exp(kappa*d) factors (at most ~1.1e7) are nowhere near overflow and no scaled
-representation is needed.
+Nothing here is scaled, and BarrierProblem accepts any thickness, so thick
+barriers overflow. The closed-form phase and dwell times square sinh(kappa d),
+which raises OverflowError once kappa*d exceeds about 355: `tunneltimes times
+--E-eV 5 --d-nm 40` (kappa*d of about 458) exits 3, and a sweep that reaches
+such a point aborts. A little below that, their products with (2 m V0 /
+hbar^2)^2 already reach infinity and the times come out NaN, which the CSV
+writers refuse. The bare exp(kappa d), sinh and cosh factors of S, A and B
+overflow at kappa*d of about 709. ROADMAP item 3 plans the exp(-kappa d)-scaled
+reformulation that removes these limits.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Single-point subcommands (coeffs, momentum, times, depth) report one barrier
-problem as a one-row CSV; grid subcommands (sweep, table1, figures) run the
-configured sweep and emit the corresponding CSV files. Exit codes: 0 success,
-1 validation or parse error, 2 missing grid point, 3 internal numeric failure.
+problem as a one-row CSV. coeffs prints the stationary solution; momentum,
+times and depth run the sweep's evaluate() on the blocks behind their columns,
+raise the first failure it caught, and print their columns of the record.
+Grid subcommands (sweep, table1, figures) run the configured sweep and emit
+the corresponding CSV files. Exit codes: 0 success, 1 validation or parse
+error, 2 missing grid point, 3 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .barrier import DEFAULT_CUTOFF, BarrierProblem, stationary_solution
-from .constants import energy_si_to_ev, length_si_to_nm
-from .depth import uncertainty_report
 from .errors import (
     DomainError,
     MissingGridPoint,
@@ -23,18 +24,41 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .momentum import momentum_spectrum
 from .sweep import (
     FIGURE_IDS,
+    RECORD_COLUMNS,
     TOOL_NAME,
     SweepConfig,
+    _fmt,
     emit_figure_data,
     emit_table1,
+    evaluate,
     parse_config,
     records_to_csv,
     run_sweep,
 )
-from .times import time_report
+from .times import shared_denominator
+
+#: The point commands backed by the sweep record: the evaluate() blocks each
+#: runs and the record columns it prints.
+_RECORD_COMMANDS = {
+    "momentum": (
+        ("momentum",),
+        ("K_rms_per_m", "v_rms_m_per_s", "t_eff_s", "eps_eff_eV"),
+    ),
+    "times": (
+        ("momentum", "times"),
+        (
+            "t_eff_s",
+            "t_ph_numeric_s",
+            "t_ph_analytic_s",
+            "t_dw_numeric_s",
+            "t_dw_analytic_s",
+            "t_bl_s",
+        ),
+    ),
+    "depth": (("momentum", "depth"), ("s_nm", "tau_eff_s", "xi", "eps_eff_eV")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,17 +68,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _fmt(value: float) -> str:
-    if value == 0:
-        return "0"
-    return f"{value:.6g}"
-
-
 def _point_problem(args) -> BarrierProblem:
     return BarrierProblem.from_ev_nm(args.e_ev, args.v0_ev, args.d_nm, args.cutoff)
 
 
-def _point_csv(args, columns: dict[str, float]) -> str:
+def _point_csv(args, columns: dict[str, float | None]) -> str:
     lines = [
         f"# tool: {TOOL_NAME} {__version__}",
         f"# config: E_eV={_fmt(args.e_ev)}",
@@ -62,7 +80,7 @@ def _point_csv(args, columns: dict[str, float]) -> str:
         f"# config: d_nm={_fmt(args.d_nm)}",
         f"# config: Kprime={_fmt(args.cutoff)}",
         ",".join(columns),
-        ",".join("" if v is None else _fmt(v) for v in columns.values()),
+        ",".join(_fmt(v) for v in columns.values()),
     ]
     return "\n".join(lines) + "\n"
 
@@ -88,46 +106,17 @@ def _cmd_coeffs(args) -> str:
     )
 
 
-def _cmd_momentum(args) -> str:
-    kin = momentum_spectrum(_point_problem(args)).kinematics()
-    return _point_csv(
-        args,
-        {
-            "K_rms_per_m": kin.k_rms,
-            "v_rms_m_per_s": kin.v_rms,
-            "t_eff_s": kin.t_eff,
-            "eps_eff_eV": energy_si_to_ev(kin.eps_eff),
-        },
-    )
-
-
-def _cmd_times(args) -> str:
-    report = time_report(_point_problem(args))
-    return _point_csv(
-        args,
-        {
-            "t_eff_s": report.t_eff,
-            "t_ph_numeric_s": report.t_phase_numeric,
-            "t_ph_analytic_s": report.t_phase_analytic,
-            "t_dw_numeric_s": report.t_dwell_numeric,
-            "t_dw_analytic_s": report.t_dwell_analytic,
-            "t_bl_s": report.t_bl,
-            "D_denominator_per_m4": report.d_denominator,
-        },
-    )
-
-
-def _cmd_depth(args) -> str:
-    report = uncertainty_report(_point_problem(args))
-    return _point_csv(
-        args,
-        {
-            "s_nm": None if report.depth is None else length_si_to_nm(report.depth),
-            "tau_eff_s": report.tau_eff,
-            "xi": report.xi,
-            "eps_eff_eV": energy_si_to_ev(report.eps_eff),
-        },
-    )
+def _cmd_record(args) -> str:
+    problem = _point_problem(args)
+    blocks, columns = _RECORD_COMMANDS[args.command]
+    cfg = SweepConfig(v0_ev=args.v0_ev, cutoff=args.cutoff)
+    record, caught = evaluate(problem, cfg, blocks)
+    if caught:
+        raise caught[0]
+    values = {column: getattr(record, RECORD_COLUMNS[column]) for column in columns}
+    if args.command == "times":
+        values["D_denominator_per_m4"] = shared_denominator(problem)
+    return _point_csv(args, values)
 
 
 def _load_config(args) -> SweepConfig:
@@ -195,12 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args) -> int:
     if args.command == "coeffs":
         _write(_cmd_coeffs(args), args.out)
-    elif args.command == "momentum":
-        _write(_cmd_momentum(args), args.out)
-    elif args.command == "times":
-        _write(_cmd_times(args), args.out)
-    elif args.command == "depth":
-        _write(_cmd_depth(args), args.out)
+    elif args.command in _RECORD_COMMANDS:
+        _write(_cmd_record(args), args.out)
     elif args.command == "sweep":
         cfg = _load_config(args)
         _write(records_to_csv(run_sweep(cfg), cfg), args.out)

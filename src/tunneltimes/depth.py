@@ -35,39 +35,14 @@ reduces to the linear one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .barrier import BarrierProblem, StationarySolution, wavenumbers
-from .constants import CONSTANTS
 from .errors import DomainError
-from .momentum import momentum_spectrum
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
-
-_HBAR = CONSTANTS.hbar
 
 #: Relative-density threshold defining the penetration depth.
 DEPTH_LEVEL = math.exp(-2.0)
-
-
-@dataclass(frozen=True)
-class DepthReport:
-    """Depth, time-at-depth, and uncertainty coefficient for one problem.
-
-    ``depth``, ``tau_eff`` and ``xi`` are None when the density never reaches
-    the threshold inside the barrier; ``eps_eff`` is always present.
-    """
-
-    problem: BarrierProblem
-    depth: float | None  # m
-    tau_eff: float | None  # s
-    xi: float | None  # dimensionless
-    eps_eff: float  # J
-
-    def __post_init__(self):
-        if self.depth is not None and not 0.0 < self.depth <= self.problem.thickness:
-            raise DomainError("penetration depth must lie inside (0, d]")
 
 
 def relative_density(sol: StationarySolution, x):
@@ -95,21 +70,3 @@ def penetration_depth(problem: BarrierProblem) -> float | None:
         return None
     depth = math.log(2.0 / (math.sqrt(disc) - b)) / (2.0 * wn.kappa)
     return depth if 0.0 < depth <= problem.thickness else None
-
-
-def uncertainty_report(
-    problem: BarrierProblem,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> DepthReport:
-    """Assemble depth, tau_eff = s / v_rms, eps_eff, and xi for one problem."""
-    kin = momentum_spectrum(problem, quadrature).kinematics()
-    depth = penetration_depth(problem)
-    if depth is None:
-        tau_eff = None
-        xi = None
-    else:
-        tau_eff = depth / kin.v_rms
-        xi = 2.0 * kin.eps_eff * tau_eff / _HBAR
-    return DepthReport(
-        problem=problem, depth=depth, tau_eff=tau_eff, xi=xi, eps_eff=kin.eps_eff
-    )

@@ -1,20 +1,28 @@
 """Parameter sweeps over barrier problems and deterministic CSV emission.
 
-A sweep evaluates every module at every (E/V0, d) grid point and collects one
-flat record per point. Records are pure data; the emitters below turn them
-into CSV with '#'-prefixed metadata lines (tool version, config echo, stencil
-clipping notes) ahead of the header. Identical configs produce byte-identical
-output: evaluation order is fixed, no timestamps are embedded, and floats are
-serialized at six significant digits (the depth table uses the conventional
-four decimals of nm instead).
+evaluate() is the one evaluation path. It computes one barrier problem's flat
+record block by block: the momentum kinematics, the four clocks with their
+numeric/analytic cross-checks, and the penetration depth with tau_eff and xi.
+A sweep evaluates every block at every (E/V0, d) grid point; the momentum,
+times and depth commands evaluate only the blocks behind the columns they
+print and project the record onto those columns. Records are pure data; the
+emitters below turn them into CSV with '#'-prefixed metadata lines (tool
+version, config echo, stencil clipping notes) ahead of the header. Identical
+configs produce byte-identical output: evaluation order is fixed, no
+timestamps are embedded, and floats are serialized at six significant digits
+(the depth table uses the conventional four decimals of nm instead).
 
-Per-point failures land in the record's ``error`` column and never abort the
-sweep; a missing depth on a thin barrier is a ``no_crossing`` note, not an
-error. NaN is never serialized: absent values are empty cells.
+Per-point failures land in the record's ``error`` column; a missing depth on a
+thin barrier is a ``no_crossing`` note, not an error. The one failure that
+still aborts the sweep is the overflow of the unscaled closed forms once
+kappa*d exceeds about 355 (see the barrier module). NaN is never serialized:
+absent values are empty cells, and a non-finite value raises
+FloatingPointError instead of reaching a cell.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -137,7 +145,9 @@ class SweepRecord:
     error: str = ""
 
 
-_CSV_COLUMNS = {
+#: Sweep CSV column -> SweepRecord attribute, in column order. Point commands
+#: print the same columns under the same names.
+RECORD_COLUMNS = {
     "E_over_V0": "e_over_v0",
     "d_nm": "d_nm",
     "E_eV": "e_ev",
@@ -164,76 +174,144 @@ _CSV_COLUMNS = {
 NOTE_NO_CROSSING = "no_crossing"
 NOTE_PHASE_CLIPPED = "phase_stencil_clipped"
 
+#: Evaluation blocks in the order evaluate() runs them. "momentum" fills
+#: K_rms, v_rms, t_eff and eps_eff; "times" the phase, dwell and BL clocks;
+#: "depth" the depth s, plus tau_eff and xi when the momentum block succeeded.
+BLOCKS = ("momentum", "times", "depth")
 
-def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord:
-    """Compute every output for one grid point, isolating failures per block."""
-    e_ev = e_ratio * cfg.v0_ev
-    rec = SweepRecord(
-        e_over_v0=e_ratio, d_nm=d_nm, e_ev=e_ev, v0_ev=cfg.v0_ev, cutoff=cfg.cutoff
-    )
+
+def evaluate(
+    problem: BarrierProblem,
+    cfg: SweepConfig,
+    blocks: tuple[str, ...] = BLOCKS,
+    grid_point: tuple[float, float] | None = None,
+) -> tuple[SweepRecord, list[Exception]]:
+    """The record of ``blocks`` at one problem, and the exceptions they caught.
+
+    Each block isolates its failures: they become note or error cells, and the
+    exceptions behind them (a cross-check failure is a NoConvergence quoting
+    both routes) are returned in evaluation order. The sweep runs every block
+    and keeps only the cells; a point command runs the blocks behind its
+    columns and raises the first exception. An ArithmeticError, which the
+    unscaled closed forms raise once kappa*d exceeds about 355, ends the
+    evaluation as the last exception.
+
+    ``grid_point`` is the (E/V0, d in nm) the record is filed under; the sweep
+    passes its grid values so that records key exactly. It defaults to the
+    problem's own. cfg supplies V0, the cutoff, the quadrature and the phase
+    step; ``problem`` must agree with its V0 and cutoff.
+    """
+    if grid_point is None:
+        grid_point = (problem.e_over_v0, length_si_to_nm(problem.thickness))
+    e_ratio, d_nm = grid_point
+    values: dict[str, float | None] = {}
     notes: list[str] = []
     errors: list[str] = []
+    caught: list[Exception] = []
 
+    def fail(exc: Exception, cell: str) -> None:
+        caught.append(exc)
+        errors.append(cell)
+
+    def cross_check(name: str, numeric: float, analytic: float) -> None:
+        if abs(numeric - analytic) > CROSS_CHECK_TOL * abs(analytic):
+            mismatch = NoConvergence(
+                f"{name} cross-check: numeric {numeric!r} vs analytic {analytic!r}"
+            )
+            fail(mismatch, str(mismatch))
+
+    try:
+        sol = stationary_solution(problem)
+        values.update(s_abs2=sol.transmission, r_abs2=sol.reflection)
+        kin = None
+        if "momentum" in blocks:
+            try:
+                spectrum = momentum_spectrum(problem, cfg.quadrature, solution=sol)
+                kin = spectrum.kinematics()
+                values.update(
+                    k_rms=kin.k_rms,
+                    v_rms=kin.v_rms,
+                    t_eff_s=kin.t_eff,
+                    eps_eff_ev=energy_si_to_ev(kin.eps_eff),
+                )
+            except (DomainError, NoConvergence) as exc:
+                fail(exc, f"momentum: {exc}")
+        if "times" in blocks:
+            # the stencil runs before the closed forms, so a clipped stencil
+            # is the first failure even where they overflow
+            t_ph_num = None
+            try:
+                t_ph_num = phase_time_numeric(problem, cfg.phase_step_ev)
+            except DomainError as exc:
+                caught.append(exc)
+                notes.append(NOTE_PHASE_CLIPPED)
+            t_ph_ana = phase_time_analytic(problem)
+            t_dw_ana = dwell_time_analytic(problem)
+            values.update(
+                t_ph_numeric_s=t_ph_num,
+                t_ph_analytic_s=t_ph_ana,
+                t_dw_analytic_s=t_dw_ana,
+                t_bl_s=bl_time(problem),
+            )
+            if t_ph_num is not None:
+                cross_check("phase", t_ph_num, t_ph_ana)
+            try:
+                t_dw_num = dwell_time_numeric(problem, cfg.quadrature)
+                values["t_dw_numeric_s"] = t_dw_num
+                cross_check("dwell", t_dw_num, t_dw_ana)
+            except (DomainError, NoConvergence) as exc:
+                fail(exc, f"dwell: {exc}")
+        if "depth" in blocks:
+            try:
+                depth = penetration_depth(problem)
+                if depth is None:
+                    notes.append(NOTE_NO_CROSSING)
+                else:
+                    values["s_nm"] = length_si_to_nm(depth)
+                    if kin is not None:
+                        tau = depth / kin.v_rms
+                        values["tau_eff_s"] = tau
+                        values["xi"] = 2.0 * kin.eps_eff * tau / CONSTANTS.hbar
+            except (DomainError, NoConvergence) as exc:
+                fail(exc, f"depth: {exc}")
+    except ArithmeticError as exc:
+        caught.append(exc)
+
+    record = SweepRecord(
+        e_over_v0=e_ratio,
+        d_nm=d_nm,
+        e_ev=e_ratio * cfg.v0_ev,
+        v0_ev=cfg.v0_ev,
+        cutoff=cfg.cutoff,
+        **values,
+        note=";".join(notes),
+        error="; ".join(errors),
+    )
+    return record, caught
+
+
+def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord:
+    """The sweep's record at one grid point: every block, failures in its cells.
+
+    An ArithmeticError cannot be isolated per point yet (ROADMAP item 3), so
+    it propagates and aborts the sweep.
+    """
+    e_ev = e_ratio * cfg.v0_ev
     try:
         problem = BarrierProblem.from_ev_nm(e_ev, cfg.v0_ev, d_nm, cfg.cutoff)
     except DomainError as exc:
-        return replace(rec, error=f"problem: {exc}")
-
-    sol = stationary_solution(problem)
-    rec = replace(rec, s_abs2=sol.transmission, r_abs2=sol.reflection)
-
-    kin = None
-    try:
-        kin = momentum_spectrum(problem, cfg.quadrature, solution=sol).kinematics()
-        rec = replace(
-            rec,
-            k_rms=kin.k_rms,
-            v_rms=kin.v_rms,
-            t_eff_s=kin.t_eff,
-            eps_eff_ev=energy_si_to_ev(kin.eps_eff),
+        return SweepRecord(
+            e_over_v0=e_ratio,
+            d_nm=d_nm,
+            e_ev=e_ev,
+            v0_ev=cfg.v0_ev,
+            cutoff=cfg.cutoff,
+            error=f"problem: {exc}",
         )
-    except (DomainError, NoConvergence) as exc:
-        errors.append(f"momentum: {exc}")
-
-    t_ph_ana = phase_time_analytic(problem)
-    t_dw_ana = dwell_time_analytic(problem)
-    rec = replace(
-        rec, t_ph_analytic_s=t_ph_ana, t_dw_analytic_s=t_dw_ana, t_bl_s=bl_time(problem)
-    )
-    try:
-        t_ph_num = phase_time_numeric(problem, cfg.phase_step_ev)
-        rec = replace(rec, t_ph_numeric_s=t_ph_num)
-        if abs(t_ph_num - t_ph_ana) > CROSS_CHECK_TOL * abs(t_ph_ana):
-            errors.append(
-                f"phase cross-check: numeric {t_ph_num!r} vs analytic {t_ph_ana!r}"
-            )
-    except DomainError:
-        notes.append(NOTE_PHASE_CLIPPED)
-    try:
-        t_dw_num = dwell_time_numeric(problem, cfg.quadrature)
-        rec = replace(rec, t_dw_numeric_s=t_dw_num)
-        if abs(t_dw_num - t_dw_ana) > CROSS_CHECK_TOL * abs(t_dw_ana):
-            errors.append(
-                f"dwell cross-check: numeric {t_dw_num!r} vs analytic {t_dw_ana!r}"
-            )
-    except (DomainError, NoConvergence) as exc:
-        errors.append(f"dwell: {exc}")
-
-    try:
-        depth = penetration_depth(problem)
-        if depth is None:
-            notes.append(NOTE_NO_CROSSING)
-        else:
-            rec = replace(rec, s_nm=length_si_to_nm(depth))
-            if kin is not None:
-                tau = depth / kin.v_rms
-                rec = replace(
-                    rec, tau_eff_s=tau, xi=2.0 * kin.eps_eff * tau / CONSTANTS.hbar
-                )
-    except (DomainError, NoConvergence) as exc:
-        errors.append(f"depth: {exc}")
-
-    return replace(rec, note=";".join(notes), error="; ".join(errors))
+    record, caught = evaluate(problem, cfg, grid_point=(e_ratio, d_nm))
+    if caught and isinstance(caught[-1], ArithmeticError):
+        raise caught[-1]
+    return record
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -353,7 +431,7 @@ def _fmt(value: float | None) -> str:
     if value is None:
         return ""
     if not np.isfinite(value):
-        raise ValueError("refusing to serialize a non-finite value")
+        raise FloatingPointError("refusing to serialize a non-finite value")
     if value == 0:
         return "0"
     return f"{value:.6g}"
@@ -380,10 +458,10 @@ def _metadata(cfg: SweepConfig | None, records: list[SweepRecord] | None) -> lis
 def records_to_csv(records: list[SweepRecord], cfg: SweepConfig | None = None) -> str:
     """The full sweep as CSV, one row per grid point in evaluation order."""
     out = _metadata(cfg, records)
-    out.append(",".join(_CSV_COLUMNS))
+    out.append(",".join(RECORD_COLUMNS))
     for rec in records:
         cells = []
-        for attr in _CSV_COLUMNS.values():
+        for attr in RECORD_COLUMNS.values():
             value = getattr(rec, attr)
             cells.append(value if isinstance(value, str) else _fmt(value))
         out.append(",".join(cells))
@@ -396,7 +474,7 @@ def parse_records(text: str) -> list[SweepRecord]:
     if not lines:
         raise ParseError("no header row found")
     header = lines[0].split(",")
-    if header != list(_CSV_COLUMNS):
+    if header != list(RECORD_COLUMNS):
         raise ParseError("unexpected sweep CSV header")
     field_types = {f.name: f.type for f in fields(SweepRecord)}
     records = []
@@ -406,7 +484,7 @@ def parse_records(text: str) -> list[SweepRecord]:
             raise ParseError(f"row has {len(cells)} cells, expected {len(header)}")
         kwargs: dict[str, object] = {}
         for column, cell in zip(header, cells):
-            attr = _CSV_COLUMNS[column]
+            attr = RECORD_COLUMNS[column]
             if field_types[attr] == "str":
                 kwargs[attr] = cell
             else:
@@ -463,19 +541,42 @@ def _figure_problem(rec: SweepRecord) -> BarrierProblem:
     return BarrierProblem.from_ev_nm(rec.e_ev, rec.v0_ev, rec.d_nm, rec.cutoff)
 
 
+def _eps_eff_plus_v0(rec: SweepRecord) -> float | None:
+    return None if rec.eps_eff_ev is None else rec.eps_eff_ev + rec.v0_ev
+
+
+_Source = str | Callable[[SweepRecord], float | None]
+
+#: The per-point figures, after the E_over_V0 and d_nm key columns: CSV
+#: column -> record attribute, or a function of the record for a derived column.
+_SCALAR_FIGURES = {
+    "fig2": {"v_rms_m_per_s": "v_rms", "eps_eff_eV": "eps_eff_ev", "t_eff_s": "t_eff_s"},
+    "fig3": {
+        "E_eV": "e_ev",
+        "t_ph_s": "t_ph_numeric_s",
+        "t_dw_s": "t_dw_numeric_s",
+        "t_bl_s": "t_bl_s",
+    },
+    "fig5": {"s_nm": "s_nm", "tau_eff_s": "tau_eff_s", "xi": "xi"},
+    "fig6a": {"eps_eff_plus_V0_eV": _eps_eff_plus_v0},
+}
+
+#: Attributes a figure may leave empty: absent where the density never
+#: reaches the depth threshold (the no_crossing note).
+_MAY_BE_ABSENT = ("s_nm", "tau_eff_s", "xi")
+
+
 def _emit_scalar_figure(
-    records: list[SweepRecord],
-    cfg: SweepConfig | None,
-    columns: dict[str, str],
-    optional: tuple[str, ...] = (),
+    records: list[SweepRecord], cfg: SweepConfig | None, columns: dict[str, _Source]
 ) -> str:
+    columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **columns}
     out = _metadata(cfg, records)
     out.append(",".join(columns))
     for rec in records:
         cells = []
-        for column, attr in columns.items():
-            value = getattr(rec, attr)
-            if value is None and attr not in optional and column not in optional:
+        for column, source in columns.items():
+            value = source(rec) if callable(source) else getattr(rec, source)
+            if value is None and source not in _MAY_BE_ABSENT:
                 raise MissingGridPoint(
                     f"record E/V0={_fmt(rec.e_over_v0)}, d={_fmt(rec.d_nm)} nm "
                     f"is missing {column} (note={rec.note!r}, error={rec.error!r})"
@@ -508,31 +609,6 @@ def emit_figure_data(
             prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
             out += [f"{prefix},{_fmt(k)},{_fmt(p)}" for k, p in zip(ks, pdf)]
         return "\n".join(out) + "\n"
-    if which == "fig2":
-        return _emit_scalar_figure(
-            records,
-            cfg,
-            {
-                "E_over_V0": "e_over_v0",
-                "d_nm": "d_nm",
-                "v_rms_m_per_s": "v_rms",
-                "eps_eff_eV": "eps_eff_ev",
-                "t_eff_s": "t_eff_s",
-            },
-        )
-    if which == "fig3":
-        return _emit_scalar_figure(
-            records,
-            cfg,
-            {
-                "E_over_V0": "e_over_v0",
-                "d_nm": "d_nm",
-                "E_eV": "e_ev",
-                "t_ph_s": "t_ph_numeric_s",
-                "t_dw_s": "t_dw_numeric_s",
-                "t_bl_s": "t_bl_s",
-            },
-        )
     if which == "fig4":
         out = _metadata(cfg, records)
         out.append("E_over_V0,d_nm,x_nm,relative_density")
@@ -546,31 +622,6 @@ def emit_figure_data(
                 for x, v in zip(xs, dens)
             ]
         return "\n".join(out) + "\n"
-    if which == "fig5":
-        return _emit_scalar_figure(
-            records,
-            cfg,
-            {
-                "E_over_V0": "e_over_v0",
-                "d_nm": "d_nm",
-                "s_nm": "s_nm",
-                "tau_eff_s": "tau_eff_s",
-                "xi": "xi",
-            },
-            optional=("s_nm", "tau_eff_s", "xi"),
-        )
-    if which == "fig6a":
-        out = _metadata(cfg, records)
-        out.append("E_over_V0,d_nm,eps_eff_plus_V0_eV")
-        for rec in records:
-            if rec.eps_eff_ev is None:
-                raise MissingGridPoint(
-                    f"record E/V0={_fmt(rec.e_over_v0)}, d={_fmt(rec.d_nm)} nm "
-                    f"is missing eps_eff (error={rec.error!r})"
-                )
-            out.append(
-                f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)},"
-                f"{_fmt(rec.eps_eff_ev + rec.v0_ev)}"
-            )
-        return "\n".join(out) + "\n"
+    if which in _SCALAR_FIGURES:
+        return _emit_scalar_figure(records, cfg, _SCALAR_FIGURES[which])
     raise ValidationError(f"unknown figure id {which!r}; valid: {', '.join(FIGURE_IDS)}")

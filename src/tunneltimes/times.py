@@ -14,24 +14,24 @@ definitions and from independent closed forms sharing the denominator
 
     D = 4 kappa^2 k^2 + (2 m V0 / hbar^2)^2 sinh^2(kappa d).
 
-The numerical route is the arbiter: time_report() cross-checks the pairs and
-fails loudly, quoting both values, if they drift apart. Phase and dwell times
-saturate for thick barriers (their d-derivative dies off like exp(-2 kappa d)),
-which is exactly why they imply unbounded apparent velocities; the effective
-time does not saturate.
+The numerical route is the arbiter. ``sweep.evaluate`` cross-checks each pair:
+routes more than CROSS_CHECK_TOL (1e-5 relative) apart put both values in the
+record's error cell, and the ``times`` command exits 3 quoting them. (The test
+suite holds the routes to 1e-6.) Phase and dwell times saturate for thick
+barriers (their d-derivative dies off like exp(-2 kappa d)), which is exactly
+why they imply unbounded apparent velocities; the effective time does not
+saturate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .barrier import BarrierProblem, incident_flux, stationary_solution, wavenumbers
 from .constants import CONSTANTS, energy_ev_to_si
-from .errors import NoConvergence
-from .momentum import momentum_spectrum
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, differentiate_phase, integrate
 
 _M = CONSTANTS.electron_mass
@@ -46,27 +46,17 @@ DEFAULT_PHASE_STEP_EV = 1e-4
 CROSS_CHECK_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class TimeReport:
-    """All transit-time quantities for one problem, in seconds."""
-
-    t_eff: float
-    t_phase_numeric: float
-    t_phase_analytic: float
-    t_dwell_numeric: float
-    t_dwell_analytic: float
-    t_bl: float
-    d_denominator: float  # shared denominator D of the closed forms, 1/m^4
-
-
 def transmission_amplitude(problem: BarrierProblem, energy: float) -> complex:
     """S at a different incident energy over the same barrier."""
     return stationary_solution(replace(problem, energy=energy)).S
 
 
-def _shared_denominator(k: float, kappa: float, d: float, height: float) -> float:
-    g = 2.0 * _M * height / _HBAR**2  # equals k^2 + kappa^2
-    return 4.0 * kappa**2 * k**2 + g**2 * math.sinh(kappa * d) ** 2
+def shared_denominator(problem: BarrierProblem) -> float:
+    """D of the module docstring, 1/m^4, shared by both closed forms."""
+    wn = wavenumbers(problem)
+    k, kappa = wn.k, wn.kappa
+    g = 2.0 * _M * problem.height / _HBAR**2  # equals k^2 + kappa^2
+    return 4.0 * kappa**2 * k**2 + g**2 * math.sinh(kappa * problem.thickness) ** 2
 
 
 def phase_time_numeric(
@@ -94,7 +84,7 @@ def phase_time_analytic(problem: BarrierProblem) -> float:
     wn = wavenumbers(problem)
     k, kappa, d = wn.k, wn.kappa, problem.thickness
     g = 2.0 * _M * problem.height / _HBAR**2
-    dd = _shared_denominator(k, kappa, d, problem.height)
+    dd = shared_denominator(problem)
     bracket = 2.0 * kappa * d * k**2 * (kappa**2 - k**2) + g**2 * math.sinh(
         2.0 * kappa * d
     )
@@ -116,7 +106,7 @@ def dwell_time_analytic(problem: BarrierProblem) -> float:
     wn = wavenumbers(problem)
     k, kappa, d = wn.k, wn.kappa, problem.thickness
     g = 2.0 * _M * problem.height / _HBAR**2
-    dd = _shared_denominator(k, kappa, d, problem.height)
+    dd = shared_denominator(problem)
     bracket = 2.0 * kappa * d * (kappa**2 - k**2) + g * math.sinh(2.0 * kappa * d)
     return _M * k / (_HBAR * kappa * dd) * bracket
 
@@ -124,45 +114,3 @@ def dwell_time_analytic(problem: BarrierProblem) -> float:
 def bl_time(problem: BarrierProblem) -> float:
     """Opaque-barrier traversal scale m d / (hbar kappa)."""
     return _M * problem.thickness / (_HBAR * wavenumbers(problem).kappa)
-
-
-def _check_pair(name: str, numeric: float, analytic: float) -> None:
-    if abs(numeric - analytic) > CROSS_CHECK_TOL * abs(analytic):
-        raise NoConvergence(
-            f"{name} time routes disagree: numeric {numeric!r} vs analytic "
-            f"{analytic!r} (tolerance {CROSS_CHECK_TOL} relative)"
-        )
-
-
-def time_report(
-    problem: BarrierProblem,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-    step_ev: float = DEFAULT_PHASE_STEP_EV,
-    check: bool = True,
-) -> TimeReport:
-    """All transit-time quantities for one problem.
-
-    With ``check`` (the default) the numeric/analytic pairs must agree to
-    CROSS_CHECK_TOL or the report raises instead of returning a number that
-    one route disputes.
-    """
-    wn = wavenumbers(problem)
-    t_eff = momentum_spectrum(problem, quadrature).kinematics().t_eff
-    t_ph_num = phase_time_numeric(problem, step_ev)
-    t_ph_ana = phase_time_analytic(problem)
-    t_dw_num = dwell_time_numeric(problem, quadrature)
-    t_dw_ana = dwell_time_analytic(problem)
-    if check:
-        _check_pair("phase", t_ph_num, t_ph_ana)
-        _check_pair("dwell", t_dw_num, t_dw_ana)
-    return TimeReport(
-        t_eff=t_eff,
-        t_phase_numeric=t_ph_num,
-        t_phase_analytic=t_ph_ana,
-        t_dwell_numeric=t_dw_num,
-        t_dwell_analytic=t_dw_ana,
-        t_bl=bl_time(problem),
-        d_denominator=_shared_denominator(
-            wn.k, wn.kappa, problem.thickness, problem.height
-        ),
-    )

@@ -13,7 +13,7 @@ import numpy as np
 from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, transmission_reference
 from tunneltimes.barrier import BarrierProblem, continuity_residual, stationary_solution
 from tunneltimes.constants import energy_si_to_ev, length_si_to_nm
-from tunneltimes.depth import penetration_depth, uncertainty_report
+from tunneltimes.depth import penetration_depth
 from tunneltimes.momentum import momentum_amplitude, momentum_spectrum
 from tunneltimes.numerics import QuadratureSpec, integrate
 from tunneltimes.sweep import (
@@ -21,6 +21,7 @@ from tunneltimes.sweep import (
     SweepConfig,
     emit_figure_data,
     emit_table1,
+    evaluate,
     records_to_csv,
     run_sweep,
 )
@@ -150,9 +151,12 @@ def test_08_uncertainty_coefficient_range():
     high = -math.inf
     for e_ratio in REFERENCE_DEPTHS_NM:
         for d_nm in TABLE_D_NM:
-            xi = uncertainty_report(
-                BarrierProblem.from_ev_nm(V0_EV * e_ratio, V0_EV, d_nm)
-            ).xi
+            rec, _ = evaluate(
+                BarrierProblem.from_ev_nm(V0_EV * e_ratio, V0_EV, d_nm),
+                SweepConfig(v0_ev=V0_EV),
+                ("momentum", "depth"),
+            )
+            xi = rec.xi
             low = min(low, xi)
             high = max(high, xi)
     report(

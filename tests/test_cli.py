@@ -131,6 +131,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "table1", "--config", str(config))
         assert code == 2 and "missing grid point" in err
 
+    def test_cross_check_failure_is_three(self, capsys):
+        code, out, err = run(capsys, "times", "--E-eV", "0.02", "--V0-eV", "1",
+                             "--d-nm", "3")
+        assert code == 3 and out == ""
+        assert "numeric failure: phase cross-check: numeric " in err
+
+    def test_non_finite_output_is_three(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--E-eV", "5", "--V0-eV", "inf",
+                             "--d-nm", "1")
+        assert code == 3 and out == ""
+        assert "non-finite" in err
+
     def test_numeric_failure_is_three(self, capsys):
         # a preposterously wide momentum window makes the spectrum integrand
         # oscillate far beyond any resolvable rate

@@ -6,15 +6,10 @@ import pytest
 
 from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, scanned_depth
 from tunneltimes.barrier import BarrierProblem, stationary_solution
-from tunneltimes.constants import CONSTANTS, length_si_to_nm
-from tunneltimes.depth import (
-    DEPTH_LEVEL,
-    DepthReport,
-    penetration_depth,
-    relative_density,
-    uncertainty_report,
-)
+from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
+from tunneltimes.depth import DEPTH_LEVEL, penetration_depth, relative_density
 from tunneltimes.errors import DomainError
+from tunneltimes.sweep import NOTE_NO_CROSSING, SweepConfig, evaluate
 
 DEPTH_TOL_NM = 0.002
 
@@ -126,33 +121,36 @@ class TestClosedFormAgainstScan:
             self.check(BarrierProblem.from_ev_nm(e_ev, v0_ev, rng.uniform(0.05, 3.0)))
 
 
+def uncertainty_record(problem: BarrierProblem):
+    """What the ``depth`` command prints: the momentum and depth blocks."""
+    rec, caught = evaluate(problem, SweepConfig(), ("momentum", "depth"))
+    assert caught == []
+    return rec
+
+
 class TestUncertaintyReport:
     def test_identity_reconstruction(self):
-        report = uncertainty_report(BarrierProblem.from_ev_nm(1.0, 10.0, 0.8))
-        assert report.xi == pytest.approx(
-            2.0 * report.eps_eff * report.tau_eff / CONSTANTS.hbar, rel=1e-14
+        rec = uncertainty_record(BarrierProblem.from_ev_nm(1.0, 10.0, 0.8))
+        eps_eff = energy_ev_to_si(rec.eps_eff_ev)
+        assert rec.xi == pytest.approx(
+            2.0 * eps_eff * rec.tau_eff_s / CONSTANTS.hbar, rel=1e-14
         )
 
     def test_no_crossing_leaves_fields_absent(self):
-        report = uncertainty_report(BarrierProblem.from_ev_nm(1.0, 10.0, 0.1))
-        assert report.depth is None
-        assert report.tau_eff is None
-        assert report.xi is None
-        assert report.eps_eff > 0.0
+        rec = uncertainty_record(BarrierProblem.from_ev_nm(1.0, 10.0, 0.1))
+        assert rec.s_nm is None
+        assert rec.tau_eff_s is None
+        assert rec.xi is None
+        assert rec.eps_eff_ev > 0.0
+        assert rec.note == NOTE_NO_CROSSING
 
     def test_coefficient_range_on_the_reference_grid(self):
         for e_ratio in REFERENCE_DEPTHS_NM:
             for d_nm in TABLE_D_NM:
-                report = uncertainty_report(
+                rec = uncertainty_record(
                     BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
                 )
-                assert 1.5 < report.xi <= 5.0
-
-    def test_bogus_depth_rejected(self):
-        p = BarrierProblem.from_ev_nm(1.0, 10.0, 0.5)
-        with pytest.raises(DomainError):
-            DepthReport(problem=p, depth=2.0 * p.thickness, tau_eff=1e-17, xi=2.0,
-                        eps_eff=1e-18)
+                assert 1.5 < rec.xi <= 5.0
 
     def test_threshold_is_full_precision(self):
         # exp(-2), not its 0.135 display rounding

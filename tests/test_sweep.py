@@ -3,8 +3,10 @@ import math
 import pytest
 
 from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM
+from tunneltimes.barrier import BarrierProblem
 from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import (
+    DomainError,
     MissingGridPoint,
     ParseError,
     ValidationError,
@@ -14,7 +16,9 @@ from tunneltimes.sweep import (
     FIGURE_IDS,
     SweepConfig,
     emit_figure_data,
+    SweepRecord,
     emit_table1,
+    evaluate,
     evaluate_point,
     parse_config,
     parse_records,
@@ -122,6 +126,39 @@ class TestRunSweep:
         assert rec.t_ph_numeric_s is None
         assert "phase_stencil_clipped" in rec.note
         assert rec.t_ph_analytic_s is not None  # the analytic route survives
+
+
+class TestEvaluate:
+    def test_every_block_by_default_matches_the_sweep_record(self):
+        cfg = SweepConfig()
+        problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        rec, caught = evaluate(problem, cfg, grid_point=(0.5, 0.5))
+        assert caught == []
+        assert rec == evaluate_point(cfg, 0.5, 0.5)
+
+    def test_unrequested_blocks_leave_their_columns_empty(self):
+        problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        rec, caught = evaluate(problem, SweepConfig(), ("momentum",))
+        assert caught == [] and rec.note == "" and rec.error == ""
+        assert rec.v_rms is not None and rec.s_abs2 is not None
+        times_and_depth = (rec.t_ph_numeric_s, rec.t_dw_numeric_s, rec.t_bl_s, rec.s_nm)
+        assert times_and_depth == (None, None, None, None)
+
+    def test_tau_and_xi_need_the_momentum_block(self):
+        problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        rec, _ = evaluate(problem, SweepConfig(), ("depth",))
+        assert rec.s_nm is not None and rec.tau_eff_s is None and rec.xi is None
+
+    def test_clipped_stencil_is_caught_before_the_closed_forms_overflow(self):
+        # kappa*d is about 486: S is still finite, sinh(kappa d)^2 is not
+        problem = BarrierProblem.from_ev_nm(5e-5, 10.0, 30.0)
+        rec, caught = evaluate(problem, SweepConfig(), ("momentum", "times"))
+        assert [type(exc) for exc in caught] == [DomainError, OverflowError]
+        assert rec.note == "phase_stencil_clipped" and rec.t_eff_s is not None
+
+    def test_overflow_still_aborts_the_sweep(self):
+        with pytest.raises(OverflowError):
+            evaluate_point(SweepConfig(), 0.5, 40.0)
 
 
 class TestSweepCsv:
@@ -273,6 +310,14 @@ class TestFigureEmission:
         records = [evaluate_point(SweepConfig(), 1e-6, 0.5)]
         with pytest.raises(MissingGridPoint):
             emit_figure_data(records, "fig3")
+
+    def test_derived_column_is_never_optional(self):
+        # fig5 leaves an absent depth empty; fig6a's eps_eff + V0 has no such
+        # excuse
+        bare = SweepRecord(e_over_v0=0.5, d_nm=0.5, e_ev=5.0, v0_ev=10.0, cutoff=7.5e10)
+        assert emit_figure_data([bare], "fig5").splitlines()[-1] == "0.5,0.5,,,"
+        with pytest.raises(MissingGridPoint, match="eps_eff_plus_V0_eV"):
+            emit_figure_data([bare], "fig6a")
 
     def test_curve_figures_refuse_unsolved_records(self):
         # inside the near-threshold guard band no solution exists at all

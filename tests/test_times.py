@@ -5,14 +5,14 @@ import pytest
 from tunneltimes.barrier import BarrierProblem, wavenumbers
 from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import DomainError, NoConvergence
+from tunneltimes.sweep import SweepConfig, evaluate
 from tunneltimes.times import (
-    _check_pair,
     bl_time,
     dwell_time_analytic,
     dwell_time_numeric,
     phase_time_analytic,
     phase_time_numeric,
-    time_report,
+    shared_denominator,
 )
 
 AGREEMENT = 1e-6  # numeric and analytic routes must agree this tightly
@@ -145,21 +145,34 @@ class TestSaturationAndDisagreement:
 
 
 class TestTimeReport:
+    """What the ``times`` command prints: the momentum and times blocks of a record."""
+
+    BLOCKS = ("momentum", "times")
+
     def test_report_is_internally_consistent(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        report = time_report(p)
+        rec, caught = evaluate(p, SweepConfig(), self.BLOCKS)
+        assert caught == [] and rec.error == ""
         assert (
-            abs(report.t_phase_numeric - report.t_phase_analytic)
-            <= AGREEMENT * report.t_phase_analytic
+            abs(rec.t_ph_numeric_s - rec.t_ph_analytic_s)
+            <= AGREEMENT * rec.t_ph_analytic_s
         )
         assert (
-            abs(report.t_dwell_numeric - report.t_dwell_analytic)
-            <= AGREEMENT * report.t_dwell_analytic
+            abs(rec.t_dw_numeric_s - rec.t_dw_analytic_s)
+            <= AGREEMENT * rec.t_dw_analytic_s
         )
-        assert report.t_bl == bl_time(p)
-        assert report.t_eff > 0.0
-        assert report.d_denominator > 0.0
+        assert rec.t_bl_s == bl_time(p)
+        assert rec.t_eff_s > 0.0
+        assert shared_denominator(p) > 0.0
 
     def test_cross_check_failure_reports_both_values(self):
-        with pytest.raises(NoConvergence, match=r"1e-16.*2e-16"):
-            _check_pair("phase", 1e-16, 2e-16)
+        # at low energy the 1e-4 eV stencil and the closed form part by more
+        # than the 1e-5 runtime tolerance
+        p = BarrierProblem.from_ev_nm(0.02, 1.0, 3.0)
+        rec, caught = evaluate(p, SweepConfig(v0_ev=1.0), self.BLOCKS)
+        assert [type(exc) for exc in caught] == [NoConvergence]
+        assert str(caught[0]) == rec.error
+        assert rec.error == (
+            f"phase cross-check: numeric {rec.t_ph_numeric_s!r} "
+            f"vs analytic {rec.t_ph_analytic_s!r}"
+        )
