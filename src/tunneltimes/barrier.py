@@ -78,6 +78,13 @@ class BarrierProblem:
             raise DomainError("barrier thickness must be positive")
         if not self.cutoff > 0:
             raise DomainError("momentum cutoff must be positive")
+        for name, value in (
+            ("barrier height", self.height),
+            ("barrier thickness", self.thickness),
+            ("momentum cutoff", self.cutoff),
+        ):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
 
     @classmethod
     def from_ev_nm(
@@ -136,13 +143,6 @@ class StationarySolution:
             raise DomainError("barrier wavefunction is only defined on 0 <= x <= d")
         kappa = self.wavenumbers.kappa
         out = self.A * np.exp(kappa * xarr) + self.B * np.exp(-kappa * xarr)
-        return complex(out) if xarr.ndim == 0 else out
-
-    def psi_right(self, x):
-        """Transmitted wave, valid for x >= d."""
-        k = self.wavenumbers.k
-        xarr = np.asarray(x, dtype=float)
-        out = self.S * np.exp(1j * k * xarr)
         return complex(out) if xarr.ndim == 0 else out
 
 

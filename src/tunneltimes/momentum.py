@@ -98,15 +98,12 @@ class MomentumSpectrum:
     def problem(self) -> BarrierProblem:
         return self.solution.problem
 
-    def amplitude(self, wavenumber):
-        return momentum_amplitude(self.solution, wavenumber)
-
     def pdf(self, wavenumber):
         """Normalized momentum density (units m); requires |K| <= cutoff."""
         karr = np.asarray(wavenumber, dtype=float)
         if np.any(np.abs(karr) > self.problem.cutoff):
             raise DomainError("momentum density is only defined inside the window")
-        out = np.abs(self.amplitude(karr)) ** 2 / self.normalization
+        out = np.abs(momentum_amplitude(self.solution, karr)) ** 2 / self.normalization
         return float(out) if karr.ndim == 0 else out
 
     def kinematics(self) -> EffectiveKinematics:

@@ -3,8 +3,7 @@
 All routines are pure functions of their arguments. Integrands are expected to
 accept a 1-D numpy array of n points and return n values (numpy-style
 broadcasting), or an (m, n) array holding m integrands on the same points,
-which are then integrated together from one set of samples. Plain scalar
-callables are accepted too and evaluated pointwise as a fallback.
+which are then integrated together from one set of samples.
 """
 
 from __future__ import annotations
@@ -63,10 +62,7 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
-    try:
-        fx = np.asarray(f(xs), dtype=float)
-    except (TypeError, ValueError):
-        fx = np.array([float(f(x)) for x in xs])
+    fx = np.asarray(f(xs), dtype=float)
     if fx.ndim not in (1, 2) or fx.shape[-1:] != xs.shape:
         raise DomainError(
             "integrand must map an array of points to like-shaped values "

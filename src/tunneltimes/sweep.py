@@ -10,7 +10,14 @@ emitters below turn them into CSV with '#'-prefixed metadata lines (tool
 version, config echo, stencil clipping notes) ahead of the header. Identical
 configs produce byte-identical output: evaluation order is fixed, no
 timestamps are embedded, and floats are serialized at six significant digits
-(the depth table uses the conventional four decimals of nm instead).
+(the depth table uses the conventional four decimals of nm instead). The
+config echo keeps six digits only where they read back to the same float.
+
+Besides its columns, a record carries the momentum spectrum its momentum
+block built, which holds the point's stationary solution. The curve figures
+(fig1, fig4) draw from it, so emitting them neither solves nor integrates
+again; a record without one (a failed solve or momentum quadrature, or a
+record re-read from CSV) cannot be drawn.
 
 Per-point failures land in the record's ``error`` column; a missing depth on a
 thin barrier is a ``no_crossing`` note, not an error. The one failure that
@@ -23,7 +30,8 @@ FloatingPointError instead of reaching a cell.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,7 +50,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .momentum import momentum_spectrum
+from .momentum import MomentumSpectrum, momentum_spectrum
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
 from .times import (
     CROSS_CHECK_TOL,
@@ -119,7 +127,10 @@ class SweepRecord:
 
     Optional fields are None when not computed (upstream failure) or not
     defined (no depth crossing); ``note`` carries machine-readable reason
-    codes, ``error`` the per-point failure messages.
+    codes, ``error`` the per-point failure messages. ``spectrum`` is not a
+    column: it is the momentum spectrum the evaluation built, None where the
+    momentum block did not run or failed to integrate, and records compare
+    and hash without it.
     """
 
     e_over_v0: float
@@ -143,6 +154,7 @@ class SweepRecord:
     xi: float | None = None
     note: str = ""
     error: str = ""
+    spectrum: MomentumSpectrum | None = field(default=None, compare=False, repr=False)
 
 
 #: Sweep CSV column -> SweepRecord attribute, in column order. Point commands
@@ -205,6 +217,7 @@ def evaluate(
         grid_point = (problem.e_over_v0, length_si_to_nm(problem.thickness))
     e_ratio, d_nm = grid_point
     values: dict[str, float | None] = {}
+    spectrum = None
     notes: list[str] = []
     errors: list[str] = []
     caught: list[Exception] = []
@@ -226,6 +239,8 @@ def evaluate(
         kin = None
         if "momentum" in blocks:
             try:
+                # kept before kinematics(), so fig1 still draws a point whose
+                # window is too wide for a subluminal v_rms
                 spectrum = momentum_spectrum(problem, cfg.quadrature, solution=sol)
                 kin = spectrum.kinematics()
                 values.update(
@@ -286,6 +301,7 @@ def evaluate(
         **values,
         note=";".join(notes),
         error="; ".join(errors),
+        spectrum=spectrum,
     )
     return record, caught
 
@@ -344,16 +360,18 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(piece.strip() for piece in text.split(",") if piece.strip())
 
 
+#: Config keys in echo order: key -> (value parser, the SweepConfig field it
+#: sets, dotted for a field of its QuadratureSpec).
 _CONFIG_KEYS = {
-    "V0_eV": _parse_float,
-    "E_over_V0_grid": _parse_float_list,
-    "d_nm_grid": _parse_float_list,
-    "Kprime": _parse_float,
-    "phase_step_eV": _parse_float,
-    "outputs": _parse_str_list,
-    "quad_method": str,
-    "quad_points": int,
-    "quad_rel_tol": _parse_float,
+    "V0_eV": (_parse_float, "v0_ev"),
+    "E_over_V0_grid": (_parse_float_list, "e_over_v0_grid"),
+    "d_nm_grid": (_parse_float_list, "d_nm_grid"),
+    "Kprime": (_parse_float, "cutoff"),
+    "phase_step_eV": (_parse_float, "phase_step_ev"),
+    "quad_method": (str, "quadrature.method"),
+    "quad_points": (int, "quadrature.panels_or_nodes"),
+    "quad_rel_tol": (_parse_float, "quadrature.rel_tol"),
+    "outputs": (_parse_str_list, "outputs"),
 }
 
 
@@ -364,7 +382,8 @@ def parse_config(text: str) -> SweepConfig:
     fine but invalid values raise ValidationError naming the broken invariant.
     Omitted keys fall back to the SweepConfig defaults.
     """
-    values: dict[str, object] = {}
+    kwargs: dict[str, object] = {}
+    quad_kwargs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -376,50 +395,38 @@ def parse_config(text: str) -> SweepConfig:
         val = val.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown key {key!r}", line=lineno)
-        if key in values:
+        parser, target = _CONFIG_KEYS[key]
+        owner, _, name = target.rpartition(".")
+        dest = quad_kwargs if owner else kwargs
+        if name in dest:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         try:
-            values[key] = _CONFIG_KEYS[key](val)
+            dest[name] = parser(val)
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {val!r} ({exc})", line=lineno)
+    return SweepConfig(quadrature=QuadratureSpec(**quad_kwargs), **kwargs)
 
-    quad_kwargs = {}
-    if "quad_method" in values:
-        quad_kwargs["method"] = values.pop("quad_method")
-    if "quad_points" in values:
-        quad_kwargs["panels_or_nodes"] = values.pop("quad_points")
-    if "quad_rel_tol" in values:
-        quad_kwargs["rel_tol"] = values.pop("quad_rel_tol")
-    quadrature = (
-        replace(DEFAULT_QUADRATURE, **quad_kwargs) if quad_kwargs else DEFAULT_QUADRATURE
-    )
 
-    kwargs = {}
-    for key, field_name in (
-        ("V0_eV", "v0_ev"),
-        ("E_over_V0_grid", "e_over_v0_grid"),
-        ("d_nm_grid", "d_nm_grid"),
-        ("Kprime", "cutoff"),
-        ("phase_step_eV", "phase_step_ev"),
-        ("outputs", "outputs"),
-    ):
-        if key in values:
-            kwargs[field_name] = values[key]
-    return SweepConfig(quadrature=quadrature, **kwargs)
+def _echo(value: object) -> str:
+    """A config value in file syntax that parses back to exactly that value."""
+    if isinstance(value, tuple):
+        return ",".join(_echo(v) for v in value)
+    if isinstance(value, float):
+        text = _fmt(value)
+        return text if float(text) == value else repr(value)
+    return str(value)
 
 
 def config_lines(cfg: SweepConfig) -> list[str]:
-    """The config echoed back in its own file syntax (used in CSV metadata)."""
+    """The config echoed back in its own file syntax (used in CSV metadata).
+
+    Floats keep the six significant digits of the CSV cells where those read
+    back to the same float and are written in full otherwise, so
+    parse_config() of these lines rebuilds ``cfg``.
+    """
     return [
-        f"V0_eV={_fmt(cfg.v0_ev)}",
-        "E_over_V0_grid=" + ",".join(_fmt(v) for v in cfg.e_over_v0_grid),
-        "d_nm_grid=" + ",".join(_fmt(v) for v in cfg.d_nm_grid),
-        f"Kprime={_fmt(cfg.cutoff)}",
-        f"phase_step_eV={_fmt(cfg.phase_step_ev)}",
-        f"quad_method={cfg.quadrature.method}",
-        f"quad_points={cfg.quadrature.panels_or_nodes}",
-        f"quad_rel_tol={_fmt(cfg.quadrature.rel_tol)}",
-        "outputs=" + ",".join(cfg.outputs),
+        f"{key}={_echo(attrgetter(target)(cfg))}"
+        for key, (_, target) in _CONFIG_KEYS.items()
     ]
 
 
@@ -532,13 +539,13 @@ def emit_table1(records: list[SweepRecord], cfg: SweepConfig | None = None) -> s
     return "\n".join(out) + "\n"
 
 
-def _figure_problem(rec: SweepRecord) -> BarrierProblem:
-    if rec.s_abs2 is None:  # the sweep could not even solve this point
+def _figure_spectrum(rec: SweepRecord) -> MomentumSpectrum:
+    if rec.spectrum is None:
         raise MissingGridPoint(
             f"record E/V0={_fmt(rec.e_over_v0)}, d={_fmt(rec.d_nm)} nm has no "
-            f"solution to draw curves from (error={rec.error!r})"
+            f"momentum spectrum to draw curves from (error={rec.error!r})"
         )
-    return BarrierProblem.from_ev_nm(rec.e_ev, rec.v0_ev, rec.d_nm, rec.cutoff)
+    return rec.spectrum
 
 
 def _eps_eff_plus_v0(rec: SweepRecord) -> float | None:
@@ -589,7 +596,7 @@ def _emit_scalar_figure(
 def emit_figure_data(
     records: list[SweepRecord], which: str, cfg: SweepConfig | None = None
 ) -> str:
-    """One figure's data as CSV.
+    """One figure's data as CSV; ``cfg`` only feeds the metadata lines.
 
     fig1: momentum-density curves over the K window per grid point.
     fig2: v_rms, eps_eff, t_eff per grid point.
@@ -597,15 +604,16 @@ def emit_figure_data(
     fig4: relative-density curves on 128 uniform x points per grid point.
     fig5: depth, tau_eff, xi per grid point (empty cells where no crossing).
     fig6a: eps_eff + V0 per grid point.
+
+    fig1 and fig4 draw from each record's spectrum and raise MissingGridPoint
+    for a record without one.
     """
     if which == "fig1":
         out = _metadata(cfg, records)
         out.append("E_over_V0,d_nm,K_per_m,pdf_m")
-        quadrature = cfg.quadrature if cfg is not None else DEFAULT_QUADRATURE
         for rec in records:
-            spectrum = momentum_spectrum(_figure_problem(rec), quadrature)
             ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
-            pdf = spectrum.pdf(ks)
+            pdf = _figure_spectrum(rec).pdf(ks)
             prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
             out += [f"{prefix},{_fmt(k)},{_fmt(p)}" for k, p in zip(ks, pdf)]
         return "\n".join(out) + "\n"
@@ -613,7 +621,7 @@ def emit_figure_data(
         out = _metadata(cfg, records)
         out.append("E_over_V0,d_nm,x_nm,relative_density")
         for rec in records:
-            sol = stationary_solution(_figure_problem(rec))
+            sol = _figure_spectrum(rec).solution
             xs = np.linspace(0.0, sol.problem.thickness, FIG4_X_POINTS)
             dens = relative_density(sol, xs)
             prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"

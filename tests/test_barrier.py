@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -37,6 +38,9 @@ class TestBarrierProblem:
             (5.0, 10.0, 0.0, 7.5e10),
             (5.0, 10.0, -0.5, 7.5e10),
             (5.0, 10.0, 1.0, 0.0),
+            (5.0, math.inf, 1.0, 7.5e10),  # non-finite inputs
+            (5.0, 10.0, math.inf, 7.5e10),
+            (5.0, 10.0, 1.0, math.inf),
         ],
     )
     def test_invalid_inputs_rejected(self, e_ev, v0_ev, d_nm, cutoff):
@@ -120,7 +124,8 @@ class TestPsiEvaluation:
         sol = stationary_solution(BarrierProblem.from_ev_nm(3.0, 10.0, 0.8))
         d = sol.problem.thickness
         assert sol.psi_barrier(0.0) == pytest.approx(1.0 + sol.R, rel=1e-12)
-        assert sol.psi_barrier(d) == pytest.approx(sol.psi_right(d), rel=1e-12)
+        transmitted = sol.S * cmath.exp(1j * sol.wavenumbers.k * d)
+        assert sol.psi_barrier(d) == pytest.approx(transmitted, rel=1e-12)
 
     def test_out_of_barrier_rejected(self):
         sol = stationary_solution(BarrierProblem.from_ev_nm(3.0, 10.0, 0.8))

@@ -137,11 +137,26 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "numeric failure: phase cross-check: numeric " in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("coeffs", "--E-eV", "5", "--V0-eV", "inf", "--d-nm", "1"), "height"),
+            (("coeffs", "--E-eV", "5", "--d-nm", "inf"), "thickness"),
+            (("momentum", "--E-eV", "5", "--d-nm", "1", "--Kprime", "inf"), "cutoff"),
+        ],
+    )
+    def test_non_finite_input_is_one(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"{name} must be finite" in err
+
     def test_non_finite_output_is_three(self, capsys):
-        code, out, err = run(capsys, "coeffs", "--E-eV", "5", "--V0-eV", "inf",
-                             "--d-nm", "1")
+        # a little below the overflow threshold the closed-form times are NaN
+        code, out, err = run(capsys, "times", "--E-eV", "6.3451208733386855",
+                             "--V0-eV", "25.89019666702725",
+                             "--d-nm", "15.089278571432091")
         assert code == 3 and out == ""
-        assert "non-finite" in err
+        assert "refusing to serialize a non-finite value" in err
 
     def test_numeric_failure_is_three(self, capsys):
         # a preposterously wide momentum window makes the spectrum integrand

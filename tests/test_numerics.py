@@ -67,10 +67,6 @@ class TestIntegrate:
         split = integrate(f, 0.0, 0.7) + integrate(f, 0.7, 2.0)
         assert abs(whole - split) < 1e-12
 
-    def test_scalar_only_callable_is_accepted(self):
-        got = integrate(math.exp, 0.0, 1.0, QuadratureSpec(panels_or_nodes=64))
-        assert got == pytest.approx(math.e - 1.0, rel=1e-9)
-
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from tunneltimes.sweep import (
     SweepConfig,
     emit_figure_data,
     SweepRecord,
+    config_lines,
     emit_table1,
     evaluate,
     evaluate_point,
@@ -91,6 +93,33 @@ class TestParseConfig:
             parse_config("outputs=fig7")
 
 
+class TestConfigEcho:
+    def test_default_echo(self):
+        assert config_lines(SweepConfig()) == [
+            "V0_eV=10",
+            "E_over_V0_grid=0.01,0.1,0.5,0.9,0.99",
+            "d_nm_grid=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
+            "Kprime=7.5e+10",
+            "phase_step_eV=0.0001",
+            "quad_method=composite-simpson",
+            "quad_points=4000",
+            "quad_rel_tol=1e-09",
+            "outputs=table1,fig1,fig2,fig3,fig4,fig5,fig6a",
+        ]
+
+    def test_echo_reads_back_exactly(self):
+        # six significant digits would round V0, the first ratio and Kprime
+        cfg = SweepConfig(
+            v0_ev=7.123456789,
+            e_over_v0_grid=(0.1234567, 0.5),
+            cutoff=7.1234567e10,
+            quadrature=QuadratureSpec("gauss-legendre", 64, 1e-8),
+        )
+        lines = config_lines(cfg)
+        assert "E_over_V0_grid=0.1234567,0.5" in lines
+        assert parse_config("\n".join(lines)) == cfg
+
+
 class TestRunSweep:
     def test_single_point_record(self):
         cfg = SweepConfig(e_over_v0_grid=(0.5,), d_nm_grid=(0.5,))
@@ -129,6 +158,12 @@ class TestRunSweep:
 
 
 class TestEvaluate:
+    def test_the_spectrum_is_not_part_of_the_record_value(self):
+        rec = evaluate_point(SweepConfig(), 0.5, 0.5)
+        assert rec.spectrum is not None
+        bare = replace(rec, spectrum=None)
+        assert bare == rec and hash(bare) == hash(rec)
+
     def test_every_block_by_default_matches_the_sweep_record(self):
         cfg = SweepConfig()
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
@@ -318,6 +353,35 @@ class TestFigureEmission:
         assert emit_figure_data([bare], "fig5").splitlines()[-1] == "0.5,0.5,,,"
         with pytest.raises(MissingGridPoint, match="eps_eff_plus_V0_eV"):
             emit_figure_data([bare], "fig6a")
+
+    def test_density_curves_ignore_the_config(self):
+        # fig1 draws the sweep's own normalization, whatever cfg is passed
+        cfg = parse_config(
+            "quad_points=8\nquad_rel_tol=1e-3\nE_over_V0_grid=0.5\nd_nm_grid=0.5,1\n"
+        )
+        records = run_sweep(cfg)
+        with_cfg, without = (
+            [line for line in text.splitlines() if not line.startswith("#")]
+            for text in (emit_figure_data(records, "fig1", cfg),
+                         emit_figure_data(records, "fig1"))
+        )
+        assert with_cfg == without
+
+    def test_superluminal_window_still_draws_the_density(self):
+        cfg = SweepConfig(cutoff=1e13, e_over_v0_grid=(0.5,), d_nm_grid=(0.001,))
+        records = run_sweep(cfg)
+        assert "superluminal" in records[0].error
+        lines = emit_figure_data(records, "fig1").splitlines()
+        assert len([line for line in lines if not line.startswith("#")]) == 1 + 201
+        with pytest.raises(MissingGridPoint):
+            emit_figure_data(records, "fig2")
+
+    def test_curve_figures_refuse_reparsed_records(self):
+        # a CSV row carries no spectrum to draw from
+        records = parse_records(records_to_csv(run_sweep(SMALL), SMALL))
+        for fig in ("fig1", "fig4"):
+            with pytest.raises(MissingGridPoint, match="no momentum spectrum"):
+                emit_figure_data(records, fig)
 
     def test_curve_figures_refuse_unsolved_records(self):
         # inside the near-threshold guard band no solution exists at all
