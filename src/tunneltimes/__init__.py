@@ -41,12 +41,7 @@ from .momentum import (
     momentum_amplitude,
     momentum_spectrum,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    differentiate_phase,
-    integrate,
-)
+from .numerics import differentiate_phase
 from .sweep import (
     SweepConfig,
     SweepRecord,

@@ -136,6 +136,18 @@ class StationarySolution:
         """Reflection probability |R|^2."""
         return abs(self.R) ** 2
 
+    @property
+    def edge_modes(self) -> tuple[complex, complex]:
+        """(A e^{kappa d}, B e^{-kappa d}), the two in-barrier modes at x = d.
+
+        Taken from S as S e^{ikd} (1 +/- ik/kappa) / 2, so they stay bounded
+        at any thickness.
+        """
+        wn = self.wavenumbers
+        half = 0.5 * self.S * cmath.exp(1j * wn.k * self.problem.thickness)
+        ratio = wn.k / wn.kappa
+        return half * (1.0 + 1j * ratio), half * (1.0 - 1j * ratio)
+
     def psi_barrier(self, x):
         """In-barrier wave A e^{kappa x} + B e^{-kappa x}; requires 0 <= x <= d."""
         xarr = np.asarray(x, dtype=float)

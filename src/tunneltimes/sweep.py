@@ -15,9 +15,9 @@ config echo keeps six digits only where they read back to the same float.
 
 Besides its columns, a record carries the momentum spectrum its momentum
 block built, which holds the point's stationary solution. The curve figures
-(fig1, fig4) draw from it, so emitting them neither solves nor integrates
-again; a record without one (a failed solve or momentum quadrature, or a
-record re-read from CSV) cannot be drawn.
+(fig1, fig4) draw from it, so emitting them solves nothing again; a record
+without one (a failed solve or spectrum, or a record re-read from CSV)
+cannot be drawn.
 
 Per-point failures land in the record's ``error`` column; a missing depth on a
 thin barrier is a ``no_crossing`` note, not an error. The one failure that
@@ -29,9 +29,9 @@ FloatingPointError instead of reaching a cell.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .errors import (
     ValidationError,
 )
 from .momentum import MomentumSpectrum, momentum_spectrum
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
 from .times import (
     CROSS_CHECK_TOL,
     DEFAULT_PHASE_STEP_EV,
@@ -88,7 +87,6 @@ class SweepConfig:
     e_over_v0_grid: tuple[float, ...] = DEFAULT_E_RATIOS
     d_nm_grid: tuple[float, ...] = DEFAULT_D_NM
     cutoff: float = DEFAULT_CUTOFF
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
     phase_step_ev: float = DEFAULT_PHASE_STEP_EV
     outputs: tuple[str, ...] = ("table1",) + FIGURE_IDS
 
@@ -105,6 +103,13 @@ class SweepConfig:
             raise ValidationError("Kprime must be positive")
         if not self.phase_step_ev > 0:
             raise ValidationError("phase_step_eV must be positive")
+        for key, value in (
+            ("V0_eV", self.v0_ev),
+            ("Kprime", self.cutoff),
+            ("phase_step_eV", self.phase_step_ev),
+        ):
+            if not math.isfinite(value):
+                raise ValidationError(f"{key} must be finite")
         for out in self.outputs:
             if out not in OUTPUT_KINDS:
                 raise ValidationError(
@@ -117,6 +122,8 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
         raise ValidationError(f"{name} must not be empty")
     if any(v <= 0 for v in grid):
         raise ValidationError(f"{name} values must be positive")
+    if not all(math.isfinite(v) for v in grid):
+        raise ValidationError(f"{name} values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{name} must be strictly increasing")
 
@@ -129,8 +136,8 @@ class SweepRecord:
     defined (no depth crossing); ``note`` carries machine-readable reason
     codes, ``error`` the per-point failure messages. ``spectrum`` is not a
     column: it is the momentum spectrum the evaluation built, None where the
-    momentum block did not run or failed to integrate, and records compare
-    and hash without it.
+    momentum block did not run or failed, and records compare and hash
+    without it.
     """
 
     e_over_v0: float
@@ -210,8 +217,8 @@ def evaluate(
 
     ``grid_point`` is the (E/V0, d in nm) the record is filed under; the sweep
     passes its grid values so that records key exactly. It defaults to the
-    problem's own. cfg supplies V0, the cutoff, the quadrature and the phase
-    step; ``problem`` must agree with its V0 and cutoff.
+    problem's own. cfg supplies V0, the cutoff and the phase step;
+    ``problem`` must agree with its V0 and cutoff.
     """
     if grid_point is None:
         grid_point = (problem.e_over_v0, length_si_to_nm(problem.thickness))
@@ -241,7 +248,7 @@ def evaluate(
             try:
                 # kept before kinematics(), so fig1 still draws a point whose
                 # window is too wide for a subluminal v_rms
-                spectrum = momentum_spectrum(problem, cfg.quadrature, solution=sol)
+                spectrum = momentum_spectrum(problem, solution=sol)
                 kin = spectrum.kinematics()
                 values.update(
                     k_rms=kin.k_rms,
@@ -261,21 +268,18 @@ def evaluate(
                 caught.append(exc)
                 notes.append(NOTE_PHASE_CLIPPED)
             t_ph_ana = phase_time_analytic(problem)
+            t_dw_num = dwell_time_numeric(problem, solution=sol)
             t_dw_ana = dwell_time_analytic(problem)
             values.update(
                 t_ph_numeric_s=t_ph_num,
                 t_ph_analytic_s=t_ph_ana,
+                t_dw_numeric_s=t_dw_num,
                 t_dw_analytic_s=t_dw_ana,
                 t_bl_s=bl_time(problem),
             )
             if t_ph_num is not None:
                 cross_check("phase", t_ph_num, t_ph_ana)
-            try:
-                t_dw_num = dwell_time_numeric(problem, cfg.quadrature)
-                values["t_dw_numeric_s"] = t_dw_num
-                cross_check("dwell", t_dw_num, t_dw_ana)
-            except (DomainError, NoConvergence) as exc:
-                fail(exc, f"dwell: {exc}")
+            cross_check("dwell", t_dw_num, t_dw_ana)
         if "depth" in blocks:
             try:
                 depth = penetration_depth(problem)
@@ -361,16 +365,13 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 
 #: Config keys in echo order: key -> (value parser, the SweepConfig field it
-#: sets, dotted for a field of its QuadratureSpec).
+#: sets).
 _CONFIG_KEYS = {
     "V0_eV": (_parse_float, "v0_ev"),
     "E_over_V0_grid": (_parse_float_list, "e_over_v0_grid"),
     "d_nm_grid": (_parse_float_list, "d_nm_grid"),
     "Kprime": (_parse_float, "cutoff"),
     "phase_step_eV": (_parse_float, "phase_step_ev"),
-    "quad_method": (str, "quadrature.method"),
-    "quad_points": (int, "quadrature.panels_or_nodes"),
-    "quad_rel_tol": (_parse_float, "quadrature.rel_tol"),
     "outputs": (_parse_str_list, "outputs"),
 }
 
@@ -383,7 +384,6 @@ def parse_config(text: str) -> SweepConfig:
     Omitted keys fall back to the SweepConfig defaults.
     """
     kwargs: dict[str, object] = {}
-    quad_kwargs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -395,16 +395,14 @@ def parse_config(text: str) -> SweepConfig:
         val = val.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown key {key!r}", line=lineno)
-        parser, target = _CONFIG_KEYS[key]
-        owner, _, name = target.rpartition(".")
-        dest = quad_kwargs if owner else kwargs
-        if name in dest:
+        parser, name = _CONFIG_KEYS[key]
+        if name in kwargs:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         try:
-            dest[name] = parser(val)
+            kwargs[name] = parser(val)
         except ValueError as exc:
             raise ParseError(f"bad value for {key!r}: {val!r} ({exc})", line=lineno)
-    return SweepConfig(quadrature=QuadratureSpec(**quad_kwargs), **kwargs)
+    return SweepConfig(**kwargs)
 
 
 def _echo(value: object) -> str:
@@ -425,8 +423,7 @@ def config_lines(cfg: SweepConfig) -> list[str]:
     parse_config() of these lines rebuilds ``cfg``.
     """
     return [
-        f"{key}={_echo(attrgetter(target)(cfg))}"
-        for key, (_, target) in _CONFIG_KEYS.items()
+        f"{key}={_echo(getattr(cfg, name))}" for key, (_, name) in _CONFIG_KEYS.items()
     ]
 
 

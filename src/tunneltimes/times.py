@@ -14,13 +14,16 @@ definitions and from independent closed forms sharing the denominator
 
     D = 4 kappa^2 k^2 + (2 m V0 / hbar^2)^2 sinh^2(kappa d).
 
-The numerical route is the arbiter. ``sweep.evaluate`` cross-checks each pair:
-routes more than CROSS_CHECK_TOL (1e-5 relative) apart put both values in the
-record's error cell, and the ``times`` command exits 3 quoting them. (The test
-suite holds the routes to 1e-6.) Phase and dwell times saturate for thick
-barriers (their d-derivative dies off like exp(-2 kappa d)), which is exactly
-why they imply unbounded apparent velocities; the effective time does not
-saturate.
+The "numeric" routes work from the scattering coefficients, not from D: the
+phase time differentiates arg S by a central difference, and the dwell time
+integrates |A e^{kappa x} + B e^{-kappa x}|^2 over the barrier term by term,
+an exact integral of the definition. The numerical route is the arbiter.
+``sweep.evaluate`` cross-checks each pair: routes more than CROSS_CHECK_TOL
+(1e-5 relative) apart put both values in the record's error cell, and the
+``times`` command exits 3 quoting them. (The test suite holds the routes to
+1e-6.) Phase and dwell times saturate for thick barriers (their d-derivative
+dies off like exp(-2 kappa d)), which is exactly why they imply unbounded
+apparent velocities; the effective time does not saturate.
 """
 
 from __future__ import annotations
@@ -28,11 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
-
-from .barrier import BarrierProblem, incident_flux, stationary_solution, wavenumbers
+from .barrier import (
+    BarrierProblem,
+    StationarySolution,
+    incident_flux,
+    stationary_solution,
+    wavenumbers,
+)
 from .constants import CONSTANTS, energy_ev_to_si
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, differentiate_phase, integrate
+from .numerics import differentiate_phase
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -40,6 +47,10 @@ _HBAR = CONSTANTS.hbar
 #: Default energy step for the phase-derivative stencil, eV. arg S varies on
 #: the eV scale, so 1e-4 eV balances truncation against roundoff in doubles.
 DEFAULT_PHASE_STEP_EV = 1e-4
+
+#: Below this kappa d the dwell integral is taken in its edge form, whose
+#: terms do not cancel near the barrier top.
+_EDGE_FORM_KAPPA_D = 0.5
 
 #: Numeric and analytic routes agreeing worse than this means one of them is
 #: wrong; report both rather than silently preferring either.
@@ -92,12 +103,35 @@ def phase_time_analytic(problem: BarrierProblem) -> float:
 
 
 def dwell_time_numeric(
-    problem: BarrierProblem, quadrature: QuadratureSpec = DEFAULT_QUADRATURE
+    problem: BarrierProblem, solution: StationarySolution | None = None
 ) -> float:
-    """In-barrier probability over incident flux, the numerator by quadrature."""
-    sol = stationary_solution(problem)
-    density = lambda x: np.abs(sol.psi_barrier(x)) ** 2
-    stored = integrate(density, 0.0, problem.thickness, quadrature)
+    """In-barrier probability over incident flux, from the coefficients.
+
+    The numerator is the exact integral of |A e^{kappa x} + B e^{-kappa x}|^2
+    over [0, d]: (|A e^{kappa d}|^2 + |B|^2) (1 - e^{-2 kappa d}) / (2 kappa)
+    + 2 Re(A conj B) d. Near the barrier top, A and B grow like k/kappa and
+    these terms cancel, so below kappa d = 1/2 the same integral is taken in
+    the edge form psi(d - y) = S e^{ikd} [cosh(kappa y) - ik sinh(kappa y)/kappa]:
+    |S|^2 d [2 + (1 + k^2/kappa^2) (sinh(2 kappa d)/(2 kappa d) - 1)] / 2, all
+    of positive terms. ``solution`` is the problem's stationary solution,
+    solved here when not given.
+    """
+    sol = stationary_solution(problem) if solution is None else solution
+    k, kappa = sol.wavenumbers.k, sol.wavenumbers.kappa
+    d = problem.thickness
+    if kappa * d < _EDGE_FORM_KAPPA_D:
+        # sinh(x)/x - 1 at x = 2 kappa d, by its series
+        x2 = (2.0 * kappa * d) ** 2
+        term = excess = x2 / 6.0
+        for n in range(2, 12):
+            term *= x2 / ((2 * n) * (2 * n + 1))
+            excess += term
+        stored = 0.5 * d * sol.transmission * (2.0 + (1.0 + (k / kappa) ** 2) * excess)
+    else:
+        a_d, _ = sol.edge_modes
+        ends = abs(a_d) ** 2 + abs(sol.B) ** 2
+        cross = 2.0 * (sol.A * sol.B.conjugate()).real
+        stored = ends * -math.expm1(-2.0 * kappa * d) / (2.0 * kappa) + cross * d
     return stored / incident_flux(problem)
 
 

@@ -2,26 +2,177 @@
 
 Everything here recomputes its target from scratch (a boundary-matching
 linear solve, textbook closed forms, analytic antiderivatives, a dense scan
-plus bisection, quadrature that resamples every node) rather than calling the
-code path it certifies.
+plus bisection, adaptive quadrature, mpmath at 30 to 40 digits) rather than
+calling the code path it certifies. The mpmath oracles import mpmath when
+called, so a test that uses them skips where it is not installed.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from tunneltimes.barrier import stationary_solution
 from tunneltimes.constants import CONSTANTS
 from tunneltimes.depth import DEPTH_LEVEL, relative_density
-from tunneltimes.errors import DomainError, NoConvergence
-from tunneltimes.momentum import EffectiveKinematics, momentum_amplitude
-from tunneltimes.numerics import DEFAULT_QUADRATURE
+from tunneltimes.errors import DomainError, NoConvergence, ValidationError
+from tunneltimes.momentum import momentum_amplitude
 
 M = CONSTANTS.electron_mass
 HBAR = CONSTANTS.hbar
 EV = CONSTANTS.ev_to_joule
+
+# --- adaptive quadrature: the reference for the closed-form integrals ---------
+
+COMPOSITE_SIMPSON = "composite-simpson"
+GAUSS_LEGENDRE = "gauss-legendre"
+_METHODS = (COMPOSITE_SIMPSON, GAUSS_LEGENDRE)
+
+#: Doublings attempted before integrate() gives up.
+_MAX_REFINEMENTS = 8
+
+#: Successive-refinement differences at this fraction of the integrand scale
+#: are double-precision noise; refining further cannot help.
+_NOISE_FLOOR = 1e-14
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Quadrature scheme selector.
+
+    ``panels_or_nodes`` counts panels for the composite Simpson rule (nodes =
+    panels + 1, so the default 4000 panels place 4001 nodes) and nodes for the
+    Gauss-Legendre rule. It is the *starting* resolution; integrate() doubles
+    it until the successive-refinement comparison meets ``rel_tol``.
+    """
+
+    method: str = COMPOSITE_SIMPSON
+    panels_or_nodes: int = 4000
+    rel_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise ValidationError(
+                f"quadrature method must be one of {_METHODS}, got {self.method!r}"
+            )
+        if self.panels_or_nodes < 8:
+            raise ValidationError("quadrature panels_or_nodes must be at least 8")
+        if self.method == COMPOSITE_SIMPSON and self.panels_or_nodes % 2:
+            raise ValidationError("composite-simpson needs an even panel count")
+        if not 0.0 < self.rel_tol <= 1e-3:
+            raise ValidationError("quadrature rel_tol must lie in (0, 1e-3]")
+
+
+DEFAULT_QUADRATURE = QuadratureSpec()
+
+
+def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
+    fx = np.asarray(f(xs), dtype=float)
+    if fx.ndim not in (1, 2) or fx.shape[-1:] != xs.shape:
+        raise DomainError(
+            "integrand must map an array of points to like-shaped values "
+            "or to rows of like-shaped values"
+        )
+    if not np.all(np.isfinite(fx)):
+        raise DomainError("function returned non-finite values on the interval")
+    return fx
+
+
+def _sample_rows(f: Callable, xs: np.ndarray, rows: int) -> np.ndarray:
+    fx = np.atleast_2d(_sample(f, xs))
+    if fx.shape[0] != rows:
+        raise DomainError("integrand changed its number of rows between passes")
+    return fx
+
+
+@lru_cache(maxsize=32)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _rule(a: float, b: float, n: int, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of one quadrature pass."""
+    if method == COMPOSITE_SIMPSON:
+        xs = np.linspace(a, b, n + 1)
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= (b - a) / (3.0 * n)
+    else:
+        x, wref = _gauss_rule(n)
+        xs = 0.5 * (b - a) * x + 0.5 * (a + b)
+        w = 0.5 * (b - a) * wref
+    return xs, w
+
+
+def integrate(
+    f: Callable,
+    a: float,
+    b: float,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> float | tuple[float, ...]:
+    """Definite integral of ``f`` over [a, b] to relative tolerance spec.rel_tol.
+
+    ``f`` maps an array of n points to n values, or to an (m, n) array holding
+    m integrands on the same points; the call then returns a tuple of m
+    floats. Each row converges on its own: its value is the estimate of the
+    first refinement at which it met the tolerance, and refinement continues
+    until every row has, so each row comes out bit-identical to integrating
+    it alone.
+
+    The error estimate is the plain difference between successive refinements
+    (each pass doubles the resolution), so the quoted tolerance is
+    conservative for smooth integrands. Convergence is declared when that
+    difference drops below ``rel_tol`` relative to the current value, or below
+    the double-precision noise floor of the integrand scale, whichever is
+    hit first. Composite Simpson grids are nested, so each refinement samples
+    only the new midpoints; Gauss-Legendre resamples every node.
+
+    Raises NoConvergence if the refinement cap is reached, and DomainError for
+    an empty interval or a non-finite integrand.
+    """
+    if not a < b:
+        raise DomainError(f"integration interval requires a < b, got [{a}, {b}]")
+    n = spec.panels_or_nodes
+    xs, w = _rule(a, b, n, spec.method)
+    first = _sample(f, xs)
+    fx = np.atleast_2d(first)
+    rows = fx.shape[0]
+    prev = [float(np.dot(w, row)) for row in fx]
+    done: list[float | None] = [None] * rows
+    for _ in range(_MAX_REFINEMENTS):
+        n *= 2
+        xs, w = _rule(a, b, n, spec.method)
+        if spec.method == COMPOSITE_SIMPSON:
+            # linspace(a, b, 2n + 1)[::2] is the previous grid bit for bit
+            coarse, fx = fx, np.empty((rows, n + 1))
+            fx[:, ::2] = coarse
+            fx[:, 1::2] = _sample_rows(f, xs[1::2].copy(), rows)
+        else:
+            fx = _sample_rows(f, xs, rows)
+        err = 0.0
+        for i, row in enumerate(fx):
+            if done[i] is not None:
+                continue
+            cur = float(np.dot(w, row))
+            step = abs(cur - prev[i])
+            scale = (b - a) * float(np.max(np.abs(row)))
+            if step <= spec.rel_tol * abs(cur) or step <= _NOISE_FLOOR * scale:
+                done[i] = cur
+            else:
+                prev[i] = cur
+                err = max(err, step)
+        if None not in done:
+            return done[0] if first.ndim == 1 else tuple(done)
+    raise NoConvergence(
+        f"quadrature stalled at {n} {spec.method} panels/nodes "
+        f"(last refinement changed the value by {err:.3e})"
+    )
+
 
 # Published depth table, nm: energy-ratio row -> depths for d = 0.2..1.0 nm.
 REFERENCE_DEPTHS_NM = {
@@ -135,51 +286,117 @@ def scanned_depth(problem) -> float | None:
     )
 
 
-def resampling_integrate(f, a: float, b: float) -> float:
-    """Composite Simpson that samples every node of every pass afresh.
-
-    Same rule, start, doubling and stopping test as the library's default
-    quadrature, without node reuse or stacked integrands; the bit-for-bit
-    reference for both.
-    """
-    spec = DEFAULT_QUADRATURE
-
-    def estimate(n):
-        xs = np.linspace(a, b, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (b - a) / (3.0 * n)
-        fx = np.asarray(f(xs), dtype=float)
-        return float(np.dot(w, fx)), (b - a) * float(np.max(np.abs(fx)))
-
-    n = spec.panels_or_nodes
-    prev, _ = estimate(n)
-    for _ in range(8):
-        n *= 2
-        cur, scale = estimate(n)
-        err = abs(cur - prev)
-        if err <= spec.rel_tol * abs(cur) or err <= 1e-14 * scale:
-            return cur
-        prev = cur
-    raise NoConvergence(f"reference quadrature stalled at {n} panels")
-
-
-def two_integral_kinematics(problem) -> EffectiveKinematics:
-    """Spectrum kinematics from two separate, fully resampled integrals."""
+def two_integral_moments(problem) -> tuple[float, float]:
+    """Both window moments from two separate quadratures of the sampled density."""
     sol = stationary_solution(problem)
     cut = problem.cutoff
-    norm = resampling_integrate(
-        lambda K: np.abs(momentum_amplitude(sol, K)) ** 2, -cut, cut
-    )
-    second = resampling_integrate(
+    norm = integrate(lambda K: np.abs(momentum_amplitude(sol, K)) ** 2, -cut, cut)
+    second = integrate(
         lambda K: K**2 * np.abs(momentum_amplitude(sol, K)) ** 2, -cut, cut
     )
-    k_rms = math.sqrt(second / norm)
-    v_rms = HBAR * k_rms / M
-    return EffectiveKinematics(
-        k_rms=k_rms,
-        v_rms=v_rms,
-        t_eff=problem.thickness / v_rms,
-        eps_eff=0.5 * M * v_rms**2,
+    return norm, second
+
+
+def _mp_solution(problem, mp):
+    """(k, kappa, d, c, A, B) at mpmath's working precision, solved anew."""
+    m = mp.mpf(CONSTANTS.electron_mass)
+    hbar = mp.mpf(CONSTANTS.hbar)
+    k = mp.sqrt(2 * m * mp.mpf(problem.energy)) / hbar
+    kappa = mp.sqrt(2 * m * (mp.mpf(problem.height) - mp.mpf(problem.energy))) / hbar
+    d = mp.mpf(problem.thickness)
+    ratio = k / kappa
+    s_amp = (
+        -2j * ratio * mp.exp(-1j * k * d)
+        / ((1 - ratio**2) * mp.sinh(kappa * d) - 2j * ratio * mp.cosh(kappa * d))
     )
+    half = s_amp * mp.exp(1j * k * d) / 2
+    a_amp = half * (1 + 1j * ratio) * mp.exp(-kappa * d)
+    b_amp = half * (1 - 1j * ratio) * mp.exp(kappa * d)
+    return k, kappa, d, mp.mpf(problem.cutoff), a_amp, b_amp
+
+
+def mp_window_moments(problem, dps: int = 40) -> tuple[float, float]:
+    """Both window moments at ``dps`` digits, from mpmath's E1 and Ei.
+
+    Expands |P + Q e^{-iKd}|^2 (see the momentum module) as complex products
+    and integrates every term over [-c, c] in the e^{-iKd} frame, with the
+    unscaled exponential integrals: no scaled forms, no conjugate symmetry
+    and no K -> -K swap, unlike the library.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        k, kappa, d, c, a, b = _mp_solution(problem, mp)
+        a_d, b_d = a * mp.exp(kappa * d), b * mp.exp(-kappa * d)
+        zp, zm = d * (kappa + 1j * c), d * (kappa - 1j * c)
+        ep, em = mp.exp(-1j * c * d), mp.exp(1j * c * d)  # e^{-iKd} at K = c, -c
+        w_p, w_m = kappa - 1j * c, kappa + 1j * c  # w at K = c, -c
+        v_p, v_m = w_m, w_p
+        # integrals of 1/(wv), 1/w, 1/w^2, 1/v^2, and of e^{-iKd} times
+        # 1, 1/w, 1/v, 1/(wv), 1/w^2, 1/v^2
+        i_wv = 2 * mp.atan(c / kappa) / kappa
+        i_w = 2 * mp.atan(c / kappa)
+        i_w2 = -1j * (1 / w_p - 1 / w_m)
+        i_v2 = 1j * (1 / v_p - 1 / v_m)
+        x_1 = 2 * mp.sin(c * d) / d
+        x_w = 1j * mp.exp(-kappa * d) * (mp.ei(zm) - mp.ei(zp))
+        x_v = 1j * mp.exp(kappa * d) * (mp.e1(zp) - mp.e1(zm))
+        x_wv = (x_w + x_v) / (2 * kappa)
+        x_w2 = -1j * (ep / w_p - em / w_m) + d * x_w
+        x_v2 = 1j * (ep / v_p - em / v_m) - d * x_v
+
+        def moment(wv, w2, v2, e_wv, e_w2, e_v2):
+            plain = (abs(a) ** 2 + abs(b) ** 2 + abs(a_d) ** 2 + abs(b_d) ** 2) * wv
+            plain -= (a * mp.conj(b) + a_d * mp.conj(b_d)) * w2
+            plain -= (mp.conj(a) * b + mp.conj(a_d) * b_d) * v2
+            mixed = (
+                -(mp.conj(a) * a_d + mp.conj(b) * b_d) * e_wv
+                + mp.conj(a) * b_d * e_v2
+                + mp.conj(b) * a_d * e_w2
+            )
+            return float(mp.re(plain + 2 * mp.re(mixed)) / (2 * mp.pi))
+
+        return (
+            moment(i_wv, i_w2, i_v2, x_wv, x_w2, x_v2),
+            moment(
+                2 * c - kappa**2 * i_wv,
+                -2 * c + 2 * kappa * i_w - kappa**2 * i_w2,
+                -2 * c + 2 * kappa * i_w - kappa**2 * i_v2,
+                x_1 - kappa**2 * x_wv,
+                -x_1 + 2 * kappa * x_w - kappa**2 * x_w2,
+                -x_1 + 2 * kappa * x_v - kappa**2 * x_v2,
+            ),
+        )
+
+
+def mp_window_moments_by_quadrature(problem, dps: int = 30) -> tuple[float, float]:
+    """Both window moments by mpmath quadrature of the sampled density.
+
+    Slow (about a second a point); it certifies mp_window_moments' algebra.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        _, kappa, d, c, a, b = _mp_solution(problem, mp)
+
+        def density(wavenumber):
+            w, v = kappa - 1j * wavenumber, kappa + 1j * wavenumber
+            amp = a * (mp.exp(w * d) - 1) / w + b * (1 - mp.exp(-v * d)) / v
+            return abs(amp) ** 2 / (2 * mp.pi)
+
+        pieces = mp.linspace(-c, c, 2 * max(4, int(c * d / mp.pi) + 1) + 1)
+        norm = mp.quad(density, pieces)
+        second = mp.quad(lambda wavenumber: wavenumber**2 * density(wavenumber), pieces)
+        return float(norm), float(second)
+
+
+def mp_dwell_numerator(problem, dps: int = 30) -> float:
+    """The integral of |psi_barrier|^2 over [0, d] by mpmath quadrature."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        _, kappa, d, _, a, b = _mp_solution(problem, mp)
+        return float(
+            mp.quad(lambda x: abs(a * mp.exp(kappa * x) + b * mp.exp(-kappa * x)) ** 2,
+                    [0, d])
+        )

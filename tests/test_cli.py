@@ -159,8 +159,13 @@ class TestExitCodes:
         assert "refusing to serialize a non-finite value" in err
 
     def test_numeric_failure_is_three(self, capsys):
-        # a preposterously wide momentum window makes the spectrum integrand
-        # oscillate far beyond any resolvable rate
-        code, _, err = run(capsys, "momentum", "--E-eV", "5", "--d-nm", "1",
-                           "--Kprime", "1e15")
+        # kappa*d is about 458: the closed-form times square an overflowing sinh
+        code, _, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "40")
         assert code == 3 and "numeric failure" in err
+
+    def test_preposterous_window_is_one(self, capsys):
+        # the moments of a 1e15 per metre window are exact; its v_rms is not
+        # physical
+        code, out, err = run(capsys, "momentum", "--E-eV", "5", "--d-nm", "1",
+                             "--Kprime", "1e15")
+        assert code == 1 and out == "" and "superluminal" in err

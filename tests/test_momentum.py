@@ -1,9 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from oracles import quartile_width, two_integral_kinematics
+from oracles import (
+    integrate,
+    mp_window_moments,
+    mp_window_moments_by_quadrature,
+    quartile_width,
+    two_integral_moments,
+)
 from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import CONSTANTS, SPEED_OF_LIGHT, energy_si_to_ev
 from tunneltimes.errors import DomainError
@@ -12,7 +19,6 @@ from tunneltimes.momentum import (
     momentum_amplitude,
     momentum_spectrum,
 )
-from tunneltimes.numerics import integrate
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -83,13 +89,125 @@ class TestMomentumPdf:
         assert quartile_width(narrow) < quartile_width(wide)
 
 
-class TestEffectiveKinematics:
+def moment_gap(problem, reference) -> float:
+    """Worst relative gap of the spectrum's two moments from a reference pair."""
+    spectrum = momentum_spectrum(problem)
+    got = (spectrum.normalization, spectrum.second_moment)
+    return max(abs(g - r) / abs(r) for g, r in zip(got, reference))
+
+
+def paper_grid():
+    return [
+        BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
+        for e_ratio in (0.01, 0.1, 0.5, 0.9, 0.99)
+        for d_nm in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    ]
+
+
+def random_thin_points(count: int = 200):
+    rng = random.Random(6_0611)
+    points = []
+    for _ in range(count):
+        v0 = rng.uniform(1.0, 20.0)
+        e_ev = v0 * rng.uniform(max(0.01, 0.1 / v0), 0.99)
+        points.append(BarrierProblem.from_ev_nm(e_ev, v0, rng.uniform(0.05, 3.0)))
+    return points
+
+
+def series_points(count: int = 60):
+    """Seeded problems with kappa d below 1/2, or a window c d of at most 2."""
+    rng = random.Random(6_0612)
+    ev = CONSTANTS.ev_to_joule
+    points = []
+    for i in range(count):
+        v0 = rng.uniform(1.0, 20.0)
+        e_ev = v0 * rng.uniform(0.01, 0.99)
+        if i % 2:
+            log_kappa_d, log_edge = rng.uniform(-7.0, -0.3), rng.uniform(-6.0, 4.0)
+        else:
+            log_kappa_d, log_edge = rng.uniform(-0.3, 2.7), rng.uniform(-6.0, 0.3)
+        kappa = math.sqrt(2.0 * CONSTANTS.electron_mass * (v0 - e_ev) * ev) / CONSTANTS.hbar
+        d = 10.0**log_kappa_d / kappa
+        points.append(BarrierProblem(e_ev * ev, v0 * ev, d, 10.0**log_edge / d))
+    return points
+
+
+class TestWindowMoments:
     @pytest.mark.parametrize(
         "e_ratio, d_nm", [(0.01, 0.1), (0.1, 1.0), (0.5, 0.4), (0.9, 0.7), (0.99, 1.0)]
     )
-    def test_one_pass_moments_equal_two_integrals_bit_for_bit(self, e_ratio, d_nm):
+    def test_closed_form_matches_two_integrals(self, e_ratio, d_nm):
+        # the quadrature reference holds its rows to 1e-9 relative
         p = BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
-        assert momentum_spectrum(p).kinematics() == two_integral_kinematics(p)
+        assert moment_gap(p, two_integral_moments(p)) <= 1e-9
+
+    def test_closed_form_matches_mpmath_on_the_paper_grid_and_thin_points(self):
+        pytest.importorskip("mpmath")
+        worst = max(moment_gap(p, mp_window_moments(p)) for p in paper_grid())
+        assert worst <= 1e-12
+        worst = max(moment_gap(p, mp_window_moments(p)) for p in random_thin_points())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "e_ev, v0_ev, d_nm",
+        [
+            (10.0 - 1e-5, 10.0, 1.0),  # near threshold, kappa d ~ 0.016
+            (10.0 - 1e-5, 10.0, 3.0),
+            (5.0, 10.0, 30.55),  # kappa d ~ 350
+            (1.0, 20.0, 15.67),  # kappa d ~ 350 on a taller barrier
+            (10.0 - 1e-5, 10.0, 0.1),  # kappa d ~ 1.6e-3: the series route
+            (10.0 - 1e-5, 10.0, 0.05),
+            (5.0, 10.0, 1e-4),  # kappa d ~ 1.1e-3 far from the barrier top
+        ],
+    )
+    @pytest.mark.parametrize("cutoff", [1e9, 7.5e10, 1e13])
+    def test_closed_form_matches_mpmath_at_the_corners(self, e_ev, v0_ev, d_nm, cutoff):
+        pytest.importorskip("mpmath")
+        p = BarrierProblem.from_ev_nm(e_ev, v0_ev, d_nm, cutoff=cutoff)
+        assert moment_gap(p, mp_window_moments(p)) <= 1e-9
+
+    def test_series_route_matches_mpmath(self):
+        # small kappa d at any window, and windows narrower than 2/d at any
+        # kappa d: where the exponential sum cancels
+        pytest.importorskip("mpmath")
+        worst = max(moment_gap(p, mp_window_moments(p)) for p in series_points())
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (10.0 - 1e-5, 10.0, 0.05, 7.5e10),  # centre and tail
+            (10.0 - 1e-5, 10.0, 0.1, 1e9),  # centre only
+            (5.0, 10.0, 1e-4, 1e9),
+            (5.0, 10.0, 1.0, 1e9),  # kappa d ~ 11 on a narrow window
+        ],
+        ids=str,
+    )
+    def test_series_route_matches_two_integrals(self, args):
+        p = BarrierProblem.from_ev_nm(*args)
+        assert moment_gap(p, two_integral_moments(p)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "args", [(1.0, 10.0, 0.1), (10.0 - 1e-5, 10.0, 1.0, 1e9)], ids=str
+    )
+    def test_mpmath_oracle_matches_mpmath_quadrature(self, args):
+        pytest.importorskip("mpmath")
+        p = BarrierProblem.from_ev_nm(*args)
+        series = mp_window_moments(p)
+        quadrature = mp_window_moments_by_quadrature(p)
+        for a, b in zip(series, quadrature):
+            assert abs(a - b) <= 1e-15 * abs(b)
+
+    def test_wide_window_is_refused_as_superluminal(self):
+        # the moments of a 1e15 per metre window are finite; its v_rms is not
+        # physical
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0, cutoff=1e15)
+        spectrum = momentum_spectrum(p)
+        with pytest.raises(DomainError, match="superluminal"):
+            spectrum.kinematics()
+
+
+class TestEffectiveKinematics:
 
     def test_derived_quantities_are_consistent(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import find_first_crossing
+from oracles import DEFAULT_QUADRATURE, QuadratureSpec, find_first_crossing, integrate
+from tunneltimes import numerics
 from tunneltimes.errors import DomainError, NoConvergence, ValidationError
-from tunneltimes.numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    differentiate_phase,
-    integrate,
-)
+from tunneltimes.numerics import differentiate_phase, scaled_e1
 
 GAUSS = QuadratureSpec("gauss-legendre", 64, 1e-9)
 
@@ -155,6 +151,41 @@ class TestStackedIntegrands:
     def test_non_finite_row_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda x: np.stack([x, np.full_like(x, np.nan)]), 0.0, 1.0)
+
+
+class TestScaledE1:
+    # the series region (|z| + Re z <= 2), the continued fraction around it,
+    # the conjugate pairs the spectrum uses, and the negative half-plane up to
+    # |z| of several hundred, where E1 itself over- or underflows
+    POINTS = (
+        0.3, 1e-8 + 2e-8j, 0.5 - 0.5j, -0.4 + 0.1j, 2.0, 1.0 + 1.0j, 3.0 - 40.0j,
+        0.016 + 75.0j, -0.016 - 75.0j, 11.5 + 75.0j, -11.5 - 75.0j, -1.0 + 1e-12j,
+        -2.5 + 0.3j, -350.0 - 21.9j, 350.0 + 21.9j, -20.0 + 20.0j, 1e4 - 3e3j,
+        -700.0 + 0.5j,
+    )
+
+    @pytest.mark.parametrize("z", POINTS, ids=str)
+    def test_matches_mpmath(self, z):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = complex(mp.exp(z) * mp.e1(z))
+        assert abs(scaled_e1(z) - want) <= 1e-14 * abs(want)
+
+    def test_conjugate_symmetry(self):
+        for z in (0.2 + 0.1j, 11.5 + 75.0j, -350.0 - 21.9j):
+            want = scaled_e1(z).conjugate()
+            assert scaled_e1(z.conjugate()) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, -1e-300], ids=str)
+    def test_branch_cut_rejected(self, z):
+        with pytest.raises(DomainError):
+            scaled_e1(z)
+
+    @pytest.mark.parametrize("z", [0.5 + 0.1j, 5.0 + 5.0j], ids=["series", "fraction"])
+    def test_iteration_cap_raises(self, monkeypatch, z):
+        monkeypatch.setattr(numerics, "_MAX_TERMS", 3)
+        with pytest.raises(NoConvergence):
+            scaled_e1(z)
 
 
 class TestDifferentiatePhase:

@@ -12,7 +12,6 @@ from tunneltimes.errors import (
     ParseError,
     ValidationError,
 )
-from tunneltimes.numerics import QuadratureSpec
 from tunneltimes.sweep import (
     FIGURE_IDS,
     SweepConfig,
@@ -42,7 +41,6 @@ class TestParseConfig:
         assert cfg.v0_ev == 10.0
         assert cfg.cutoff == 7.5e10
         assert cfg.phase_step_ev == 1e-4
-        assert cfg.quadrature.method == "composite-simpson"
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\nV0_eV=8 # trailing comment\n")
@@ -52,15 +50,15 @@ class TestParseConfig:
         cfg = parse_config(
             "E_over_V0_grid=0.2,0.4\n"
             "d_nm_grid=0.5\n"
-            "quad_method=gauss-legendre\n"
-            "quad_points=64\n"
-            "quad_rel_tol=1e-8\n"
             "outputs=table1,fig3\n"
         )
         assert cfg.e_over_v0_grid == (0.2, 0.4)
         assert cfg.d_nm_grid == (0.5,)
-        assert cfg.quadrature == QuadratureSpec("gauss-legendre", 64, 1e-8)
         assert cfg.outputs == ("table1", "fig3")
+        # nothing is integrated numerically, so there is no quadrature to set
+        for line in ("quad_method=gauss-legendre", "quad_points=64", "quad_rel_tol=1e-8"):
+            with pytest.raises(ParseError, match="unknown key"):
+                parse_config(f"d_nm_grid=0.5\n{line}\n")
 
     def test_malformed_number_reports_the_line(self):
         with pytest.raises(ParseError) as err:
@@ -93,6 +91,17 @@ class TestParseConfig:
             parse_config("outputs=fig7")
 
 
+class TestSweepConfig:
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize(
+        "field", ["v0_ev", "cutoff", "phase_step_ev", "d_nm_grid"]
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        # they used to sweep, and the config echo then refused to serialize
+        with pytest.raises(ValidationError):
+            SweepConfig(**{field: (value,) if field == "d_nm_grid" else value})
+
+
 class TestConfigEcho:
     def test_default_echo(self):
         assert config_lines(SweepConfig()) == [
@@ -101,9 +110,6 @@ class TestConfigEcho:
             "d_nm_grid=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
             "Kprime=7.5e+10",
             "phase_step_eV=0.0001",
-            "quad_method=composite-simpson",
-            "quad_points=4000",
-            "quad_rel_tol=1e-09",
             "outputs=table1,fig1,fig2,fig3,fig4,fig5,fig6a",
         ]
 
@@ -113,7 +119,7 @@ class TestConfigEcho:
             v0_ev=7.123456789,
             e_over_v0_grid=(0.1234567, 0.5),
             cutoff=7.1234567e10,
-            quadrature=QuadratureSpec("gauss-legendre", 64, 1e-8),
+            phase_step_ev=1.234567e-4,
         )
         lines = config_lines(cfg)
         assert "E_over_V0_grid=0.1234567,0.5" in lines
@@ -190,6 +196,21 @@ class TestEvaluate:
         rec, caught = evaluate(problem, SweepConfig(), ("momentum", "times"))
         assert [type(exc) for exc in caught] == [DomainError, OverflowError]
         assert rec.note == "phase_stencil_clipped" and rec.t_eff_s is not None
+
+    def test_each_point_is_solved_once_besides_the_phase_stencil(self, monkeypatch):
+        from tunneltimes import sweep, times
+
+        solves = []
+        for module in (sweep, times):
+            solve = module.stationary_solution
+            monkeypatch.setattr(
+                module,
+                "stationary_solution",
+                lambda problem, solve=solve: solves.append(problem) or solve(problem),
+            )
+        evaluate_point(SweepConfig(), 0.5, 0.5)
+        # the point itself, then E +/- h for the phase derivative
+        assert len(solves) == 3
 
     def test_overflow_still_aborts_the_sweep(self):
         with pytest.raises(OverflowError):
@@ -356,9 +377,7 @@ class TestFigureEmission:
 
     def test_density_curves_ignore_the_config(self):
         # fig1 draws the sweep's own normalization, whatever cfg is passed
-        cfg = parse_config(
-            "quad_points=8\nquad_rel_tol=1e-3\nE_over_V0_grid=0.5\nd_nm_grid=0.5,1\n"
-        )
+        cfg = parse_config("E_over_V0_grid=0.5\nd_nm_grid=0.5,1\n")
         records = run_sweep(cfg)
         with_cfg, without = (
             [line for line in text.splitlines() if not line.startswith("#")]

@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from tunneltimes.barrier import BarrierProblem, wavenumbers
+from oracles import mp_dwell_numerator
+from tunneltimes import times
+from tunneltimes.barrier import (
+    BarrierProblem,
+    incident_flux,
+    stationary_solution,
+    wavenumbers,
+)
 from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.sweep import SweepConfig, evaluate
@@ -84,6 +91,37 @@ class TestDwellTime:
                 numeric = dwell_time_numeric(p)
                 analytic = dwell_time_analytic(p)
                 assert abs(numeric - analytic) <= AGREEMENT * analytic
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (5.0, 10.0, 1.0),
+            (0.1, 10.0, 3.0),
+            (9.9, 10.0, 0.1),
+            (5.0, 10.0, 1e-4),
+            (1.0, 20.0, 15.67),  # kappa d ~ 350
+            (10.0 - 1e-5, 10.0, 1.0),  # near the barrier top: the edge form
+            (10.0 - 1.1e-6, 10.0, 0.05),
+            (10.0 - 1.01e-6, 10.0, 1e-4),  # kappa d ~ 5e-7
+        ],
+        ids=str,
+    )
+    def test_numerator_matches_mpmath(self, args):
+        pytest.importorskip("mpmath")
+        p = BarrierProblem.from_ev_nm(*args)
+        stored = dwell_time_numeric(p) * incident_flux(p)
+        want = mp_dwell_numerator(p)
+        assert abs(stored - want) <= 1e-12 * want
+
+    def test_takes_the_given_solution(self, monkeypatch):
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        sol = stationary_solution(p)
+
+        def unsolvable(problem):
+            raise AssertionError("solved again")
+
+        monkeypatch.setattr(times, "stationary_solution", unsolvable)
+        assert dwell_time_numeric(p, solution=sol) > 0.0
 
     def test_positive_across_grid(self):
         for e_ratio in (0.01, 0.5, 0.99):
