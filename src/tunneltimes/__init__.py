@@ -41,7 +41,6 @@ from .momentum import (
     momentum_amplitude,
     momentum_spectrum,
 )
-from .numerics import differentiate_phase
 from .sweep import (
     SweepConfig,
     SweepRecord,

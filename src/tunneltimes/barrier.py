@@ -13,7 +13,10 @@ Everything is closed form. S comes from the standard transmission-amplitude
 expression; A and B follow from matching value and slope at x = d, and R from
 value continuity at x = 0. The slope condition at x = 0 is not imposed
 separately: it holds identically for this S, and continuity_residual()
-certifies all four matching conditions numerically.
+certifies all four matching conditions numerically. transmission_amplitude()
+evaluates the same S expression at another energy over the same barrier, for
+the phase time's energy stencil, without building a problem or solving for
+A, B and R; it accepts the energies BarrierProblem does.
 
 Nothing here is scaled, and BarrierProblem accepts any thickness, so thick
 barriers overflow. The closed-form phase and dwell times square sinh(kappa d),
@@ -51,6 +54,19 @@ DEFAULT_CUTOFF = 7.5e10
 NEAR_THRESHOLD_GAP_EV = 1e-6
 
 
+def _check_tunneling(energy: float, height: float) -> None:
+    """The tunneling regime: 0 < E and V0 - E >= NEAR_THRESHOLD_GAP_EV."""
+    if not energy > 0:
+        raise DomainError("incident energy must be positive")
+    if not energy < height:
+        raise DomainError("tunneling requires E below the barrier height V0")
+    if height - energy < energy_ev_to_si(NEAR_THRESHOLD_GAP_EV):
+        raise DomainError(
+            "energy closer than "
+            f"{NEAR_THRESHOLD_GAP_EV} eV to the barrier top is ill-conditioned"
+        )
+
+
 @dataclass(frozen=True)
 class BarrierProblem:
     """One tunneling problem: energy, barrier, and momentum-window cutoff.
@@ -65,15 +81,7 @@ class BarrierProblem:
     cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        if not self.energy > 0:
-            raise DomainError("incident energy must be positive")
-        if not self.energy < self.height:
-            raise DomainError("tunneling requires E below the barrier height V0")
-        if self.height - self.energy < energy_ev_to_si(NEAR_THRESHOLD_GAP_EV):
-            raise DomainError(
-                "energy closer than "
-                f"{NEAR_THRESHOLD_GAP_EV} eV to the barrier top is ill-conditioned"
-            )
+        _check_tunneling(self.energy, self.height)
         if not self.thickness > 0:
             raise DomainError("barrier thickness must be positive")
         if not self.cutoff > 0:
@@ -158,11 +166,37 @@ class StationarySolution:
         return complex(out) if xarr.ndim == 0 else out
 
 
+def _wavenumbers(energy: float, height: float) -> Wavenumbers:
+    k = math.sqrt(2.0 * _M * energy) / _HBAR
+    kappa = math.sqrt(2.0 * _M * (height - energy)) / _HBAR
+    return Wavenumbers(k=k, kappa=kappa)
+
+
 def wavenumbers(problem: BarrierProblem) -> Wavenumbers:
     """k = sqrt(2mE)/hbar and kappa = sqrt(2m(V0-E))/hbar for the problem."""
-    k = math.sqrt(2.0 * _M * problem.energy) / _HBAR
-    kappa = math.sqrt(2.0 * _M * (problem.height - problem.energy)) / _HBAR
-    return Wavenumbers(k=k, kappa=kappa)
+    return _wavenumbers(problem.energy, problem.height)
+
+
+def _transmission(wn: Wavenumbers, d: float) -> complex:
+    """S for wavenumbers ``wn`` through a barrier of thickness ``d``."""
+    ratio = wn.k / wn.kappa
+    kd = wn.kappa * d
+    return (
+        -2j
+        * ratio
+        * cmath.exp(-1j * wn.k * d)
+        / ((1.0 - ratio**2) * math.sinh(kd) - 2j * ratio * math.cosh(kd))
+    )
+
+
+def transmission_amplitude(problem: BarrierProblem, energy: float) -> complex:
+    """S at incident ``energy`` over the problem's barrier.
+
+    Raises DomainError for an energy BarrierProblem would refuse: not
+    positive, or closer than NEAR_THRESHOLD_GAP_EV to the barrier top.
+    """
+    _check_tunneling(energy, problem.height)
+    return _transmission(_wavenumbers(energy, problem.height), problem.thickness)
 
 
 def stationary_solution(problem: BarrierProblem) -> StationarySolution:
@@ -172,12 +206,7 @@ def stationary_solution(problem: BarrierProblem) -> StationarySolution:
     ratio = k / kappa
     kd = kappa * d
 
-    S = (
-        -2j
-        * ratio
-        * cmath.exp(-1j * k * d)
-        / ((1.0 - ratio**2) * math.sinh(kd) - 2j * ratio * math.cosh(kd))
-    )
+    S = _transmission(wn, d)
     # Value and slope continuity at x = d, solved for the in-barrier modes.
     half = 0.5 * S * cmath.exp(1j * k * d)
     A = half * (1.0 + 1j * ratio) * math.exp(-kd)

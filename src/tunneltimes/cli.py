@@ -196,12 +196,9 @@ def _dispatch(args) -> int:
         cfg = _load_config(args)
         records = run_sweep(cfg)
         if args.which == "all":
-            # the config's outputs list narrows the set; an all-table config
-            # still gets the full figure set from this figure-only command
-            figs = tuple(o for o in cfg.outputs if o in FIGURE_IDS) or FIGURE_IDS
             out_dir = Path(args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            for fig in figs:
+            for fig in FIGURE_IDS:
                 text = emit_figure_data(records, fig, cfg)
                 (out_dir / f"{fig}.csv").write_bytes(text.encode("utf-8"))
         else:

@@ -1,17 +1,13 @@
-"""Shared numerical kernels: a scaled exponential integral, phase differentiation.
+"""The scaled exponential integral e^z E1(z) behind the spectrum moments.
 
-All routines are pure functions of their arguments.
+A pure function of its argument.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from typing import Callable
 
 from .errors import DomainError, NoConvergence
-
-TWO_PI = 2.0 * math.pi
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -70,37 +66,3 @@ def scaled_e1(z: complex) -> complex:
         f"exponential integral at z = {z} unsettled after {_MAX_TERMS} terms"
     )
 
-
-def differentiate_phase(
-    g: Callable[[float], complex],
-    e0: float,
-    h: float,
-    domain: tuple[float, float] | None = None,
-) -> float:
-    """Central difference of the unwrapped argument of ``g`` at ``e0``.
-
-    The raw difference arg g(e0+h) - arg g(e0-h) is shifted by the multiple of
-    2*pi that lands it in (-pi, pi] before dividing by 2h, so branch-cut
-    crossings of the principal argument do not corrupt the derivative. The
-    result is invariant under scaling ``g`` by any nonzero complex constant.
-
-    ``domain``, when given, bounds where the stencil may sample; a stencil
-    point outside it raises DomainError.
-    """
-    if not h > 0:
-        raise DomainError("phase-derivative step h must be positive")
-    if domain is not None:
-        lo, hi = domain
-        if not (lo < e0 - h and e0 + h < hi):
-            raise DomainError(
-                f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain ({lo}, {hi})"
-            )
-    gp = complex(g(e0 + h))
-    gm = complex(g(e0 - h))
-    if gp == 0 or gm == 0:
-        raise DomainError("g vanishes at a stencil point; its phase is undefined")
-    if not (math.isfinite(abs(gp)) and math.isfinite(abs(gm))):
-        raise DomainError("g returned non-finite values at the stencil points")
-    delta = math.atan2(gp.imag, gp.real) - math.atan2(gm.imag, gm.real)
-    delta -= TWO_PI * math.ceil((delta - math.pi) / TWO_PI)  # wrap into (-pi, pi]
-    return delta / (2.0 * h)

@@ -64,7 +64,6 @@ from .times import (
 TOOL_NAME = "tunneltimes"
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6a")
-OUTPUT_KINDS = ("coeffs", "momentum", "times", "depth", "table1") + FIGURE_IDS
 
 #: The depth-table grid: five energy ratios by nine thicknesses (nm).
 TABLE1_E_RATIOS = (0.01, 0.1, 0.5, 0.9, 0.99)
@@ -88,7 +87,6 @@ class SweepConfig:
     d_nm_grid: tuple[float, ...] = DEFAULT_D_NM
     cutoff: float = DEFAULT_CUTOFF
     phase_step_ev: float = DEFAULT_PHASE_STEP_EV
-    outputs: tuple[str, ...] = ("table1",) + FIGURE_IDS
 
     def __post_init__(self):
         if not self.v0_ev > 0:
@@ -110,11 +108,6 @@ class SweepConfig:
         ):
             if not math.isfinite(value):
                 raise ValidationError(f"{key} must be finite")
-        for out in self.outputs:
-            if out not in OUTPUT_KINDS:
-                raise ValidationError(
-                    f"unknown output {out!r}; valid outputs: {', '.join(OUTPUT_KINDS)}"
-                )
 
 
 def _check_grid(name: str, grid: tuple[float, ...]) -> None:
@@ -234,7 +227,9 @@ def evaluate(
         errors.append(cell)
 
     def cross_check(name: str, numeric: float, analytic: float) -> None:
-        if abs(numeric - analytic) > CROSS_CHECK_TOL * abs(analytic):
+        # written so that a NaN or an infinite value fails the check too
+        agree = abs(numeric - analytic) <= CROSS_CHECK_TOL * abs(analytic)
+        if not (agree and math.isfinite(analytic)):
             mismatch = NoConvergence(
                 f"{name} cross-check: numeric {numeric!r} vs analytic {analytic!r}"
             )
@@ -360,10 +355,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(piece) for piece in items)
 
 
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(piece.strip() for piece in text.split(",") if piece.strip())
-
-
 #: Config keys in echo order: key -> (value parser, the SweepConfig field it
 #: sets).
 _CONFIG_KEYS = {
@@ -372,7 +363,6 @@ _CONFIG_KEYS = {
     "d_nm_grid": (_parse_float_list, "d_nm_grid"),
     "Kprime": (_parse_float, "cutoff"),
     "phase_step_eV": (_parse_float, "phase_step_ev"),
-    "outputs": (_parse_str_list, "outputs"),
 }
 
 
@@ -500,15 +490,16 @@ def parse_records(text: str) -> list[SweepRecord]:
 def _index_records(
     records: list[SweepRecord],
 ) -> dict[tuple[float, float], SweepRecord]:
-    # keys rounded so grid floats survive a round-trip through 6-digit CSV
-    return {(round(r.e_over_v0, 6), round(r.d_nm, 6)): r for r in records}
+    # a sweep files each record under its exact grid values; the table's grid
+    # values read back exactly from six-digit CSV cells too
+    return {(r.e_over_v0, r.d_nm): r for r in records}
 
 
 def _require(
     index: dict[tuple[float, float], SweepRecord], e_ratio: float, d_nm: float
 ) -> SweepRecord:
     try:
-        return index[(round(e_ratio, 6), round(d_nm, 6))]
+        return index[(e_ratio, d_nm)]
     except KeyError:
         raise MissingGridPoint(
             f"no sweep record for E/V0={e_ratio}, d={d_nm} nm"
@@ -539,7 +530,7 @@ def emit_table1(records: list[SweepRecord], cfg: SweepConfig | None = None) -> s
 def _figure_spectrum(rec: SweepRecord) -> MomentumSpectrum:
     if rec.spectrum is None:
         raise MissingGridPoint(
-            f"record E/V0={_fmt(rec.e_over_v0)}, d={_fmt(rec.d_nm)} nm has no "
+            f"record E/V0={_echo(rec.e_over_v0)}, d={_echo(rec.d_nm)} nm has no "
             f"momentum spectrum to draw curves from (error={rec.error!r})"
         )
     return rec.spectrum
@@ -582,7 +573,7 @@ def _emit_scalar_figure(
             value = source(rec) if callable(source) else getattr(rec, source)
             if value is None and source not in _MAY_BE_ABSENT:
                 raise MissingGridPoint(
-                    f"record E/V0={_fmt(rec.e_over_v0)}, d={_fmt(rec.d_nm)} nm "
+                    f"record E/V0={_echo(rec.e_over_v0)}, d={_echo(rec.d_nm)} nm "
                     f"is missing {column} (note={rec.note!r}, error={rec.error!r})"
                 )
             cells.append(_fmt(value))

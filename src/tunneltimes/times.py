@@ -15,31 +15,32 @@ definitions and from independent closed forms sharing the denominator
     D = 4 kappa^2 k^2 + (2 m V0 / hbar^2)^2 sinh^2(kappa d).
 
 The "numeric" routes work from the scattering coefficients, not from D: the
-phase time differentiates arg S by a central difference, and the dwell time
-integrates |A e^{kappa x} + B e^{-kappa x}|^2 over the barrier term by term,
-an exact integral of the definition. The numerical route is the arbiter.
+phase time differences arg S of the closed-form transmission amplitude at
+E +/- h, and the dwell time integrates |A e^{kappa x} + B e^{-kappa x}|^2 over
+the barrier term by term, an exact integral of the definition. The numerical
+route is the arbiter.
 ``sweep.evaluate`` cross-checks each pair: routes more than CROSS_CHECK_TOL
-(1e-5 relative) apart put both values in the record's error cell, and the
-``times`` command exits 3 quoting them. (The test suite holds the routes to
-1e-6.) Phase and dwell times saturate for thick barriers (their d-derivative
-dies off like exp(-2 kappa d)), which is exactly why they imply unbounded
-apparent velocities; the effective time does not saturate.
+(1e-5 relative) apart, or not finite, put both values in the record's error
+cell, and the ``times`` command exits 3 quoting them. (The test suite holds
+the routes to 1e-6.) Phase and dwell times saturate for thick barriers (their
+d-derivative dies off like exp(-2 kappa d)), which is exactly why they imply
+unbounded apparent velocities; the effective time does not saturate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .barrier import (
     BarrierProblem,
     StationarySolution,
     incident_flux,
     stationary_solution,
+    transmission_amplitude,
     wavenumbers,
 )
 from .constants import CONSTANTS, energy_ev_to_si
-from .numerics import differentiate_phase
+from .errors import DomainError
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -57,11 +58,6 @@ _EDGE_FORM_KAPPA_D = 0.5
 CROSS_CHECK_TOL = 1e-5
 
 
-def transmission_amplitude(problem: BarrierProblem, energy: float) -> complex:
-    """S at a different incident energy over the same barrier."""
-    return stationary_solution(replace(problem, energy=energy)).S
-
-
 def shared_denominator(problem: BarrierProblem) -> float:
     """D of the module docstring, 1/m^4, shared by both closed forms."""
     wn = wavenumbers(problem)
@@ -75,19 +71,32 @@ def phase_time_numeric(
 ) -> float:
     """Group delay from a central difference of the transmission phase.
 
-    Raises DomainError when the stencil E +/- h leaves the tunneling regime
-    (including the near-threshold guard band), which clips the extreme edges
-    of energy grids.
+    The phase difference arg S(E + h) - arg S(E - h) is shifted by the
+    multiple of 2 pi that lands it in (-pi, pi], so a branch cut of the
+    principal argument between the stencil points does not corrupt it.
+
+    Raises DomainError for a step that is not positive, when the stencil
+    E +/- h leaves the tunneling regime (including the near-threshold guard
+    band), which clips the extreme edges of energy grids, and where S is zero
+    or not finite at a stencil point.
     """
     h = energy_ev_to_si(step_ev)
-    e0 = problem.energy
-    darg = differentiate_phase(
-        lambda e: transmission_amplitude(problem, e),
-        e0,
-        h,
-        domain=(0.0, problem.height),
-    )
-    return problem.thickness / math.sqrt(2.0 * e0 / _M) + _HBAR * darg
+    if not h > 0:
+        raise DomainError("phase-derivative step h must be positive")
+    e0, hi = problem.energy, problem.height
+    if not (0.0 < e0 - h and e0 + h < hi):
+        raise DomainError(
+            f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
+        )
+    sp = transmission_amplitude(problem, e0 + h)
+    sm = transmission_amplitude(problem, e0 - h)
+    if sp == 0 or sm == 0:
+        raise DomainError("S vanishes at a stencil point; its phase is undefined")
+    if not (math.isfinite(abs(sp)) and math.isfinite(abs(sm))):
+        raise DomainError("S is not finite at the stencil points")
+    delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
+    delta -= 2.0 * math.pi * math.ceil((delta - math.pi) / (2.0 * math.pi))
+    return problem.thickness / math.sqrt(2.0 * e0 / _M) + _HBAR * (delta / (2.0 * h))
 
 
 def phase_time_analytic(problem: BarrierProblem) -> float:

@@ -10,16 +10,15 @@ called, so a test that uses them skips where it is not installed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from tunneltimes.barrier import stationary_solution
-from tunneltimes.constants import CONSTANTS
+from tunneltimes.constants import CONSTANTS, energy_ev_to_si
 from tunneltimes.depth import DEPTH_LEVEL, relative_density
-from tunneltimes.errors import DomainError, NoConvergence, ValidationError
+from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.momentum import momentum_amplitude
 
 M = CONSTANTS.electron_mass
@@ -28,9 +27,11 @@ EV = CONSTANTS.ev_to_joule
 
 # --- adaptive quadrature: the reference for the closed-form integrals ---------
 
-COMPOSITE_SIMPSON = "composite-simpson"
-GAUSS_LEGENDRE = "gauss-legendre"
-_METHODS = (COMPOSITE_SIMPSON, GAUSS_LEGENDRE)
+#: Composite Simpson panels of the first pass; each refinement doubles them.
+_START_PANELS = 4000
+
+#: Relative tolerance between successive refinements.
+_REL_TOL = 1e-9
 
 #: Doublings attempted before integrate() gives up.
 _MAX_REFINEMENTS = 8
@@ -40,137 +41,60 @@ _MAX_REFINEMENTS = 8
 _NOISE_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature scheme selector.
-
-    ``panels_or_nodes`` counts panels for the composite Simpson rule (nodes =
-    panels + 1, so the default 4000 panels place 4001 nodes) and nodes for the
-    Gauss-Legendre rule. It is the *starting* resolution; integrate() doubles
-    it until the successive-refinement comparison meets ``rel_tol``.
-    """
-
-    method: str = COMPOSITE_SIMPSON
-    panels_or_nodes: int = 4000
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValidationError(
-                f"quadrature method must be one of {_METHODS}, got {self.method!r}"
-            )
-        if self.panels_or_nodes < 8:
-            raise ValidationError("quadrature panels_or_nodes must be at least 8")
-        if self.method == COMPOSITE_SIMPSON and self.panels_or_nodes % 2:
-            raise ValidationError("composite-simpson needs an even panel count")
-        if not 0.0 < self.rel_tol <= 1e-3:
-            raise ValidationError("quadrature rel_tol must lie in (0, 1e-3]")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
 def _sample(f: Callable, xs: np.ndarray) -> np.ndarray:
     fx = np.asarray(f(xs), dtype=float)
-    if fx.ndim not in (1, 2) or fx.shape[-1:] != xs.shape:
-        raise DomainError(
-            "integrand must map an array of points to like-shaped values "
-            "or to rows of like-shaped values"
-        )
+    if fx.shape != xs.shape:
+        raise DomainError("integrand must map an array of points to like-shaped values")
     if not np.all(np.isfinite(fx)):
         raise DomainError("function returned non-finite values on the interval")
     return fx
 
 
-def _sample_rows(f: Callable, xs: np.ndarray, rows: int) -> np.ndarray:
-    fx = np.atleast_2d(_sample(f, xs))
-    if fx.shape[0] != rows:
-        raise DomainError("integrand changed its number of rows between passes")
-    return fx
+def _simpson_weights(a: float, b: float, n: int) -> np.ndarray:
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * ((b - a) / (3.0 * n))
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def integrate(f: Callable, a: float, b: float) -> float:
+    """Definite integral of ``f`` over [a, b] by composite Simpson, to 1e-9.
 
-
-def _rule(a: float, b: float, n: int, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of one quadrature pass."""
-    if method == COMPOSITE_SIMPSON:
-        xs = np.linspace(a, b, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (b - a) / (3.0 * n)
-    else:
-        x, wref = _gauss_rule(n)
-        xs = 0.5 * (b - a) * x + 0.5 * (a + b)
-        w = 0.5 * (b - a) * wref
-    return xs, w
-
-
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float | tuple[float, ...]:
-    """Definite integral of ``f`` over [a, b] to relative tolerance spec.rel_tol.
-
-    ``f`` maps an array of n points to n values, or to an (m, n) array holding
-    m integrands on the same points; the call then returns a tuple of m
-    floats. Each row converges on its own: its value is the estimate of the
-    first refinement at which it met the tolerance, and refinement continues
-    until every row has, so each row comes out bit-identical to integrating
-    it alone.
-
-    The error estimate is the plain difference between successive refinements
-    (each pass doubles the resolution), so the quoted tolerance is
+    ``f`` maps an array of n points to n values. The first pass takes 4000
+    panels; each refinement doubles them, and since the grids are nested it
+    samples only the new midpoints. The error estimate is the plain
+    difference between successive refinements, so the tolerance is
     conservative for smooth integrands. Convergence is declared when that
-    difference drops below ``rel_tol`` relative to the current value, or below
-    the double-precision noise floor of the integrand scale, whichever is
-    hit first. Composite Simpson grids are nested, so each refinement samples
-    only the new midpoints; Gauss-Legendre resamples every node.
+    difference drops below 1e-9 relative to the current value, or below the
+    double-precision noise floor of the integrand scale, whichever is hit
+    first.
 
     Raises NoConvergence if the refinement cap is reached, and DomainError for
-    an empty interval or a non-finite integrand.
+    an empty interval, a non-finite integrand or values not shaped like the
+    points.
     """
     if not a < b:
         raise DomainError(f"integration interval requires a < b, got [{a}, {b}]")
-    n = spec.panels_or_nodes
-    xs, w = _rule(a, b, n, spec.method)
-    first = _sample(f, xs)
-    fx = np.atleast_2d(first)
-    rows = fx.shape[0]
-    prev = [float(np.dot(w, row)) for row in fx]
-    done: list[float | None] = [None] * rows
+    n = _START_PANELS
+    xs = np.linspace(a, b, n + 1)
+    fx = _sample(f, xs)
+    prev = float(np.dot(_simpson_weights(a, b, n), fx))
     for _ in range(_MAX_REFINEMENTS):
         n *= 2
-        xs, w = _rule(a, b, n, spec.method)
-        if spec.method == COMPOSITE_SIMPSON:
-            # linspace(a, b, 2n + 1)[::2] is the previous grid bit for bit
-            coarse, fx = fx, np.empty((rows, n + 1))
-            fx[:, ::2] = coarse
-            fx[:, 1::2] = _sample_rows(f, xs[1::2].copy(), rows)
-        else:
-            fx = _sample_rows(f, xs, rows)
-        err = 0.0
-        for i, row in enumerate(fx):
-            if done[i] is not None:
-                continue
-            cur = float(np.dot(w, row))
-            step = abs(cur - prev[i])
-            scale = (b - a) * float(np.max(np.abs(row)))
-            if step <= spec.rel_tol * abs(cur) or step <= _NOISE_FLOOR * scale:
-                done[i] = cur
-            else:
-                prev[i] = cur
-                err = max(err, step)
-        if None not in done:
-            return done[0] if first.ndim == 1 else tuple(done)
+        # linspace(a, b, 2n + 1)[::2] is the previous grid bit for bit
+        xs = np.linspace(a, b, n + 1)
+        coarse, fx = fx, np.empty(n + 1)
+        fx[::2] = coarse
+        fx[1::2] = _sample(f, xs[1::2].copy())
+        cur = float(np.dot(_simpson_weights(a, b, n), fx))
+        step = abs(cur - prev)
+        scale = (b - a) * float(np.max(np.abs(fx)))
+        if step <= _REL_TOL * abs(cur) or step <= _NOISE_FLOOR * scale:
+            return cur
+        prev = cur
     raise NoConvergence(
-        f"quadrature stalled at {n} {spec.method} panels/nodes "
-        f"(last refinement changed the value by {err:.3e})"
+        f"quadrature stalled at {n} composite-simpson panels "
+        f"(last refinement changed the value by {step:.3e})"
     )
 
 
@@ -224,6 +148,35 @@ def solve_by_matching(e_ev: float, v0_ev: float, d_nm: float):
     rhs = np.array([-1.0, -1j * k, 0.0, 0.0], dtype=complex)
     r_amp, a_amp, b_amp, s_amp = np.linalg.solve(mat, rhs)
     return r_amp, a_amp, b_amp, s_amp
+
+
+def stencil_phase_time(problem, step_ev: float) -> float:
+    """Phase time from the S of two fully solved problems at E +/- h.
+
+    Each stencil energy builds its own BarrierProblem (which validates it) and
+    solves it for S, A, B and R; only S is kept, and the wrapped difference of
+    its principal argument gives d(arg S)/dE. The library takes S straight
+    from its closed form instead. Both share the S expression, which
+    solve_by_matching certifies; this certifies everything around it.
+    """
+    h = energy_ev_to_si(step_ev)
+    e0, hi = problem.energy, problem.height
+    if not h > 0:
+        raise DomainError("phase-derivative step h must be positive")
+    if not (0.0 < e0 - h and e0 + h < hi):
+        raise DomainError(
+            f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
+        )
+    sp = complex(stationary_solution(replace(problem, energy=e0 + h)).S)
+    sm = complex(stationary_solution(replace(problem, energy=e0 - h)).S)
+    if sp == 0 or sm == 0:
+        raise DomainError("S vanishes at a stencil point; its phase is undefined")
+    if not (math.isfinite(abs(sp)) and math.isfinite(abs(sm))):
+        raise DomainError("S is not finite at the stencil points")
+    two_pi = 2.0 * math.pi
+    delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
+    delta -= two_pi * math.ceil((delta - math.pi) / two_pi)  # wrap into (-pi, pi]
+    return problem.thickness / math.sqrt(2.0 * e0 / M) + HBAR * (delta / (2.0 * h))
 
 
 def quartile_width(spectrum, n: int = 8001) -> float:

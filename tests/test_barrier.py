@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,10 @@ from tunneltimes.barrier import (
     continuity_residual,
     incident_flux,
     stationary_solution,
+    transmission_amplitude,
     wavenumbers,
 )
-from tunneltimes.constants import CONSTANTS
+from tunneltimes.constants import CONSTANTS, energy_ev_to_si
 from tunneltimes.errors import DomainError
 
 E_RATIOS = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
@@ -117,6 +119,29 @@ class TestStationarySolution:
             for e in np.arange(0.5, 9.51, 0.5)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class TestTransmissionAmplitude:
+    def test_equals_the_solved_s_at_the_problems_energy(self):
+        for p in sweep_problems():
+            assert transmission_amplitude(p, p.energy) == stationary_solution(p).S
+
+    def test_equals_a_solved_problem_at_another_energy(self):
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        for e_ev in (0.01, 2.5, 5.0001, 9.99):
+            other = BarrierProblem.from_ev_nm(e_ev, 10.0, 0.5)
+            got = transmission_amplitude(p, other.energy)
+            assert got == stationary_solution(other).S
+
+    @pytest.mark.parametrize(
+        "e_ev", [0.0, -1.0, 10.0, 11.0, 10.0 - 5e-7, math.nan], ids=str
+    )
+    def test_refuses_what_the_problem_refuses(self, e_ev):
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        with pytest.raises(DomainError) as refused:
+            BarrierProblem.from_ev_nm(e_ev, 10.0, 0.5)
+        with pytest.raises(DomainError, match=re.escape(str(refused.value))):
+            transmission_amplitude(p, energy_ev_to_si(e_ev))
 
 
 class TestPsiEvaluation:

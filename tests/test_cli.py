@@ -97,17 +97,18 @@ class TestGridCommands:
         assert code == 0
         assert "t_ph_s,t_dw_s,t_bl_s" in out
 
-    def test_configured_outputs_narrow_the_figure_set(self, capsys, tmp_path):
+    def test_outputs_key_is_refused(self, capsys, tmp_path):
+        # --which picks one figure; the config has no figure list
         config = tmp_path / "narrow.cfg"
         config.write_text(
             "E_over_V0_grid=0.5\nd_nm_grid=0.5\noutputs=fig2,fig3\n",
             encoding="utf-8",
         )
         out_dir = tmp_path / "figs"
-        code, _, _ = run(capsys, "figures", "--config", str(config),
-                         "--out-dir", str(out_dir))
-        assert code == 0
-        assert sorted(p.name for p in out_dir.iterdir()) == ["fig2.csv", "fig3.csv"]
+        code, _, err = run(capsys, "figures", "--config", str(config),
+                           "--out-dir", str(out_dir))
+        assert code == 1 and "line 3: unknown key 'outputs'" in err
+        assert not out_dir.exists()
 
 
 class TestExitCodes:
@@ -151,12 +152,14 @@ class TestExitCodes:
         assert f"{name} must be finite" in err
 
     def test_non_finite_output_is_three(self, capsys):
-        # a little below the overflow threshold the closed-form times are NaN
+        # a little below the overflow threshold the closed-form times are NaN,
+        # which fails the cross-check before it could reach a cell
         code, out, err = run(capsys, "times", "--E-eV", "6.3451208733386855",
                              "--V0-eV", "25.89019666702725",
                              "--d-nm", "15.089278571432091")
         assert code == 3 and out == ""
-        assert "refusing to serialize a non-finite value" in err
+        assert "numeric failure: phase cross-check: numeric " in err
+        assert err.rstrip().endswith("vs analytic nan")
 
     def test_numeric_failure_is_three(self, capsys):
         # kappa*d is about 458: the closed-form times square an overflowing sinh

@@ -2,36 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from oracles import DEFAULT_QUADRATURE, QuadratureSpec, find_first_crossing, integrate
+from oracles import find_first_crossing, integrate
 from tunneltimes import numerics
-from tunneltimes.errors import DomainError, NoConvergence, ValidationError
-from tunneltimes.numerics import differentiate_phase, scaled_e1
-
-GAUSS = QuadratureSpec("gauss-legendre", 64, 1e-9)
-
-
-class TestQuadratureSpec:
-    def test_defaults_are_valid(self):
-        assert DEFAULT_QUADRATURE.method == "composite-simpson"
-        assert DEFAULT_QUADRATURE.panels_or_nodes == 4000
-        assert DEFAULT_QUADRATURE.rel_tol == 1e-9
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"method": "romberg"},
-            {"panels_or_nodes": 4},
-            {"panels_or_nodes": 9},  # simpson needs an even panel count
-            {"rel_tol": 0.0},
-            {"rel_tol": 1e-2},
-        ],
-    )
-    def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
-            QuadratureSpec(**kwargs)
+from tunneltimes.errors import DomainError, NoConvergence
+from tunneltimes.numerics import scaled_e1
 
 
 class TestIntegrate:
@@ -50,13 +25,6 @@ class TestIntegrate:
         got = integrate(lambda x: np.sin(50.0 * x), 0.0, math.pi)
         assert got == pytest.approx(0.0, abs=1e-12)
 
-    def test_gauss_legendre_polynomial_exactness(self):
-        # 8 Gauss nodes integrate polynomials through degree 15 exactly
-        spec = QuadratureSpec("gauss-legendre", 8, 1e-9)
-        assert integrate(lambda x: x**15, 0.0, 1.0, spec) == pytest.approx(
-            1.0 / 16.0, rel=1e-13
-        )
-
     def test_additive_over_subintervals(self):
         f = lambda x: np.exp(-x) * np.sin(3.0 * x)
         whole = integrate(f, 0.0, 2.0)
@@ -74,45 +42,9 @@ class TestIntegrate:
     def test_discontinuity_stalls_refinement(self):
         step = lambda x: np.where(x > 1.0 / math.pi, 1.0, 0.0)
         with pytest.raises(NoConvergence):
-            integrate(step, 0.0, 1.0, QuadratureSpec(panels_or_nodes=8, rel_tol=1e-9))
+            integrate(step, 0.0, 1.0)
 
-
-class TestStackedIntegrands:
-    ROWS = (
-        lambda x: np.exp(-x) * np.sin(3.0 * x),
-        lambda x: x**2,
-        lambda x: np.cos(40.0 * x) / (1.0 + x),
-    )
-
-    @pytest.mark.parametrize(
-        "spec", [DEFAULT_QUADRATURE, GAUSS], ids=["simpson", "gauss"]
-    )
-    def test_each_row_equals_integrating_it_alone(self, spec):
-        stacked = integrate(lambda x: np.stack([f(x) for f in self.ROWS]), 0.0, 2.0, spec)
-        assert stacked == tuple(integrate(f, 0.0, 2.0, spec) for f in self.ROWS)
-
-    def test_rows_converge_at_their_own_level(self):
-        # x^2 is exact on the first doubling; sin(5x) needs several more, and
-        # the x^2 row keeps the value it converged at
-        spec = QuadratureSpec(panels_or_nodes=8, rel_tol=1e-9)
-        smooth = lambda x: x**2
-        wiggly = lambda x: np.sin(5.0 * x)
-        sizes = []
-
-        def both(x):
-            sizes.append(x.size)
-            return np.stack([smooth(x), wiggly(x)])
-
-        pair = integrate(both, 0.0, 1.0, spec)
-        assert len(sizes) > 3
-        alone = (integrate(smooth, 0.0, 1.0, spec), integrate(wiggly, 0.0, 1.0, spec))
-        assert pair == alone
-
-    def test_single_row_stack_returns_a_tuple(self):
-        got = integrate(lambda x: np.exp(-x)[np.newaxis], 0.0, 2.0)
-        assert got == (integrate(lambda x: np.exp(-x), 0.0, 2.0),)
-
-    def test_simpson_samples_only_the_new_midpoints(self):
+    def test_samples_only_the_new_midpoints(self):
         sizes = []
 
         def counted(x):
@@ -122,35 +54,12 @@ class TestStackedIntegrands:
         integrate(counted, 0.0, 2.0)
         assert sizes == [4001, 4000]
 
-    def test_gauss_legendre_resamples_every_node(self):
-        sizes = []
-
-        def counted(x):
-            sizes.append(x.size)
-            return np.exp(-x)
-
-        integrate(counted, 0.0, 2.0, GAUSS)
-        assert sizes == [64, 128]
-
     def test_bad_shapes_rejected(self):
+        # stacked rows included: every caller integrates one function
         with pytest.raises(DomainError):
-            integrate(lambda x: np.ones((2, 2, x.size)), 0.0, 1.0)
+            integrate(lambda x: np.stack([x, x]), 0.0, 1.0)
         with pytest.raises(DomainError):
             integrate(lambda x: np.ones(x.size + 1), 0.0, 1.0)
-
-    def test_changing_row_count_rejected(self):
-        calls = []
-
-        def shifty(x):
-            calls.append(None)
-            return np.ones((len(calls), x.size))
-
-        with pytest.raises(DomainError):
-            integrate(shifty, 0.0, 1.0)
-
-    def test_non_finite_row_rejected(self):
-        with pytest.raises(DomainError):
-            integrate(lambda x: np.stack([x, np.full_like(x, np.nan)]), 0.0, 1.0)
 
 
 class TestScaledE1:
@@ -186,46 +95,6 @@ class TestScaledE1:
         monkeypatch.setattr(numerics, "_MAX_TERMS", 3)
         with pytest.raises(NoConvergence):
             scaled_e1(z)
-
-
-class TestDifferentiatePhase:
-    def test_linear_phase(self):
-        c = 1.3
-        got = differentiate_phase(lambda e: np.exp(1j * c * e), 2.0, 0.9)
-        assert got == pytest.approx(c, rel=1e-12)
-
-    def test_constant_function(self):
-        assert differentiate_phase(lambda e: 0.7 - 0.2j, 1.0, 0.1) == 0.0
-
-    def test_unwrap_across_branch_cut(self):
-        # arg crosses +/- pi between the stencil points; the raw difference
-        # would be ~2 pi off without the wrap
-        c = 3.0
-        got = differentiate_phase(lambda e: np.exp(1j * c * e), math.pi / c, 0.2)
-        assert got == pytest.approx(c, rel=1e-12)
-
-    @given(
-        theta=st.floats(min_value=-math.pi, max_value=math.pi),
-        scale=st.floats(min_value=1e-6, max_value=1e6),
-    )
-    def test_invariant_under_complex_scaling(self, theta, scale):
-        const = scale * complex(math.cos(theta), math.sin(theta))
-        g = lambda e: np.exp(1j * 0.8 * e) * (2.0 + 0.5j)
-        plain = differentiate_phase(g, 1.5, 0.3)
-        scaled = differentiate_phase(lambda e: const * g(e), 1.5, 0.3)
-        assert scaled == pytest.approx(plain, rel=1e-12, abs=1e-12)
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(DomainError):
-            differentiate_phase(lambda e: 1.0 + 0j, 1.0, 0.0)
-
-    def test_vanishing_function_rejected(self):
-        with pytest.raises(DomainError):
-            differentiate_phase(lambda e: 0.0j, 1.0, 0.1)
-
-    def test_domain_bounds_enforced(self):
-        with pytest.raises(DomainError):
-            differentiate_phase(lambda e: np.exp(1j * e), 0.5, 0.6, domain=(0.0, 10.0))
 
 
 class TestFindFirstCrossing:

@@ -9,6 +9,7 @@ from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import (
     DomainError,
     MissingGridPoint,
+    NoConvergence,
     ParseError,
     ValidationError,
 )
@@ -47,14 +48,9 @@ class TestParseConfig:
         assert cfg.v0_ev == 8.0
 
     def test_grids_and_quadrature_keys(self):
-        cfg = parse_config(
-            "E_over_V0_grid=0.2,0.4\n"
-            "d_nm_grid=0.5\n"
-            "outputs=table1,fig3\n"
-        )
+        cfg = parse_config("E_over_V0_grid=0.2,0.4\nd_nm_grid=0.5\n")
         assert cfg.e_over_v0_grid == (0.2, 0.4)
         assert cfg.d_nm_grid == (0.5,)
-        assert cfg.outputs == ("table1", "fig3")
         # nothing is integrated numerically, so there is no quadrature to set
         for line in ("quad_method=gauss-legendre", "quad_points=64", "quad_rel_tol=1e-8"):
             with pytest.raises(ParseError, match="unknown key"):
@@ -86,9 +82,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config("E_over_V0_grid=0.5,1.5")
 
-    def test_unknown_output_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_config("outputs=fig7")
+    def test_outputs_key_rejected(self):
+        # the figures command picks its figures with --which
+        for line in ("outputs=fig7", "outputs=table1,fig3"):
+            with pytest.raises(ParseError, match="unknown key 'outputs'"):
+                parse_config(f"d_nm_grid=0.5\n{line}\n")
 
 
 class TestSweepConfig:
@@ -110,7 +108,6 @@ class TestConfigEcho:
             "d_nm_grid=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
             "Kprime=7.5e+10",
             "phase_step_eV=0.0001",
-            "outputs=table1,fig1,fig2,fig3,fig4,fig5,fig6a",
         ]
 
     def test_echo_reads_back_exactly(self):
@@ -197,7 +194,7 @@ class TestEvaluate:
         assert [type(exc) for exc in caught] == [DomainError, OverflowError]
         assert rec.note == "phase_stencil_clipped" and rec.t_eff_s is not None
 
-    def test_each_point_is_solved_once_besides_the_phase_stencil(self, monkeypatch):
+    def test_each_point_is_solved_once(self, monkeypatch):
         from tunneltimes import sweep, times
 
         solves = []
@@ -209,12 +206,71 @@ class TestEvaluate:
                 lambda problem, solve=solve: solves.append(problem) or solve(problem),
             )
         evaluate_point(SweepConfig(), 0.5, 0.5)
-        # the point itself, then E +/- h for the phase derivative
-        assert len(solves) == 3
+        # the phase stencil takes S at E +/- h from its closed form
+        assert len(solves) == 1
+
+    def test_non_finite_analytic_route_fails_the_cross_check(self):
+        # a little below the overflow threshold the closed-form phase time is
+        # NaN, which no comparison can certify
+        problem = BarrierProblem.from_ev_nm(
+            6.3451208733386855, 25.89019666702725, 15.089278571432091
+        )
+        rec, caught = evaluate(problem, SweepConfig(v0_ev=25.89019666702725))
+        assert math.isnan(rec.t_ph_analytic_s)
+        assert [type(exc) for exc in caught] == [NoConvergence, NoConvergence]
+        assert rec.error.startswith("phase cross-check: numeric ")
+        assert "vs analytic nan" in rec.error
+
+    def test_infinite_analytic_route_fails_the_cross_check(self):
+        # kappa*d of about 311: the closed form's bracket overflows before its
+        # denominator does, and |n - inf| <= tol * inf would hold
+        problem = BarrierProblem.from_ev_nm(0.5, 1.0, 85.83)
+        rec, caught = evaluate(problem, SweepConfig(v0_ev=1.0), ("times",))
+        assert rec.t_ph_analytic_s == math.inf
+        assert [type(exc) for exc in caught] == [NoConvergence]
+        assert rec.error == (
+            f"phase cross-check: numeric {rec.t_ph_numeric_s!r} vs analytic inf"
+        )
 
     def test_overflow_still_aborts_the_sweep(self):
         with pytest.raises(OverflowError):
             evaluate_point(SweepConfig(), 0.5, 40.0)
+
+
+class TestGridKeys:
+    """Records are filed and reported under their exact grid values."""
+
+    def test_table1_takes_each_row_from_its_own_ratio(self):
+        # 0.0100001 rounds to 0.01 at six digits; its depths must not stand
+        # in for the 0.01 row
+        records = [
+            SweepRecord(e_over_v0=r, d_nm=d, e_ev=10.0 * r, v0_ev=10.0,
+                        cutoff=7.5e10, s_nm=9.0 if r == 0.0100001 else 0.5)
+            for d in TABLE_D_NM
+            for r in (0.01, 0.0100001, 0.1, 0.5, 0.9, 0.99)
+        ]
+        rows = emit_table1(records).splitlines()[2:]
+        assert len(rows) == 45 and all(row.endswith(",0.5000") for row in rows)
+
+    def test_table1_takes_each_cell_from_its_own_thickness(self):
+        records = [
+            SweepRecord(e_over_v0=r, d_nm=d, e_ev=10.0 * r, v0_ev=10.0,
+                        cutoff=7.5e10, s_nm=9.0 if d == 0.2000001 else 0.5)
+            for d in (0.2, 0.2000001) + TABLE_D_NM[1:]
+            for r in (0.01, 0.1, 0.5, 0.9, 0.99)
+        ]
+        rows = emit_table1(records).splitlines()[2:]
+        assert len(rows) == 45 and all(row.endswith(",0.5000") for row in rows)
+
+    def test_missing_spectrum_names_the_exact_ratio(self):
+        # six digits would print the unsolvable point as E/V0=1
+        cfg = SweepConfig(e_over_v0_grid=(0.5, 0.9999999), d_nm_grid=(0.5,))
+        records = run_sweep(cfg)
+        for fig in ("fig1", "fig4"):
+            with pytest.raises(MissingGridPoint, match=r"E/V0=0\.9999999, d=0\.5 nm"):
+                emit_figure_data(records, fig)
+        with pytest.raises(MissingGridPoint, match=r"E/V0=0\.9999999, d=0\.5 nm"):
+            emit_figure_data(records, "fig2")
 
 
 class TestSweepCsv:

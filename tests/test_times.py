@@ -1,19 +1,25 @@
+import cmath
 import math
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import mp_dwell_numerator
+from oracles import mp_dwell_numerator, stencil_phase_time
 from tunneltimes import times
 from tunneltimes.barrier import (
     BarrierProblem,
     incident_flux,
     stationary_solution,
+    transmission_amplitude,
     wavenumbers,
 )
-from tunneltimes.constants import CONSTANTS
+from tunneltimes.constants import CONSTANTS, energy_ev_to_si
 from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.sweep import SweepConfig, evaluate
 from tunneltimes.times import (
+    DEFAULT_PHASE_STEP_EV,
     bl_time,
     dwell_time_analytic,
     dwell_time_numeric,
@@ -71,10 +77,113 @@ class TestPhaseTime:
         assert thin == pytest.approx(2.0 * thinner, rel=1e-6)
 
     def test_stencil_clipping_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="leaves the valid domain"):
             phase_time_numeric(BarrierProblem.from_ev_nm(5e-5, 10.0, 0.5))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="leaves the valid domain"):
             phase_time_numeric(BarrierProblem.from_ev_nm(10.0 - 2e-5, 10.0, 0.5))
+
+    def test_guard_band_clips_the_stencil(self):
+        # E + h stays below V0 but inside the near-threshold guard band
+        p = BarrierProblem.from_ev_nm(10.0 - 1e-4 - 5e-7, 10.0, 0.5)
+        with pytest.raises(DomainError, match="closer than"):
+            phase_time_numeric(p)
+        assert _outcome(phase_time_numeric, p) == _outcome(
+            stencil_phase_time, p, DEFAULT_PHASE_STEP_EV
+        )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return repr(exc)
+
+
+class TestPhaseStencil:
+    """The stencil differences arg S of the closed-form S at E +/- h."""
+
+    P = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+
+    def free_flight(self, p):
+        return p.thickness / math.sqrt(2.0 * p.energy / CONSTANTS.electron_mass)
+
+    def test_equals_the_solved_stencil_on_the_dense_grid(self):
+        for i in range(1, 100):
+            for d_nm in [j / 10.0 for j in range(1, 11)]:
+                p = BarrierProblem.from_ev_nm(10.0 * (i / 100.0), 10.0, d_nm)
+                assert phase_time_numeric(p) == stencil_phase_time(
+                    p, DEFAULT_PHASE_STEP_EV
+                )
+
+    def test_equals_the_solved_stencil_at_random_points(self):
+        # a fifth of the points sit within 2e-4 eV of the barrier top, where
+        # the stencil may leave the domain or enter the guard band; there
+        # both routes must refuse with the same message
+        rng = random.Random(20071)
+        refused = 0
+        for n in range(200):
+            v0 = rng.uniform(0.5, 25.0)
+            if n % 5 == 0:
+                e_ev = v0 - rng.uniform(1.01e-6, 2e-4)
+            else:
+                e_ev = rng.uniform(1e-3, 0.99) * v0
+            p = BarrierProblem.from_ev_nm(e_ev, v0, 10.0 ** rng.uniform(-2.0, 1.3))
+            step = rng.choice((1e-5, DEFAULT_PHASE_STEP_EV, 3e-4))
+            got = _outcome(phase_time_numeric, p, step)
+            assert got == _outcome(stencil_phase_time, p, step)
+            refused += isinstance(got, str)
+        assert 10 <= refused <= 40
+
+    def test_unwraps_a_branch_cut_of_arg_s(self):
+        # arg S passes from -pi to +pi between E - h and E + h
+        p = BarrierProblem.from_ev_nm(0.66873087454, 10.0, 0.5)
+        h = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
+        below = cmath.phase(transmission_amplitude(p, p.energy - h))
+        above = cmath.phase(transmission_amplitude(p, p.energy + h))
+        assert below < -3.14 and above > 3.14
+        numeric = phase_time_numeric(p)
+        assert abs(numeric - phase_time_analytic(p)) <= AGREEMENT * numeric
+
+    @pytest.mark.parametrize("step_ev", [0.0, -1e-4, math.nan], ids=str)
+    def test_nonpositive_step_rejected(self, step_ev):
+        with pytest.raises(DomainError, match="step h must be positive"):
+            phase_time_numeric(self.P, step_ev)
+
+    @pytest.mark.parametrize(
+        "value", [0j, complex(math.inf, 0.0), complex(math.nan, 1.0)], ids=str
+    )
+    def test_zero_or_non_finite_s_rejected(self, monkeypatch, value):
+        monkeypatch.setattr(times, "transmission_amplitude", lambda p, e: value)
+        with pytest.raises(DomainError, match="S "):
+            phase_time_numeric(self.P)
+
+    def test_linear_phase_gives_its_slope(self, monkeypatch):
+        slope = 1.3 / energy_ev_to_si(1.0)  # arg S = slope * E
+        monkeypatch.setattr(
+            times, "transmission_amplitude", lambda p, e: cmath.exp(1j * slope * e)
+        )
+        delay = phase_time_numeric(self.P) - self.free_flight(self.P)
+        assert delay == pytest.approx(CONSTANTS.hbar * slope, rel=1e-9)
+
+    def test_constant_phase_leaves_the_free_flight(self, monkeypatch):
+        monkeypatch.setattr(times, "transmission_amplitude", lambda p, e: 0.7 - 0.2j)
+        assert phase_time_numeric(self.P) == self.free_flight(self.P)
+
+    @given(
+        theta=st.floats(min_value=-math.pi, max_value=math.pi),
+        scale=st.floats(min_value=1e-6, max_value=1e6),
+    )
+    def test_invariant_under_complex_scaling(self, theta, scale):
+        const = scale * complex(math.cos(theta), math.sin(theta))
+        p = BarrierProblem.from_ev_nm(1.5, 10.0, 0.5)
+        ev = energy_ev_to_si(1.0)
+        fake = lambda e: cmath.exp(0.8j * e / ev) * (2.0 + 0.5j)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(times, "transmission_amplitude", lambda q, e: fake(e))
+            plain = phase_time_numeric(p, 0.3)
+            mp.setattr(times, "transmission_amplitude", lambda q, e: const * fake(e))
+            scaled = phase_time_numeric(p, 0.3)
+        assert scaled == pytest.approx(plain, rel=1e-12)
 
 
 class TestDwellTime:
