@@ -7,6 +7,9 @@ raise the first failure it caught, and print their columns of the record.
 Grid subcommands (sweep, table1, figures) run the configured sweep and emit
 the corresponding CSV files. Exit codes: 0 success, 1 validation or parse
 error, 2 missing grid point, 3 internal numeric failure.
+
+The argument parser is built once per process, by the first main() call, and
+every later call reuses it; parse_args keeps nothing from one call to the next.
 """
 
 from __future__ import annotations
@@ -206,9 +209,16 @@ def _dispatch(args) -> int:
     return 0
 
 
+#: The parser main() reuses; built by its first call, not at import.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         return _dispatch(args)
     except (ParseError, ValidationError, DomainError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

@@ -13,6 +13,12 @@ timestamps are embedded, and floats are serialized at six significant digits
 (the depth table uses the conventional four decimals of nm instead). The
 config echo keeps six digits only where they read back to the same float.
 
+The per-record CSVs (the sweep and fig2, fig3, fig5, fig6a) share one row
+writer. The curve figures are formatted by column: each record's pdf or
+density array passes one finiteness check and is formatted in one pass, and a
+grid that records share is formatted once per emitter call, since fig1's K
+grid depends only on the cutoff and fig4's x grid only on the thickness.
+
 Besides its columns, a record carries the momentum spectrum its momentum
 block built, which holds the point's stationary solution. The curve figures
 (fig1, fig4) draw from it, so emitting them solves nothing again; a record
@@ -30,7 +36,7 @@ FloatingPointError instead of reaching a cell.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -343,7 +349,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
 
 def _parse_float(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError("not finite")
     return value
 
@@ -420,15 +426,27 @@ def config_lines(cfg: SweepConfig) -> list[str]:
 # --- CSV emission -----------------------------------------------------------
 
 
+_NON_FINITE = "refusing to serialize a non-finite value"
+
+
 def _fmt(value: float | None) -> str:
-    """Six significant digits, empty cell for absent values, never NaN."""
+    """Six significant digits, empty cell for absent values, never NaN.
+
+    Adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is, so
+    zero of either sign prints as "0".
+    """
     if value is None:
         return ""
-    if not np.isfinite(value):
-        raise FloatingPointError("refusing to serialize a non-finite value")
-    if value == 0:
-        return "0"
-    return f"{value:.6g}"
+    if not math.isfinite(value):
+        raise FloatingPointError(_NON_FINITE)
+    return f"{value + 0.0:.6g}"
+
+
+def _cells(values: np.ndarray) -> list[str]:
+    """_fmt of each element of a float array, checked for finiteness at once."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(_NON_FINITE)
+    return [f"{v:.6g}" for v in (values + 0.0).tolist()]
 
 
 def _metadata(cfg: SweepConfig | None, records: list[SweepRecord] | None) -> list[str]:
@@ -449,17 +467,44 @@ def _metadata(cfg: SweepConfig | None, records: list[SweepRecord] | None) -> lis
     return lines
 
 
-def records_to_csv(records: list[SweepRecord], cfg: SweepConfig | None = None) -> str:
-    """The full sweep as CSV, one row per grid point in evaluation order."""
+_Source = str | Callable[[SweepRecord], float | str | None]
+
+
+def _emit_rows(
+    records: list[SweepRecord],
+    cfg: SweepConfig | None,
+    columns: dict[str, _Source],
+    required: Collection[str] = (),
+) -> str:
+    """CSV with one row per record, in record order.
+
+    ``columns`` maps each CSV column to a record attribute, or to a function of
+    the record for a derived column. String values (note, error) are written
+    as they are and None is an empty cell, except in a ``required`` column,
+    where it raises MissingGridPoint.
+    """
     out = _metadata(cfg, records)
-    out.append(",".join(RECORD_COLUMNS))
+    out.append(",".join(columns))
     for rec in records:
         cells = []
-        for attr in RECORD_COLUMNS.values():
-            value = getattr(rec, attr)
-            cells.append(value if isinstance(value, str) else _fmt(value))
+        for column, source in columns.items():
+            value = source(rec) if callable(source) else getattr(rec, source)
+            if isinstance(value, str):
+                cells.append(value)
+            elif value is None and column in required:
+                raise MissingGridPoint(
+                    f"record E/V0={_echo(rec.e_over_v0)}, d={_echo(rec.d_nm)} nm "
+                    f"is missing {column} (note={rec.note!r}, error={rec.error!r})"
+                )
+            else:
+                cells.append(_fmt(value))
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
+
+
+def records_to_csv(records: list[SweepRecord], cfg: SweepConfig | None = None) -> str:
+    """The full sweep as CSV, one row per grid point in evaluation order."""
+    return _emit_rows(records, cfg, RECORD_COLUMNS)
 
 
 def parse_records(text: str) -> list[SweepRecord]:
@@ -540,8 +585,6 @@ def _eps_eff_plus_v0(rec: SweepRecord) -> float | None:
     return None if rec.eps_eff_ev is None else rec.eps_eff_ev + rec.v0_ev
 
 
-_Source = str | Callable[[SweepRecord], float | None]
-
 #: The per-point figures, after the E_over_V0 and d_nm key columns: CSV
 #: column -> record attribute, or a function of the record for a derived column.
 _SCALAR_FIGURES = {
@@ -559,26 +602,6 @@ _SCALAR_FIGURES = {
 #: Attributes a figure may leave empty: absent where the density never
 #: reaches the depth threshold (the no_crossing note).
 _MAY_BE_ABSENT = ("s_nm", "tau_eff_s", "xi")
-
-
-def _emit_scalar_figure(
-    records: list[SweepRecord], cfg: SweepConfig | None, columns: dict[str, _Source]
-) -> str:
-    columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **columns}
-    out = _metadata(cfg, records)
-    out.append(",".join(columns))
-    for rec in records:
-        cells = []
-        for column, source in columns.items():
-            value = source(rec) if callable(source) else getattr(rec, source)
-            if value is None and source not in _MAY_BE_ABSENT:
-                raise MissingGridPoint(
-                    f"record E/V0={_echo(rec.e_over_v0)}, d={_echo(rec.d_nm)} nm "
-                    f"is missing {column} (note={rec.note!r}, error={rec.error!r})"
-                )
-            cells.append(_fmt(value))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
 
 
 def emit_figure_data(
@@ -599,25 +622,37 @@ def emit_figure_data(
     if which == "fig1":
         out = _metadata(cfg, records)
         out.append("E_over_V0,d_nm,K_per_m,pdf_m")
+        k_grids: dict[float, tuple[np.ndarray, list[str]]] = {}
         for rec in records:
-            ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
-            pdf = _figure_spectrum(rec).pdf(ks)
+            spectrum = _figure_spectrum(rec)
+            if rec.cutoff not in k_grids:
+                ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
+                k_grids[rec.cutoff] = (ks, _cells(ks))
+            ks, k_cells = k_grids[rec.cutoff]
             prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
-            out += [f"{prefix},{_fmt(k)},{_fmt(p)}" for k, p in zip(ks, pdf)]
+            out += [
+                f"{prefix},{k},{p}" for k, p in zip(k_cells, _cells(spectrum.pdf(ks)))
+            ]
         return "\n".join(out) + "\n"
     if which == "fig4":
         out = _metadata(cfg, records)
         out.append("E_over_V0,d_nm,x_nm,relative_density")
+        x_grids: dict[float, tuple[np.ndarray, list[str]]] = {}
         for rec in records:
             sol = _figure_spectrum(rec).solution
-            xs = np.linspace(0.0, sol.problem.thickness, FIG4_X_POINTS)
-            dens = relative_density(sol, xs)
+            thickness = sol.problem.thickness
+            if thickness not in x_grids:
+                xs = np.linspace(0.0, thickness, FIG4_X_POINTS)
+                x_grids[thickness] = (xs, _cells(length_si_to_nm(xs)))
+            xs, x_cells = x_grids[thickness]
             prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
             out += [
-                f"{prefix},{_fmt(length_si_to_nm(x))},{_fmt(v)}"
-                for x, v in zip(xs, dens)
+                f"{prefix},{x},{v}"
+                for x, v in zip(x_cells, _cells(relative_density(sol, xs)))
             ]
         return "\n".join(out) + "\n"
     if which in _SCALAR_FIGURES:
-        return _emit_scalar_figure(records, cfg, _SCALAR_FIGURES[which])
+        columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **_SCALAR_FIGURES[which]}
+        required = [c for c, source in columns.items() if source not in _MAY_BE_ABSENT]
+        return _emit_rows(records, cfg, columns, required)
     raise ValidationError(f"unknown figure id {which!r}; valid: {', '.join(FIGURE_IDS)}")

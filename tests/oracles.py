@@ -2,9 +2,10 @@
 
 Everything here recomputes its target from scratch (a boundary-matching
 linear solve, textbook closed forms, analytic antiderivatives, a dense scan
-plus bisection, adaptive quadrature, mpmath at 30 to 40 digits) rather than
-calling the code path it certifies. The mpmath oracles import mpmath when
-called, so a test that uses them skips where it is not installed.
+plus bisection, adaptive quadrature, mpmath at 30 to 40 digits, CSV cells
+formatted one at a time) rather than calling the code path it certifies. The
+mpmath oracles import mpmath when called, so a test that uses them skips
+where it is not installed.
 """
 
 from __future__ import annotations
@@ -15,11 +16,19 @@ from typing import Callable
 
 import numpy as np
 
+from tunneltimes import __version__
 from tunneltimes.barrier import stationary_solution
-from tunneltimes.constants import CONSTANTS, energy_ev_to_si
+from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
 from tunneltimes.depth import DEPTH_LEVEL, relative_density
 from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.momentum import momentum_amplitude
+from tunneltimes.sweep import (
+    FIG1_K_POINTS,
+    FIG4_X_POINTS,
+    NOTE_PHASE_CLIPPED,
+    RECORD_COLUMNS,
+    TOOL_NAME,
+)
 
 M = CONSTANTS.electron_mass
 HBAR = CONSTANTS.hbar
@@ -353,3 +362,63 @@ def mp_dwell_numerator(problem, dps: int = 30) -> float:
             mp.quad(lambda x: abs(a * mp.exp(kappa * x) + b * mp.exp(-kappa * x)) ** 2,
                     [0, d])
         )
+
+
+# --- per-cell CSV emission: the reference for the column-wise emitters -------
+
+
+def per_cell_fmt(value) -> str:
+    """One CSV cell: six significant digits, "0" for a zero of either sign."""
+    if value is None:
+        return ""
+    if not np.isfinite(value):
+        raise FloatingPointError("refusing to serialize a non-finite value")
+    if value == 0:
+        return "0"
+    return f"{value:.6g}"
+
+
+def per_cell_emit(records, which: str) -> str:
+    """The sweep CSV ("sweep"), fig1 or fig4 of ``records``, emitted without a
+    config, one per_cell_fmt call per cell and every grid built per record."""
+    out = [f"# tool: {TOOL_NAME} {__version__}"]
+    clipped = [
+        f"(E/V0={per_cell_fmt(r.e_over_v0)}, d={per_cell_fmt(r.d_nm)} nm)"
+        for r in records
+        if NOTE_PHASE_CLIPPED in r.note
+    ]
+    if clipped:
+        out.append(
+            "# clipping: phase-time stencil left the energy domain at "
+            + ", ".join(clipped)
+        )
+    if which == "sweep":
+        out.append(",".join(RECORD_COLUMNS))
+        for rec in records:
+            values = [getattr(rec, attr) for attr in RECORD_COLUMNS.values()]
+            out.append(
+                ",".join(v if isinstance(v, str) else per_cell_fmt(v) for v in values)
+            )
+    elif which == "fig1":
+        out.append("E_over_V0,d_nm,K_per_m,pdf_m")
+        for rec in records:
+            ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
+            pdf = rec.spectrum.pdf(ks)
+            prefix = f"{per_cell_fmt(rec.e_over_v0)},{per_cell_fmt(rec.d_nm)}"
+            out += [
+                f"{prefix},{per_cell_fmt(k)},{per_cell_fmt(p)}" for k, p in zip(ks, pdf)
+            ]
+    elif which == "fig4":
+        out.append("E_over_V0,d_nm,x_nm,relative_density")
+        for rec in records:
+            sol = rec.spectrum.solution
+            xs = np.linspace(0.0, sol.problem.thickness, FIG4_X_POINTS)
+            dens = relative_density(sol, xs)
+            prefix = f"{per_cell_fmt(rec.e_over_v0)},{per_cell_fmt(rec.d_nm)}"
+            out += [
+                f"{prefix},{per_cell_fmt(length_si_to_nm(x))},{per_cell_fmt(v)}"
+                for x, v in zip(xs, dens)
+            ]
+    else:
+        raise ValueError(f"no per-cell reference for {which!r}")
+    return "\n".join(out) + "\n"

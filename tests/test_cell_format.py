@@ -1,0 +1,121 @@
+"""CSV cells formatted by column agree with the one-cell-at-a-time route.
+
+The emitters check a whole curve for finiteness at once and format each K or
+x grid a sweep shares only once. ``oracles.per_cell_emit`` formats every cell
+on its own, as the emitters once did; the text must be identical, on the
+dense acceptance grid and on records joined from sweeps whose cutoffs,
+heights and thicknesses differ.
+"""
+
+import sys
+from itertools import chain
+
+import numpy as np
+import pytest
+
+from oracles import per_cell_emit, per_cell_fmt
+from tunneltimes.sweep import (
+    SweepConfig,
+    _cells,
+    _fmt,
+    emit_figure_data,
+    evaluate_point,
+    records_to_csv,
+    run_sweep,
+)
+
+DENSE = SweepConfig(
+    e_over_v0_grid=tuple(i / 100.0 for i in range(1, 100)),
+    d_nm_grid=tuple(i / 10.0 for i in range(1, 11)),
+)
+
+#: Sweeps with three cutoffs and three heights over overlapping thicknesses.
+MIXED = (
+    SweepConfig(cutoff=3e10, e_over_v0_grid=(0.1, 0.5, 0.9), d_nm_grid=(0.2, 0.5, 1.0)),
+    SweepConfig(v0_ev=5.0, e_over_v0_grid=(0.1, 0.5), d_nm_grid=(0.5, 1.0, 1.5)),
+    SweepConfig(v0_ev=20.0, cutoff=1.1e11, e_over_v0_grid=(0.3, 0.9),
+                d_nm_grid=(0.2, 1.5)),
+)
+
+EDGE_VALUES = (
+    -0.0,
+    0.0,
+    5e-324,
+    -5e-324,
+    sys.float_info.max,
+    -sys.float_info.max,
+    0.1234565,
+    1234565.0,
+    -2.5e-17,
+    7.5e10,
+)
+
+
+def emit(records, which: str) -> str:
+    if which == "sweep":
+        return records_to_csv(records)
+    return emit_figure_data(records, which)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    # pytest's diff of two texts of megabytes takes minutes; quote the first
+    # line that differs instead
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next(
+            (i for i, pair in enumerate(zip(g, w)) if pair[0] != pair[1]),
+            min(len(g), len(w)),
+        )
+        message = f"line {i + 1} differs: {g[i:i + 1]} != {w[i:i + 1]}"
+        pytest.fail(message, pytrace=False)
+
+
+@pytest.fixture(scope="module")
+def dense_records():
+    return run_sweep(DENSE)
+
+
+@pytest.fixture(scope="module")
+def mixed_records():
+    joined = list(chain.from_iterable(run_sweep(cfg) for cfg in MIXED))
+    # records of one thickness but different cutoffs follow each other, so a
+    # grid filed under the wrong key shows up in the next record's rows
+    joined.sort(key=lambda r: (r.d_nm, r.cutoff, r.e_over_v0))
+    # and one clipped phase stencil, for the metadata line and an empty cell
+    clipped = evaluate_point(SweepConfig(), 1e-6, 0.5)
+    assert clipped.spectrum is not None and clipped.t_ph_numeric_s is None
+    return joined + [clipped]
+
+
+@pytest.mark.parametrize("which", ["sweep", "fig1", "fig4"])
+def test_dense_grid_matches_the_per_cell_route(dense_records, which):
+    assert_same_text(emit(dense_records, which), per_cell_emit(dense_records, which))
+
+
+@pytest.mark.parametrize("which", ["sweep", "fig1", "fig4"])
+def test_mixed_grids_match_the_per_cell_route(mixed_records, which):
+    assert len({r.cutoff for r in mixed_records}) == 3
+    assert "# clipping: " in per_cell_emit(mixed_records, which)
+    assert_same_text(emit(mixed_records, which), per_cell_emit(mixed_records, which))
+
+
+@pytest.mark.parametrize(
+    "value", [*EDGE_VALUES, *map(np.float64, EDGE_VALUES)], ids=repr
+)
+def test_edge_values_format_as_before(value):
+    assert _fmt(value) == per_cell_fmt(value)
+    assert _cells(np.array([1.0, value, 2.0])) == ["1", per_cell_fmt(value), "2"]
+
+
+def test_zero_of_either_sign_is_a_bare_zero():
+    assert _fmt(-0.0) == _fmt(0.0) == "0"
+    assert _cells(np.array([-0.0, 0.0])) == ["0", "0"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_are_refused(bad):
+    for value in (bad, np.float64(bad)):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            _fmt(value)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        _cells(np.array([1.0, 2.0, bad, 3.0]))

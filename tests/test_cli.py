@@ -1,6 +1,17 @@
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from tunneltimes import __version__, cli
 from tunneltimes.cli import main
+from tunneltimes.momentum import MomentumSpectrum
+
+PINS = json.loads(
+    Path(__file__).with_name("point_pins.json").read_text(encoding="utf-8")
+)
 
 
 def run(capsys, *argv):
@@ -172,3 +183,68 @@ class TestExitCodes:
         code, out, err = run(capsys, "momentum", "--E-eV", "5", "--d-nm", "1",
                              "--Kprime", "1e15")
         assert code == 1 and out == "" and "superluminal" in err
+
+    def test_non_finite_curve_is_three(self, capsys, tmp_path, monkeypatch):
+        # the curve figures refuse a non-finite cell with the message every
+        # other emitter uses, and write nothing
+        def pdf_with_a_hole(self, wavenumber):
+            out = np.ones(len(wavenumber))
+            out[len(out) // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(MomentumSpectrum, "pdf", pdf_with_a_hole)
+        config = tmp_path / "small.cfg"
+        config.write_text("E_over_V0_grid=0.5\nd_nm_grid=0.5\n", encoding="utf-8")
+        code, out, err = run(capsys, "figures", "--config", str(config),
+                             "--which", "fig1")
+        assert code == 3 and out == ""
+        assert err == (
+            "tunneltimes: numeric failure: refusing to serialize a non-finite value\n"
+        )
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        monkeypatch.setattr(cli, "_parser", None)
+        for e_ev in ("1", "2", "5"):
+            for command in ("coeffs", "momentum", "times", "depth"):
+                assert run(capsys, command, "--E-eV", e_ev, "--d-nm", "0.5")[0] == 0
+        assert run(capsys, "coeffs", "--E-eV", "5", "--nonsense")[0] == 1
+        assert len(built) == 1
+
+    def test_no_parse_state_leaks_between_calls(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        small = tmp_path / "small.cfg"
+        small.write_text("E_over_V0_grid=0.5\nd_nm_grid=0.5\n", encoding="utf-8")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("V0_eV=abc\n", encoding="utf-8")
+
+        def pinned(*argv):
+            code, out, _ = run(capsys, *argv)
+            return [code, hashlib.sha256(out.encode()).hexdigest()]
+
+        # non-default height and window, then a grid command, errors and --version
+        assert run(capsys, "times", "--E-eV", "0.02", "--d-nm", "3",
+                   "--V0-eV", "1")[0] == 3
+        assert run(capsys, "momentum", "--E-eV", "5", "--d-nm", "1",
+                   "--Kprime", "1e15")[0] == 1
+        assert run(capsys, "figures", "--config", str(small), "--which", "fig3")[0] == 0
+        assert run(capsys, "sweep", "--config", str(small), "--out", "-")[0] == 0
+        assert run(capsys, "coeffs", "--E-eV", "5", "--nonsense")[0] == 1
+        assert run(capsys, "sweep", "--config", str(bad))[0] == 1
+        with pytest.raises(SystemExit) as exit_:
+            main(["--version"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == f"tunneltimes {__version__}\n"
+        # the defaults, not the flags of earlier calls, drive these
+        for command in ("coeffs", "momentum", "times", "depth"):
+            argv = (command, "--E-eV", "1", "--d-nm", "0.1")
+            assert pinned(*argv) == PINS[" ".join(argv)]
