@@ -9,24 +9,28 @@ splits into three regions:
                                                        kappa = sqrt(2 m (V0 - E)) / hbar
     right of the barrier  S exp(ikx)
 
-Everything is closed form. S comes from the standard transmission-amplitude
-expression; A and B follow from matching value and slope at x = d, and R from
-value continuity at x = 0. The slope condition at x = 0 is not imposed
-separately: it holds identically for this S, and continuity_residual()
-certifies all four matching conditions numerically. transmission_amplitude()
-evaluates the same S expression at another energy over the same barrier, for
-the phase time's energy stencil, without building a problem or solving for
-A, B and R; it accepts the energies BarrierProblem does.
+Everything is closed form, and held in the bounded e^{-kappa d}-scaled form
+so that nothing overflows at any thickness. The solution is built from
 
-Nothing here is scaled, and BarrierProblem accepts any thickness, so thick
-barriers overflow. The closed-form phase and dwell times square sinh(kappa d),
-which raises OverflowError once kappa*d exceeds about 355: `tunneltimes times
---E-eV 5 --d-nm 40` (kappa*d of about 458) exits 3, and a sweep that reaches
-such a point aborts. A little below that, their products with (2 m V0 /
-hbar^2)^2 already reach infinity and the times come out NaN, which the CSV
-writers refuse. The bare exp(kappa d), sinh and cosh factors of S, A and B
-overflow at kappa*d of about 709. ROADMAP item 3 plans the exp(-kappa d)-scaled
-reformulation that removes these limits.
+    t = S e^{kappa d} = -4 i r e^{-ikd} / [(1 - r^2)(1 - e^{-2 kappa d})
+                                          - 2 i r (1 + e^{-2 kappa d})],
+
+r = k / kappa, the standard transmission amplitude with numerator and
+denominator multiplied by 2 e^{-kappa d}. Matching value and slope at x = d
+gives B = t e^{ikd} (1 - ir) / 2 and the edge mode A e^{kappa d} =
+t e^{ikd} (1 + ir) e^{-kappa d} / 2; A, B e^{-kappa d} and S follow by
+factors of e^{-kappa d}, and R from value continuity at x = 0. The slope
+condition at x = 0 is not imposed separately: it holds identically for this
+t, and continuity_residual() certifies all four matching conditions
+numerically. The in-barrier wave is evaluated on the edge mode, as
+A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}, whose exponents are never
+positive. scaled_transmission() evaluates t at another energy over the same
+barrier, for the phase time's energy stencil, without building a problem or
+solving for A, B and R; it accepts the energies BarrierProblem does.
+
+Where S, A or the edge modes fall below the smallest double (kappa d past
+about 745) they are 0, which is their value to double precision; B and R
+stay of order one.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ _HBAR = CONSTANTS.hbar
 DEFAULT_CUTOFF = 7.5e10
 
 #: Below this energy gap to the barrier top (in eV) the decay constant is so
-#: small that sinh/cosh ratios become ill-conditioned; refuse rather than
+#: small that k/kappa ratios become ill-conditioned; refuse rather than
 #: return digits that look meaningful.
 NEAR_THRESHOLD_GAP_EV = 1e-6
 
@@ -72,7 +76,10 @@ class BarrierProblem:
     """One tunneling problem: energy, barrier, and momentum-window cutoff.
 
     All fields are SI (joules, metres, 1/metres). Only the tunneling regime
-    0 < E < V0 is representable; construction rejects anything else.
+    0 < E < V0 is representable; construction rejects anything else, and a
+    thickness so large that the phase k d, for any wavenumber up to
+    sqrt(2 m V0) / hbar, or the window's phase Kprime d is not a finite
+    double.
     """
 
     energy: float
@@ -86,10 +93,13 @@ class BarrierProblem:
             raise DomainError("barrier thickness must be positive")
         if not self.cutoff > 0:
             raise DomainError("momentum cutoff must be positive")
+        top = math.sqrt(2.0 * _M * self.height) / _HBAR  # k, kappa < top below V0
         for name, value in (
             ("barrier height", self.height),
             ("barrier thickness", self.thickness),
             ("momentum cutoff", self.cutoff),
+            ("barrier phase k d", top * self.thickness),
+            ("window phase Kprime d", self.cutoff * self.thickness),
         ):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
@@ -125,14 +135,21 @@ class Wavenumbers:
 
 @dataclass(frozen=True)
 class StationarySolution:
-    """The four complex coefficients of the matched eigenfunction."""
+    """The four complex coefficients of the matched eigenfunction.
+
+    ``edge_modes`` is (A e^{kappa d}, B e^{-kappa d}), the two in-barrier
+    modes at x = d. All of them are derived from the bounded t of the module
+    docstring, so they stay finite at any thickness.
+    """
 
     problem: BarrierProblem
     wavenumbers: Wavenumbers
+    t: complex  # S e^{kappa d}
     S: complex  # transmitted amplitude
     A: complex  # growing in-barrier mode
     B: complex  # decaying in-barrier mode
     R: complex  # reflected amplitude
+    edge_modes: tuple[complex, complex]
 
     @property
     def transmission(self) -> float:
@@ -144,25 +161,17 @@ class StationarySolution:
         """Reflection probability |R|^2."""
         return abs(self.R) ** 2
 
-    @property
-    def edge_modes(self) -> tuple[complex, complex]:
-        """(A e^{kappa d}, B e^{-kappa d}), the two in-barrier modes at x = d.
-
-        Taken from S as S e^{ikd} (1 +/- ik/kappa) / 2, so they stay bounded
-        at any thickness.
-        """
-        wn = self.wavenumbers
-        half = 0.5 * self.S * cmath.exp(1j * wn.k * self.problem.thickness)
-        ratio = wn.k / wn.kappa
-        return half * (1.0 + 1j * ratio), half * (1.0 - 1j * ratio)
-
     def psi_barrier(self, x):
-        """In-barrier wave A e^{kappa x} + B e^{-kappa x}; requires 0 <= x <= d."""
+        """In-barrier wave A e^{kappa x} + B e^{-kappa x}; requires 0 <= x <= d.
+
+        Evaluated as A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}.
+        """
         xarr = np.asarray(x, dtype=float)
-        if np.any(xarr < 0.0) or np.any(xarr > self.problem.thickness):
+        d = self.problem.thickness
+        if np.any(xarr < 0.0) or np.any(xarr > d):
             raise DomainError("barrier wavefunction is only defined on 0 <= x <= d")
-        kappa = self.wavenumbers.kappa
-        out = self.A * np.exp(kappa * xarr) + self.B * np.exp(-kappa * xarr)
+        kappa, a_d = self.wavenumbers.kappa, self.edge_modes[0]
+        out = a_d * np.exp(kappa * (xarr - d)) + self.B * np.exp(-kappa * xarr)
         return complex(out) if xarr.ndim == 0 else out
 
 
@@ -178,22 +187,19 @@ def wavenumbers(problem: BarrierProblem) -> Wavenumbers:
 
 
 def _transmission(wn: Wavenumbers, d: float) -> complex:
-    """S for wavenumbers ``wn`` through a barrier of thickness ``d``."""
+    """t = S e^{kappa d} for wavenumbers ``wn`` through a barrier of thickness ``d``."""
     ratio = wn.k / wn.kappa
-    kd = wn.kappa * d
-    return (
-        -2j
-        * ratio
-        * cmath.exp(-1j * wn.k * d)
-        / ((1.0 - ratio**2) * math.sinh(kd) - 2j * ratio * math.cosh(kd))
-    )
+    x = -2.0 * wn.kappa * d
+    den = (1.0 - ratio**2) * -math.expm1(x) - 2j * ratio * (1.0 + math.exp(x))
+    return -4j * ratio * cmath.exp(-1j * wn.k * d) / den
 
 
-def transmission_amplitude(problem: BarrierProblem, energy: float) -> complex:
-    """S at incident ``energy`` over the problem's barrier.
+def scaled_transmission(problem: BarrierProblem, energy: float) -> complex:
+    """t = S e^{kappa d} at incident ``energy`` over the problem's barrier.
 
-    Raises DomainError for an energy BarrierProblem would refuse: not
-    positive, or closer than NEAR_THRESHOLD_GAP_EV to the barrier top.
+    t is bounded at any thickness and has the phase of S. Raises DomainError
+    for an energy BarrierProblem would refuse: not positive, or closer than
+    NEAR_THRESHOLD_GAP_EV to the barrier top.
     """
     _check_tunneling(energy, problem.height)
     return _transmission(_wavenumbers(energy, problem.height), problem.thickness)
@@ -204,16 +210,19 @@ def stationary_solution(problem: BarrierProblem) -> StationarySolution:
     wn = wavenumbers(problem)
     k, kappa, d = wn.k, wn.kappa, problem.thickness
     ratio = k / kappa
-    kd = kappa * d
+    decay = math.exp(-kappa * d)
 
-    S = _transmission(wn, d)
+    t = _transmission(wn, d)
     # Value and slope continuity at x = d, solved for the in-barrier modes.
-    half = 0.5 * S * cmath.exp(1j * k * d)
-    A = half * (1.0 + 1j * ratio) * math.exp(-kd)
-    B = half * (1.0 - 1j * ratio) * math.exp(kd)
+    half = 0.5 * t * cmath.exp(1j * k * d)
+    B = half * (1.0 - 1j * ratio)
+    a_d = half * (1.0 + 1j * ratio) * decay
+    A = a_d * decay
     # Value continuity at x = 0.
     R = A + B - 1.0
-    return StationarySolution(problem=problem, wavenumbers=wn, S=S, A=A, B=B, R=R)
+    return StationarySolution(
+        problem, wn, t=t, S=t * decay, A=A, B=B, R=R, edge_modes=(a_d, B * decay)
+    )
 
 
 def incident_flux(problem: BarrierProblem) -> float:
@@ -238,9 +247,9 @@ def continuity_residual(sol: StationarySolution) -> tuple[float, float, float, f
     psi2_0 = sol.A + sol.B
     dpsi2_0 = kappa * (sol.A - sol.B)
 
-    grow = cmath.exp(kappa * d)
-    psi2_d = sol.A * grow + sol.B / grow
-    dpsi2_d = kappa * (sol.A * grow - sol.B / grow)
+    a_d, b_d = sol.edge_modes
+    psi2_d = a_d + b_d
+    dpsi2_d = kappa * (a_d - b_d)
     psi3_d = sol.S * cmath.exp(1j * k * d)
     dpsi3_d = 1j * k * psi3_d
 

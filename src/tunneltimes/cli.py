@@ -220,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
             _parser = build_parser()
         args = _parser.parse_args(argv)
         return _dispatch(args)
+    except SystemExit:  # --help or --version has printed; error() never exits
+        return 0
     except (ParseError, ValidationError, DomainError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 1

@@ -103,21 +103,21 @@ def momentum_amplitude(sol: StationarySolution, wavenumber):
     """Closed-form momentum amplitude at wavenumber K (scalar or array).
 
     Evaluates the exact antiderivative of exp(-iKx) (A e^{kappa x} +
-    B e^{-kappa x}) over [0, d]:
+    B e^{-kappa x}) over [0, d] on the edge modes, as P + Q e^{-iKd} of the
+    module docstring:
 
-        (1/sqrt(2 pi)) * [ A (e^{(kappa - iK) d} - 1) / (kappa - iK)
-                         + B (1 - e^{-(kappa + iK) d}) / (kappa + iK) ]
+        (1/sqrt(2 pi)) * [ (A e^{kappa d} e^{-iKd} - A) / (kappa - iK)
+                         + (B - B e^{-kappa d} e^{-iKd}) / (kappa + iK) ]
 
     The denominators cannot vanish since kappa > 0.
     """
     karr = np.asarray(wavenumber, dtype=float)
     kappa = sol.wavenumbers.kappa
-    d = sol.problem.thickness
-    grow = kappa - 1j * karr
-    decay = kappa + 1j * karr
+    a_d, b_d = sol.edge_modes
+    turn = np.exp(-1j * karr * sol.problem.thickness)
     out = (
-        sol.A * (np.exp(grow * d) - 1.0) / grow
-        + sol.B * (1.0 - np.exp(-decay * d)) / decay
+        (a_d * turn - sol.A) / (kappa - 1j * karr)
+        + (sol.B - b_d * turn) / (kappa + 1j * karr)
     ) / _SQRT_TWO_PI
     return complex(out) if karr.ndim == 0 else out
 
@@ -152,6 +152,8 @@ class MomentumSpectrum:
     def __post_init__(self):
         if not self.normalization > 0:
             raise DomainError("momentum-density normalization must be positive")
+        if not self.second_moment > 0:
+            raise DomainError("momentum-density second moment must be positive")
 
     @property
     def problem(self) -> BarrierProblem:

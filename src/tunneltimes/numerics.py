@@ -20,15 +20,21 @@ _EPS = 2.0**-52
 #: Stand-in for a vanishing denominator in the modified Lentz recurrence.
 _TINY = 1e-300
 
+#: Largest |z| the series takes: its terms reach about e^{|z|}, which is not
+#: a double past |z| of about 709.
+_SERIES_MAX_ABS = 700.0
+
 
 def scaled_e1(z: complex) -> complex:
     """exp(z) * E1(z), the principal branch, for z off the cut (-inf, 0].
 
     Both expansions follow Abramowitz & Stegun section 5.1. Where
     |z| + Re z <= 2 (small |z|, or close to the negative real axis, where
-    the series terms hardly cancel) it sums the series 5.1.11; elsewhere it
-    evaluates the continued fraction 5.1.22, in its even contraction
-    1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), by the modified Lentz method. The
+    the series terms hardly cancel) and |z| <= _SERIES_MAX_ABS it sums the
+    series 5.1.11; elsewhere it evaluates the continued fraction 5.1.22, in
+    its even contraction 1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), by the modified
+    Lentz method. Past |z| of about 700 the fraction converges near the cut
+    too, where e^z, the jump across it, is below the double epsilon. The
     scaled form stays bounded (about 1/z for large |z|) where E1 itself
     overflows or underflows.
 
@@ -38,7 +44,7 @@ def scaled_e1(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError(f"E1 is not defined on its branch cut, got z = {z}")
-    if abs(z) + z.real <= 2.0:
+    if abs(z) + z.real <= 2.0 and abs(z) <= _SERIES_MAX_ABS:
         total = 0j
         term = 1.0 + 0j
         for n in range(1, _MAX_TERMS):

@@ -26,11 +26,11 @@ without one (a failed solve or spectrum, or a record re-read from CSV)
 cannot be drawn.
 
 Per-point failures land in the record's ``error`` column; a missing depth on a
-thin barrier is a ``no_crossing`` note, not an error. The one failure that
-still aborts the sweep is the overflow of the unscaled closed forms once
-kappa*d exceeds about 355 (see the barrier module). NaN is never serialized:
-absent values are empty cells, and a non-finite value raises
-FloatingPointError instead of reaching a cell.
+thin barrier is a ``no_crossing`` note, not an error. The barrier solution and
+the closed forms are held in bounded form (see the barrier module), so no
+thickness aborts the sweep. NaN is never serialized: absent values are empty
+cells, and a non-finite value raises FloatingPointError instead of reaching a
+cell.
 """
 
 from __future__ import annotations
@@ -210,9 +210,7 @@ def evaluate(
     exceptions behind them (a cross-check failure is a NoConvergence quoting
     both routes) are returned in evaluation order. The sweep runs every block
     and keeps only the cells; a point command runs the blocks behind its
-    columns and raises the first exception. An ArithmeticError, which the
-    unscaled closed forms raise once kappa*d exceeds about 355, ends the
-    evaluation as the last exception.
+    columns and raises the first exception.
 
     ``grid_point`` is the (E/V0, d in nm) the record is filed under; the sweep
     passes its grid values so that records key exactly. It defaults to the
@@ -241,61 +239,56 @@ def evaluate(
             )
             fail(mismatch, str(mismatch))
 
-    try:
-        sol = stationary_solution(problem)
-        values.update(s_abs2=sol.transmission, r_abs2=sol.reflection)
-        kin = None
-        if "momentum" in blocks:
-            try:
-                # kept before kinematics(), so fig1 still draws a point whose
-                # window is too wide for a subluminal v_rms
-                spectrum = momentum_spectrum(problem, solution=sol)
-                kin = spectrum.kinematics()
-                values.update(
-                    k_rms=kin.k_rms,
-                    v_rms=kin.v_rms,
-                    t_eff_s=kin.t_eff,
-                    eps_eff_ev=energy_si_to_ev(kin.eps_eff),
-                )
-            except (DomainError, NoConvergence) as exc:
-                fail(exc, f"momentum: {exc}")
-        if "times" in blocks:
-            # the stencil runs before the closed forms, so a clipped stencil
-            # is the first failure even where they overflow
-            t_ph_num = None
-            try:
-                t_ph_num = phase_time_numeric(problem, cfg.phase_step_ev)
-            except DomainError as exc:
-                caught.append(exc)
-                notes.append(NOTE_PHASE_CLIPPED)
-            t_ph_ana = phase_time_analytic(problem)
-            t_dw_num = dwell_time_numeric(problem, solution=sol)
-            t_dw_ana = dwell_time_analytic(problem)
+    sol = stationary_solution(problem)
+    values.update(s_abs2=sol.transmission, r_abs2=sol.reflection)
+    kin = None
+    if "momentum" in blocks:
+        try:
+            # kept before kinematics(), so fig1 still draws a point whose
+            # window is too wide for a subluminal v_rms
+            spectrum = momentum_spectrum(problem, solution=sol)
+            kin = spectrum.kinematics()
             values.update(
-                t_ph_numeric_s=t_ph_num,
-                t_ph_analytic_s=t_ph_ana,
-                t_dw_numeric_s=t_dw_num,
-                t_dw_analytic_s=t_dw_ana,
-                t_bl_s=bl_time(problem),
+                k_rms=kin.k_rms,
+                v_rms=kin.v_rms,
+                t_eff_s=kin.t_eff,
+                eps_eff_ev=energy_si_to_ev(kin.eps_eff),
             )
-            if t_ph_num is not None:
-                cross_check("phase", t_ph_num, t_ph_ana)
-            cross_check("dwell", t_dw_num, t_dw_ana)
-        if "depth" in blocks:
-            try:
-                depth = penetration_depth(problem)
-                if depth is None:
-                    notes.append(NOTE_NO_CROSSING)
-                else:
-                    values["s_nm"] = length_si_to_nm(depth)
-                    if kin is not None:
-                        tau = depth / kin.v_rms
-                        values["tau_eff_s"] = tau
-                        values["xi"] = 2.0 * kin.eps_eff * tau / CONSTANTS.hbar
-            except (DomainError, NoConvergence) as exc:
-                fail(exc, f"depth: {exc}")
-    except ArithmeticError as exc:
-        caught.append(exc)
+        except (DomainError, NoConvergence) as exc:
+            fail(exc, f"momentum: {exc}")
+    if "times" in blocks:
+        t_ph_num = None
+        try:
+            t_ph_num = phase_time_numeric(problem, cfg.phase_step_ev)
+        except DomainError as exc:
+            caught.append(exc)
+            notes.append(NOTE_PHASE_CLIPPED)
+        t_ph_ana = phase_time_analytic(problem)
+        t_dw_num = dwell_time_numeric(problem, solution=sol)
+        t_dw_ana = dwell_time_analytic(problem)
+        values.update(
+            t_ph_numeric_s=t_ph_num,
+            t_ph_analytic_s=t_ph_ana,
+            t_dw_numeric_s=t_dw_num,
+            t_dw_analytic_s=t_dw_ana,
+            t_bl_s=bl_time(problem),
+        )
+        if t_ph_num is not None:
+            cross_check("phase", t_ph_num, t_ph_ana)
+        cross_check("dwell", t_dw_num, t_dw_ana)
+    if "depth" in blocks:
+        try:
+            depth = penetration_depth(problem)
+            if depth is None:
+                notes.append(NOTE_NO_CROSSING)
+            else:
+                values["s_nm"] = length_si_to_nm(depth)
+                if kin is not None:
+                    tau = depth / kin.v_rms
+                    values["tau_eff_s"] = tau
+                    values["xi"] = 2.0 * kin.eps_eff * tau / CONSTANTS.hbar
+        except (DomainError, NoConvergence) as exc:
+            fail(exc, f"depth: {exc}")
 
     record = SweepRecord(
         e_over_v0=e_ratio,
@@ -312,11 +305,7 @@ def evaluate(
 
 
 def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord:
-    """The sweep's record at one grid point: every block, failures in its cells.
-
-    An ArithmeticError cannot be isolated per point yet (ROADMAP item 3), so
-    it propagates and aborts the sweep.
-    """
+    """The sweep's record at one grid point: every block, failures in its cells."""
     e_ev = e_ratio * cfg.v0_ev
     try:
         problem = BarrierProblem.from_ev_nm(e_ev, cfg.v0_ev, d_nm, cfg.cutoff)
@@ -329,10 +318,7 @@ def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord
             cutoff=cfg.cutoff,
             error=f"problem: {exc}",
         )
-    record, caught = evaluate(problem, cfg, grid_point=(e_ratio, d_nm))
-    if caught and isinstance(caught[-1], ArithmeticError):
-        raise caught[-1]
-    return record
+    return evaluate(problem, cfg, grid_point=(e_ratio, d_nm))[0]
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:

@@ -12,13 +12,23 @@ Four inequivalent clocks are computed side by side:
 Phase and dwell times are each computed twice: numerically from their
 definitions and from independent closed forms sharing the denominator
 
-    D = 4 kappa^2 k^2 + (2 m V0 / hbar^2)^2 sinh^2(kappa d).
+    D = 4 kappa^2 k^2 + g^2 sinh^2(kappa d),   g = 2 m V0 / hbar^2.
+
+Both closed forms are evaluated with numerator and denominator scaled by
+e^{-2 kappa d}, on
+
+    D~ = D e^{-2 kappa d} = 4 kappa^2 k^2 e^{-2 kappa d}
+                            + g^2 expm1(-2 kappa d)^2 / 4,
+
+with sinh(2 kappa d) e^{-2 kappa d} = -expm1(-4 kappa d) / 2, so they stay
+finite at any thickness. D itself, which only the ``times`` command prints, is
+D~ e^{2 kappa d} and is not a double past kappa d of about 355.
 
 The "numeric" routes work from the scattering coefficients, not from D: the
-phase time differences arg S of the closed-form transmission amplitude at
-E +/- h, and the dwell time integrates |A e^{kappa x} + B e^{-kappa x}|^2 over
-the barrier term by term, an exact integral of the definition. The numerical
-route is the arbiter.
+phase time differences the argument of the bounded t = S e^{kappa d} (which
+is arg S) at E +/- h, and the dwell time integrates
+|A e^{kappa x} + B e^{-kappa x}|^2 over the barrier term by term, an exact
+integral of the definition. The numerical route is the arbiter.
 ``sweep.evaluate`` cross-checks each pair: routes more than CROSS_CHECK_TOL
 (1e-5 relative) apart, or not finite, put both values in the record's error
 cell, and the ``times`` command exits 3 quoting them. (The test suite holds
@@ -36,7 +46,7 @@ from .barrier import (
     StationarySolution,
     incident_flux,
     stationary_solution,
-    transmission_amplitude,
+    scaled_transmission,
     wavenumbers,
 )
 from .constants import CONSTANTS, energy_ev_to_si
@@ -58,12 +68,28 @@ _EDGE_FORM_KAPPA_D = 0.5
 CROSS_CHECK_TOL = 1e-5
 
 
-def shared_denominator(problem: BarrierProblem) -> float:
-    """D of the module docstring, 1/m^4, shared by both closed forms."""
+def _parts(problem: BarrierProblem) -> tuple[float, float, float, float]:
+    """k, kappa, kappa d and g = 2 m V0 / hbar^2 (equal to k^2 + kappa^2)."""
     wn = wavenumbers(problem)
-    k, kappa = wn.k, wn.kappa
-    g = 2.0 * _M * problem.height / _HBAR**2  # equals k^2 + kappa^2
-    return 4.0 * kappa**2 * k**2 + g**2 * math.sinh(kappa * problem.thickness) ** 2
+    g = 2.0 * _M * problem.height / _HBAR**2
+    return wn.k, wn.kappa, wn.kappa * problem.thickness, g
+
+
+def scaled_denominator(problem: BarrierProblem) -> float:
+    """D~ = D e^{-2 kappa d} of the module docstring, 1/m^4, shared by both
+    closed forms."""
+    k, kappa, kd, g = _parts(problem)
+    return (4.0 * kappa**2 * k**2 * math.exp(-2.0 * kd)
+            + g**2 * math.expm1(-2.0 * kd) ** 2 / 4.0)
+
+
+def shared_denominator(problem: BarrierProblem) -> float:
+    """D of the module docstring, 1/m^4, as D~ e^{2 kappa d}.
+
+    Past kappa d of about 355 it is not a double: inf, or OverflowError
+    from the exponential.
+    """
+    return scaled_denominator(problem) * math.exp(2.0 * _parts(problem)[2])
 
 
 def phase_time_numeric(
@@ -71,14 +97,15 @@ def phase_time_numeric(
 ) -> float:
     """Group delay from a central difference of the transmission phase.
 
-    The phase difference arg S(E + h) - arg S(E - h) is shifted by the
-    multiple of 2 pi that lands it in (-pi, pi], so a branch cut of the
-    principal argument between the stencil points does not corrupt it.
+    The phase difference arg t(E + h) - arg t(E - h) of the bounded
+    t = S e^{kappa d}, which has the phase of S and is never zero or
+    infinite, is shifted by the multiple of 2 pi that lands it in (-pi, pi],
+    so a branch cut of the principal argument between the stencil points does
+    not corrupt it.
 
-    Raises DomainError for a step that is not positive, when the stencil
+    Raises DomainError for a step that is not positive and when the stencil
     E +/- h leaves the tunneling regime (including the near-threshold guard
-    band), which clips the extreme edges of energy grids, and where S is zero
-    or not finite at a stencil point.
+    band), which clips the extreme edges of energy grids.
     """
     h = energy_ev_to_si(step_ev)
     if not h > 0:
@@ -88,12 +115,8 @@ def phase_time_numeric(
         raise DomainError(
             f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
         )
-    sp = transmission_amplitude(problem, e0 + h)
-    sm = transmission_amplitude(problem, e0 - h)
-    if sp == 0 or sm == 0:
-        raise DomainError("S vanishes at a stencil point; its phase is undefined")
-    if not (math.isfinite(abs(sp)) and math.isfinite(abs(sm))):
-        raise DomainError("S is not finite at the stencil points")
+    sp = scaled_transmission(problem, e0 + h)
+    sm = scaled_transmission(problem, e0 - h)
     delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
     delta -= 2.0 * math.pi * math.ceil((delta - math.pi) / (2.0 * math.pi))
     return problem.thickness / math.sqrt(2.0 * e0 / _M) + _HBAR * (delta / (2.0 * h))
@@ -101,14 +124,10 @@ def phase_time_numeric(
 
 def phase_time_analytic(problem: BarrierProblem) -> float:
     """Closed form for the group delay; certified against the numeric route."""
-    wn = wavenumbers(problem)
-    k, kappa, d = wn.k, wn.kappa, problem.thickness
-    g = 2.0 * _M * problem.height / _HBAR**2
-    dd = shared_denominator(problem)
-    bracket = 2.0 * kappa * d * k**2 * (kappa**2 - k**2) + g**2 * math.sinh(
-        2.0 * kappa * d
-    )
-    return _M / (_HBAR * k * kappa * dd) * bracket
+    k, kappa, kd, g = _parts(problem)
+    bracket = 2.0 * k**2 * (kappa**2 - k**2) * (kd * math.exp(-2.0 * kd))
+    bracket -= g**2 * math.expm1(-4.0 * kd) / 2.0
+    return _M / (_HBAR * k * kappa * scaled_denominator(problem)) * bracket
 
 
 def dwell_time_numeric(
@@ -146,12 +165,10 @@ def dwell_time_numeric(
 
 def dwell_time_analytic(problem: BarrierProblem) -> float:
     """Closed form for the dwell time; certified against the numeric route."""
-    wn = wavenumbers(problem)
-    k, kappa, d = wn.k, wn.kappa, problem.thickness
-    g = 2.0 * _M * problem.height / _HBAR**2
-    dd = shared_denominator(problem)
-    bracket = 2.0 * kappa * d * (kappa**2 - k**2) + g * math.sinh(2.0 * kappa * d)
-    return _M * k / (_HBAR * kappa * dd) * bracket
+    k, kappa, kd, g = _parts(problem)
+    bracket = 2.0 * (kappa**2 - k**2) * (kd * math.exp(-2.0 * kd))
+    bracket -= g * math.expm1(-4.0 * kd) / 2.0
+    return _M * k / (_HBAR * kappa * scaled_denominator(problem)) * bracket
 
 
 def bl_time(problem: BarrierProblem) -> float:

@@ -2,7 +2,7 @@
 
 Everything here recomputes its target from scratch (a boundary-matching
 linear solve, textbook closed forms, analytic antiderivatives, a dense scan
-plus bisection, adaptive quadrature, mpmath at 30 to 40 digits, CSV cells
+plus bisection, adaptive quadrature, mpmath at 30 to 50 digits, CSV cells
 formatted one at a time) rather than calling the code path it certifies. The
 mpmath oracles import mpmath when called, so a test that uses them skips
 where it is not installed.
@@ -160,12 +160,12 @@ def solve_by_matching(e_ev: float, v0_ev: float, d_nm: float):
 
 
 def stencil_phase_time(problem, step_ev: float) -> float:
-    """Phase time from the S of two fully solved problems at E +/- h.
+    """Phase time from the t = S e^{kappa d} of two fully solved problems at E +/- h.
 
     Each stencil energy builds its own BarrierProblem (which validates it) and
-    solves it for S, A, B and R; only S is kept, and the wrapped difference of
-    its principal argument gives d(arg S)/dE. The library takes S straight
-    from its closed form instead. Both share the S expression, which
+    solves it for t, S, A, B and R; only t is kept, and the wrapped difference
+    of its principal argument gives d(arg S)/dE. The library takes t straight
+    from its closed form instead. Both share the t expression, which
     solve_by_matching certifies; this certifies everything around it.
     """
     h = energy_ev_to_si(step_ev)
@@ -176,12 +176,8 @@ def stencil_phase_time(problem, step_ev: float) -> float:
         raise DomainError(
             f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
         )
-    sp = complex(stationary_solution(replace(problem, energy=e0 + h)).S)
-    sm = complex(stationary_solution(replace(problem, energy=e0 - h)).S)
-    if sp == 0 or sm == 0:
-        raise DomainError("S vanishes at a stencil point; its phase is undefined")
-    if not (math.isfinite(abs(sp)) and math.isfinite(abs(sm))):
-        raise DomainError("S is not finite at the stencil points")
+    sp = stationary_solution(replace(problem, energy=e0 + h)).t
+    sm = stationary_solution(replace(problem, energy=e0 - h)).t
     two_pi = 2.0 * math.pi
     delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
     delta -= two_pi * math.ceil((delta - math.pi) / two_pi)  # wrap into (-pi, pi]
@@ -275,6 +271,44 @@ def _mp_solution(problem, mp):
     a_amp = half * (1 + 1j * ratio) * mp.exp(-kappa * d)
     b_amp = half * (1 - 1j * ratio) * mp.exp(kappa * d)
     return k, kappa, d, mp.mpf(problem.cutoff), a_amp, b_amp
+
+
+def mp_closed_forms(problem, dps: int = 50) -> tuple[complex, float, float, float]:
+    """(t e^{ikd}, phase time, dwell time, D e^{-2 kappa d}) at ``dps`` digits.
+
+    Every quantity comes from the textbook unscaled form (S from sinh and
+    cosh, D = 4 kappa^2 k^2 + g^2 sinh^2(kappa d), the brackets with
+    sinh(2 kappa d)), which mpmath's exponent range evaluates at any
+    thickness. t = S e^{kappa d} is returned times e^{ikd}: the phase kd of a
+    thick barrier is known only to kd times the double rounding of its
+    inputs, which no formula for t can improve on.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        m = mp.mpf(CONSTANTS.electron_mass)
+        hbar = mp.mpf(CONSTANTS.hbar)
+        k = mp.sqrt(2 * m * mp.mpf(problem.energy)) / hbar
+        kappa = mp.sqrt(2 * m * (mp.mpf(problem.height) - mp.mpf(problem.energy))) / hbar
+        d = mp.mpf(problem.thickness)
+        g = 2 * m * mp.mpf(problem.height) / hbar**2
+        ratio = k / kappa
+        reduced = (
+            -2j * ratio * mp.exp(kappa * d)
+            / ((1 - ratio**2) * mp.sinh(kappa * d) - 2j * ratio * mp.cosh(kappa * d))
+        )
+        dd = 4 * kappa**2 * k**2 + g**2 * mp.sinh(kappa * d) ** 2
+        sinh2 = mp.sinh(2 * kappa * d)
+        phase = m / (hbar * k * kappa * dd) * (
+            2 * kappa * d * k**2 * (kappa**2 - k**2) + g**2 * sinh2
+        )
+        dwell = m * k / (hbar * kappa * dd) * (2 * kappa * d * (kappa**2 - k**2) + g * sinh2)
+        return (
+            complex(reduced),
+            float(phase),
+            float(dwell),
+            float(dd * mp.exp(-2 * kappa * d)),
+        )
 
 
 def mp_window_moments(problem, dps: int = 40) -> tuple[float, float]:

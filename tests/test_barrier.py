@@ -12,7 +12,7 @@ from tunneltimes.barrier import (
     continuity_residual,
     incident_flux,
     stationary_solution,
-    transmission_amplitude,
+    scaled_transmission,
     wavenumbers,
 )
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si
@@ -48,6 +48,26 @@ class TestBarrierProblem:
     def test_invalid_inputs_rejected(self, e_ev, v0_ev, d_nm, cutoff):
         with pytest.raises(DomainError):
             BarrierProblem.from_ev_nm(e_ev, v0_ev, d_nm, cutoff)
+
+    @pytest.mark.parametrize(
+        "e_ev, d_nm, cutoff, phase",
+        [
+            (5.0, 1e308, 7.5e10, "barrier phase k d"),  # about 1.1e309
+            (1e-30, 2e307, 7.5e10, "barrier phase k d"),  # k d finite, kappa d not
+            (5.0, 1e290, 1e300, "window phase Kprime d"),  # k d finite, Kprime d not
+        ],
+    )
+    def test_thickness_with_a_non_finite_phase_rejected(self, e_ev, d_nm, cutoff, phase):
+        with pytest.raises(DomainError, match=f"{phase} must be finite"):
+            BarrierProblem.from_ev_nm(e_ev, 10.0, d_nm, cutoff)
+
+    def test_largest_thickness_with_a_finite_phase_is_solved(self):
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 1e298)
+        sol = stationary_solution(p)
+        assert (sol.S, sol.A) == (0, 0)
+        # the opaque limit at k = kappa: |t| = 2, so |B| = sqrt(2), and |R| = 1
+        assert abs(sol.B) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert abs(sol.R) == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_unit_conversion(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
@@ -122,16 +142,19 @@ class TestStationarySolution:
 
 
 class TestTransmissionAmplitude:
-    def test_equals_the_solved_s_at_the_problems_energy(self):
+    def test_equals_the_solved_t_at_the_problems_energy(self):
         for p in sweep_problems():
-            assert transmission_amplitude(p, p.energy) == stationary_solution(p).S
+            sol = stationary_solution(p)
+            assert scaled_transmission(p, p.energy) == sol.t
+            decay = math.exp(-sol.wavenumbers.kappa * p.thickness)
+            assert sol.S == sol.t * decay
 
     def test_equals_a_solved_problem_at_another_energy(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         for e_ev in (0.01, 2.5, 5.0001, 9.99):
             other = BarrierProblem.from_ev_nm(e_ev, 10.0, 0.5)
-            got = transmission_amplitude(p, other.energy)
-            assert got == stationary_solution(other).S
+            got = scaled_transmission(p, other.energy)
+            assert got == stationary_solution(other).t
 
     @pytest.mark.parametrize(
         "e_ev", [0.0, -1.0, 10.0, 11.0, 10.0 - 5e-7, math.nan], ids=str
@@ -141,7 +164,7 @@ class TestTransmissionAmplitude:
         with pytest.raises(DomainError) as refused:
             BarrierProblem.from_ev_nm(e_ev, 10.0, 0.5)
         with pytest.raises(DomainError, match=re.escape(str(refused.value))):
-            transmission_amplitude(p, energy_ev_to_si(e_ev))
+            scaled_transmission(p, energy_ev_to_si(e_ev))
 
 
 class TestPsiEvaluation:
@@ -178,6 +201,16 @@ class TestPsiEvaluation:
         pure = math.exp(-2.0 * sol.wavenumbers.kappa * x)
         assert abs(ratio - pure) / pure < 0.2
 
+    def test_thick_barrier_wave_is_finite_and_decays(self):
+        # kappa d of about 2300: A e^{kappa x} would be 0 * inf
+        sol = stationary_solution(BarrierProblem.from_ev_nm(5.0, 10.0, 200.0))
+        xs = np.linspace(0.0, sol.problem.thickness, 9)
+        psi = sol.psi_barrier(xs)
+        assert np.all(np.isfinite(psi))
+        assert psi[0] == pytest.approx(1.0 + sol.R, rel=1e-12)
+        decay = np.exp(-sol.wavenumbers.kappa * xs[1:4])
+        assert np.abs(psi[1:4]) == pytest.approx(abs(sol.B) * decay, rel=1e-12)
+
     def test_vectorized_evaluation_matches_scalars(self):
         sol = stationary_solution(BarrierProblem.from_ev_nm(2.0, 10.0, 0.5))
         xs = np.linspace(0.0, sol.problem.thickness, 7)
@@ -213,6 +246,11 @@ class TestContinuityResidual:
     def test_tiny_everywhere_on_the_sweep(self):
         for p in sweep_problems():
             assert max(continuity_residual(stationary_solution(p))) < 1e-10
+
+    def test_tiny_on_thick_barriers(self):
+        for d_nm in (40.0, 70.0, 200.0, 1e6):
+            sol = stationary_solution(BarrierProblem.from_ev_nm(5.0, 10.0, d_nm))
+            assert max(continuity_residual(sol)) < 1e-10
 
     def test_tiny_near_threshold(self):
         sol = stationary_solution(BarrierProblem.from_ev_nm(9.9, 10.0, 1.0))

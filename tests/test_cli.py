@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tunneltimes import __version__, cli
+from tunneltimes import __version__, cli, sweep
 from tunneltimes.cli import main
 from tunneltimes.momentum import MomentumSpectrum
 
@@ -108,6 +109,22 @@ class TestGridCommands:
         assert code == 0
         assert "t_ph_s,t_dw_s,t_bl_s" in out
 
+    def test_thick_barriers_sweep_and_draw(self, capsys, tmp_path):
+        # kappa*d from about 70 to 2300, past where sinh(kappa d) overflows
+        config = tmp_path / "thick.cfg"
+        config.write_text(
+            "E_over_V0_grid=0.1,0.5,0.9\nd_nm_grid=20,60,200\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert code == 0 and err == ""
+        rows = [l for l in out.splitlines() if l and not l.startswith("#")]
+        assert len(rows) == 1 + 9 and all(row.endswith(",") for row in rows[1:])
+        out_dir = tmp_path / "figs"
+        code, _, err = run(capsys, "figures", "--config", str(config),
+                           "--out-dir", str(out_dir))
+        assert code == 0 and err == ""
+        assert len(list(out_dir.iterdir())) == 6
+
     def test_outputs_key_is_refused(self, capsys, tmp_path):
         # --which picks one figure; the config has no figure list
         config = tmp_path / "narrow.cfg"
@@ -126,6 +143,16 @@ class TestExitCodes:
     def test_domain_error_is_one(self, capsys):
         code, _, err = run(capsys, "coeffs", "--E-eV", "15", "--d-nm", "1")
         assert code == 1 and "error" in err
+
+    def test_thickness_with_a_non_finite_phase_is_one(self, capsys):
+        code, out, err = run(capsys, "coeffs", "--E-eV", "5", "--d-nm", "1e308")
+        assert code == 1 and out == ""
+        assert err == "tunneltimes: error: barrier phase k d must be finite\n"
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])
+    def test_version_and_help_return_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
     def test_bad_flag_is_one(self, capsys):
         code, _, err = run(capsys, "coeffs", "--E-eV", "5", "--nonsense")
@@ -162,18 +189,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert f"{name} must be finite" in err
 
-    def test_non_finite_output_is_three(self, capsys):
-        # a little below the overflow threshold the closed-form times are NaN,
-        # which fails the cross-check before it could reach a cell
-        code, out, err = run(capsys, "times", "--E-eV", "6.3451208733386855",
-                             "--V0-eV", "25.89019666702725",
-                             "--d-nm", "15.089278571432091")
+    def test_non_finite_output_is_three(self, capsys, monkeypatch):
+        # a NaN closed-form time fails the cross-check before it could reach
+        # a cell
+        monkeypatch.setattr(sweep, "phase_time_analytic", lambda problem: math.nan)
+        code, out, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "0.5")
         assert code == 3 and out == ""
         assert "numeric failure: phase cross-check: numeric " in err
         assert err.rstrip().endswith("vs analytic nan")
 
     def test_numeric_failure_is_three(self, capsys):
-        # kappa*d is about 458: the closed-form times square an overflowing sinh
+        # kappa*d is about 458: the printed D = D~ e^{2 kappa d} is not a double
         code, _, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "40")
         assert code == 3 and "numeric failure" in err
 
@@ -240,9 +266,7 @@ class TestParserReuse:
         assert run(capsys, "sweep", "--config", str(small), "--out", "-")[0] == 0
         assert run(capsys, "coeffs", "--E-eV", "5", "--nonsense")[0] == 1
         assert run(capsys, "sweep", "--config", str(bad))[0] == 1
-        with pytest.raises(SystemExit) as exit_:
-            main(["--version"])
-        assert exit_.value.code == 0
+        assert main(["--version"]) == 0
         assert capsys.readouterr().out == f"tunneltimes {__version__}\n"
         # the defaults, not the flags of earlier calls, drive these
         for command in ("coeffs", "momentum", "times", "depth"):

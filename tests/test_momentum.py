@@ -16,6 +16,7 @@ from tunneltimes.constants import CONSTANTS, SPEED_OF_LIGHT, energy_si_to_ev
 from tunneltimes.errors import DomainError
 from tunneltimes.momentum import (
     EffectiveKinematics,
+    MomentumSpectrum,
     momentum_amplitude,
     momentum_spectrum,
 )
@@ -158,6 +159,8 @@ class TestWindowMoments:
             (10.0 - 1e-5, 10.0, 0.1),  # kappa d ~ 1.6e-3: the series route
             (10.0 - 1e-5, 10.0, 0.05),
             (5.0, 10.0, 1e-4),  # kappa d ~ 1.1e-3 far from the barrier top
+            (5.0, 10.0, 200.0),  # kappa d ~ 2300: S underflows, t does not
+            (1.0, 20.0, 100.0),  # kappa d ~ 2200 on a taller barrier
         ],
     )
     @pytest.mark.parametrize("cutoff", [1e9, 7.5e10, 1e13])
@@ -259,6 +262,14 @@ class TestEffectiveKinematics:
             EffectiveKinematics(
                 k_rms=3e12, v_rms=3.5e8, t_eff=1e-17, eps_eff=1e-16
             )
+
+    def test_nonpositive_second_moment_rejected(self):
+        # a cancelled moment must not reach sqrt() or a division by v_rms
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
+        sol = stationary_solution(p)
+        for second in (0.0, -1e-30, math.nan):
+            with pytest.raises(DomainError, match="second moment"):
+                MomentumSpectrum(solution=sol, normalization=1.0, second_moment=second)
 
     def test_nonpositive_kinematics_rejected(self):
         with pytest.raises(DomainError):

@@ -65,12 +65,13 @@ class TestIntegrate:
 class TestScaledE1:
     # the series region (|z| + Re z <= 2), the continued fraction around it,
     # the conjugate pairs the spectrum uses, and the negative half-plane up to
-    # |z| of several hundred, where E1 itself over- or underflows
+    # |z| of several hundred, where E1 itself over- or underflows; past |z| of
+    # 700 the continued fraction takes the negative real axis too
     POINTS = (
         0.3, 1e-8 + 2e-8j, 0.5 - 0.5j, -0.4 + 0.1j, 2.0, 1.0 + 1.0j, 3.0 - 40.0j,
         0.016 + 75.0j, -0.016 - 75.0j, 11.5 + 75.0j, -11.5 - 75.0j, -1.0 + 1e-12j,
         -2.5 + 0.3j, -350.0 - 21.9j, 350.0 + 21.9j, -20.0 + 20.0j, 1e4 - 3e3j,
-        -700.0 + 0.5j,
+        -700.0 + 0.5j, -800.0 - 5.0j, -3950.0 - 18.0j, -1e6 - 1e-3j,
     )
 
     @pytest.mark.parametrize("z", POINTS, ids=str)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import mp_dwell_numerator, stencil_phase_time
+from oracles import mp_closed_forms, mp_dwell_numerator, stencil_phase_time
 from tunneltimes import times
 from tunneltimes.barrier import (
     BarrierProblem,
     incident_flux,
     stationary_solution,
-    transmission_amplitude,
+    scaled_transmission,
     wavenumbers,
 )
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si
@@ -25,6 +25,7 @@ from tunneltimes.times import (
     dwell_time_numeric,
     phase_time_analytic,
     phase_time_numeric,
+    scaled_denominator,
     shared_denominator,
 )
 
@@ -100,7 +101,7 @@ def _outcome(fn, *args):
 
 
 class TestPhaseStencil:
-    """The stencil differences arg S of the closed-form S at E +/- h."""
+    """The stencil differences arg t of the closed-form t = S e^{kappa d} at E +/- h."""
 
     P = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
 
@@ -138,8 +139,8 @@ class TestPhaseStencil:
         # arg S passes from -pi to +pi between E - h and E + h
         p = BarrierProblem.from_ev_nm(0.66873087454, 10.0, 0.5)
         h = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
-        below = cmath.phase(transmission_amplitude(p, p.energy - h))
-        above = cmath.phase(transmission_amplitude(p, p.energy + h))
+        below = cmath.phase(scaled_transmission(p, p.energy - h))
+        above = cmath.phase(scaled_transmission(p, p.energy + h))
         assert below < -3.14 and above > 3.14
         numeric = phase_time_numeric(p)
         assert abs(numeric - phase_time_analytic(p)) <= AGREEMENT * numeric
@@ -149,24 +150,16 @@ class TestPhaseStencil:
         with pytest.raises(DomainError, match="step h must be positive"):
             phase_time_numeric(self.P, step_ev)
 
-    @pytest.mark.parametrize(
-        "value", [0j, complex(math.inf, 0.0), complex(math.nan, 1.0)], ids=str
-    )
-    def test_zero_or_non_finite_s_rejected(self, monkeypatch, value):
-        monkeypatch.setattr(times, "transmission_amplitude", lambda p, e: value)
-        with pytest.raises(DomainError, match="S "):
-            phase_time_numeric(self.P)
-
     def test_linear_phase_gives_its_slope(self, monkeypatch):
         slope = 1.3 / energy_ev_to_si(1.0)  # arg S = slope * E
         monkeypatch.setattr(
-            times, "transmission_amplitude", lambda p, e: cmath.exp(1j * slope * e)
+            times, "scaled_transmission", lambda p, e: cmath.exp(1j * slope * e)
         )
         delay = phase_time_numeric(self.P) - self.free_flight(self.P)
         assert delay == pytest.approx(CONSTANTS.hbar * slope, rel=1e-9)
 
     def test_constant_phase_leaves_the_free_flight(self, monkeypatch):
-        monkeypatch.setattr(times, "transmission_amplitude", lambda p, e: 0.7 - 0.2j)
+        monkeypatch.setattr(times, "scaled_transmission", lambda p, e: 0.7 - 0.2j)
         assert phase_time_numeric(self.P) == self.free_flight(self.P)
 
     @given(
@@ -179,9 +172,9 @@ class TestPhaseStencil:
         ev = energy_ev_to_si(1.0)
         fake = lambda e: cmath.exp(0.8j * e / ev) * (2.0 + 0.5j)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(times, "transmission_amplitude", lambda q, e: fake(e))
+            mp.setattr(times, "scaled_transmission", lambda q, e: fake(e))
             plain = phase_time_numeric(p, 0.3)
-            mp.setattr(times, "transmission_amplitude", lambda q, e: const * fake(e))
+            mp.setattr(times, "scaled_transmission", lambda q, e: const * fake(e))
             scaled = phase_time_numeric(p, 0.3)
         assert scaled == pytest.approx(plain, rel=1e-12)
 
@@ -272,6 +265,49 @@ class TestTraversalTime:
             for e_ev in (1.0, 3.0, 5.0, 7.0, 9.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def scaled_points():
+    """kappa d from 1e-3 to 3e3 at energy ratios up to 0.999 and three heights."""
+    for ratio in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
+        for v0 in (1.0, 10.0, 25.0):
+            kappa = wavenumbers(BarrierProblem.from_ev_nm(ratio * v0, v0, 1.0)).kappa
+            for kappa_d in (1e-3, 3e-3, 1e-2, 0.1, 0.4, 0.6, 1.0, 10.0, 100.0, 355.0,
+                            710.0, 1e3, 3e3):
+                yield BarrierProblem.from_ev_nm(ratio * v0, v0, kappa_d / kappa * 1e9)
+
+
+class TestScaledForms:
+    """The e^{-kappa d}-scaled forms against the unscaled ones at 50 digits."""
+
+    def test_match_mpmath_from_thin_to_thick(self):
+        pytest.importorskip("mpmath")
+        for p in scaled_points():
+            reduced, phase, dwell, scaled = mp_closed_forms(p)
+            sol = stationary_solution(p)
+            got = sol.t * cmath.exp(1j * sol.wavenumbers.k * p.thickness)
+            assert abs(got - reduced) <= 1e-12 * abs(reduced)
+            assert phase_time_analytic(p) == pytest.approx(phase, rel=1e-12)
+            assert dwell_time_analytic(p) == pytest.approx(dwell, rel=1e-12)
+            assert scaled_denominator(p) == pytest.approx(scaled, rel=1e-12)
+
+    def test_printed_denominator_is_the_scaled_one_times_e_2_kappa_d(self):
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
+        wn = wavenumbers(p)
+        g = 2.0 * CONSTANTS.electron_mass * p.height / CONSTANTS.hbar**2
+        textbook = 4.0 * wn.kappa**2 * wn.k**2 + g**2 * math.sinh(wn.kappa * p.thickness) ** 2
+        assert shared_denominator(p) == pytest.approx(textbook, rel=1e-14)
+
+    def test_printed_denominator_is_not_a_double_on_a_thick_barrier(self):
+        # kappa d of about 458
+        with pytest.raises(OverflowError):
+            shared_denominator(BarrierProblem.from_ev_nm(5.0, 10.0, 40.0))
+
+    def test_stencil_phase_is_finite_where_s_underflows(self):
+        # kappa d of about 2300: S is below the smallest double, t is not
+        p = BarrierProblem.from_ev_nm(5.0, 10.0, 200.0)
+        assert stationary_solution(p).S == 0
+        assert phase_time_numeric(p) == pytest.approx(phase_time_analytic(p), rel=AGREEMENT)
 
 
 class TestSaturationAndDisagreement:
