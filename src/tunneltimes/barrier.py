@@ -43,6 +43,7 @@ import numpy as np
 
 from .constants import CONSTANTS, energy_ev_to_si, length_nm_to_si
 from .errors import DomainError
+from .numerics import POINT
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -71,15 +72,37 @@ def _check_tunneling(energy: float, height: float) -> None:
         )
 
 
+def _check_barrier(height: float, thickness: float, cutoff: float) -> None:
+    """BarrierProblem's rules that do not involve the energy."""
+    if not thickness > 0:
+        raise DomainError("barrier thickness must be positive")
+    if not cutoff > 0:
+        raise DomainError("momentum cutoff must be positive")
+    g = 2.0 * _M * height / _HBAR**2  # k^2 + kappa^2
+    top = math.sqrt(2.0 * _M * height) / _HBAR  # k, kappa < top below V0
+    for name, value in (
+        ("barrier height", height),
+        ("barrier thickness", thickness),
+        ("momentum cutoff", cutoff),
+        ("barrier phase k d", top * thickness),
+        ("window phase Kprime d", cutoff * thickness),
+        ("barrier height's (2 m V0 / hbar^2)^2", g * g),
+        ("momentum cutoff's Kprime^2", cutoff * cutoff),
+    ):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class BarrierProblem:
     """One tunneling problem: energy, barrier, and momentum-window cutoff.
 
     All fields are SI (joules, metres, 1/metres). Only the tunneling regime
-    0 < E < V0 is representable; construction rejects anything else, and a
-    thickness so large that the phase k d, for any wavenumber up to
-    sqrt(2 m V0) / hbar, or the window's phase Kprime d is not a finite
-    double.
+    0 < E < V0 is representable; construction rejects anything else; a height
+    or a cutoff so large that g^2 = (2 m V0 / hbar^2)^2 or Kprime^2, which the
+    closed forms square, is not a finite double; and a thickness so large
+    that the phase k d, for any wavenumber up to sqrt(2 m V0) / hbar, or the
+    window's phase Kprime d is not a finite double.
     """
 
     energy: float
@@ -89,20 +112,7 @@ class BarrierProblem:
 
     def __post_init__(self):
         _check_tunneling(self.energy, self.height)
-        if not self.thickness > 0:
-            raise DomainError("barrier thickness must be positive")
-        if not self.cutoff > 0:
-            raise DomainError("momentum cutoff must be positive")
-        top = math.sqrt(2.0 * _M * self.height) / _HBAR  # k, kappa < top below V0
-        for name, value in (
-            ("barrier height", self.height),
-            ("barrier thickness", self.thickness),
-            ("momentum cutoff", self.cutoff),
-            ("barrier phase k d", top * self.thickness),
-            ("window phase Kprime d", self.cutoff * self.thickness),
-        ):
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite")
+        _check_barrier(self.height, self.thickness, self.cutoff)
 
     @classmethod
     def from_ev_nm(
@@ -175,9 +185,15 @@ class StationarySolution:
         return complex(out) if xarr.ndim == 0 else out
 
 
+def _wavenumber_pair(energy, height, f=POINT):
+    """(k, kappa) at ``energy`` below ``height``; ``f`` as in the numerics module."""
+    k = f.sqrt(2.0 * _M * energy) / _HBAR
+    kappa = f.sqrt(2.0 * _M * (height - energy)) / _HBAR
+    return k, kappa
+
+
 def _wavenumbers(energy: float, height: float) -> Wavenumbers:
-    k = math.sqrt(2.0 * _M * energy) / _HBAR
-    kappa = math.sqrt(2.0 * _M * (height - energy)) / _HBAR
+    k, kappa = _wavenumber_pair(energy, height)
     return Wavenumbers(k=k, kappa=kappa)
 
 
@@ -186,12 +202,26 @@ def wavenumbers(problem: BarrierProblem) -> Wavenumbers:
     return _wavenumbers(problem.energy, problem.height)
 
 
-def _transmission(wn: Wavenumbers, d: float) -> complex:
-    """t = S e^{kappa d} for wavenumbers ``wn`` through a barrier of thickness ``d``."""
-    ratio = wn.k / wn.kappa
-    x = -2.0 * wn.kappa * d
-    den = (1.0 - ratio**2) * -math.expm1(x) - 2j * ratio * (1.0 + math.exp(x))
-    return -4j * ratio * cmath.exp(-1j * wn.k * d) / den
+def _transmission(k, kappa, d, f=POINT):
+    """t = S e^{kappa d} for wavenumbers k, kappa through a barrier of thickness d."""
+    ratio = k / kappa
+    x = -2.0 * kappa * d
+    den = (1.0 - ratio**2) * -f.expm1(x) - 2j * ratio * (1.0 + f.exp(x))
+    return -4j * ratio * f.cexp(-1j * k * d) / den
+
+
+def _coefficients(k, kappa, d, f=POINT):
+    """(t, S, A, B, R, A e^{kappa d}, B e^{-kappa d}) by the module docstring."""
+    ratio = k / kappa
+    decay = f.exp(-kappa * d)
+    t = _transmission(k, kappa, d, f)
+    # Value and slope continuity at x = d, solved for the in-barrier modes.
+    half = 0.5 * t * f.cexp(1j * k * d)
+    B = half * (1.0 - 1j * ratio)
+    a_d = half * (1.0 + 1j * ratio) * decay
+    A = a_d * decay
+    # Value continuity at x = 0.
+    return t, t * decay, A, B, A + B - 1.0, a_d, B * decay
 
 
 def scaled_transmission(problem: BarrierProblem, energy: float) -> complex:
@@ -202,32 +232,25 @@ def scaled_transmission(problem: BarrierProblem, energy: float) -> complex:
     NEAR_THRESHOLD_GAP_EV to the barrier top.
     """
     _check_tunneling(energy, problem.height)
-    return _transmission(_wavenumbers(energy, problem.height), problem.thickness)
+    return _transmission(*_wavenumber_pair(energy, problem.height), problem.thickness)
 
 
 def stationary_solution(problem: BarrierProblem) -> StationarySolution:
     """Solve the matching conditions; see the module docstring for the route."""
     wn = wavenumbers(problem)
-    k, kappa, d = wn.k, wn.kappa, problem.thickness
-    ratio = k / kappa
-    decay = math.exp(-kappa * d)
-
-    t = _transmission(wn, d)
-    # Value and slope continuity at x = d, solved for the in-barrier modes.
-    half = 0.5 * t * cmath.exp(1j * k * d)
-    B = half * (1.0 - 1j * ratio)
-    a_d = half * (1.0 + 1j * ratio) * decay
-    A = a_d * decay
-    # Value continuity at x = 0.
-    R = A + B - 1.0
+    t, S, A, B, R, a_d, b_d = _coefficients(wn.k, wn.kappa, problem.thickness)
     return StationarySolution(
-        problem, wn, t=t, S=t * decay, A=A, B=B, R=R, edge_modes=(a_d, B * decay)
+        problem, wn, t=t, S=S, A=A, B=B, R=R, edge_modes=(a_d, b_d)
     )
 
 
 def incident_flux(problem: BarrierProblem) -> float:
     """Probability flux of the unit incident wave: hbar k / m = sqrt(2E/m)."""
-    return _HBAR * wavenumbers(problem).k / _M
+    return _flux(wavenumbers(problem).k)
+
+
+def _flux(k):
+    return _HBAR * k / _M
 
 
 def continuity_residual(sol: StationarySolution) -> tuple[float, float, float, float]:

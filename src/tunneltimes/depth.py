@@ -40,6 +40,7 @@ import numpy as np
 
 from .barrier import BarrierProblem, StationarySolution, wavenumbers
 from .errors import DomainError
+from .numerics import POINT
 
 #: Relative-density threshold defining the penetration depth.
 DEPTH_LEVEL = math.exp(-2.0)
@@ -60,13 +61,24 @@ def penetration_depth(problem: BarrierProblem) -> float | None:
     docstring, taken by the cancellation-free form 2 / (sqrt(b^2 - 4a) - b).
     """
     wn = wavenumbers(problem)
-    r2 = (wn.k / wn.kappa) ** 2
-    decay = math.exp(-2.0 * wn.kappa * problem.thickness)
+    b, disc = _quadratic(wn.k, wn.kappa, problem.thickness)
+    if b >= 0.0 or disc < 0.0:  # no root with u > 0
+        return None
+    depth = _smaller_root_depth(wn.kappa, b, disc)
+    return depth if 0.0 < depth <= problem.thickness else None
+
+
+def _quadratic(k, kappa, d, f=POINT):
+    """The linear coefficient b and the discriminant of the module docstring's
+    quadratic in u; ``f`` holds the elementwise functions."""
+    r2 = (k / kappa) ** 2
+    decay = f.exp(-2.0 * kappa * d)
     a = decay * decay  # |rho|^2
     re_rho = decay * (1.0 - r2) / (1.0 + r2)
     b = 2.0 * re_rho - DEPTH_LEVEL * (1.0 + 2.0 * re_rho + a)  # |1 + rho|^2 expanded
-    disc = b * b - 4.0 * a
-    if b >= 0.0 or disc < 0.0:  # no root with u > 0
-        return None
-    depth = math.log(2.0 / (math.sqrt(disc) - b)) / (2.0 * wn.kappa)
-    return depth if 0.0 < depth <= problem.thickness else None
+    return b, b * b - 4.0 * a
+
+
+def _smaller_root_depth(kappa, b, disc, f=POINT):
+    """x of the smaller root; requires b < 0 <= disc."""
+    return f.log(2.0 / (f.sqrt(disc) - b)) / (2.0 * kappa)

@@ -48,10 +48,14 @@ kappa d < 1/2 only, (kappa^2 + K^2) a(K) sqrt(2 pi) = -(psi'(0) + iK psi(0))
 + (psi'(d) + iK psi(d)) e^{-iKd} is bounded, and 1/(kappa^2 + K^2)^2 expands
 in powers of (kappa/K)^2, which leaves integrals of s^{-m} e^{is}: the
 exponential integral at -is for m = 1, and an upward recursion by parts
-from it. Against a 40-digit oracle the series hold the moments to 3e-14 or
-better for kappa d from 1e-7 to 500, and the exponential sum to 2e-15 on the
-paper's grid; the sum still loses digits where the window is narrow against
-kappa, down to about 4e-11 at c d of 2 to 3 with kappa d near 700.
+from it. Past kappa d = 64 the centre's T_p come from their closed form,
+cosh or sinh of kappa d less its Taylor head, with psi(d)'s e^{-kappa d}
+folded in, so a thick barrier under a narrow window needs bounded memory and
+nothing overflows. Against a 40-digit oracle the series hold the moments to
+3e-14 or better for kappa d from 1e-7 to 500 (2e-16 at 800), and the
+exponential sum to 2e-15 on the paper's grid; the sum still loses digits
+where the window is narrow against kappa, down to about 4e-11 at c d of 2
+to 3 with kappa d near 700.
 
 The window cutoff matters: the distribution has heavy tails, so K_rms (and
 everything downstream of it) grows slowly but without bound as the window
@@ -70,7 +74,7 @@ import numpy as np
 from .barrier import BarrierProblem, StationarySolution, stationary_solution
 from .constants import CONSTANTS, SPEED_OF_LIGHT
 from .errors import DomainError
-from .numerics import scaled_e1
+from .numerics import POINT, scaled_e1
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -88,6 +92,11 @@ _CENTRE = 2.0
 
 #: Taylor terms of the amplitude in s; 2^30 / 30! is below 1e-23.
 _TAYLOR_TERMS = 30
+
+#: Up to this kappa d the series route sums T_p term by term; past it,
+#: where the sum would need about 1.5 kappa d terms and overflow past 700,
+#: it takes e^{-kappa d} T_p from the closed form of _decayed_sinh_tails().
+_SUMMED_TAILS_KAPPA_D = 64.0
 
 #: Terms of the tail's expansion in (kappa d / s)^2 <= 1/16.
 _TAIL_TERMS = 16
@@ -169,23 +178,26 @@ class MomentumSpectrum:
 
     def kinematics(self) -> EffectiveKinematics:
         """rms wavenumber of the density and the derived velocity/time/energy."""
-        k_rms = math.sqrt(self.second_moment / self.normalization)
-        v_rms = _HBAR * k_rms / _M
-        return EffectiveKinematics(
-            k_rms=k_rms,
-            v_rms=v_rms,
-            t_eff=self.problem.thickness / v_rms,
-            eps_eff=0.5 * _M * v_rms**2,
+        k_rms, v_rms, t_eff, eps_eff = _kinematics(
+            self.normalization, self.second_moment, self.problem.thickness
         )
+        return EffectiveKinematics(k_rms=k_rms, v_rms=v_rms, t_eff=t_eff, eps_eff=eps_eff)
 
 
-def _exponential_moments(sol: StationarySolution) -> tuple[float, float]:
-    """The normalization and the second moment, by the module docstring's sum."""
-    kappa = sol.wavenumbers.kappa
-    d = sol.problem.thickness
-    c = sol.problem.cutoff
-    a, b = sol.A, sol.B
-    a_d, b_d = sol.edge_modes
+def _kinematics(normalization, second_moment, d, f=POINT):
+    """(K_rms, v_rms, t_eff, eps_eff) from the two window moments."""
+    k_rms = f.sqrt(second_moment / normalization)
+    v_rms = _HBAR * k_rms / _M
+    return k_rms, v_rms, d / v_rms, 0.5 * _M * v_rms**2
+
+
+def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f, e1):
+    """The normalization and the second moment, by the module docstring's sum.
+
+    A kernel of the decay constant, the thickness, the cutoff and the
+    coefficients A, B, A e^{kappa d}, B e^{-kappa d}; ``f`` holds the
+    elementwise functions and ``e1`` the scaled exponential integral.
+    """
     # |P + Q e^{-iKd}|^2 = plain/(wv) - 2 Re(cross/w^2)
     #     + 2 Re(e^{-iKd} (-osc/(wv) + osc_v2/v^2 + osc_w2/w^2))
     plain = abs(a) ** 2 + abs(b) ** 2 + abs(a_d) ** 2 + abs(b_d) ** 2
@@ -196,17 +208,17 @@ def _exponential_moments(sol: StationarySolution) -> tuple[float, float]:
 
     # integrals over [-c, c] of 1/(wv), 1/w^2, and e^{iKd} times 1, 1/w,
     # 1/v, 1/(wv), 1/w^2, 1/v^2; all real
-    arc = math.atan2(c, kappa)
+    arc = f.atan2(c, kappa)
     i_wv = 2.0 * arc / kappa
     i_w2 = 2.0 * c / (kappa**2 + c**2)
-    sinc = 2.0 * math.sin(c * d) / d
-    z = complex(kappa * d, c * d)
-    turn = cmath.exp(1j * c * d)
-    j_w = -2.0 * (scaled_e1(z) / turn).imag
-    j_v = 2.0 * (turn * (math.pi * 1j * cmath.exp(-z) - scaled_e1(-z))).imag
+    sinc = 2.0 * f.sin(c * d) / d
+    z = kappa * d + 1j * (c * d)
+    turn = f.cexp(1j * c * d)
+    j_w = -2.0 * (e1(z) / turn).imag
+    j_v = 2.0 * (turn * (math.pi * 1j * f.cexp(-z) - e1(-z))).imag
     j_wv = (j_w + j_v) / (2.0 * kappa)
-    l_w = 2.0 * (turn / complex(kappa, -c)).imag - d * j_w
-    l_v = -2.0 * (turn / complex(kappa, c)).imag + d * j_v
+    l_w = 2.0 * (turn / (kappa - 1j * c)).imag - d * j_w
+    l_v = -2.0 * (turn / (kappa + 1j * c)).imag + d * j_v
 
     def total(wv, w2, e_wv, e_w2, e_v2):
         # K -> -K swaps w and v, so e^{-iKd}/v^2 integrates like e^{iKd}/w^2
@@ -232,17 +244,42 @@ def _sinh_tails(kappa_d: float) -> np.ndarray:
     return (1.0 + np.cumprod(ratios, axis=0).sum(axis=0)) * _INVERSE_FACTORIALS
 
 
+def _decayed_sinh_tails(kappa_d: float) -> np.ndarray:
+    """e^{-kappa d} T_p for p = 1 .. _TAYLOR_TERMS + 1, for kappa d past
+    _SUMMED_TAILS_KAPPA_D.
+
+    With x = kappa d, T_p = x^{-p} (cosh x, or sinh x for odd p, minus its
+    Taylor terms of degree below p), so e^{-x} T_p = x^{-p} ((1 +/- e^{-2x})/2
+    minus the Poisson weights e^{-x} x^m / m! of those degrees). Past 2
+    _TAYLOR_TERMS the weights are a small part of the total, so nothing
+    cancels; they underflow to 0 where e^{-x} does, which is their value.
+    """
+    steps = np.empty(_TAYLOR_TERMS + 1)
+    steps[0] = math.exp(-kappa_d)
+    steps[1:] = kappa_d / np.arange(1.0, _TAYLOR_TERMS + 1)
+    weights = np.cumprod(steps)  # e^{-x} x^m / m!, m = 0 .. _TAYLOR_TERMS
+    heads = np.zeros(_TAYLOR_TERMS + 2)  # sums over m < p of p's parity
+    for p in range(2, _TAYLOR_TERMS + 2):
+        heads[p] = heads[p - 2] + weights[p - 2]
+    p = _TAYLOR_ORDERS + 1
+    decayed = np.where(p % 2, -math.expm1(-2.0 * kappa_d), 1.0 + math.exp(-2.0 * kappa_d))
+    return (0.5 * decayed - heads[1:]) * kappa_d ** -p.astype(float)
+
+
 def _series_moments(sol: StationarySolution) -> tuple[float, float]:
     """The normalization and the second moment, by the module docstring's series."""
     k, kappa = sol.wavenumbers.k, sol.wavenumbers.kappa
     d = sol.problem.thickness
     lam, kd, edge = kappa * d, k * d, sol.problem.cutoff * d
-    psi_d = sol.S * cmath.exp(1j * kd)
+    if lam <= _SUMMED_TAILS_KAPPA_D:
+        psi_d, tails = sol.S * cmath.exp(1j * kd), _sinh_tails(lam)
+    else:
+        # psi(d) = t e^{ikd} e^{-kappa d}; the e^{-kappa d} goes into the tails
+        psi_d, tails = sol.t * cmath.exp(1j * kd), _decayed_sinh_tails(lam)
 
     # centre: the square of sum_j c_j s^j over |s| <= s0, term by term;
     # only even powers of s survive the symmetric window
     s0 = min(edge, _CENTRE)
-    tails = _sinh_tails(lam)
     c = psi_d * _MINUS_I_POWERS * (tails[:-1] - 1j * kd * tails[1:])
     square = np.convolve(c, c.conjugate()).real[::2]
     q = _EVEN_POWERS
@@ -298,5 +335,9 @@ def momentum_spectrum(
     if kappa_d < _SERIES_KAPPA_D or problem.cutoff * problem.thickness <= _CENTRE:
         norm, second = _series_moments(sol)
     else:
-        norm, second = _exponential_moments(sol)
+        a_d, b_d = sol.edge_modes
+        norm, second = _exponential_moments(
+            sol.wavenumbers.kappa, problem.thickness, problem.cutoff,
+            sol.A, sol.B, a_d, b_d, POINT, scaled_e1,
+        )
     return MomentumSpectrum(solution=sol, normalization=norm, second_moment=second)

@@ -1,13 +1,44 @@
-"""The scaled exponential integral e^z E1(z) behind the spectrum moments.
+"""The elementwise function sets of the closed forms, and the scaled
+exponential integral e^z E1(z) behind the spectrum moments.
 
-A pure function of its argument.
+A closed form is written once, as a kernel that takes the elementwise
+functions it calls: POINT (math and cmath) evaluates it at one point, GRID
+(numpy) over arrays of points. scaled_e1() is the point form of the
+exponential integral; scaled_e1_grid() runs the same continued fraction over
+an array, each element to its own convergence.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import DomainError, NoConvergence
+
+#: The elementwise functions of a kernel evaluated at one point.
+POINT = SimpleNamespace(
+    exp=math.exp,
+    expm1=math.expm1,
+    log=math.log,
+    sqrt=math.sqrt,
+    sin=math.sin,
+    atan2=math.atan2,
+    cexp=cmath.exp,
+)
+
+#: The same functions over numpy arrays, for kernels evaluated on a grid.
+GRID = SimpleNamespace(
+    exp=np.exp,
+    expm1=np.expm1,
+    log=np.log,
+    sqrt=np.sqrt,
+    sin=np.sin,
+    atan2=np.arctan2,
+    cexp=np.exp,
+)
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -72,3 +103,41 @@ def scaled_e1(z: complex) -> complex:
         f"exponential integral at z = {z} unsettled after {_MAX_TERMS} terms"
     )
 
+
+def scaled_e1_grid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^z E1(z) over a 1-D complex array by scaled_e1()'s continued fraction.
+
+    Every element must lie outside the series domain of scaled_e1() (where
+    |z| + Re z <= 2 and |z| <= _SERIES_MAX_ABS); there the fraction is the
+    route scaled_e1() takes too. Each element runs the modified Lentz
+    recurrence until its own step is within _EPS of 1, at most _MAX_TERMS
+    levels, as scaled_e1() does. Returns the values and a mask of the elements
+    that converged; the others hold no meaningful value.
+    """
+    out = np.zeros(z.shape, dtype=complex)
+    converged = np.zeros(z.shape, dtype=bool)
+    if not z.size:
+        return out, converged
+    b = z + 1.0
+    c = np.full(z.shape, 1.0 / _TINY, dtype=complex)
+    d = 1.0 / b
+    value = d
+    active = np.arange(z.size)
+    for n in range(1, _MAX_TERMS):
+        an = -float(n * n)
+        b = b + 2.0
+        d = an * d + b
+        d = 1.0 / np.where(d != 0, d, _TINY)
+        c = b + an / c
+        c = np.where(c != 0, c, _TINY)
+        step = c * d
+        value = value * step
+        done = np.abs(step - 1.0) <= _EPS
+        if done.any():
+            out[active[done]] = value[done]
+            converged[active[done]] = True
+            keep = ~done
+            if not keep.any():
+                break
+            active, b, c, d, value = active[keep], b[keep], c[keep], d[keep], value[keep]
+    return out, converged

@@ -1,11 +1,29 @@
 """Parameter sweeps over barrier problems and deterministic CSV emission.
 
-evaluate() is the one evaluation path. It computes one barrier problem's flat
-record block by block: the momentum kinematics, the four clocks with their
-numeric/analytic cross-checks, and the penetration depth with tau_eff and xi.
-A sweep evaluates every block at every (E/V0, d) grid point; the momentum,
+evaluate() computes one barrier problem's flat record block by block: the
+momentum kinematics, the four clocks with their numeric/analytic
+cross-checks, and the penetration depth with tau_eff and xi. The momentum,
 times and depth commands evaluate only the blocks behind the columns they
-print and project the record onto those columns. Records are pure data; the
+print and project the record onto those columns; they stay per point.
+
+run_sweep() evaluates a grid as arrays over (E/V0, d), flattened thickness
+outer and energy inner. Each closed form is one kernel that takes the
+elementwise functions it calls, numerics.POINT (math, cmath) in evaluate()
+and numerics.GRID (numpy) here, and the exponential integral runs as one
+continued fraction over the array. One pass of the kernels gives every
+column of the usual points; evaluate_point() evaluates every other point, so
+each note and error cell is written by the point path. A point is unusual
+when BarrierProblem refuses it; when the moments or the dwell time take
+their series or edge forms (kappa d < 1/2 or c d <= 2), or e^{-z} E1(-z) its
+series; when kappa > 4 c, where the exponential sum cancels enough for its
+digits to depend on rounding; when the continued fraction does not settle,
+the phase stencil clips, the kinematics are not positive or are
+superluminal, a cross-check fails, or any value is not finite. The phase
+stencil is the point code at every point: its difference of two phases a
+few 1e-5 rad apart would turn a last-bit change in t into about 1e-11 of the
+time. So the grid's records match evaluate_point()'s to about 1e-14 and
+their CSV cells byte for byte. Each record still carries its spectrum and
+solution, built from the array slices. Records are pure data; the
 emitters below turn them into CSV with '#'-prefixed metadata lines (tool
 version, config echo, stencil clipping notes) ahead of the header. Identical
 configs produce byte-identical output: evaluation order is fixed, no
@@ -45,10 +63,24 @@ from . import __version__
 from .barrier import (
     DEFAULT_CUTOFF,
     BarrierProblem,
+    StationarySolution,
+    Wavenumbers,
+    _check_barrier,
+    _check_tunneling,
+    _coefficients,
+    _flux,
+    _wavenumber_pair,
     stationary_solution,
 )
-from .constants import CONSTANTS, energy_si_to_ev, length_si_to_nm
-from .depth import penetration_depth, relative_density
+from .constants import (
+    CONSTANTS,
+    SPEED_OF_LIGHT,
+    energy_ev_to_si,
+    energy_si_to_ev,
+    length_nm_to_si,
+    length_si_to_nm,
+)
+from .depth import _quadratic, _smaller_root_depth, penetration_depth, relative_density
 from .errors import (
     DomainError,
     MissingGridPoint,
@@ -56,10 +88,24 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .momentum import MomentumSpectrum, momentum_spectrum
+from .momentum import (
+    _CENTRE,
+    _SERIES_KAPPA_D,
+    MomentumSpectrum,
+    _exponential_moments,
+    _kinematics,
+    momentum_spectrum,
+)
+from .numerics import _SERIES_MAX_ABS, GRID, scaled_e1_grid
 from .times import (
+    _EDGE_FORM_KAPPA_D,
     CROSS_CHECK_TOL,
     DEFAULT_PHASE_STEP_EV,
+    _bl_time,
+    _dwell_time_closed,
+    _g,
+    _phase_time_closed,
+    _stored_probability,
     bl_time,
     dwell_time_analytic,
     dwell_time_numeric,
@@ -231,9 +277,7 @@ def evaluate(
         errors.append(cell)
 
     def cross_check(name: str, numeric: float, analytic: float) -> None:
-        # written so that a NaN or an infinite value fails the check too
-        agree = abs(numeric - analytic) <= CROSS_CHECK_TOL * abs(analytic)
-        if not (agree and math.isfinite(analytic)):
+        if not _agrees(numeric, analytic):
             mismatch = NoConvergence(
                 f"{name} cross-check: numeric {numeric!r} vs analytic {analytic!r}"
             )
@@ -284,9 +328,8 @@ def evaluate(
             else:
                 values["s_nm"] = length_si_to_nm(depth)
                 if kin is not None:
-                    tau = depth / kin.v_rms
-                    values["tau_eff_s"] = tau
-                    values["xi"] = 2.0 * kin.eps_eff * tau / CONSTANTS.hbar
+                    tau, xi = _tau_xi(depth, kin.v_rms, kin.eps_eff)
+                    values.update(tau_eff_s=tau, xi=xi)
         except (DomainError, NoConvergence) as exc:
             fail(exc, f"depth: {exc}")
 
@@ -302,6 +345,20 @@ def evaluate(
         spectrum=spectrum,
     )
     return record, caught
+
+
+def _agrees(numeric, analytic):
+    """The cross-check of a numeric and an analytic time, at a point or
+    elementwise: within CROSS_CHECK_TOL of a finite analytic value, written
+    so that a NaN or an infinite value fails it."""
+    close = abs(numeric - analytic) <= CROSS_CHECK_TOL * abs(analytic)
+    return close & (abs(analytic) < math.inf)
+
+
+def _tau_xi(depth, v_rms, eps_eff):
+    """tau_eff = s / v_rms and xi = 2 eps_eff tau_eff / hbar."""
+    tau = depth / v_rms
+    return tau, 2.0 * eps_eff * tau / CONSTANTS.hbar
 
 
 def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord:
@@ -322,12 +379,174 @@ def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the full grid, thickness outer, energy inner (ascending)."""
+    """Evaluate the full grid, thickness outer, energy inner (ascending).
+
+    One pass of array kernels covers the usual points (see the module
+    docstring); evaluate_point() evaluates every other point.
+    """
+    points = [(e_ratio, d_nm) for d_nm in cfg.d_nm_grid for e_ratio in cfg.e_over_v0_grid]
+    records: list[SweepRecord | None] = [None] * len(points)
+    for index, record in _grid_records(cfg):
+        records[index] = record
     return [
-        evaluate_point(cfg, e_ratio, d_nm)
-        for d_nm in cfg.d_nm_grid
-        for e_ratio in cfg.e_over_v0_grid
+        evaluate_point(cfg, *point) if record is None else record
+        for record, point in zip(records, points)
     ]
+
+
+def _assemble(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``, one for
+    each field, built without calling __init__ or __post_init__.
+
+    A frozen __init__ sets each field through object.__setattr__, which cost
+    about 4.6 us for a record; the grid builds the objects of its usual points
+    this way, after making their checks as arrays or once per grid value.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
+def _passes(check: Callable[..., None], *args: float) -> bool:
+    try:
+        check(*args)
+    except DomainError:
+        return False
+    return True
+
+
+#: The grid leaves a point to evaluate_point() where kappa exceeds this many
+#: times the cutoff: the exponential sum's second moment cancels by about
+#: 3 (kappa / c)^2 there, so its digits depend on the rounding of each step.
+_SUM_WELL_CONDITIONED_KAPPA_OVER_C = 4.0
+
+#: Relative margin on the series-domain test of e^{-z} E1(-z): numpy's hypot
+#: may differ from the C library's in the last bit.
+_E1_DOMAIN_MARGIN = 1e-12
+
+
+def _grid_records(cfg: SweepConfig):
+    """(flat index, record) of every usual grid point (see the module
+    docstring), by one pass of the array kernels."""
+    e_grid, d_grid, c = cfg.e_over_v0_grid, cfg.d_nm_grid, cfg.cutoff
+    height = energy_ev_to_si(cfg.v0_ev)
+    # BarrierProblem's checks split into one on the energy and one on the
+    # barrier, so they run once per grid value
+    e_ok = [_passes(_check_tunneling, energy_ev_to_si(r * cfg.v0_ev), height) for r in e_grid]
+    d_ok = [_passes(_check_barrier, height, length_nm_to_si(d), c) for d in d_grid]
+    flat = np.flatnonzero(np.outer(d_ok, e_ok))
+    energy = energy_ev_to_si(np.array(e_grid)[flat % len(e_grid)] * cfg.v0_ev)
+    thickness = length_nm_to_si(np.array(d_grid)[flat // len(e_grid)])
+    # Python floats overflow to inf and make NaN without a warning; so does
+    # this pass, and every lane that ends non-finite or fails a check goes
+    # to evaluate_point(), which evaluates the same formulas
+    with np.errstate(all="ignore"):
+        k, kappa = _wavenumber_pair(energy, height, GRID)
+        lam, edge = kappa * thickness, c * thickness
+        hyp = np.hypot(lam, edge)  # |z| at z = kappa d + i c d; Re z > 0 puts z on the fraction
+        keep = (
+            (lam >= _SERIES_KAPPA_D)
+            & (lam >= _EDGE_FORM_KAPPA_D)
+            & (edge > _CENTRE)
+            & (kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c)
+            & (
+                (hyp - lam > 2.0 + _E1_DOMAIN_MARGIN * hyp)
+                | (hyp > _SERIES_MAX_ABS * (1.0 + _E1_DOMAIN_MARGIN))
+            )
+        )
+        flat, energy, thickness, k, kappa, lam = (
+            a[keep] for a in (flat, energy, thickness, k, kappa, lam)
+        )
+
+        t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, thickness, GRID)
+        settled = np.ones(flat.size, dtype=bool)
+
+        def e1(z):
+            value, converged = scaled_e1_grid(z)
+            settled[:] &= converged
+            return value
+
+        norm, second = _exponential_moments(kappa, thickness, c, A, B, a_d, b_d, GRID, e1)
+        moments_ok = (norm > 0.0) & (second > 0.0)
+        k_rms, v_rms, t_eff, eps_eff = _kinematics(norm, second, thickness, GRID)
+        g = _g(height)
+        t_ph_ana = _phase_time_closed(k, kappa, lam, g, GRID)
+        t_dw_num = _stored_probability(kappa, thickness, A, B, a_d, GRID) / _flux(k)
+        t_dw_ana = _dwell_time_closed(k, kappa, lam, g, GRID)
+        t_bl = _bl_time(kappa, thickness)
+        b_q, disc = _quadratic(k, kappa, thickness, GRID)
+        crossing = (b_q < 0.0) & (disc >= 0.0)
+        depth = _smaller_root_depth(
+            kappa, np.where(crossing, b_q, -1.0), np.where(crossing, disc, 0.0), GRID
+        )
+        crossing &= (depth > 0.0) & (depth <= thickness)
+        tau, xi = _tau_xi(depth, v_rms, eps_eff)
+        s_abs2, r_abs2 = np.abs(S) ** 2, np.abs(R) ** 2
+        eps_ev, s_nm = energy_si_to_ev(eps_eff), length_si_to_nm(depth)
+        columns = (
+            s_abs2, r_abs2, k_rms, v_rms, t_eff, eps_eff, eps_ev, t_ph_ana,
+            t_dw_num, t_dw_ana, t_bl, b_q, disc, depth, s_nm, tau, xi,
+        )
+        usual = (
+            settled
+            & moments_ok
+            & (np.minimum(np.minimum(k_rms, v_rms), np.minimum(t_eff, eps_eff)) > 0.0)
+            & (v_rms < SPEED_OF_LIGHT)
+            & np.isfinite(np.stack(columns)).all(axis=0)
+            & _agrees(t_dw_num, t_dw_ana)
+        )
+
+    n_e = len(e_grid)
+    rows = zip(*(a[usual].tolist() for a in (
+        flat, energy, thickness, k, kappa, t, S, A, B, R, a_d, b_d, norm, second,
+        crossing, s_abs2, r_abs2, k_rms, v_rms, t_eff, eps_ev,
+        t_ph_ana, t_dw_num, t_dw_ana, t_bl, s_nm, tau, xi,
+    )))
+    for (
+        index, energy_i, thickness_i, k_i, kappa_i, t_i, S_i, A_i, B_i, R_i, a_d_i,
+        b_d_i, norm_i, second_i, crossing_i, s_abs2_i, r_abs2_i, k_rms_i, v_rms_i,
+        t_eff_i, eps_ev_i, t_ph_ana_i, t_dw_num_i, t_dw_ana_i, t_bl_i, s_nm_i,
+        tau_i, xi_i,
+    ) in rows:
+        problem = _assemble(
+            BarrierProblem, energy=energy_i, height=height, thickness=thickness_i, cutoff=c
+        )
+        try:
+            t_ph_num = phase_time_numeric(problem, cfg.phase_step_ev)
+        except DomainError:  # a clipped stencil, noted by evaluate_point()
+            continue
+        if not _agrees(t_ph_num, t_ph_ana_i):
+            continue
+        sol = _assemble(
+            StationarySolution, problem=problem, wavenumbers=Wavenumbers(k_i, kappa_i),
+            t=t_i, S=S_i, A=A_i, B=B_i, R=R_i, edge_modes=(a_d_i, b_d_i),
+        )
+        e_ratio = e_grid[index % n_e]
+        yield index, _assemble(
+            SweepRecord,
+            e_over_v0=e_ratio,
+            d_nm=d_grid[index // n_e],
+            e_ev=e_ratio * cfg.v0_ev,
+            v0_ev=cfg.v0_ev,
+            cutoff=c,
+            s_abs2=s_abs2_i,
+            r_abs2=r_abs2_i,
+            k_rms=k_rms_i,
+            v_rms=v_rms_i,
+            t_eff_s=t_eff_i,
+            eps_eff_ev=eps_ev_i,
+            t_ph_numeric_s=t_ph_num,
+            t_ph_analytic_s=t_ph_ana_i,
+            t_dw_numeric_s=t_dw_num_i,
+            t_dw_analytic_s=t_dw_ana_i,
+            t_bl_s=t_bl_i,
+            s_nm=s_nm_i if crossing_i else None,
+            tau_eff_s=tau_i if crossing_i else None,
+            xi=xi_i if crossing_i else None,
+            note="" if crossing_i else NOTE_NO_CROSSING,
+            error="",
+            spectrum=MomentumSpectrum(sol, norm_i, second_i),
+        )
 
 
 # --- config files -----------------------------------------------------------

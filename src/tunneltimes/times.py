@@ -51,6 +51,7 @@ from .barrier import (
 )
 from .constants import CONSTANTS, energy_ev_to_si
 from .errors import DomainError
+from .numerics import POINT
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -71,16 +72,50 @@ CROSS_CHECK_TOL = 1e-5
 def _parts(problem: BarrierProblem) -> tuple[float, float, float, float]:
     """k, kappa, kappa d and g = 2 m V0 / hbar^2 (equal to k^2 + kappa^2)."""
     wn = wavenumbers(problem)
-    g = 2.0 * _M * problem.height / _HBAR**2
-    return wn.k, wn.kappa, wn.kappa * problem.thickness, g
+    return wn.k, wn.kappa, wn.kappa * problem.thickness, _g(problem.height)
+
+
+def _g(height):
+    return 2.0 * _M * height / _HBAR**2
+
+
+# The closed forms below are kernels of (k, kappa, kappa d, g): ``f`` holds
+# the elementwise functions (numerics.POINT or numerics.GRID).
+
+
+def _scaled_denominator(k, kappa, kd, g, f=POINT):
+    return (4.0 * kappa**2 * k**2 * f.exp(-2.0 * kd)
+            + g**2 * f.expm1(-2.0 * kd) ** 2 / 4.0)
+
+
+def _phase_time_closed(k, kappa, kd, g, f=POINT):
+    bracket = 2.0 * k**2 * (kappa**2 - k**2) * (kd * f.exp(-2.0 * kd))
+    bracket -= g**2 * f.expm1(-4.0 * kd) / 2.0
+    return _M / (_HBAR * k * kappa * _scaled_denominator(k, kappa, kd, g, f)) * bracket
+
+
+def _dwell_time_closed(k, kappa, kd, g, f=POINT):
+    bracket = 2.0 * (kappa**2 - k**2) * (kd * f.exp(-2.0 * kd))
+    bracket -= g * f.expm1(-4.0 * kd) / 2.0
+    return _M * k / (_HBAR * kappa * _scaled_denominator(k, kappa, kd, g, f)) * bracket
+
+
+def _stored_probability(kappa, d, A, B, a_d, f=POINT):
+    """The integral of |A e^{kappa x} + B e^{-kappa x}|^2 over [0, d], from
+    the coefficients (see dwell_time_numeric)."""
+    ends = abs(a_d) ** 2 + abs(B) ** 2
+    cross = 2.0 * (A * B.conjugate()).real
+    return ends * -f.expm1(-2.0 * kappa * d) / (2.0 * kappa) + cross * d
+
+
+def _bl_time(kappa, d):
+    return _M * d / (_HBAR * kappa)
 
 
 def scaled_denominator(problem: BarrierProblem) -> float:
     """D~ = D e^{-2 kappa d} of the module docstring, 1/m^4, shared by both
     closed forms."""
-    k, kappa, kd, g = _parts(problem)
-    return (4.0 * kappa**2 * k**2 * math.exp(-2.0 * kd)
-            + g**2 * math.expm1(-2.0 * kd) ** 2 / 4.0)
+    return _scaled_denominator(*_parts(problem))
 
 
 def shared_denominator(problem: BarrierProblem) -> float:
@@ -124,10 +159,7 @@ def phase_time_numeric(
 
 def phase_time_analytic(problem: BarrierProblem) -> float:
     """Closed form for the group delay; certified against the numeric route."""
-    k, kappa, kd, g = _parts(problem)
-    bracket = 2.0 * k**2 * (kappa**2 - k**2) * (kd * math.exp(-2.0 * kd))
-    bracket -= g**2 * math.expm1(-4.0 * kd) / 2.0
-    return _M / (_HBAR * k * kappa * scaled_denominator(problem)) * bracket
+    return _phase_time_closed(*_parts(problem))
 
 
 def dwell_time_numeric(
@@ -156,21 +188,15 @@ def dwell_time_numeric(
             excess += term
         stored = 0.5 * d * sol.transmission * (2.0 + (1.0 + (k / kappa) ** 2) * excess)
     else:
-        a_d, _ = sol.edge_modes
-        ends = abs(a_d) ** 2 + abs(sol.B) ** 2
-        cross = 2.0 * (sol.A * sol.B.conjugate()).real
-        stored = ends * -math.expm1(-2.0 * kappa * d) / (2.0 * kappa) + cross * d
+        stored = _stored_probability(kappa, d, sol.A, sol.B, sol.edge_modes[0])
     return stored / incident_flux(problem)
 
 
 def dwell_time_analytic(problem: BarrierProblem) -> float:
     """Closed form for the dwell time; certified against the numeric route."""
-    k, kappa, kd, g = _parts(problem)
-    bracket = 2.0 * (kappa**2 - k**2) * (kd * math.exp(-2.0 * kd))
-    bracket -= g * math.expm1(-4.0 * kd) / 2.0
-    return _M * k / (_HBAR * kappa * scaled_denominator(problem)) * bracket
+    return _dwell_time_closed(*_parts(problem))
 
 
 def bl_time(problem: BarrierProblem) -> float:
     """Opaque-barrier traversal scale m d / (hbar kappa)."""
-    return _M * problem.thickness / (_HBAR * wavenumbers(problem).kappa)
+    return _bl_time(wavenumbers(problem).kappa, problem.thickness)

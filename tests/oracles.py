@@ -311,6 +311,28 @@ def mp_closed_forms(problem, dps: int = 50) -> tuple[complex, float, float, floa
         )
 
 
+def mp_depth(problem, dps: int = 50) -> float | None:
+    """The penetration depth at ``dps`` digits, or None where there is none.
+
+    Solves |A e^{kappa x} + B e^{-kappa x}|^2 = e^{-2} |A + B|^2 in
+    u = e^{2 kappa x} from the coefficients A and B of a new 50-digit
+    solution: |A|^2 u^2 + beta u + |B|^2 = 0 with beta = 2 Re(A B*) -
+    e^{-2} |A + B|^2, whose smaller root is taken as 2 |B|^2 / (-beta +
+    sqrt(beta^2 - 4 |A|^2 |B|^2)), free of cancellation at any thickness. The
+    depth is ln(u) / (2 kappa) where that lies in (0, d].
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        _, kappa, d, _, a, b = _mp_solution(problem, mp)
+        beta = 2 * mp.re(a * mp.conj(b)) - mp.exp(-2) * abs(a + b) ** 2
+        disc = beta**2 - 4 * abs(a) ** 2 * abs(b) ** 2
+        if beta >= 0 or disc < 0:
+            return None
+        depth = mp.log(2 * abs(b) ** 2 / (-beta + mp.sqrt(disc))) / (2 * kappa)
+        return float(depth) if 0 < depth <= d else None
+
+
 def mp_window_moments(problem, dps: int = 40) -> tuple[float, float]:
     """Both window moments at ``dps`` digits, from mpmath's E1 and Ei.
 

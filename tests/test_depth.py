@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, scanned_depth
+from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, mp_depth, scanned_depth
 from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
 from tunneltimes.depth import DEPTH_LEVEL, penetration_depth, relative_density
@@ -119,6 +119,32 @@ class TestClosedFormAgainstScan:
             v0_ev = rng.uniform(1.0, 20.0)
             e_ev = rng.uniform(max(0.01 * v0_ev, 0.1), 0.99 * v0_ev)
             self.check(BarrierProblem.from_ev_nm(e_ev, v0_ev, rng.uniform(0.05, 3.0)))
+
+
+class TestClosedFormAgainstMpmath:
+    """The closed-form root against the 50-digit root of the density condition."""
+
+    def test_over_energy_and_kappa_d(self):
+        # E/V0 from 1e-8 to 0.999 and kappa d from 1e-3 to 3e3, log-uniform;
+        # about half the points have no crossing, and both must agree on which
+        pytest.importorskip("mpmath")
+        rng = random.Random(3_2026)
+        ev = CONSTANTS.ev_to_joule
+        missing = 0
+        for _ in range(400):
+            v0_ev = rng.uniform(0.5, 25.0)
+            e_ratio = 10.0 ** rng.uniform(-8.0, math.log10(0.999))
+            kappa_d = 10.0 ** rng.uniform(-3.0, math.log10(3e3))
+            gap = (1.0 - e_ratio) * v0_ev * ev
+            kappa = math.sqrt(2.0 * CONSTANTS.electron_mass * gap) / CONSTANTS.hbar
+            problem = BarrierProblem(e_ratio * v0_ev * ev, v0_ev * ev, kappa_d / kappa)
+            closed, want = penetration_depth(problem), mp_depth(problem)
+            assert (closed is None) == (want is None), (e_ratio, kappa_d)
+            if want is None:
+                missing += 1
+            else:
+                assert abs(closed - want) <= 1e-12 * want, (e_ratio, kappa_d)
+        assert 100 < missing < 300
 
 
 def uncertainty_record(problem: BarrierProblem):

@@ -1,0 +1,133 @@
+"""The sweep's array pass against the point path it stands in for.
+
+run_sweep() evaluates the usual grid points with array kernels and hands the
+others to evaluate_point(); both must give the same records. Each seeded
+config below is swept both ways, and the sweep CSV, fig1 and fig4 must match
+byte for byte, every note and error cell included, with every numeric column
+within 1e-13 relative.
+"""
+
+import math
+import random
+
+import pytest
+
+from tunneltimes import sweep
+from tunneltimes.constants import CONSTANTS
+from tunneltimes.sweep import (
+    RECORD_COLUMNS,
+    SweepConfig,
+    emit_figure_data,
+    evaluate_point,
+    records_to_csv,
+    run_sweep,
+)
+
+REL_TOL = 1e-13
+
+
+def _kappa(e_ratio, v0_ev):
+    gap = (1.0 - e_ratio) * v0_ev * CONSTANTS.ev_to_joule
+    return math.sqrt(2.0 * CONSTANTS.electron_mass * gap) / CONSTANTS.hbar
+
+
+def _grid(rng, count, low, high, log=True):
+    values = set()
+    while len(values) < count:
+        values.add(10.0 ** rng.uniform(low, high) if log else rng.uniform(low, high))
+    return tuple(sorted(values))
+
+
+def seeded_configs(count=50):
+    """Configs over the accepted domain, in five kinds of window and height."""
+    rng = random.Random(10_2026)
+    configs = []
+    for i in range(count):
+        v0 = rng.uniform(0.5, 25.0)
+        ratios = _grid(rng, 5, 0.01, 0.99, log=False)
+        ratios = tuple(sorted(set(ratios) | {rng.choice((1e-6, 3e-5, 1e-3)),
+                                             rng.choice((0.999, 0.99999, 0.9999999))}))
+        d_nm = _grid(rng, 5, -3.0, 3.0)
+        kind = i % 5
+        if kind == 4:  # heights where D and k kappa D overflow, windows near kappa
+            v0 = 10.0 ** rng.uniform(60.0, 130.0)
+            cutoff = _kappa(0.5, v0) * 10.0 ** rng.uniform(-0.5, 0.5)
+        elif kind == 0:  # the default window
+            cutoff = 7.5e10
+        elif kind == 1:  # c d <= 2 on the thicker half of the grid
+            cutoff = rng.uniform(0.2, 2.0) / (d_nm[2] * 1e-9)
+        elif kind == 2:  # c d of 2 to 3 where kappa d is large
+            cutoff = rng.uniform(2.0, 3.0) / (d_nm[-1] * 1e-9)
+        else:  # superluminal on the thinnest barriers
+            cutoff = 10.0 ** rng.uniform(12.5, 14.0)
+        configs.append(SweepConfig(v0_ev=v0, e_over_v0_grid=ratios, d_nm_grid=d_nm,
+                                   cutoff=cutoff))
+    return configs
+
+
+def point_by_point(cfg):
+    return [
+        evaluate_point(cfg, e_ratio, d_nm)
+        for d_nm in cfg.d_nm_grid
+        for e_ratio in cfg.e_over_v0_grid
+    ]
+
+
+def assert_same_records(grid, points, cfg):
+    assert len(grid) == len(points)
+    for a, b in zip(grid, points):
+        for attr in RECORD_COLUMNS.values():
+            x, y = getattr(a, attr), getattr(b, attr)
+            if isinstance(y, float) and isinstance(x, float):
+                assert abs(x - y) <= REL_TOL * abs(y), (attr, a.e_over_v0, a.d_nm, x, y)
+            else:
+                assert x == y, (attr, a.e_over_v0, a.d_nm, x, y)
+        assert (a.spectrum is None) == (b.spectrum is None)
+    assert records_to_csv(grid, cfg) == records_to_csv(points, cfg)
+    drawable = [i for i, rec in enumerate(points) if rec.spectrum is not None]
+    for fig in ("fig1", "fig4"):
+        assert emit_figure_data([grid[i] for i in drawable], fig) == emit_figure_data(
+            [points[i] for i in drawable], fig
+        )
+
+
+@pytest.mark.parametrize("cfg", seeded_configs(), ids=lambda c: f"V0={c.v0_ev:.3g},Kprime={c.cutoff:.3g}")
+def test_grid_pass_matches_the_point_path(cfg):
+    assert_same_records(run_sweep(cfg), point_by_point(cfg), cfg)
+
+
+DENSE = SweepConfig(
+    e_over_v0_grid=tuple(i / 100 for i in range(1, 100)),
+    d_nm_grid=tuple(i / 10 for i in range(1, 11)),
+)
+
+
+def test_only_the_series_route_takes_the_point_path_on_the_dense_grid(monkeypatch):
+    # kappa d < 1/2 (the series moments and the edge-form dwell time) at
+    # d = 0.1 nm near the barrier top; every other point is usual
+    calls = []
+    point = sweep.evaluate_point
+    monkeypatch.setattr(
+        sweep, "evaluate_point", lambda cfg, r, d: calls.append((r, d)) or point(cfg, r, d)
+    )
+    run_sweep(DENSE)
+    thin = [
+        (r, d)
+        for d in DENSE.d_nm_grid
+        for r in DENSE.e_over_v0_grid
+        if _kappa(r, DENSE.v0_ev) * d * 1e-9 < 0.5
+    ]
+    assert calls == thin and len(thin) == 12
+
+
+def test_records_carry_the_point_paths_problem_and_solution():
+    for grid, point in zip(run_sweep(DENSE), point_by_point(DENSE)):
+        a, b = grid.spectrum.solution, point.spectrum.solution
+        assert a.problem == b.problem and a.wavenumbers == b.wavenumbers
+        for name in ("t", "S", "A", "B", "R"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-14 * abs(getattr(b, name))
+        for x, y in zip(a.edge_modes, b.edge_modes):
+            assert abs(x - y) <= 1e-14 * abs(y)
+        for name in ("normalization", "second_moment"):
+            x, y = getattr(grid.spectrum, name), getattr(point.spectrum, name)
+            assert abs(x - y) <= REL_TOL * y

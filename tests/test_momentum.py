@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import CONSTANTS, SPEED_OF_LIGHT, energy_si_to_ev
 from tunneltimes.errors import DomainError
 from tunneltimes.momentum import (
+    _SUMMED_TAILS_KAPPA_D,
     EffectiveKinematics,
     MomentumSpectrum,
+    _decayed_sinh_tails,
+    _sinh_tails,
     momentum_amplitude,
     momentum_spectrum,
 )
+from tunneltimes.sweep import SweepConfig, evaluate_point
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -208,6 +213,47 @@ class TestWindowMoments:
         spectrum = momentum_spectrum(p)
         with pytest.raises(DomainError, match="superluminal"):
             spectrum.kinematics()
+
+
+class TestThickSeriesRoute:
+    """c d <= 2 past kappa d = 700, where summing T_p would overflow."""
+
+    @staticmethod
+    def problem(kappa_d, edge=1.0):
+        ev = CONSTANTS.ev_to_joule
+        kappa = math.sqrt(2.0 * CONSTANTS.electron_mass * 5.0 * ev) / CONSTANTS.hbar
+        d = kappa_d / kappa
+        return BarrierProblem(5.0 * ev, 10.0 * ev, d, edge / d)
+
+    @pytest.mark.parametrize("kappa_d", [700.0, 1145.0, 3e3, 1e5, 1e7], ids=str)
+    def test_finite_positive_moments_in_bounded_memory(self, kappa_d):
+        problem = self.problem(kappa_d)
+        tracemalloc.start()
+        try:
+            spectrum = momentum_spectrum(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert 0.0 < spectrum.normalization < math.inf
+        assert 0.0 < spectrum.second_moment < math.inf
+
+    @pytest.mark.parametrize("edge", [1e-3, 1.0, 2.0], ids=str)
+    def test_matches_mpmath_at_kappa_d_800(self, edge):
+        pytest.importorskip("mpmath")
+        problem = self.problem(800.0, edge)
+        assert moment_gap(problem, mp_window_moments(problem)) <= 1e-9
+
+    def test_the_summed_and_closed_tails_meet(self):
+        # on either side of the switch the two forms of T_p agree
+        for kappa_d in (_SUMMED_TAILS_KAPPA_D, 2.0 * _SUMMED_TAILS_KAPPA_D):
+            summed = _sinh_tails(kappa_d) * math.exp(-kappa_d)
+            np.testing.assert_allclose(_decayed_sinh_tails(kappa_d), summed, rtol=1e-14)
+
+    def test_a_thick_barrier_under_a_narrow_window_sweeps_cleanly(self):
+        # d = 100 nm, Kprime = 1e7 /m: c d = 1, kappa d of about 1145
+        rec = evaluate_point(SweepConfig(cutoff=1e7), 0.5, 100.0)
+        assert rec.error == "" and rec.t_eff_s > 0.0
 
 
 class TestEffectiveKinematics:

@@ -6,7 +6,7 @@ import pytest
 from oracles import find_first_crossing, integrate
 from tunneltimes import numerics
 from tunneltimes.errors import DomainError, NoConvergence
-from tunneltimes.numerics import scaled_e1
+from tunneltimes.numerics import scaled_e1, scaled_e1_grid
 
 
 class TestIntegrate:
@@ -96,6 +96,33 @@ class TestScaledE1:
         monkeypatch.setattr(numerics, "_MAX_TERMS", 3)
         with pytest.raises(NoConvergence):
             scaled_e1(z)
+
+
+class TestScaledE1Grid:
+    # the continued-fraction points of TestScaledE1
+    POINTS = [z for z in TestScaledE1.POINTS if abs(z) + z.real > 2.0 or abs(z) > 700.0]
+
+    def test_each_element_matches_the_point_form(self):
+        values, converged = scaled_e1_grid(np.array(self.POINTS, dtype=complex))
+        assert converged.all()
+        for z, value in zip(self.POINTS, values.tolist()):
+            assert abs(value - scaled_e1(z)) <= 1e-14 * abs(scaled_e1(z))
+
+    def test_elements_stop_on_their_own(self):
+        # one slow element does not move the others off their first settled level
+        fast = np.array([1e4 - 3e3j, 350.0 + 21.9j])
+        alone, _ = scaled_e1_grid(fast)
+        mixed, _ = scaled_e1_grid(np.concatenate([fast, [-3950.0 - 18.0j]]))
+        assert mixed[:2].tolist() == alone.tolist()
+
+    def test_the_iteration_cap_leaves_elements_unsettled(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_TERMS", 3)
+        _, converged = scaled_e1_grid(np.array([5.0 + 5.0j, 1e300 + 0j]))
+        assert converged.tolist() == [False, True]
+
+    def test_empty_input(self):
+        values, converged = scaled_e1_grid(np.zeros(0, dtype=complex))
+        assert values.size == 0 and converged.size == 0
 
 
 class TestFindFirstCrossing:

@@ -293,6 +293,42 @@ class TestThickBarriers:
         assert rec.error == "problem: barrier phase k d must be finite"
 
 
+class TestHeightsAndWindows:
+    """Every accepted height and window evaluates without raising."""
+
+    def test_no_point_raises_over_three_hundred_decades(self):
+        # V0 above about 5e134 eV squared g, and Kprime above about 1.3e154 /m
+        # squared the window, past the largest double; both are problem cells
+        rng = random.Random(10)
+        records = []
+        for _ in range(300):
+            cfg = SweepConfig(v0_ev=10.0 ** rng.uniform(-300.0, 300.0))
+            records.append(evaluate_point(cfg, rng.uniform(0.01, 0.99), 10.0 ** rng.uniform(-3.0, 3.0)))
+        for _ in range(300):
+            cfg = SweepConfig(v0_ev=rng.uniform(0.5, 25.0), cutoff=10.0 ** rng.uniform(-300.0, 308.0))
+            records.append(evaluate_point(cfg, rng.uniform(0.01, 0.99), 10.0 ** rng.uniform(-3.0, 3.0)))
+        records_to_csv(records)
+        causes = {r.error.split(":")[0] for r in records}
+        assert causes <= {"", "problem", "momentum", "phase cross-check"}
+        assert "problem: barrier height's (2 m V0 / hbar^2)^2 must be finite" in {
+            r.error for r in records
+        }
+        assert "problem: momentum cutoff's Kprime^2 must be finite" in {
+            r.error for r in records
+        }
+
+    @pytest.mark.parametrize(
+        "cfg, error",
+        [
+            (SweepConfig(v0_ev=1e150), "problem: barrier height's (2 m V0 / hbar^2)^2 must be finite"),
+            (SweepConfig(cutoff=1e160), "problem: momentum cutoff's Kprime^2 must be finite"),
+        ],
+        ids=["V0", "Kprime"],
+    )
+    def test_the_found_points_are_problem_cells(self, cfg, error):
+        assert evaluate_point(cfg, 0.5, 1.0).error == error
+
+
 class TestGridKeys:
     """Records are filed and reported under their exact grid values."""
 
