@@ -58,6 +58,11 @@ DEFAULT_CUTOFF = 7.5e10
 #: return digits that look meaningful.
 NEAR_THRESHOLD_GAP_EV = 1e-6
 
+#: Below this kappa d, A and B grow like k / kappa and terms built on them
+#: cancel, so the momentum moments and the dwell integral take series of
+#: positive terms on the edge form psi(d - y) (see the momentum module).
+_SERIES_KAPPA_D = 0.5
+
 
 def _check_tunneling(energy: float, height: float) -> None:
     """The tunneling regime: 0 < E and V0 - E >= NEAR_THRESHOLD_GAP_EV."""
@@ -192,14 +197,9 @@ def _wavenumber_pair(energy, height, f=POINT):
     return k, kappa
 
 
-def _wavenumbers(energy: float, height: float) -> Wavenumbers:
-    k, kappa = _wavenumber_pair(energy, height)
-    return Wavenumbers(k=k, kappa=kappa)
-
-
 def wavenumbers(problem: BarrierProblem) -> Wavenumbers:
     """k = sqrt(2mE)/hbar and kappa = sqrt(2m(V0-E))/hbar for the problem."""
-    return _wavenumbers(problem.energy, problem.height)
+    return Wavenumbers(*_wavenumber_pair(problem.energy, problem.height))
 
 
 def _transmission(k, kappa, d, f=POINT):

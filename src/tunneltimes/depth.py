@@ -55,30 +55,23 @@ def relative_density(sol: StationarySolution, x):
 
 
 def penetration_depth(problem: BarrierProblem) -> float | None:
-    """First x in (0, d] where the relative density reaches exp(-2), or None.
-
-    The smaller root of the quadratic in u = exp(2 kappa x) from the module
-    docstring, taken by the cancellation-free form 2 / (sqrt(b^2 - 4a) - b).
-    """
+    """First x in (0, d] where the relative density reaches exp(-2), or None."""
     wn = wavenumbers(problem)
-    b, disc = _quadratic(wn.k, wn.kappa, problem.thickness)
-    if b >= 0.0 or disc < 0.0:  # no root with u > 0
-        return None
-    depth = _smaller_root_depth(wn.kappa, b, disc)
-    return depth if 0.0 < depth <= problem.thickness else None
+    depth, crosses = _depth(wn.k, wn.kappa, problem.thickness)
+    return depth if crosses else None
 
 
-def _quadratic(k, kappa, d, f=POINT):
-    """The linear coefficient b and the discriminant of the module docstring's
-    quadratic in u; ``f`` holds the elementwise functions."""
+def _depth(k, kappa, d, f=POINT):
+    """(x, whether x is a crossing in (0, d]) for the smaller root of the
+    module docstring's quadratic in u, taken by the cancellation-free form
+    2 / (sqrt(b^2 - 4a) - b); ``f`` holds the elementwise functions."""
     r2 = (k / kappa) ** 2
     decay = f.exp(-2.0 * kappa * d)
     a = decay * decay  # |rho|^2
     re_rho = decay * (1.0 - r2) / (1.0 + r2)
     b = 2.0 * re_rho - DEPTH_LEVEL * (1.0 + 2.0 * re_rho + a)  # |1 + rho|^2 expanded
-    return b, b * b - 4.0 * a
-
-
-def _smaller_root_depth(kappa, b, disc, f=POINT):
-    """x of the smaller root; requires b < 0 <= disc."""
-    return f.log(2.0 / (f.sqrt(disc) - b)) / (2.0 * kappa)
+    disc = b * b - 4.0 * a
+    root = (b < 0.0) & (disc >= 0.0)  # a root with u > 0
+    # where there is none, stand-ins keep sqrt and log on their domains
+    x = f.log(2.0 / (f.sqrt(f.where(root, disc, 0.0)) - f.where(root, b, -1.0))) / (2.0 * kappa)
+    return x, root & (x > 0.0) & (x <= d)

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierProblem, StationarySolution, stationary_solution
+from .barrier import _SERIES_KAPPA_D, BarrierProblem, StationarySolution, stationary_solution
 from .constants import CONSTANTS, SPEED_OF_LIGHT
 from .errors import DomainError
 from .numerics import POINT, scaled_e1
@@ -80,11 +80,6 @@ _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-#: Below this kappa d, or on a window narrower than _CENTRE / d, the moments
-#: come from _series_moments(); elsewhere the exponential sum is well
-#: conditioned.
-_SERIES_KAPPA_D = 0.5
 
 #: Half-width, in s = Kd, of the centre of the window that the amplitude's
 #: Taylor series covers.
@@ -236,6 +231,13 @@ def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f, e1):
     return normalization, second_moment
 
 
+def _series_route(kappa_d, edge):
+    """Whether the moments come from _series_moments(), at a point or
+    elementwise: kappa d below _SERIES_KAPPA_D, or a window whose edge c d
+    lies inside the centre. Elsewhere the exponential sum is well conditioned."""
+    return (kappa_d < _SERIES_KAPPA_D) | (edge <= _CENTRE)
+
+
 def _sinh_tails(kappa_d: float) -> np.ndarray:
     """T_p = sum_n (kappa d)^{2n} / (p + 2n)! for p = 1 .. _TAYLOR_TERMS + 1."""
     p = _TAYLOR_ORDERS + 1.0
@@ -331,13 +333,13 @@ def momentum_spectrum(
 ) -> MomentumSpectrum:
     """Build the spectrum for a problem: both moments over its window, exactly."""
     sol = stationary_solution(problem) if solution is None else solution
-    kappa_d = sol.wavenumbers.kappa * problem.thickness
-    if kappa_d < _SERIES_KAPPA_D or problem.cutoff * problem.thickness <= _CENTRE:
+    d = problem.thickness
+    if _series_route(sol.wavenumbers.kappa * d, problem.cutoff * d):
         norm, second = _series_moments(sol)
     else:
         a_d, b_d = sol.edge_modes
         norm, second = _exponential_moments(
-            sol.wavenumbers.kappa, problem.thickness, problem.cutoff,
+            sol.wavenumbers.kappa, d, problem.cutoff,
             sol.A, sol.B, a_d, b_d, POINT, scaled_e1,
         )
     return MomentumSpectrum(solution=sol, normalization=norm, second_moment=second)

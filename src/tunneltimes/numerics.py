@@ -27,6 +27,7 @@ POINT = SimpleNamespace(
     sin=math.sin,
     atan2=math.atan2,
     cexp=cmath.exp,
+    where=lambda cond, x, y: x if cond else y,
 )
 
 #: The same functions over numpy arrays, for kernels evaluated on a grid.
@@ -38,6 +39,7 @@ GRID = SimpleNamespace(
     sin=np.sin,
     atan2=np.arctan2,
     cexp=np.exp,
+    where=np.where,
 )
 
 _EULER_GAMMA = 0.5772156649015329
@@ -55,19 +57,30 @@ _TINY = 1e-300
 #: a double past |z| of about 709.
 _SERIES_MAX_ABS = 700.0
 
+#: Relative margin by which scaled_e1_grid() widens the series domain: numpy's
+#: complex abs may differ from the C library's in the last bit.
+_E1_DOMAIN_MARGIN = 1e-12
+
+
+def _series_domain(z, margin=0.0):
+    """Whether scaled_e1() sums the series at z, at a point or elementwise:
+    |z| + Re z <= 2 (small |z|, or close to the negative real axis, where the
+    series terms hardly cancel) and |z| <= _SERIES_MAX_ABS, each bound widened
+    by the relative ``margin``."""
+    size = abs(z)
+    return (size + z.real <= 2.0 + margin * size) & (size <= _SERIES_MAX_ABS * (1.0 + margin))
+
 
 def scaled_e1(z: complex) -> complex:
     """exp(z) * E1(z), the principal branch, for z off the cut (-inf, 0].
 
-    Both expansions follow Abramowitz & Stegun section 5.1. Where
-    |z| + Re z <= 2 (small |z|, or close to the negative real axis, where
-    the series terms hardly cancel) and |z| <= _SERIES_MAX_ABS it sums the
-    series 5.1.11; elsewhere it evaluates the continued fraction 5.1.22, in
-    its even contraction 1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), by the modified
-    Lentz method. Past |z| of about 700 the fraction converges near the cut
-    too, where e^z, the jump across it, is below the double epsilon. The
-    scaled form stays bounded (about 1/z for large |z|) where E1 itself
-    overflows or underflows.
+    Both expansions follow Abramowitz & Stegun section 5.1. In
+    _series_domain() it sums the series 5.1.11; elsewhere it evaluates the
+    continued fraction 5.1.22, in its even contraction
+    1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), by the modified Lentz method. Past |z|
+    of about 700 the fraction converges near the cut too, where e^z, the jump
+    across it, is below the double epsilon. The scaled form stays bounded
+    (about 1/z for large |z|) where E1 itself overflows or underflows.
 
     Raises DomainError on the cut and NoConvergence when _MAX_TERMS terms do
     not settle the value.
@@ -75,7 +88,7 @@ def scaled_e1(z: complex) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0:
         raise DomainError(f"E1 is not defined on its branch cut, got z = {z}")
-    if abs(z) + z.real <= 2.0 and abs(z) <= _SERIES_MAX_ABS:
+    if _series_domain(z):
         total = 0j
         term = 1.0 + 0j
         for n in range(1, _MAX_TERMS):
@@ -107,22 +120,21 @@ def scaled_e1(z: complex) -> complex:
 def scaled_e1_grid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e^z E1(z) over a 1-D complex array by scaled_e1()'s continued fraction.
 
-    Every element must lie outside the series domain of scaled_e1() (where
-    |z| + Re z <= 2 and |z| <= _SERIES_MAX_ABS); there the fraction is the
-    route scaled_e1() takes too. Each element runs the modified Lentz
-    recurrence until its own step is within _EPS of 1, at most _MAX_TERMS
-    levels, as scaled_e1() does. Returns the values and a mask of the elements
-    that converged; the others hold no meaningful value.
+    Each element outside the series domain, widened by _E1_DOMAIN_MARGIN, runs
+    the modified Lentz recurrence until its own step is within _EPS of 1, at
+    most _MAX_TERMS levels, as scaled_e1() does. Returns the values and a mask
+    of the elements that converged; the others, series-domain elements among
+    them, hold no meaningful value.
     """
     out = np.zeros(z.shape, dtype=complex)
     converged = np.zeros(z.shape, dtype=bool)
-    if not z.size:
+    active = np.flatnonzero(~_series_domain(z, _E1_DOMAIN_MARGIN))
+    if not active.size:
         return out, converged
-    b = z + 1.0
-    c = np.full(z.shape, 1.0 / _TINY, dtype=complex)
+    b = z[active] + 1.0
+    c = np.full(active.shape, 1.0 / _TINY, dtype=complex)
     d = 1.0 / b
     value = d
-    active = np.arange(z.size)
     for n in range(1, _MAX_TERMS):
         an = -float(n * n)
         b = b + 2.0

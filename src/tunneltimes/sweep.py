@@ -12,19 +12,27 @@ elementwise functions it calls, numerics.POINT (math, cmath) in evaluate()
 and numerics.GRID (numpy) here, and the exponential integral runs as one
 continued fraction over the array. One pass of the kernels gives every
 column of the usual points; evaluate_point() evaluates every other point, so
-each note and error cell is written by the point path. A point is unusual
-when BarrierProblem refuses it; when the moments or the dwell time take
-their series or edge forms (kappa d < 1/2 or c d <= 2), or e^{-z} E1(-z) its
-series; when kappa > 4 c, where the exponential sum cancels enough for its
-digits to depend on rounding; when the continued fraction does not settle,
-the phase stencil clips, the kinematics are not positive or are
-superluminal, a cross-check fails, or any value is not finite. The phase
-stencil is the point code at every point: its difference of two phases a
-few 1e-5 rad apart would turn a last-bit change in t into about 1e-11 of the
-time. So the grid's records match evaluate_point()'s to about 1e-14 and
-their CSV cells byte for byte. Each record still carries its spectrum and
-solution, built from the array slices. Records are pure data; the
-emitters below turn them into CSV with '#'-prefixed metadata lines (tool
+each note and error cell is written by the point path. Where a rule belongs
+to another module, the grid asks that module's predicate or kernel. A point
+is unusual when:
+
+  * BarrierProblem refuses it (barrier);
+  * the moments take their series route, kappa d < 1/2 or c d <= 2, which
+    covers the dwell time's edge form (momentum._series_route);
+  * e^{-z} E1(-z) lies in the exponential integral's series domain, or its
+    continued fraction does not settle (numerics._series_domain, which
+    scaled_e1_grid() applies);
+  * kappa > 4 c, where the exponential sum cancels enough for its digits to
+    depend on rounding (here);
+  * the phase stencil clips, the kinematics are not positive or are
+    superluminal, a cross-check fails, or any value is not finite.
+
+The phase stencil is the point code at every point: its difference of two
+phases a few 1e-5 rad apart would turn a last-bit change in t into about
+1e-11 of the time. So the grid's records match evaluate_point()'s to about
+1e-14 and their CSV cells byte for byte. Each record still carries its
+spectrum and solution, built from the array slices. Records are pure data;
+the emitters below turn them into CSV with '#'-prefixed metadata lines (tool
 version, config echo, stencil clipping notes) ahead of the header. Identical
 configs produce byte-identical output: evaluation order is fixed, no
 timestamps are embedded, and floats are serialized at six significant digits
@@ -80,7 +88,7 @@ from .constants import (
     length_nm_to_si,
     length_si_to_nm,
 )
-from .depth import _quadratic, _smaller_root_depth, penetration_depth, relative_density
+from .depth import _depth, penetration_depth, relative_density
 from .errors import (
     DomainError,
     MissingGridPoint,
@@ -89,16 +97,14 @@ from .errors import (
     ValidationError,
 )
 from .momentum import (
-    _CENTRE,
-    _SERIES_KAPPA_D,
     MomentumSpectrum,
     _exponential_moments,
     _kinematics,
+    _series_route,
     momentum_spectrum,
 )
-from .numerics import _SERIES_MAX_ABS, GRID, scaled_e1_grid
+from .numerics import GRID, scaled_e1_grid
 from .times import (
-    _EDGE_FORM_KAPPA_D,
     CROSS_CHECK_TOL,
     DEFAULT_PHASE_STEP_EV,
     _bl_time,
@@ -153,13 +159,17 @@ class SweepConfig:
             raise ValidationError("Kprime must be positive")
         if not self.phase_step_ev > 0:
             raise ValidationError("phase_step_eV must be positive")
-        for key, value in (
-            ("V0_eV", self.v0_ev),
-            ("Kprime", self.cutoff),
-            ("phase_step_eV", self.phase_step_ev),
+        # held as Python floats: a numpy scalar would echo as np.float64(...),
+        # which parse_config() refuses, and be quoted so in error cells
+        for key, name in (
+            ("V0_eV", "v0_ev"), ("Kprime", "cutoff"), ("phase_step_eV", "phase_step_ev")
         ):
+            value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValidationError(f"{key} must be finite")
+            object.__setattr__(self, name, value)
+        for name in ("e_over_v0_grid", "d_nm_grid"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
 
 def _check_grid(name: str, grid: tuple[float, ...]) -> None:
@@ -321,17 +331,14 @@ def evaluate(
             cross_check("phase", t_ph_num, t_ph_ana)
         cross_check("dwell", t_dw_num, t_dw_ana)
     if "depth" in blocks:
-        try:
-            depth = penetration_depth(problem)
-            if depth is None:
-                notes.append(NOTE_NO_CROSSING)
-            else:
-                values["s_nm"] = length_si_to_nm(depth)
-                if kin is not None:
-                    tau, xi = _tau_xi(depth, kin.v_rms, kin.eps_eff)
-                    values.update(tau_eff_s=tau, xi=xi)
-        except (DomainError, NoConvergence) as exc:
-            fail(exc, f"depth: {exc}")
+        depth = penetration_depth(problem)
+        if depth is None:
+            notes.append(NOTE_NO_CROSSING)
+        else:
+            values["s_nm"] = length_si_to_nm(depth)
+            if kin is not None:
+                tau, xi = _tau_xi(depth, kin.v_rms, kin.eps_eff)
+                values.update(tau_eff_s=tau, xi=xi)
 
     record = SweepRecord(
         e_over_v0=e_ratio,
@@ -420,10 +427,6 @@ def _passes(check: Callable[..., None], *args: float) -> bool:
 #: 3 (kappa / c)^2 there, so its digits depend on the rounding of each step.
 _SUM_WELL_CONDITIONED_KAPPA_OVER_C = 4.0
 
-#: Relative margin on the series-domain test of e^{-z} E1(-z): numpy's hypot
-#: may differ from the C library's in the last bit.
-_E1_DOMAIN_MARGIN = 1e-12
-
 
 def _grid_records(cfg: SweepConfig):
     """(flat index, record) of every usual grid point (see the module
@@ -442,23 +445,18 @@ def _grid_records(cfg: SweepConfig):
     # to evaluate_point(), which evaluates the same formulas
     with np.errstate(all="ignore"):
         k, kappa = _wavenumber_pair(energy, height, GRID)
-        lam, edge = kappa * thickness, c * thickness
-        hyp = np.hypot(lam, edge)  # |z| at z = kappa d + i c d; Re z > 0 puts z on the fraction
-        keep = (
-            (lam >= _SERIES_KAPPA_D)
-            & (lam >= _EDGE_FORM_KAPPA_D)
-            & (edge > _CENTRE)
-            & (kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c)
-            & (
-                (hyp - lam > 2.0 + _E1_DOMAIN_MARGIN * hyp)
-                | (hyp > _SERIES_MAX_ABS * (1.0 + _E1_DOMAIN_MARGIN))
-            )
-        )
+        lam = kappa * thickness
+        # the series route covers the dwell time's edge form, which takes the
+        # same bound on kappa d
+        keep = ~_series_route(lam, c * thickness)
+        keep &= kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c
         flat, energy, thickness, k, kappa, lam = (
             a[keep] for a in (flat, energy, thickness, k, kappa, lam)
         )
 
         t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, thickness, GRID)
+        # scaled_e1_grid() leaves unsettled the elements of its series domain
+        # and those its fraction does not settle
         settled = np.ones(flat.size, dtype=bool)
 
         def e1(z):
@@ -474,18 +472,13 @@ def _grid_records(cfg: SweepConfig):
         t_dw_num = _stored_probability(kappa, thickness, A, B, a_d, GRID) / _flux(k)
         t_dw_ana = _dwell_time_closed(k, kappa, lam, g, GRID)
         t_bl = _bl_time(kappa, thickness)
-        b_q, disc = _quadratic(k, kappa, thickness, GRID)
-        crossing = (b_q < 0.0) & (disc >= 0.0)
-        depth = _smaller_root_depth(
-            kappa, np.where(crossing, b_q, -1.0), np.where(crossing, disc, 0.0), GRID
-        )
-        crossing &= (depth > 0.0) & (depth <= thickness)
+        depth, crossing = _depth(k, kappa, thickness, GRID)
         tau, xi = _tau_xi(depth, v_rms, eps_eff)
         s_abs2, r_abs2 = np.abs(S) ** 2, np.abs(R) ** 2
         eps_ev, s_nm = energy_si_to_ev(eps_eff), length_si_to_nm(depth)
         columns = (
             s_abs2, r_abs2, k_rms, v_rms, t_eff, eps_eff, eps_ev, t_ph_ana,
-            t_dw_num, t_dw_ana, t_bl, b_q, disc, depth, s_nm, tau, xi,
+            t_dw_num, t_dw_ana, t_bl, depth, s_nm, tau, xi,
         )
         usual = (
             settled

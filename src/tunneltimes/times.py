@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 
 from .barrier import (
+    _SERIES_KAPPA_D,
     BarrierProblem,
     StationarySolution,
     incident_flux,
@@ -59,10 +60,6 @@ _HBAR = CONSTANTS.hbar
 #: Default energy step for the phase-derivative stencil, eV. arg S varies on
 #: the eV scale, so 1e-4 eV balances truncation against roundoff in doubles.
 DEFAULT_PHASE_STEP_EV = 1e-4
-
-#: Below this kappa d the dwell integral is taken in its edge form, whose
-#: terms do not cancel near the barrier top.
-_EDGE_FORM_KAPPA_D = 0.5
 
 #: Numeric and analytic routes agreeing worse than this means one of them is
 #: wrong; report both rather than silently preferring either.
@@ -179,7 +176,7 @@ def dwell_time_numeric(
     sol = stationary_solution(problem) if solution is None else solution
     k, kappa = sol.wavenumbers.k, sol.wavenumbers.kappa
     d = problem.thickness
-    if kappa * d < _EDGE_FORM_KAPPA_D:
+    if kappa * d < _SERIES_KAPPA_D:
         # sinh(x)/x - 1 at x = 2 kappa d, by its series
         x2 = (2.0 * kappa * d) ** 2
         term = excess = x2 / 6.0

@@ -7,13 +7,19 @@ byte for byte, every note and error cell included, with every numeric column
 within 1e-13 relative.
 """
 
+import ast
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from tunneltimes import sweep
+from tunneltimes.barrier import BarrierProblem, wavenumbers
 from tunneltimes.constants import CONSTANTS
+from tunneltimes.errors import DomainError
+from tunneltimes.momentum import _series_route
 from tunneltimes.sweep import (
     RECORD_COLUMNS,
     SweepConfig,
@@ -91,9 +97,53 @@ def assert_same_records(grid, points, cfg):
         )
 
 
-@pytest.mark.parametrize("cfg", seeded_configs(), ids=lambda c: f"V0={c.v0_ev:.3g},Kprime={c.cutoff:.3g}")
+def point_calls(monkeypatch):
+    """The (E/V0, d) of every evaluate_point() call run_sweep() makes."""
+    calls = []
+    point = sweep.evaluate_point
+    monkeypatch.setattr(
+        sweep, "evaluate_point", lambda cfg, r, d: calls.append((r, d)) or point(cfg, r, d)
+    )
+    return calls
+
+
+def series_route_points(cfg):
+    """Accepted grid points on the moments' series route -> whether kappa d
+    alone puts them there (else c d does)."""
+    points = {}
+    for d_nm in cfg.d_nm_grid:
+        for r in cfg.e_over_v0_grid:
+            try:
+                problem = BarrierProblem.from_ev_nm(r * cfg.v0_ev, cfg.v0_ev, d_nm, cfg.cutoff)
+            except DomainError:
+                continue
+            d = problem.thickness
+            kappa_d = wavenumbers(problem).kappa * d
+            if _series_route(kappa_d, cfg.cutoff * d):
+                points[(r, d_nm)] = _series_route(kappa_d, math.inf)
+    return points
+
+
+CONFIGS = seeded_configs()
+CONFIG_IDS = [f"V0={c.v0_ev:.3g},Kprime={c.cutoff:.3g}" for c in CONFIGS]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
 def test_grid_pass_matches_the_point_path(cfg):
     assert_same_records(run_sweep(cfg), point_by_point(cfg), cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+def test_series_route_points_take_the_point_path(cfg, monkeypatch):
+    calls = point_calls(monkeypatch)
+    run_sweep(cfg)
+    assert set(series_route_points(cfg)) <= set(calls)
+
+
+def test_the_seeded_configs_reach_both_arms_of_the_series_route():
+    # the dense grid's c d is at least 7.5, so only these reach c d <= 2
+    arms = [arm for cfg in CONFIGS for arm in series_route_points(cfg).values()]
+    assert True in arms and False in arms
 
 
 DENSE = SweepConfig(
@@ -105,11 +155,7 @@ DENSE = SweepConfig(
 def test_only_the_series_route_takes_the_point_path_on_the_dense_grid(monkeypatch):
     # kappa d < 1/2 (the series moments and the edge-form dwell time) at
     # d = 0.1 nm near the barrier top; every other point is usual
-    calls = []
-    point = sweep.evaluate_point
-    monkeypatch.setattr(
-        sweep, "evaluate_point", lambda cfg, r, d: calls.append((r, d)) or point(cfg, r, d)
-    )
+    calls = point_calls(monkeypatch)
     run_sweep(DENSE)
     thin = [
         (r, d)
@@ -131,3 +177,19 @@ def test_records_carry_the_point_paths_problem_and_solution():
         for name in ("normalization", "second_moment"):
             x, y = getattr(grid.spectrum, name), getattr(point.spectrum, name)
             assert abs(x - y) <= REL_TOL * y
+
+
+def test_the_sweep_imports_no_private_constant():
+    # a rule's bound lives beside the predicate or kernel that states it
+    # (momentum._series_route, numerics._series_domain, depth._depth); a
+    # sweep importing the bound could restate the rule and drift from it
+    tree = ast.parse(Path(sweep.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "tunneltimes")
+        for alias in node.names
+        if re.fullmatch(r"_[A-Z][A-Z0-9_]*", alias.name)
+    ]
+    assert imported == []

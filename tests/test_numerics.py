@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -119,6 +120,18 @@ class TestScaledE1Grid:
         monkeypatch.setattr(numerics, "_MAX_TERMS", 3)
         _, converged = scaled_e1_grid(np.array([5.0 + 5.0j, 1e300 + 0j]))
         assert converged.tolist() == [False, True]
+
+    def test_series_domain_elements_read_unsettled(self):
+        # scaled_e1() sums the series there; within 1e-12 of the domain's edge
+        # |z| + Re z = 2 the grid cannot tell which route the point form takes
+        edge = [2.0 / (1.0 + math.cos(a)) * cmath.exp(1j * a) for a in (0.5, 2.0, 3.0)]
+        near = [z * (1.0 + s) for z in edge for s in (-1e-13, 0.0, 1e-13)]
+        series = [0.5 + 0.5j, 0.3 + 1.0j, 0.1 + 1.8j, -699.0 + 1.0j] + near
+        fraction = [1.0 + 0.3j, 5.0 + 5.0j]  # |z| + Re z of 2.04 and 12.1
+        values, converged = scaled_e1_grid(np.array(series + fraction))
+        assert converged.tolist() == [False] * len(series) + [True] * len(fraction)
+        for z, value in zip(fraction, values[len(series):].tolist()):
+            assert abs(value - scaled_e1(z)) <= 1e-14 * abs(scaled_e1(z))
 
     def test_empty_input(self):
         values, converged = scaled_e1_grid(np.zeros(0, dtype=complex))

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM
@@ -100,6 +101,22 @@ class TestSweepConfig:
         # they used to sweep, and the config echo then refused to serialize
         with pytest.raises(ValidationError):
             SweepConfig(**{field: (value,) if field == "d_nm_grid" else value})
+
+    def test_numpy_scalars_are_held_as_floats(self):
+        # a numpy scalar would echo as np.float64(...), which parse_config()
+        # refuses, and be quoted so in error cells
+        cfg = SweepConfig(
+            v0_ev=np.float64(10.0),
+            e_over_v0_grid=tuple(np.array([0.01, 0.1234567])),
+            d_nm_grid=tuple(np.logspace(-1.0, 3.0, 200)[100:101]),
+            cutoff=np.float64(7.5e10),
+            phase_step_ev=np.float64(1e-4),
+        )
+        scalars = (cfg.v0_ev, cfg.cutoff, cfg.phase_step_ev)
+        assert all(type(v) is float for v in scalars + cfg.e_over_v0_grid + cfg.d_nm_grid)
+        assert parse_config("\n".join(config_lines(cfg))) == cfg
+        error = run_sweep(cfg)[0].error
+        assert error.startswith("phase cross-check: numeric 6.6178") and "np." not in error
 
 
 class TestConfigEcho:
