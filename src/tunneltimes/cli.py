@@ -32,6 +32,7 @@ from .sweep import (
     RECORD_COLUMNS,
     TOOL_NAME,
     SweepConfig,
+    _csv,
     _fmt,
     emit_figure_data,
     emit_table1,
@@ -76,16 +77,10 @@ def _point_problem(args) -> BarrierProblem:
 
 
 def _point_csv(args, columns: dict[str, float | None]) -> str:
-    lines = [
-        f"# tool: {TOOL_NAME} {__version__}",
-        f"# config: E_eV={_fmt(args.e_ev)}",
-        f"# config: V0_eV={_fmt(args.v0_ev)}",
-        f"# config: d_nm={_fmt(args.d_nm)}",
-        f"# config: Kprime={_fmt(args.cutoff)}",
-        ",".join(columns),
-        ",".join(_fmt(v) for v in columns.values()),
-    ]
-    return "\n".join(lines) + "\n"
+    config = (("E_eV", args.e_ev), ("V0_eV", args.v0_ev), ("d_nm", args.d_nm),
+              ("Kprime", args.cutoff))
+    meta = [f"# config: {key}={_fmt(value)}" for key, value in config]
+    return _csv(meta, columns, [",".join(map(_fmt, columns.values()))])
 
 
 def _cmd_coeffs(args) -> str:

@@ -39,11 +39,15 @@ timestamps are embedded, and floats are serialized at six significant digits
 (the depth table uses the conventional four decimals of nm instead). The
 config echo keeps six digits only where they read back to the same float.
 
-The per-record CSVs (the sweep and fig2, fig3, fig5, fig6a) share one row
-writer. The curve figures are formatted by column: each record's pdf or
-density array passes one finiteness check and is formatted in one pass, and a
-grid that records share is formatted once per emitter call, since fig1's K
-grid depends only on the cutoff and fig4's x grid only on the thickness.
+Every CSV, the point commands' one-row files included, is written by one
+writer from its metadata lines, header and rows. The per-record CSVs (the
+sweep and fig2, fig3, fig5, fig6a) read each column from all records at once,
+by attribute or by a derived function, and format it in one pass; a required
+column is checked for gaps first, so the first incomplete record in row order
+is the one named. The curve figures fig1 and fig4 share one loop: each
+record's curve passes one finiteness check and is formatted in one pass, and
+the K grid (a function of the cutoff) or x grid (of the thickness) that
+records share is built and formatted once per emitter call.
 
 Besides its columns, a record carries the momentum spectrum its momentum
 block built, which holds the point's stationary solution. The curve figures
@@ -55,15 +59,20 @@ Per-point failures land in the record's ``error`` column; a missing depth on a
 thin barrier is a ``no_crossing`` note, not an error. The barrier solution and
 the closed forms are held in bounded form (see the barrier module), so no
 thickness aborts the sweep. NaN is never serialized: absent values are empty
-cells, and a non-finite value raises FloatingPointError instead of reaching a
-cell.
+cells, and so is a value that evaluate() finds not finite. A failed
+cross-check already quotes such a time in the error column; any other
+non-finite value gets an error entry of its own, and a FloatingPointError
+among the caught exceptions, so a point command still exits as a numeric
+failure. An emitter refuses a non-finite value that still reaches a cell with
+FloatingPointError.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -147,6 +156,11 @@ class SweepConfig:
     phase_step_ev: float = DEFAULT_PHASE_STEP_EV
 
     def __post_init__(self):
+        # held as Python floats: a numpy scalar would echo as np.float64(...),
+        # which parse_config() refuses, and be quoted so in error cells; the
+        # grids are converted first, so an array is checked as its values
+        for name in ("e_over_v0_grid", "d_nm_grid"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not self.v0_ev > 0:
             raise ValidationError("V0_eV must be positive")
         _check_grid("E_over_V0_grid", self.e_over_v0_grid)
@@ -159,8 +173,6 @@ class SweepConfig:
             raise ValidationError("Kprime must be positive")
         if not self.phase_step_ev > 0:
             raise ValidationError("phase_step_eV must be positive")
-        # held as Python floats: a numpy scalar would echo as np.float64(...),
-        # which parse_config() refuses, and be quoted so in error cells
         for key, name in (
             ("V0_eV", "v0_ev"), ("Kprime", "cutoff"), ("phase_step_eV", "phase_step_ev")
         ):
@@ -168,8 +180,6 @@ class SweepConfig:
             if not math.isfinite(value):
                 raise ValidationError(f"{key} must be finite")
             object.__setattr__(self, name, value)
-        for name in ("e_over_v0_grid", "d_nm_grid"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
 
 def _check_grid(name: str, grid: tuple[float, ...]) -> None:
@@ -340,6 +350,17 @@ def evaluate(
                 tau, xi = _tau_xi(depth, kin.v_rms, kin.eps_eff)
                 values.update(tau_eff_s=tau, xi=xi)
 
+    # a non-finite value leaves its cell empty: a failed cross-check already
+    # quotes the times it compared, and any other value is an error of its own.
+    # The screen skips None and 0.0 (both falsy) and runs in C, so a finite
+    # record costs the point commands no Python loop.
+    if not all(map(math.isfinite, filter(None, values.values()))):
+        for name, value in values.items():
+            if value is not None and not math.isfinite(value):
+                values[name] = None
+                if name not in _CROSS_CHECKED:
+                    fail(FloatingPointError(_NON_FINITE), f"{name}: {_NON_FINITE}")
+
     record = SweepRecord(
         e_over_v0=e_ratio,
         d_nm=d_nm,
@@ -352,6 +373,13 @@ def evaluate(
         spectrum=spectrum,
     )
     return record, caught
+
+
+#: The values a cross-check compares, and quotes when they fail it; a
+#: non-finite one always fails it.
+_CROSS_CHECKED = (
+    "t_ph_numeric_s", "t_ph_analytic_s", "t_dw_numeric_s", "t_dw_analytic_s"
+)
 
 
 def _agrees(numeric, analytic):
@@ -647,25 +675,41 @@ def _cells(values: np.ndarray) -> list[str]:
     return [f"{v:.6g}" for v in (values + 0.0).tolist()]
 
 
-def _metadata(cfg: SweepConfig | None, records: list[SweepRecord] | None) -> list[str]:
-    lines = [f"# tool: {TOOL_NAME} {__version__}"]
-    if cfg is not None:
-        lines += [f"# config: {entry}" for entry in config_lines(cfg)]
-    if records:
-        clipped = [
-            f"(E/V0={_fmt(r.e_over_v0)}, d={_fmt(r.d_nm)} nm)"
-            for r in records
-            if NOTE_PHASE_CLIPPED in r.note
-        ]
-        if clipped:
-            lines.append(
-                "# clipping: phase-time stencil left the energy domain at "
-                + ", ".join(clipped)
-            )
+def _csv(meta: list[str], header: Iterable[str], rows: Iterable[str]) -> str:
+    """The one CSV writer: the tool line, ``meta``, the header and the rows."""
+    lines = [f"# tool: {TOOL_NAME} {__version__}", *meta, ",".join(header), *rows]
+    return "\n".join(lines) + "\n"
+
+
+def _metadata(cfg: SweepConfig | None, records: list[SweepRecord]) -> list[str]:
+    """The config echo and the stencil clipping note of a grid CSV."""
+    lines = [] if cfg is None else [f"# config: {entry}" for entry in config_lines(cfg)]
+    clipped = [
+        f"(E/V0={_fmt(r.e_over_v0)}, d={_fmt(r.d_nm)} nm)"
+        for r in records
+        if NOTE_PHASE_CLIPPED in r.note
+    ]
+    if clipped:
+        lines.append(
+            "# clipping: phase-time stencil left the energy domain at " + ", ".join(clipped)
+        )
     return lines
 
 
-_Source = str | Callable[[SweepRecord], float | str | None]
+def _missing(
+    rec: SweepRecord, what: str, key: Callable[[float], str] = _echo
+) -> MissingGridPoint:
+    """MissingGridPoint for a record that cannot be emitted because it ``what``,
+    naming its grid point by ``key`` of each value."""
+    return MissingGridPoint(
+        f"record E/V0={key(rec.e_over_v0)}, d={key(rec.d_nm)} nm {what}"
+    )
+
+
+#: Record attributes written as they are; every other column goes through _fmt.
+_TEXT = ("note", "error")
+
+_Source = str | Callable[[SweepRecord], float | None]
 
 
 def _emit_rows(
@@ -677,27 +721,28 @@ def _emit_rows(
     """CSV with one row per record, in record order.
 
     ``columns`` maps each CSV column to a record attribute, or to a function of
-    the record for a derived column. String values (note, error) are written
-    as they are and None is an empty cell, except in a ``required`` column,
-    where it raises MissingGridPoint.
+    the record for a derived column, and each column is read from all records
+    at once. None is an empty cell, except in a ``required`` column: the first
+    record in row order with a None there raises MissingGridPoint.
     """
-    out = _metadata(cfg, records)
-    out.append(",".join(columns))
-    for rec in records:
-        cells = []
-        for column, source in columns.items():
-            value = source(rec) if callable(source) else getattr(rec, source)
-            if isinstance(value, str):
-                cells.append(value)
-            elif value is None and column in required:
-                raise MissingGridPoint(
-                    f"record E/V0={_echo(rec.e_over_v0)}, d={_echo(rec.d_nm)} nm "
-                    f"is missing {column} (note={rec.note!r}, error={rec.error!r})"
-                )
-            else:
-                cells.append(_fmt(value))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+    values = [
+        list(map(source if callable(source) else attrgetter(source), records))
+        for source in columns.values()
+    ]
+    gaps = [
+        (column.index(None), i, name)
+        for i, (name, column) in enumerate(zip(columns, values))
+        if name in required and None in column
+    ]
+    if gaps:
+        row, _, name = min(gaps)
+        rec = records[row]
+        raise _missing(rec, f"is missing {name} (note={rec.note!r}, error={rec.error!r})")
+    cells = [
+        column if source in _TEXT else map(_fmt, column)
+        for source, column in zip(columns.values(), values)
+    ]
+    return _csv(_metadata(cfg, records), columns, map(",".join, zip(*cells)))
 
 
 def records_to_csv(records: list[SweepRecord], cfg: SweepConfig | None = None) -> str:
@@ -756,27 +801,51 @@ def emit_table1(records: list[SweepRecord], cfg: SweepConfig | None = None) -> s
     must be present and have a depth; anything else raises MissingGridPoint.
     """
     index = _index_records(records)
-    out = _metadata(cfg, records)
-    out.append("E_over_V0,d_nm,s_nm")
+    rows = []
     for e_ratio in TABLE1_E_RATIOS:
         for d_nm in TABLE1_D_NM:
             rec = _require(index, e_ratio, d_nm)
             if rec.s_nm is None:
-                raise MissingGridPoint(
-                    f"record E/V0={e_ratio}, d={d_nm} nm has no depth "
-                    f"(note={rec.note!r}, error={rec.error!r})"
+                raise _missing(
+                    rec, f"has no depth (note={rec.note!r}, error={rec.error!r})", str
                 )
-            out.append(f"{_fmt(e_ratio)},{_fmt(d_nm)},{rec.s_nm:.4f}")
-    return "\n".join(out) + "\n"
+            rows.append(f"{_fmt(e_ratio)},{_fmt(d_nm)},{rec.s_nm:.4f}")
+    return _csv(_metadata(cfg, records), ("E_over_V0", "d_nm", "s_nm"), rows)
 
 
 def _figure_spectrum(rec: SweepRecord) -> MomentumSpectrum:
     if rec.spectrum is None:
-        raise MissingGridPoint(
-            f"record E/V0={_echo(rec.e_over_v0)}, d={_echo(rec.d_nm)} nm has no "
-            f"momentum spectrum to draw curves from (error={rec.error!r})"
+        raise _missing(
+            rec, f"has no momentum spectrum to draw curves from (error={rec.error!r})"
         )
     return rec.spectrum
+
+
+def _curve_figure(records: list[SweepRecord], which: str, cfg: SweepConfig | None) -> str:
+    """fig1 or fig4: each record's curve on its grid, one row per grid point.
+
+    fig1's K grid depends only on the cutoff and fig4's x grid only on the
+    thickness, so records that share one share its array and its cells.
+    """
+    fig1 = which == "fig1"
+    grids: dict[float, tuple[np.ndarray, list[str]]] = {}
+    rows: list[str] = []
+    for rec in records:
+        spectrum = _figure_spectrum(rec)
+        key = rec.cutoff if fig1 else spectrum.problem.thickness
+        if key not in grids:
+            if fig1:
+                grid = np.linspace(-key, key, FIG1_K_POINTS)
+                grids[key] = grid, _cells(grid)
+            else:
+                grid = np.linspace(0.0, key, FIG4_X_POINTS)
+                grids[key] = grid, _cells(length_si_to_nm(grid))
+        grid, grid_cells = grids[key]
+        curve = spectrum.pdf(grid) if fig1 else relative_density(spectrum.solution, grid)
+        prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
+        rows += [f"{prefix},{x},{y}" for x, y in zip(grid_cells, _cells(curve))]
+    header = ("K_per_m", "pdf_m") if fig1 else ("x_nm", "relative_density")
+    return _csv(_metadata(cfg, records), ("E_over_V0", "d_nm", *header), rows)
 
 
 def _eps_eff_plus_v0(rec: SweepRecord) -> float | None:
@@ -817,38 +886,8 @@ def emit_figure_data(
     fig1 and fig4 draw from each record's spectrum and raise MissingGridPoint
     for a record without one.
     """
-    if which == "fig1":
-        out = _metadata(cfg, records)
-        out.append("E_over_V0,d_nm,K_per_m,pdf_m")
-        k_grids: dict[float, tuple[np.ndarray, list[str]]] = {}
-        for rec in records:
-            spectrum = _figure_spectrum(rec)
-            if rec.cutoff not in k_grids:
-                ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
-                k_grids[rec.cutoff] = (ks, _cells(ks))
-            ks, k_cells = k_grids[rec.cutoff]
-            prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
-            out += [
-                f"{prefix},{k},{p}" for k, p in zip(k_cells, _cells(spectrum.pdf(ks)))
-            ]
-        return "\n".join(out) + "\n"
-    if which == "fig4":
-        out = _metadata(cfg, records)
-        out.append("E_over_V0,d_nm,x_nm,relative_density")
-        x_grids: dict[float, tuple[np.ndarray, list[str]]] = {}
-        for rec in records:
-            sol = _figure_spectrum(rec).solution
-            thickness = sol.problem.thickness
-            if thickness not in x_grids:
-                xs = np.linspace(0.0, thickness, FIG4_X_POINTS)
-                x_grids[thickness] = (xs, _cells(length_si_to_nm(xs)))
-            xs, x_cells = x_grids[thickness]
-            prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
-            out += [
-                f"{prefix},{x},{v}"
-                for x, v in zip(x_cells, _cells(relative_density(sol, xs)))
-            ]
-        return "\n".join(out) + "\n"
+    if which in ("fig1", "fig4"):
+        return _curve_figure(records, which, cfg)
     if which in _SCALAR_FIGURES:
         columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **_SCALAR_FIGURES[which]}
         required = [c for c, source in columns.items() if source not in _MAY_BE_ABSENT]

@@ -20,7 +20,7 @@ from tunneltimes import __version__
 from tunneltimes.barrier import stationary_solution
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
 from tunneltimes.depth import DEPTH_LEVEL, relative_density
-from tunneltimes.errors import DomainError, NoConvergence
+from tunneltimes.errors import DomainError, MissingGridPoint, NoConvergence
 from tunneltimes.momentum import momentum_amplitude
 from tunneltimes.sweep import (
     FIG1_K_POINTS,
@@ -434,9 +434,48 @@ def per_cell_fmt(value) -> str:
     return f"{value:.6g}"
 
 
+def _per_cell_echo(value: float) -> str:
+    """A grid value as a MissingGridPoint message names it: six digits where
+    they read back to the value, in full otherwise."""
+    text = per_cell_fmt(value)
+    return text if float(text) == value else repr(value)
+
+
+def _per_cell_missing(rec, what: str) -> MissingGridPoint:
+    return MissingGridPoint(
+        f"record E/V0={_per_cell_echo(rec.e_over_v0)}, d={_per_cell_echo(rec.d_nm)} nm "
+        f"{what}"
+    )
+
+
+#: The per-point figures: (column, record attribute) after the two key
+#: columns; fig6a's one column is eps_eff + V0.
+_PER_CELL_FIGURES = {
+    "fig2": (("v_rms_m_per_s", "v_rms"), ("eps_eff_eV", "eps_eff_ev"),
+             ("t_eff_s", "t_eff_s")),
+    "fig3": (("E_eV", "e_ev"), ("t_ph_s", "t_ph_numeric_s"),
+             ("t_dw_s", "t_dw_numeric_s"), ("t_bl_s", "t_bl_s")),
+    "fig5": (("s_nm", "s_nm"), ("tau_eff_s", "tau_eff_s"), ("xi", "xi")),
+    "fig6a": (("eps_eff_plus_V0_eV", None),),
+}
+
+#: Figure columns left empty where the density never reaches the depth level.
+_PER_CELL_OPTIONAL = ("s_nm", "tau_eff_s", "xi")
+
+
+def _per_cell_spectrum(rec):
+    if rec.spectrum is None:
+        raise _per_cell_missing(
+            rec, f"has no momentum spectrum to draw curves from (error={rec.error!r})"
+        )
+    return rec.spectrum
+
+
 def per_cell_emit(records, which: str) -> str:
-    """The sweep CSV ("sweep"), fig1 or fig4 of ``records``, emitted without a
-    config, one per_cell_fmt call per cell and every grid built per record."""
+    """The sweep CSV ("sweep"), table1 or a figure's data of ``records``,
+    emitted without a config, one cell at a time in row order, every curve
+    grid built per record. A record that cannot be emitted raises
+    MissingGridPoint naming the first gap in row order, then column order."""
     out = [f"# tool: {TOOL_NAME} {__version__}"]
     clipped = [
         f"(E/V0={per_cell_fmt(r.e_over_v0)}, d={per_cell_fmt(r.d_nm)} nm)"
@@ -459,7 +498,7 @@ def per_cell_emit(records, which: str) -> str:
         out.append("E_over_V0,d_nm,K_per_m,pdf_m")
         for rec in records:
             ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
-            pdf = rec.spectrum.pdf(ks)
+            pdf = _per_cell_spectrum(rec).pdf(ks)
             prefix = f"{per_cell_fmt(rec.e_over_v0)},{per_cell_fmt(rec.d_nm)}"
             out += [
                 f"{prefix},{per_cell_fmt(k)},{per_cell_fmt(p)}" for k, p in zip(ks, pdf)
@@ -467,7 +506,7 @@ def per_cell_emit(records, which: str) -> str:
     elif which == "fig4":
         out.append("E_over_V0,d_nm,x_nm,relative_density")
         for rec in records:
-            sol = rec.spectrum.solution
+            sol = _per_cell_spectrum(rec).solution
             xs = np.linspace(0.0, sol.problem.thickness, FIG4_X_POINTS)
             dens = relative_density(sol, xs)
             prefix = f"{per_cell_fmt(rec.e_over_v0)},{per_cell_fmt(rec.d_nm)}"
@@ -475,6 +514,38 @@ def per_cell_emit(records, which: str) -> str:
                 f"{prefix},{per_cell_fmt(length_si_to_nm(x))},{per_cell_fmt(v)}"
                 for x, v in zip(xs, dens)
             ]
+    elif which == "table1":
+        out.append("E_over_V0,d_nm,s_nm")
+        index = {(r.e_over_v0, r.d_nm): r for r in records}
+        for e_ratio in REFERENCE_DEPTHS_NM:
+            for d_nm in TABLE_D_NM:
+                rec = index.get((e_ratio, d_nm))
+                if rec is None:
+                    raise MissingGridPoint(
+                        f"no sweep record for E/V0={e_ratio}, d={d_nm} nm"
+                    )
+                if rec.s_nm is None:
+                    raise MissingGridPoint(
+                        f"record E/V0={e_ratio}, d={d_nm} nm has no depth "
+                        f"(note={rec.note!r}, error={rec.error!r})"
+                    )
+                out.append(f"{per_cell_fmt(e_ratio)},{per_cell_fmt(d_nm)},{rec.s_nm:.4f}")
+    elif which in _PER_CELL_FIGURES:
+        columns = (("E_over_V0", "e_over_v0"), ("d_nm", "d_nm"), *_PER_CELL_FIGURES[which])
+        out.append(",".join(column for column, _ in columns))
+        for rec in records:
+            cells = []
+            for column, attr in columns:
+                if attr is None:
+                    value = None if rec.eps_eff_ev is None else rec.eps_eff_ev + rec.v0_ev
+                else:
+                    value = getattr(rec, attr)
+                if value is None and attr not in _PER_CELL_OPTIONAL:
+                    raise _per_cell_missing(
+                        rec, f"is missing {column} (note={rec.note!r}, error={rec.error!r})"
+                    )
+                cells.append(per_cell_fmt(value))
+            out.append(",".join(cells))
     else:
         raise ValueError(f"no per-cell reference for {which!r}")
     return "\n".join(out) + "\n"

@@ -1,24 +1,30 @@
 """CSV cells formatted by column agree with the one-cell-at-a-time route.
 
-The emitters check a whole curve for finiteness at once and format each K or
-x grid a sweep shares only once. ``oracles.per_cell_emit`` formats every cell
-on its own, as the emitters once did; the text must be identical, on the
-dense acceptance grid and on records joined from sweeps whose cutoffs,
-heights and thicknesses differ.
+The per-record emitters read and format each column from all records at
+once, the curve figures check a whole curve for finiteness at once, and each
+K or x grid a sweep shares is formatted only once. ``oracles.per_cell_emit``
+formats every cell on its own, in row order, as the emitters once did; the
+text, or the MissingGridPoint raised instead, must be identical for every
+emitter, on the dense acceptance grid and on records joined from sweeps whose
+cutoffs, heights and thicknesses differ.
 """
 
 import sys
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 import pytest
 
 from oracles import per_cell_emit, per_cell_fmt
+from tunneltimes.errors import MissingGridPoint
 from tunneltimes.sweep import (
+    FIGURE_IDS,
     SweepConfig,
     _cells,
     _fmt,
     emit_figure_data,
+    emit_table1,
     evaluate_point,
     records_to_csv,
     run_sweep,
@@ -51,10 +57,27 @@ EDGE_VALUES = (
 )
 
 
+EMITTERS = ("sweep", "table1", *FIGURE_IDS)
+
+#: What the mixed records cannot be emitted as: they hold none of table1's
+#: grid, and the clipped stencil leaves fig3's t_ph_s empty.
+MIXED_REFUSED = ("table1", "fig3")
+
+
 def emit(records, which: str) -> str:
     if which == "sweep":
         return records_to_csv(records)
+    if which == "table1":
+        return emit_table1(records)
     return emit_figure_data(records, which)
+
+
+def outcome(route, records, which: str) -> str:
+    """The text ``route`` emits, or the MissingGridPoint it raises."""
+    try:
+        return route(records, which)
+    except MissingGridPoint as exc:
+        return f"MissingGridPoint: {exc}"
 
 
 def assert_same_text(got: str, want: str) -> None:
@@ -87,16 +110,42 @@ def mixed_records():
     return joined + [clipped]
 
 
-@pytest.mark.parametrize("which", ["sweep", "fig1", "fig4"])
+@pytest.mark.parametrize("which", EMITTERS)
 def test_dense_grid_matches_the_per_cell_route(dense_records, which):
     assert_same_text(emit(dense_records, which), per_cell_emit(dense_records, which))
 
 
-@pytest.mark.parametrize("which", ["sweep", "fig1", "fig4"])
+@pytest.mark.parametrize("which", EMITTERS)
 def test_mixed_grids_match_the_per_cell_route(mixed_records, which):
     assert len({r.cutoff for r in mixed_records}) == 3
-    assert "# clipping: " in per_cell_emit(mixed_records, which)
-    assert_same_text(emit(mixed_records, which), per_cell_emit(mixed_records, which))
+    want = outcome(per_cell_emit, mixed_records, which)
+    if which in MIXED_REFUSED:
+        assert want.startswith("MissingGridPoint: ")
+    else:
+        assert "# clipping: " in want
+    assert_same_text(outcome(emit, mixed_records, which), want)
+
+
+@pytest.mark.parametrize(
+    "which, first_gaps, second_gap, named",
+    [
+        ("fig2", ("t_eff_s", "eps_eff_ev"), "v_rms", "eps_eff_eV"),
+        ("fig3", ("t_bl_s", "t_dw_numeric_s"), "e_ev", "t_dw_s"),
+    ],
+)
+def test_the_first_incomplete_record_in_row_order_is_named(
+    which, first_gaps, second_gap, named
+):
+    # the first incomplete record lacks two late columns, the second an early
+    # one; a check that went column by column would name the second record
+    full = evaluate_point(SweepConfig(), 0.5, 0.5)
+    first = replace(full, d_nm=0.4, **dict.fromkeys(first_gaps))
+    second = replace(full, d_nm=0.6, **{second_gap: None})
+    records = [full, first, second]
+    with pytest.raises(MissingGridPoint) as err:
+        emit(records, which)
+    assert str(err.value).startswith(f"record E/V0=0.5, d=0.4 nm is missing {named} (")
+    assert outcome(per_cell_emit, records, which) == f"MissingGridPoint: {err.value}"
 
 
 @pytest.mark.parametrize(

@@ -198,6 +198,23 @@ class TestExitCodes:
         assert "numeric failure: phase cross-check: numeric " in err
         assert err.rstrip().endswith("vs analytic nan")
 
+    def test_non_finite_uncross_checked_output_is_three(self, capsys, monkeypatch):
+        # the value is left out of the record, and the command reports it
+        # as it always did
+        monkeypatch.setattr(sweep, "bl_time", lambda problem: math.nan)
+        code, out, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "0.5")
+        assert code == 3 and out == ""
+        assert err == "tunneltimes: numeric failure: refusing to serialize a non-finite value\n"
+
+    def test_non_finite_value_in_a_sweep_is_zero(self, capsys, tmp_path):
+        # the phase closed form is NaN at E/V0 0.99, V0 4e134 eV: an empty
+        # cell and an error entry, not an aborted sweep
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text("V0_eV=4e134\nE_over_V0_grid=0.5,0.99\nd_nm_grid=1\nKprime=1e40\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 0 and err == ""
+        assert len([line for line in out.splitlines() if not line.startswith("#")]) == 3
+
     def test_numeric_failure_is_three(self, capsys):
         # kappa*d is about 458: the printed D = D~ e^{2 kappa d} is not a double
         code, _, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "40")

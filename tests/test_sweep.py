@@ -118,6 +118,15 @@ class TestSweepConfig:
         error = run_sweep(cfg)[0].error
         assert error.startswith("phase cross-check: numeric 6.6178") and "np." not in error
 
+    def test_numpy_array_grids_are_held_as_their_values(self):
+        grid = np.logspace(-1.0, 0.0, 5)
+        cfg = SweepConfig(e_over_v0_grid=np.array([0.1, 0.5]), d_nm_grid=grid)
+        assert cfg == SweepConfig(e_over_v0_grid=(0.1, 0.5), d_nm_grid=tuple(grid.tolist()))
+        assert all(type(v) is float for v in cfg.d_nm_grid)
+        for name in ("e_over_v0_grid", "d_nm_grid"):
+            with pytest.raises(ValidationError, match="must not be empty"):
+                SweepConfig(**{name: np.array([])})
+
 
 class TestConfigEcho:
     def test_default_echo(self):
@@ -235,7 +244,8 @@ class TestEvaluate:
         monkeypatch.setattr(sweep, "phase_time_analytic", lambda problem: math.nan)
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
-        assert math.isnan(rec.t_ph_analytic_s)
+        # the cell stays empty; the cross-check quotes the value
+        assert rec.t_ph_analytic_s is None
         assert [type(exc) for exc in caught] == [NoConvergence]
         assert rec.error.startswith("phase cross-check: numeric ")
         assert "vs analytic nan" in rec.error
@@ -245,11 +255,48 @@ class TestEvaluate:
         monkeypatch.setattr(sweep, "phase_time_analytic", lambda problem: math.inf)
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig(), ("times",))
-        assert rec.t_ph_analytic_s == math.inf
+        assert rec.t_ph_analytic_s is None
         assert [type(exc) for exc in caught] == [NoConvergence]
         assert rec.error == (
             f"phase cross-check: numeric {rec.t_ph_numeric_s!r} vs analytic inf"
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+    def test_other_non_finite_value_is_an_error_of_its_own(self, monkeypatch, bad):
+        # no cross-check quotes the BL time, so its empty cell is explained
+        # by an entry of its own
+        monkeypatch.setattr(sweep, "bl_time", lambda problem: bad)
+        problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        rec, caught = evaluate(problem, SweepConfig())
+        assert rec.t_bl_s is None and rec.t_ph_analytic_s is not None
+        assert [type(exc) for exc in caught] == [FloatingPointError]
+        assert rec.error == "t_bl_s: refusing to serialize a non-finite value"
+        assert parse_records(records_to_csv([rec]))[0].t_bl_s is None
+
+
+class TestNeverAborts:
+    """A sweep writes every accepted config, whatever its values come out as."""
+
+    def test_nan_analytic_time_at_an_extreme_height_is_an_empty_cell(self):
+        # the phase closed form underflows to 0/0 at E/V0 0.99 and V0 4e134 eV
+        # (ROADMAP item 2); the row is written, with every cell finite or empty
+        cfg = parse_config("V0_eV=4e134\nE_over_V0_grid=0.5,0.99\nd_nm_grid=1\nKprime=1e40\n")
+        records = parse_records(records_to_csv(run_sweep(cfg), cfg))
+        assert len(records) == 2
+        for rec in records:
+            values = [v for v in vars(rec).values() if isinstance(v, float)]
+            assert all(map(math.isfinite, values))
+
+    def test_seeded_extreme_configs_never_abort(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            cfg = SweepConfig(
+                v0_ev=10.0 ** rng.uniform(120.0, math.log10(5e134)),
+                e_over_v0_grid=tuple(sorted(rng.uniform(0.001, 0.999) for _ in range(3))),
+                d_nm_grid=tuple(sorted(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))),
+                cutoff=10.0 ** rng.uniform(10.0, 60.0),
+            )
+            records_to_csv(run_sweep(cfg), cfg)
 
 
 class TestThickBarriers:
