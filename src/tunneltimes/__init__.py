@@ -41,9 +41,9 @@ from .momentum import (
     momentum_amplitude,
     momentum_spectrum,
 )
+from .records import SweepRecord, SweepTable
 from .sweep import (
     SweepConfig,
-    SweepRecord,
     emit_figure_data,
     emit_table1,
     evaluate,

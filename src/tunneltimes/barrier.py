@@ -25,8 +25,9 @@ t, and continuity_residual() certifies all four matching conditions
 numerically. The in-barrier wave is evaluated on the edge mode, as
 A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}, whose exponents are never
 positive. scaled_transmission() evaluates t at another energy over the same
-barrier, for the phase time's energy stencil, without building a problem or
-solving for A, B and R; it accepts the energies BarrierProblem does.
+barrier, without building a problem or solving for A, B and R; it accepts the
+energies BarrierProblem does. The phase time's energy stencil calls its
+kernel _scaled_transmission() on the barrier's height and thickness alone.
 
 Where S, A or the edge modes fall below the smallest double (kappa d past
 about 745) they are 0, which is their value to double precision; B and R
@@ -231,8 +232,13 @@ def scaled_transmission(problem: BarrierProblem, energy: float) -> complex:
     for an energy BarrierProblem would refuse: not positive, or closer than
     NEAR_THRESHOLD_GAP_EV to the barrier top.
     """
-    _check_tunneling(energy, problem.height)
-    return _transmission(*_wavenumber_pair(energy, problem.height), problem.thickness)
+    return _scaled_transmission(energy, problem.height, problem.thickness)
+
+
+def _scaled_transmission(energy, height, thickness):
+    """scaled_transmission() on the barrier of ``height`` and ``thickness``."""
+    _check_tunneling(energy, height)
+    return _transmission(*_wavenumber_pair(energy, height), thickness)
 
 
 def stationary_solution(problem: BarrierProblem) -> StationarySolution:

@@ -7,14 +7,17 @@ times and depth commands evaluate only the blocks behind the columns they
 print and project the record onto those columns; they stay per point.
 
 run_sweep() evaluates a grid as arrays over (E/V0, d), flattened thickness
-outer and energy inner. Each closed form is one kernel that takes the
-elementwise functions it calls, numerics.POINT (math, cmath) in evaluate()
-and numerics.GRID (numpy) here, and the exponential integral runs as one
-continued fraction over the array. One pass of the kernels gives every
-column of the usual points; evaluate_point() evaluates every other point, so
-each note and error cell is written by the point path. Where a rule belongs
-to another module, the grid asks that module's predicate or kernel. A point
-is unusual when:
+outer and energy inner, and returns a SweepTable (records module): a sequence
+of records that keeps its columns as arrays and builds a record when one is
+asked for. Each closed form is one kernel that takes the elementwise
+functions it calls, numerics.POINT (math, cmath) in evaluate() and
+numerics.GRID (numpy) here, and the exponential integral runs as one
+continued fraction over the array. One pass of the kernels writes every
+column of the usual points straight into the table; evaluate_point()
+evaluates every other point, so each note and error cell is written by the
+point path, and its record is written into the same columns by its flat
+index. Where a rule belongs to another module, the grid asks that module's
+predicate or kernel. A point is unusual when:
 
   * BarrierProblem refuses it (barrier);
   * the moments take their series route, kappa d < 1/2 or c d <= 2, which
@@ -30,30 +33,32 @@ is unusual when:
 The phase stencil is the point code at every point: its difference of two
 phases a few 1e-5 rad apart would turn a last-bit change in t into about
 1e-11 of the time. So the grid's records match evaluate_point()'s to about
-1e-14 and their CSV cells byte for byte. Each record still carries its
-spectrum and solution, built from the array slices. Records are pure data;
-the emitters below turn them into CSV with '#'-prefixed metadata lines (tool
-version, config echo, stencil clipping notes) ahead of the header. Identical
-configs produce byte-identical output: evaluation order is fixed, no
-timestamps are embedded, and floats are serialized at six significant digits
-(the depth table uses the conventional four decimals of nm instead). The
-config echo keeps six digits only where they read back to the same float.
+1e-14 and their CSV cells byte for byte. Records are pure data; the emitters
+below turn them into CSV with '#'-prefixed metadata lines (tool version,
+config echo, stencil clipping notes) ahead of the header. Identical configs
+produce byte-identical output: evaluation order is fixed, no timestamps are
+embedded, and floats are serialized at six significant digits (the depth
+table uses the conventional four decimals of nm instead). The config echo
+and the clipping note keep six digits only where they read back to the same
+float.
 
 Every CSV, the point commands' one-row files included, is written by one
 writer from its metadata lines, header and rows. The per-record CSVs (the
-sweep and fig2, fig3, fig5, fig6a) read each column from all records at once,
-by attribute or by a derived function, and format it in one pass; a required
-column is checked for gaps first, so the first incomplete record in row order
-is the one named. The curve figures fig1 and fig4 share one loop: each
-record's curve passes one finiteness check and is formatted in one pass, and
-the K grid (a function of the cutoff) or x grid (of the thickness) that
-records share is built and formatted once per emitter call.
+sweep, table1 and fig2, fig3, fig5, fig6a) read columns, not records: a
+SweepTable's own arrays, or one conversion of any other sequence of records.
+Each numeric column is formatted in one pass with one finiteness check, and a
+grid-key column once per distinct value; a required column is checked for
+gaps first, so the first incomplete record in row order is the one named. The
+curve figures fig1 and fig4 share one loop: each record's curve passes one
+finiteness check and is formatted in one pass, and the K grid (a function of
+the cutoff) or x grid (of the thickness) that records share is built and
+formatted once per emitter call.
 
 Besides its columns, a record carries the momentum spectrum its momentum
-block built, which holds the point's stationary solution. The curve figures
-(fig1, fig4) draw from it, so emitting them solves nothing again; a record
-without one (a failed solve or spectrum, or a record re-read from CSV)
-cannot be drawn.
+block built, which holds the point's stationary solution; a SweepTable keeps
+the coefficients and moments to build it from. The curve figures (fig1, fig4)
+draw from it, so emitting them solves nothing again; a record without one (a
+failed solve or spectrum, or a record re-read from CSV) cannot be drawn.
 
 Per-point failures land in the record's ``error`` column; a missing depth on a
 thin barrier is a ``no_crossing`` note, not an error. The barrier solution and
@@ -70,9 +75,8 @@ FloatingPointError.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection, Iterable
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +84,6 @@ from . import __version__
 from .barrier import (
     DEFAULT_CUTOFF,
     BarrierProblem,
-    StationarySolution,
-    Wavenumbers,
     _check_barrier,
     _check_tunneling,
     _coefficients,
@@ -113,12 +115,21 @@ from .momentum import (
     momentum_spectrum,
 )
 from .numerics import GRID, scaled_e1_grid
+from .records import (
+    RECORD_COLUMNS,
+    TEXT_FIELDS,
+    SweepRecord,
+    SweepTable,
+    _blank_columns,
+    _write_record,
+)
 from .times import (
     CROSS_CHECK_TOL,
     DEFAULT_PHASE_STEP_EV,
     _bl_time,
     _dwell_time_closed,
     _g,
+    _phase_stencil,
     _phase_time_closed,
     _stored_probability,
     bl_time,
@@ -192,68 +203,6 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{name} must be strictly increasing")
 
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point: problem inputs plus every scalar output.
-
-    Optional fields are None when not computed (upstream failure) or not
-    defined (no depth crossing); ``note`` carries machine-readable reason
-    codes, ``error`` the per-point failure messages. ``spectrum`` is not a
-    column: it is the momentum spectrum the evaluation built, None where the
-    momentum block did not run or failed, and records compare and hash
-    without it.
-    """
-
-    e_over_v0: float
-    d_nm: float
-    e_ev: float
-    v0_ev: float
-    cutoff: float
-    s_abs2: float | None = None
-    r_abs2: float | None = None
-    k_rms: float | None = None
-    v_rms: float | None = None
-    t_eff_s: float | None = None
-    eps_eff_ev: float | None = None
-    t_ph_numeric_s: float | None = None
-    t_ph_analytic_s: float | None = None
-    t_dw_numeric_s: float | None = None
-    t_dw_analytic_s: float | None = None
-    t_bl_s: float | None = None
-    s_nm: float | None = None
-    tau_eff_s: float | None = None
-    xi: float | None = None
-    note: str = ""
-    error: str = ""
-    spectrum: MomentumSpectrum | None = field(default=None, compare=False, repr=False)
-
-
-#: Sweep CSV column -> SweepRecord attribute, in column order. Point commands
-#: print the same columns under the same names.
-RECORD_COLUMNS = {
-    "E_over_V0": "e_over_v0",
-    "d_nm": "d_nm",
-    "E_eV": "e_ev",
-    "V0_eV": "v0_ev",
-    "Kprime_per_m": "cutoff",
-    "S_abs2": "s_abs2",
-    "R_abs2": "r_abs2",
-    "K_rms_per_m": "k_rms",
-    "v_rms_m_per_s": "v_rms",
-    "t_eff_s": "t_eff_s",
-    "eps_eff_eV": "eps_eff_ev",
-    "t_ph_numeric_s": "t_ph_numeric_s",
-    "t_ph_analytic_s": "t_ph_analytic_s",
-    "t_dw_numeric_s": "t_dw_numeric_s",
-    "t_dw_analytic_s": "t_dw_analytic_s",
-    "t_bl_s": "t_bl_s",
-    "s_nm": "s_nm",
-    "tau_eff_s": "tau_eff_s",
-    "xi": "xi",
-    "note": "note",
-    "error": "error",
-}
 
 NOTE_NO_CROSSING = "no_crossing"
 NOTE_PHASE_CLIPPED = "phase_stencil_clipped"
@@ -413,33 +362,30 @@ def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord
     return evaluate(problem, cfg, grid_point=(e_ratio, d_nm))[0]
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def run_sweep(cfg: SweepConfig) -> SweepTable:
     """Evaluate the full grid, thickness outer, energy inner (ascending).
 
-    One pass of array kernels covers the usual points (see the module
-    docstring); evaluate_point() evaluates every other point.
+    One pass of array kernels writes the usual points into the table's
+    columns (see the module docstring); evaluate_point() evaluates every
+    other point, and its record is written into the same columns.
     """
-    points = [(e_ratio, d_nm) for d_nm in cfg.d_nm_grid for e_ratio in cfg.e_over_v0_grid]
-    records: list[SweepRecord | None] = [None] * len(points)
-    for index, record in _grid_records(cfg):
-        records[index] = record
-    return [
-        evaluate_point(cfg, *point) if record is None else record
-        for record, point in zip(records, points)
-    ]
-
-
-def _assemble(cls, **values):
-    """An instance of the frozen dataclass ``cls`` holding ``values``, one for
-    each field, built without calling __init__ or __post_init__.
-
-    A frozen __init__ sets each field through object.__setattr__, which cost
-    about 4.6 us for a record; the grid builds the objects of its usual points
-    this way, after making their checks as arrays or once per grid value.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(values)
-    return obj
+    e_grid, d_grid = cfg.e_over_v0_grid, cfg.d_nm_grid
+    n_e = len(e_grid)
+    size = n_e * len(d_grid)
+    columns = _blank_columns(size)
+    e_ratio = np.tile(e_grid, len(d_grid))
+    columns.update(
+        e_over_v0=e_ratio,
+        d_nm=np.repeat(d_grid, n_e),
+        e_ev=e_ratio * cfg.v0_ev,
+        v0_ev=np.full(size, cfg.v0_ev),
+        cutoff=np.full(size, cfg.cutoff),
+    )
+    todo = np.ones(size, dtype=bool)
+    todo[_grid_pass(cfg, columns)] = False
+    for i in np.flatnonzero(todo).tolist():
+        _write_record(columns, i, evaluate_point(cfg, e_grid[i % n_e], d_grid[i // n_e]))
+    return SweepTable(columns)
 
 
 def _passes(check: Callable[..., None], *args: float) -> bool:
@@ -456,18 +402,20 @@ def _passes(check: Callable[..., None], *args: float) -> bool:
 _SUM_WELL_CONDITIONED_KAPPA_OVER_C = 4.0
 
 
-def _grid_records(cfg: SweepConfig):
-    """(flat index, record) of every usual grid point (see the module
-    docstring), by one pass of the array kernels."""
+def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> np.ndarray:
+    """Write every usual grid point (see the module docstring) into
+    ``columns`` by one pass of the array kernels; return their flat indices."""
     e_grid, d_grid, c = cfg.e_over_v0_grid, cfg.d_nm_grid, cfg.cutoff
     height = energy_ev_to_si(cfg.v0_ev)
     # BarrierProblem's checks split into one on the energy and one on the
     # barrier, so they run once per grid value
-    e_ok = [_passes(_check_tunneling, energy_ev_to_si(r * cfg.v0_ev), height) for r in e_grid]
+    e_ok = [
+        _passes(_check_tunneling, energy_ev_to_si(r * cfg.v0_ev), height) for r in e_grid
+    ]
     d_ok = [_passes(_check_barrier, height, length_nm_to_si(d), c) for d in d_grid]
     flat = np.flatnonzero(np.outer(d_ok, e_ok))
-    energy = energy_ev_to_si(np.array(e_grid)[flat % len(e_grid)] * cfg.v0_ev)
-    thickness = length_nm_to_si(np.array(d_grid)[flat // len(e_grid)])
+    energy = energy_ev_to_si(columns["e_ev"][flat])
+    thickness = length_nm_to_si(columns["d_nm"][flat])
     # Python floats overflow to inf and make NaN without a warning; so does
     # this pass, and every lane that ends non-finite or fails a check goes
     # to evaluate_point(), which evaluates the same formulas
@@ -504,70 +452,47 @@ def _grid_records(cfg: SweepConfig):
         tau, xi = _tau_xi(depth, v_rms, eps_eff)
         s_abs2, r_abs2 = np.abs(S) ** 2, np.abs(R) ** 2
         eps_ev, s_nm = energy_si_to_ev(eps_eff), length_si_to_nm(depth)
-        columns = (
-            s_abs2, r_abs2, k_rms, v_rms, t_eff, eps_eff, eps_ev, t_ph_ana,
-            t_dw_num, t_dw_ana, t_bl, depth, s_nm, tau, xi,
-        )
         usual = (
             settled
             & moments_ok
             & (np.minimum(np.minimum(k_rms, v_rms), np.minimum(t_eff, eps_eff)) > 0.0)
             & (v_rms < SPEED_OF_LIGHT)
-            & np.isfinite(np.stack(columns)).all(axis=0)
+            & np.isfinite(np.stack((
+                s_abs2, r_abs2, k_rms, v_rms, t_eff, eps_eff, eps_ev, t_ph_ana,
+                t_dw_num, t_dw_ana, t_bl, depth, s_nm, tau, xi,
+            ))).all(axis=0)
             & _agrees(t_dw_num, t_dw_ana)
         )
 
-    n_e = len(e_grid)
-    rows = zip(*(a[usual].tolist() for a in (
-        flat, energy, thickness, k, kappa, t, S, A, B, R, a_d, b_d, norm, second,
-        crossing, s_abs2, r_abs2, k_rms, v_rms, t_eff, eps_ev,
-        t_ph_ana, t_dw_num, t_dw_ana, t_bl, s_nm, tau, xi,
-    )))
-    for (
-        index, energy_i, thickness_i, k_i, kappa_i, t_i, S_i, A_i, B_i, R_i, a_d_i,
-        b_d_i, norm_i, second_i, crossing_i, s_abs2_i, r_abs2_i, k_rms_i, v_rms_i,
-        t_eff_i, eps_ev_i, t_ph_ana_i, t_dw_num_i, t_dw_ana_i, t_bl_i, s_nm_i,
-        tau_i, xi_i,
-    ) in rows:
-        problem = _assemble(
-            BarrierProblem, energy=energy_i, height=height, thickness=thickness_i, cutoff=c
-        )
-        try:
-            t_ph_num = phase_time_numeric(problem, cfg.phase_step_ev)
-        except DomainError:  # a clipped stencil, noted by evaluate_point()
-            continue
-        if not _agrees(t_ph_num, t_ph_ana_i):
-            continue
-        sol = _assemble(
-            StationarySolution, problem=problem, wavenumbers=Wavenumbers(k_i, kappa_i),
-            t=t_i, S=S_i, A=A_i, B=B_i, R=R_i, edge_modes=(a_d_i, b_d_i),
-        )
-        e_ratio = e_grid[index % n_e]
-        yield index, _assemble(
-            SweepRecord,
-            e_over_v0=e_ratio,
-            d_nm=d_grid[index // n_e],
-            e_ev=e_ratio * cfg.v0_ev,
-            v0_ev=cfg.v0_ev,
-            cutoff=c,
-            s_abs2=s_abs2_i,
-            r_abs2=r_abs2_i,
-            k_rms=k_rms_i,
-            v_rms=v_rms_i,
-            t_eff_s=t_eff_i,
-            eps_eff_ev=eps_ev_i,
-            t_ph_numeric_s=t_ph_num,
-            t_ph_analytic_s=t_ph_ana_i,
-            t_dw_numeric_s=t_dw_num_i,
-            t_dw_analytic_s=t_dw_ana_i,
-            t_bl_s=t_bl_i,
-            s_nm=s_nm_i if crossing_i else None,
-            tau_eff_s=tau_i if crossing_i else None,
-            xi=xi_i if crossing_i else None,
-            note="" if crossing_i else NOTE_NO_CROSSING,
-            error="",
-            spectrum=MomentumSpectrum(sol, norm_i, second_i),
-        )
+        # the phase stencil is the point code, at each usual point; a clipped
+        # stencil stays NaN, fails the check and is noted by evaluate_point()
+        h = energy_ev_to_si(cfg.phase_step_ev)
+        lanes = np.flatnonzero(usual)
+        t_ph_num = np.full(flat.size, math.nan)
+        stencils = zip(lanes.tolist(), energy[lanes].tolist(), thickness[lanes].tolist())
+        for j, e_j, d_j in stencils:
+            try:
+                t_ph_num[j] = _phase_stencil(e_j, height, d_j, h)
+            except DomainError:
+                pass
+        usual &= _agrees(t_ph_num, t_ph_ana)
+
+    found = {
+        "s_abs2": s_abs2, "r_abs2": r_abs2, "k_rms": k_rms, "v_rms": v_rms,
+        "t_eff_s": t_eff, "eps_eff_ev": eps_ev, "t_ph_numeric_s": t_ph_num,
+        "t_ph_analytic_s": t_ph_ana, "t_dw_numeric_s": t_dw_num,
+        "t_dw_analytic_s": t_dw_ana, "t_bl_s": t_bl, "k": k, "kappa": kappa, "t": t,
+        "S": S, "A": A, "B": B, "R": R, "a_d": a_d, "b_d": b_d,
+        "normalization": norm, "second_moment": second,
+    }
+    for name, values in found.items():
+        columns[name][flat[usual]] = values[usual]
+    crossed = usual & crossing
+    for name, values in (("s_nm", s_nm), ("tau_eff_s", tau), ("xi", xi)):
+        columns[name][flat[crossed]] = values[crossed]
+    for i in flat[usual & ~crossing].tolist():
+        columns["note"][i] = NOTE_NO_CROSSING
+    return flat[usual]
 
 
 # --- config files -----------------------------------------------------------
@@ -668,26 +593,68 @@ def _fmt(value: float | None) -> str:
     return f"{value + 0.0:.6g}"
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    """_fmt of each element of a float array, checked for finiteness at once."""
-    if not np.isfinite(values).all():
+def _cells(values: np.ndarray, empty: bool = False) -> list[str]:
+    """_fmt of each element of a float array, checked for finiteness at once
+    and formatted by one %-format of the whole array (%.6g is _fmt's .6g).
+
+    Where ``empty``, NaN is an empty cell, as None is for _fmt; no finite
+    value prints a "nan".
+    """
+    if (np.isinf(values) if empty else ~np.isfinite(values)).any():
         raise FloatingPointError(_NON_FINITE)
-    return [f"{v:.6g}" for v in (values + 0.0).tolist()]
+    text = "%.6g\n" * len(values) % tuple((values + 0.0).tolist())
+    return (text.replace("nan", "") if empty else text).split("\n")[:-1]
 
 
 def _csv(meta: list[str], header: Iterable[str], rows: Iterable[str]) -> str:
-    """The one CSV writer: the tool line, ``meta``, the header and the rows."""
-    lines = [f"# tool: {TOOL_NAME} {__version__}", *meta, ",".join(header), *rows]
-    return "\n".join(lines) + "\n"
+    """The one CSV writer: the tool line, ``meta``, the header and the rows.
+
+    The rows go into the one list that is joined, and the empty last entry
+    gives the final newline, so neither the rows nor the text are copied
+    again; the curve figures pass their rows as a generator for that reason.
+    """
+    lines = [f"# tool: {TOOL_NAME} {__version__}", *meta, ",".join(header)]
+    lines += rows
+    lines.append("")
+    return "\n".join(lines)
 
 
-def _metadata(cfg: SweepConfig | None, records: list[SweepRecord]) -> list[str]:
-    """The config echo and the stencil clipping note of a grid CSV."""
+def _read(records: Sequence[SweepRecord], attr: str) -> np.ndarray | Sequence[str]:
+    """Column ``attr`` of the records: a float array with NaN for an empty
+    cell, or the strings of a text column.
+
+    A SweepTable's column is read as it is. Any other sequence of records is
+    read record by record, keeping _fmt's contract: None is an empty cell,
+    and a non-finite value raises FloatingPointError.
+    """
+    if isinstance(records, SweepTable):
+        return records.column(attr)
+    values = [getattr(rec, attr) for rec in records]
+    if attr in TEXT_FIELDS:
+        return values
+    array = np.array(values, dtype=float)
+    if np.count_nonzero(~np.isfinite(array)) != values.count(None):
+        raise FloatingPointError(_NON_FINITE)
+    return array
+
+
+def _key_cells(values: np.ndarray) -> list[str]:
+    """_cells of a grid-key column, NaN empty: it repeats a few values, so
+    each distinct value is formatted once."""
+    values = values.tolist()
+    distinct = list(dict.fromkeys(values))
+    texts = dict(zip(distinct, _cells(np.array(distinct), empty=True)))
+    return [texts[v] for v in values]
+
+
+def _metadata(cfg: SweepConfig | None, records: Sequence[SweepRecord]) -> list[str]:
+    """The config echo and the stencil clipping note of a grid CSV; clipped
+    points are named by their exact grid values, as in the config echo."""
     lines = [] if cfg is None else [f"# config: {entry}" for entry in config_lines(cfg)]
     clipped = [
-        f"(E/V0={_fmt(r.e_over_v0)}, d={_fmt(r.d_nm)} nm)"
-        for r in records
-        if NOTE_PHASE_CLIPPED in r.note
+        f"(E/V0={_echo(records[i].e_over_v0)}, d={_echo(records[i].d_nm)} nm)"
+        for i, note in enumerate(_read(records, "note"))
+        if NOTE_PHASE_CLIPPED in note
     ]
     if clipped:
         lines.append(
@@ -706,86 +673,95 @@ def _missing(
     )
 
 
-#: Record attributes written as they are; every other column goes through _fmt.
-_TEXT = ("note", "error")
+#: Record attributes whose columns repeat the grid's values.
+_KEYS = ("e_over_v0", "d_nm", "e_ev", "v0_ev", "cutoff")
 
-_Source = str | Callable[[SweepRecord], float | None]
+_Source = str | Callable[[Callable[[str], np.ndarray]], np.ndarray]
 
 
 def _emit_rows(
-    records: list[SweepRecord],
+    records: Sequence[SweepRecord],
     cfg: SweepConfig | None,
     columns: dict[str, _Source],
     required: Collection[str] = (),
 ) -> str:
     """CSV with one row per record, in record order.
 
-    ``columns`` maps each CSV column to a record attribute, or to a function of
-    the record for a derived column, and each column is read from all records
-    at once. None is an empty cell, except in a ``required`` column: the first
-    record in row order with a None there raises MissingGridPoint.
+    ``columns`` maps each CSV column to a record attribute, or to a function
+    that derives the column from the columns it reads. Each column is read
+    and formatted whole (see _read). An empty cell is allowed, except in a
+    ``required`` column: the first record in row order with a gap there
+    raises MissingGridPoint.
     """
+    def read(attr: str) -> np.ndarray:
+        return _read(records, attr)
+
     values = [
-        list(map(source if callable(source) else attrgetter(source), records))
-        for source in columns.values()
+        source(read) if callable(source) else read(source) for source in columns.values()
     ]
     gaps = [
-        (column.index(None), i, name)
+        (int(np.argmax(empty)), i, name)
         for i, (name, column) in enumerate(zip(columns, values))
-        if name in required and None in column
+        if name in required and (empty := np.isnan(column)).any()
     ]
     if gaps:
         row, _, name = min(gaps)
         rec = records[row]
         raise _missing(rec, f"is missing {name} (note={rec.note!r}, error={rec.error!r})")
     cells = [
-        column if source in _TEXT else map(_fmt, column)
+        column if source in TEXT_FIELDS
+        else _key_cells(column) if source in _KEYS
+        else _cells(column, empty=True)
         for source, column in zip(columns.values(), values)
     ]
     return _csv(_metadata(cfg, records), columns, map(",".join, zip(*cells)))
 
 
-def records_to_csv(records: list[SweepRecord], cfg: SweepConfig | None = None) -> str:
+def records_to_csv(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) -> str:
     """The full sweep as CSV, one row per grid point in evaluation order."""
     return _emit_rows(records, cfg, RECORD_COLUMNS)
 
 
 def parse_records(text: str) -> list[SweepRecord]:
-    """Re-parse a sweep CSV (as emitted by records_to_csv) into records."""
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-    if not lines:
+    """Re-parse a sweep CSV (as emitted by records_to_csv) into records.
+
+    A row with the wrong number of cells, or a numeric cell that is not a
+    finite number, raises ParseError with the row's line number.
+    """
+    rows = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line and not line.startswith("#")
+    ]
+    if not rows:
         raise ParseError("no header row found")
-    header = lines[0].split(",")
+    header = rows[0][1].split(",")
     if header != list(RECORD_COLUMNS):
-        raise ParseError("unexpected sweep CSV header")
-    field_types = {f.name: f.type for f in fields(SweepRecord)}
+        raise ParseError("unexpected sweep CSV header", line=rows[0][0])
     records = []
-    for line in lines[1:]:
+    for lineno, line in rows[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ParseError(f"row has {len(cells)} cells, expected {len(header)}")
+            raise ParseError(
+                f"row has {len(cells)} cells, expected {len(header)}", line=lineno
+            )
         kwargs: dict[str, object] = {}
         for column, cell in zip(header, cells):
             attr = RECORD_COLUMNS[column]
-            if field_types[attr] == "str":
-                kwargs[attr] = cell
-            else:
-                kwargs[attr] = float(cell) if cell else None
+            if attr in TEXT_FIELDS or not cell:
+                kwargs[attr] = cell if attr in TEXT_FIELDS else None
+                continue
+            try:
+                kwargs[attr] = _parse_float(cell)
+            except ValueError as exc:
+                raise ParseError(
+                    f"bad value for {column!r}: {cell!r} ({exc})", line=lineno
+                ) from None
         records.append(SweepRecord(**kwargs))
     return records
 
 
-def _index_records(
-    records: list[SweepRecord],
-) -> dict[tuple[float, float], SweepRecord]:
-    # a sweep files each record under its exact grid values; the table's grid
-    # values read back exactly from six-digit CSV cells too
-    return {(r.e_over_v0, r.d_nm): r for r in records}
-
-
-def _require(
-    index: dict[tuple[float, float], SweepRecord], e_ratio: float, d_nm: float
-) -> SweepRecord:
+def _require(index: dict[tuple[float, float], int], e_ratio: float, d_nm: float) -> int:
     try:
         return index[(e_ratio, d_nm)]
     except KeyError:
@@ -794,22 +770,27 @@ def _require(
         ) from None
 
 
-def emit_table1(records: list[SweepRecord], cfg: SweepConfig | None = None) -> str:
+def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) -> str:
     """Penetration depths on the canonical 5x9 grid, nm, four decimals.
 
     Rows run energy-ratio outer / thickness inner, both ascending. Every cell
     must be present and have a depth; anything else raises MissingGridPoint.
     """
-    index = _index_records(records)
+    # a sweep files each row under its exact grid values; the table's grid
+    # values read back exactly from six-digit CSV cells too
+    keys = zip(_read(records, "e_over_v0").tolist(), _read(records, "d_nm").tolist())
+    index = {key: row for row, key in enumerate(keys)}
+    depths = _read(records, "s_nm").tolist()
     rows = []
     for e_ratio in TABLE1_E_RATIOS:
         for d_nm in TABLE1_D_NM:
-            rec = _require(index, e_ratio, d_nm)
-            if rec.s_nm is None:
+            row = _require(index, e_ratio, d_nm)
+            if math.isnan(depths[row]):
+                rec = records[row]
                 raise _missing(
                     rec, f"has no depth (note={rec.note!r}, error={rec.error!r})", str
                 )
-            rows.append(f"{_fmt(e_ratio)},{_fmt(d_nm)},{rec.s_nm:.4f}")
+            rows.append(f"{_fmt(e_ratio)},{_fmt(d_nm)},{depths[row]:.4f}")
     return _csv(_metadata(cfg, records), ("E_over_V0", "d_nm", "s_nm"), rows)
 
 
@@ -821,15 +802,13 @@ def _figure_spectrum(rec: SweepRecord) -> MomentumSpectrum:
     return rec.spectrum
 
 
-def _curve_figure(records: list[SweepRecord], which: str, cfg: SweepConfig | None) -> str:
-    """fig1 or fig4: each record's curve on its grid, one row per grid point.
+def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
+    """The rows of fig1 (``fig1``) or else fig4: each record's curve on its grid.
 
     fig1's K grid depends only on the cutoff and fig4's x grid only on the
     thickness, so records that share one share its array and its cells.
     """
-    fig1 = which == "fig1"
     grids: dict[float, tuple[np.ndarray, list[str]]] = {}
-    rows: list[str] = []
     for rec in records:
         spectrum = _figure_spectrum(rec)
         key = rec.cutoff if fig1 else spectrum.problem.thickness
@@ -843,17 +822,16 @@ def _curve_figure(records: list[SweepRecord], which: str, cfg: SweepConfig | Non
         grid, grid_cells = grids[key]
         curve = spectrum.pdf(grid) if fig1 else relative_density(spectrum.solution, grid)
         prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
-        rows += [f"{prefix},{x},{y}" for x, y in zip(grid_cells, _cells(curve))]
-    header = ("K_per_m", "pdf_m") if fig1 else ("x_nm", "relative_density")
-    return _csv(_metadata(cfg, records), ("E_over_V0", "d_nm", *header), rows)
+        yield from [f"{prefix},{x},{y}" for x, y in zip(grid_cells, _cells(curve))]
 
 
-def _eps_eff_plus_v0(rec: SweepRecord) -> float | None:
-    return None if rec.eps_eff_ev is None else rec.eps_eff_ev + rec.v0_ev
+def _eps_eff_plus_v0(read: Callable[[str], np.ndarray]) -> np.ndarray:
+    return read("eps_eff_ev") + read("v0_ev")
 
 
 #: The per-point figures, after the E_over_V0 and d_nm key columns: CSV
-#: column -> record attribute, or a function of the record for a derived column.
+#: column -> record attribute, or a function of the column reader for a
+#: derived column.
 _SCALAR_FIGURES = {
     "fig2": {"v_rms_m_per_s": "v_rms", "eps_eff_eV": "eps_eff_ev", "t_eff_s": "t_eff_s"},
     "fig3": {
@@ -872,7 +850,7 @@ _MAY_BE_ABSENT = ("s_nm", "tau_eff_s", "xi")
 
 
 def emit_figure_data(
-    records: list[SweepRecord], which: str, cfg: SweepConfig | None = None
+    records: Sequence[SweepRecord], which: str, cfg: SweepConfig | None = None
 ) -> str:
     """One figure's data as CSV; ``cfg`` only feeds the metadata lines.
 
@@ -887,7 +865,10 @@ def emit_figure_data(
     for a record without one.
     """
     if which in ("fig1", "fig4"):
-        return _curve_figure(records, which, cfg)
+        fig1 = which == "fig1"
+        header = ("K_per_m", "pdf_m") if fig1 else ("x_nm", "relative_density")
+        header = ("E_over_V0", "d_nm", *header)
+        return _csv(_metadata(cfg, records), header, _curve_rows(records, fig1))
     if which in _SCALAR_FIGURES:
         columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **_SCALAR_FIGURES[which]}
         required = [c for c, source in columns.items() if source not in _MAY_BE_ABSENT]

@@ -45,9 +45,9 @@ from .barrier import (
     _SERIES_KAPPA_D,
     BarrierProblem,
     StationarySolution,
+    _scaled_transmission,
     incident_flux,
     stationary_solution,
-    scaled_transmission,
     wavenumbers,
 )
 from .constants import CONSTANTS, energy_ev_to_si
@@ -139,19 +139,26 @@ def phase_time_numeric(
     E +/- h leaves the tunneling regime (including the near-threshold guard
     band), which clips the extreme edges of energy grids.
     """
-    h = energy_ev_to_si(step_ev)
+    return _phase_stencil(
+        problem.energy, problem.height, problem.thickness, energy_ev_to_si(step_ev)
+    )
+
+
+def _phase_stencil(e0, hi, d, h):
+    """phase_time_numeric() at energy ``e0`` over the barrier of height ``hi``
+    and thickness ``d``, with the step ``h`` in joules; it needs no problem,
+    so the sweep runs it at each grid point as the point path does."""
     if not h > 0:
         raise DomainError("phase-derivative step h must be positive")
-    e0, hi = problem.energy, problem.height
     if not (0.0 < e0 - h and e0 + h < hi):
         raise DomainError(
             f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
         )
-    sp = scaled_transmission(problem, e0 + h)
-    sm = scaled_transmission(problem, e0 - h)
+    sp = _scaled_transmission(e0 + h, hi, d)
+    sm = _scaled_transmission(e0 - h, hi, d)
     delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
     delta -= 2.0 * math.pi * math.ceil((delta - math.pi) / (2.0 * math.pi))
-    return problem.thickness / math.sqrt(2.0 * e0 / _M) + _HBAR * (delta / (2.0 * h))
+    return d / math.sqrt(2.0 * e0 / _M) + _HBAR * (delta / (2.0 * h))
 
 
 def phase_time_analytic(problem: BarrierProblem) -> float:

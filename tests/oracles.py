@@ -435,8 +435,8 @@ def per_cell_fmt(value) -> str:
 
 
 def _per_cell_echo(value: float) -> str:
-    """A grid value as a MissingGridPoint message names it: six digits where
-    they read back to the value, in full otherwise."""
+    """A grid value as a MissingGridPoint message or the clipping line names
+    it: six digits where they read back to the value, in full otherwise."""
     text = per_cell_fmt(value)
     return text if float(text) == value else repr(value)
 
@@ -478,7 +478,7 @@ def per_cell_emit(records, which: str) -> str:
     MissingGridPoint naming the first gap in row order, then column order."""
     out = [f"# tool: {TOOL_NAME} {__version__}"]
     clipped = [
-        f"(E/V0={per_cell_fmt(r.e_over_v0)}, d={per_cell_fmt(r.d_nm)} nm)"
+        f"(E/V0={_per_cell_echo(r.e_over_v0)}, d={_per_cell_echo(r.d_nm)} nm)"
         for r in records
         if NOTE_PHASE_CLIPPED in r.note
     ]

@@ -11,18 +11,21 @@ import ast
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from tunneltimes import sweep
+from tunneltimes import cli, sweep
 from tunneltimes.barrier import BarrierProblem, wavenumbers
 from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import DomainError
-from tunneltimes.momentum import _series_route
+from tunneltimes.momentum import MomentumSpectrum, _series_route
 from tunneltimes.sweep import (
     RECORD_COLUMNS,
     SweepConfig,
+    SweepRecord,
+    config_lines,
     emit_figure_data,
     evaluate_point,
     records_to_csv,
@@ -166,8 +169,14 @@ def test_only_the_series_route_takes_the_point_path_on_the_dense_grid(monkeypatc
     assert calls == thin and len(thin) == 12
 
 
-def test_records_carry_the_point_paths_problem_and_solution():
-    for grid, point in zip(run_sweep(DENSE), point_by_point(DENSE)):
+@pytest.mark.parametrize("cfg", [DENSE, *CONFIGS], ids=["dense", *CONFIG_IDS])
+def test_records_carry_the_point_paths_problem_and_solution(cfg):
+    # the table builds each spectrum on demand, from the array pass's columns
+    # or from those a fallback record was written into
+    for grid, point in zip(run_sweep(cfg), point_by_point(cfg)):
+        if point.spectrum is None:
+            assert grid.spectrum is None
+            continue
         a, b = grid.spectrum.solution, point.spectrum.solution
         assert a.problem == b.problem and a.wavenumbers == b.wavenumbers
         for name in ("t", "S", "A", "B", "R"):
@@ -177,6 +186,32 @@ def test_records_carry_the_point_paths_problem_and_solution():
         for name in ("normalization", "second_moment"):
             x, y = getattr(grid.spectrum, name), getattr(point.spectrum, name)
             assert abs(x - y) <= REL_TOL * y
+
+
+def test_the_sweep_command_builds_records_only_at_fallback_points(monkeypatch, tmp_path):
+    # the array pass writes its 978 dense points into the table's columns and
+    # the CSV is read from them: only the 12 evaluate_point() calls build a
+    # record or a spectrum, and no row of the table is built
+    built = Counter()
+    for cls in (SweepRecord, MomentumSpectrum):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    row = sweep.SweepTable.__getitem__
+    monkeypatch.setattr(
+        sweep.SweepTable, "__getitem__", lambda self, i: built.update(["row"]) or row(self, i)
+    )
+    calls = point_calls(monkeypatch)
+    config, out = tmp_path / "dense.cfg", tmp_path / "sweep.csv"
+    config.write_text("\n".join(config_lines(DENSE)) + "\n", encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert len(calls) == 12
+    assert built == {"SweepRecord": 12, "MomentumSpectrum": 12}
+    assert out.read_text(encoding="utf-8") == records_to_csv(point_by_point(DENSE), DENSE)
 
 
 def test_the_sweep_imports_no_private_constant():

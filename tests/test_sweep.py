@@ -32,6 +32,7 @@ from tunneltimes.sweep import (
 )
 
 SMALL = SweepConfig(e_over_v0_grid=(0.1, 0.5, 0.9), d_nm_grid=(0.1, 0.5, 1.0))
+DEFAULT_E, DEFAULT_D = SweepConfig().e_over_v0_grid, SweepConfig().d_nm_grid
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +464,83 @@ class TestSweepCsv:
             assert parsed.note == orig.note
             assert parsed.s_abs2 == pytest.approx(orig.s_abs2, rel=1e-5)
             assert parsed.t_eff_s == pytest.approx(orig.t_eff_s, rel=1e-5)
+
+
+class TestParseRecords:
+    TEXT = records_to_csv(run_sweep(SMALL), SMALL)
+
+    def spoiled(self, column: str, cell: str) -> tuple[str, int]:
+        """TEXT with ``column`` of its second data row set to ``cell``, and
+        that row's line number."""
+        lines = self.TEXT.splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        row = header + 2
+        cells = lines[row].split(",")
+        cells[list(sweep.RECORD_COLUMNS).index(column)] = cell
+        lines[row] = ",".join(cells)
+        return "\n".join(lines) + "\n", row + 1
+
+    @pytest.mark.parametrize("cell", ["abc", "1e", "0x10"])
+    def test_non_numeric_cell_names_its_line_and_column(self, cell):
+        text, line = self.spoiled("t_eff_s", cell)
+        with pytest.raises(ParseError) as err:
+            parse_records(text)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: bad value for 't_eff_s': {cell!r}")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_cell_is_refused_when_read(self, cell):
+        # such a record could never be written back: records_to_csv would
+        # refuse it with FloatingPointError
+        text, line = self.spoiled("xi", cell)
+        with pytest.raises(ParseError, match=rf"^line {line}: bad value for 'xi': ") as err:
+            parse_records(text)
+        assert str(err.value).endswith("(not finite)")
+
+    def test_short_row_names_its_line(self):
+        lines = self.TEXT.splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        with pytest.raises(ParseError, match=rf"^line {len(lines)}: row has 20 cells"):
+            parse_records("\n".join(lines))
+
+
+class TestSweepTable:
+    def test_a_sweep_is_a_sequence_of_its_records(self, default_records):
+        table = default_records
+        assert isinstance(table, sweep.SweepTable) and len(table) == 50
+        records = list(table)
+        points = [evaluate_point(SweepConfig(), r, d) for d in DEFAULT_D for r in DEFAULT_E]
+        assert records_to_csv(records) == records_to_csv(points)
+        assert [(r.e_over_v0, r.d_nm, r.note) for r in records] == [
+            (r.e_over_v0, r.d_nm, r.note) for r in points
+        ]
+        # a row is built once and kept
+        assert table[-1] is records[-1] and table[10:13] == records[10:13]
+        assert table[7] is table[7]
+        for index in (50, -51):
+            with pytest.raises(IndexError):
+                table[index]
+
+    def test_columns_are_read_only_and_mark_empty_cells_with_nan(self, default_records):
+        s_nm = default_records.column("s_nm")
+        thin = default_records.column("d_nm") == 0.1
+        assert np.isnan(s_nm[thin]).all() and np.isfinite(s_nm[~thin]).all()
+        assert default_records.column("note")[0] == "no_crossing"
+        with pytest.raises(ValueError):
+            s_nm[0] = 1.0
+
+    def test_the_clipping_line_names_each_point_exactly(self):
+        # six digits would name both ratios 1e-06
+        cfg = parse_config("E_over_V0_grid=1e-6,1.0000001e-6,0.5\nd_nm_grid=0.5\n")
+        clipping = [
+            line
+            for line in records_to_csv(run_sweep(cfg), cfg).splitlines()
+            if line.startswith("# clipping: ")
+        ]
+        assert clipping == [
+            "# clipping: phase-time stencil left the energy domain at "
+            "(E/V0=1e-06, d=0.5 nm), (E/V0=1.0000001e-06, d=0.5 nm)"
+        ]
 
 
 class TestTable1Emission:

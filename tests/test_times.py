@@ -153,13 +153,13 @@ class TestPhaseStencil:
     def test_linear_phase_gives_its_slope(self, monkeypatch):
         slope = 1.3 / energy_ev_to_si(1.0)  # arg S = slope * E
         monkeypatch.setattr(
-            times, "scaled_transmission", lambda p, e: cmath.exp(1j * slope * e)
+            times, "_scaled_transmission", lambda e, hi, d: cmath.exp(1j * slope * e)
         )
         delay = phase_time_numeric(self.P) - self.free_flight(self.P)
         assert delay == pytest.approx(CONSTANTS.hbar * slope, rel=1e-9)
 
     def test_constant_phase_leaves_the_free_flight(self, monkeypatch):
-        monkeypatch.setattr(times, "scaled_transmission", lambda p, e: 0.7 - 0.2j)
+        monkeypatch.setattr(times, "_scaled_transmission", lambda e, hi, d: 0.7 - 0.2j)
         assert phase_time_numeric(self.P) == self.free_flight(self.P)
 
     @given(
@@ -172,9 +172,9 @@ class TestPhaseStencil:
         ev = energy_ev_to_si(1.0)
         fake = lambda e: cmath.exp(0.8j * e / ev) * (2.0 + 0.5j)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(times, "scaled_transmission", lambda q, e: fake(e))
+            mp.setattr(times, "_scaled_transmission", lambda e, hi, d: fake(e))
             plain = phase_time_numeric(p, 0.3)
-            mp.setattr(times, "scaled_transmission", lambda q, e: const * fake(e))
+            mp.setattr(times, "_scaled_transmission", lambda e, hi, d: const * fake(e))
             scaled = phase_time_numeric(p, 0.3)
         assert scaled == pytest.approx(plain, rel=1e-12)
 
