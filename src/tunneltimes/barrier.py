@@ -186,9 +186,14 @@ class StationarySolution:
         d = self.problem.thickness
         if np.any(xarr < 0.0) or np.any(xarr > d):
             raise DomainError("barrier wavefunction is only defined on 0 <= x <= d")
-        kappa, a_d = self.wavenumbers.kappa, self.edge_modes[0]
-        out = a_d * np.exp(kappa * (xarr - d)) + self.B * np.exp(-kappa * xarr)
+        out = _wave(xarr, d, self.wavenumbers.kappa, self.B, self.edge_modes[0])
         return complex(out) if xarr.ndim == 0 else out
+
+
+def _wave(x, d, kappa, b, a_d):
+    """The in-barrier wave at x, as A e^{kappa d} e^{kappa (x - d)} +
+    B e^{-kappa x}: a kernel whose arguments broadcast against each other."""
+    return a_d * np.exp(kappa * (x - d)) + b * np.exp(-kappa * x)
 
 
 def _wavenumber_pair(energy, height, f=POINT):

@@ -48,10 +48,17 @@ DEPTH_LEVEL = math.exp(-2.0)
 
 def relative_density(sol: StationarySolution, x):
     """D(x) = |psi_barrier(x)|^2 / |psi_barrier(0)|^2 on 0 <= x <= d."""
-    entry = abs(sol.psi_barrier(0.0)) ** 2
-    if not entry > 0.0:
+    return _relative_density(sol.psi_barrier(x), sol.psi_barrier(0.0))
+
+
+def _relative_density(psi, entry_psi):
+    """|psi|^2 / |entry_psi|^2, elementwise with broadcasting. np.square
+    squares a scalar as it does an array, so a point and a row of a curve
+    get the same bits."""
+    entry = np.square(np.abs(entry_psi))
+    if not np.all(entry > 0.0):
         raise DomainError("entry density vanished; the solution is corrupt")
-    return np.abs(sol.psi_barrier(x)) ** 2 / entry
+    return np.square(np.abs(psi)) / entry
 
 
 def penetration_depth(problem: BarrierProblem) -> float | None:

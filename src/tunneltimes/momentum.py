@@ -107,23 +107,30 @@ def momentum_amplitude(sol: StationarySolution, wavenumber):
     """Closed-form momentum amplitude at wavenumber K (scalar or array).
 
     Evaluates the exact antiderivative of exp(-iKx) (A e^{kappa x} +
-    B e^{-kappa x}) over [0, d] on the edge modes, as P + Q e^{-iKd} of the
-    module docstring:
+    B e^{-kappa x}) over [0, d] on the edge modes; see _amplitude().
+    """
+    karr = np.asarray(wavenumber, dtype=float)
+    out = _amplitude(
+        karr, sol.problem.thickness, sol.wavenumbers.kappa, sol.A, sol.B, *sol.edge_modes
+    )
+    return complex(out) if karr.ndim == 0 else out
+
+
+def _amplitude(wavenumber, d, kappa, a, b, a_d, b_d):
+    """P + Q e^{-iKd} of the module docstring, over sqrt(2 pi):
 
         (1/sqrt(2 pi)) * [ (A e^{kappa d} e^{-iKd} - A) / (kappa - iK)
                          + (B - B e^{-kappa d} e^{-iKd}) / (kappa + iK) ]
 
-    The denominators cannot vanish since kappa > 0.
+    A kernel of the wavenumber, the thickness, the decay constant and the
+    coefficients A, B, A e^{kappa d}, B e^{-kappa d}, which broadcast against
+    each other. The denominators cannot vanish since kappa > 0.
     """
-    karr = np.asarray(wavenumber, dtype=float)
-    kappa = sol.wavenumbers.kappa
-    a_d, b_d = sol.edge_modes
-    turn = np.exp(-1j * karr * sol.problem.thickness)
-    out = (
-        (a_d * turn - sol.A) / (kappa - 1j * karr)
-        + (sol.B - b_d * turn) / (kappa + 1j * karr)
+    turn = np.exp(-1j * wavenumber * d)
+    return (
+        (a_d * turn - a) / (kappa - 1j * wavenumber)
+        + (b - b_d * turn) / (kappa + 1j * wavenumber)
     ) / _SQRT_TWO_PI
-    return complex(out) if karr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ A SweepTable keeps one float array per numeric record column, NaN in an
 empty cell, the note and error text, and the columns a row's momentum
 spectrum is built from. The sweep writes them by flat index (_blank_columns,
 _write_record and the grid pass in the sweep module), and a row becomes a
-SweepRecord only when it is asked for.
+SweepRecord only when it is asked for. The curve figures are drawn from those
+spectrum columns, so no record or spectrum is built to draw them; any other
+sequence of records is written into a table once (_as_table).
 """
 
 from __future__ import annotations
@@ -177,3 +179,13 @@ def _write_record(columns: dict[str, np.ndarray | list[str]], i: int, record: Sw
         ))
     for name, value in row.items():
         columns[name][i] = math.nan if value is None else value
+
+
+def _as_table(records: Sequence[SweepRecord]) -> SweepTable:
+    """``records`` as a SweepTable: a table itself, or one written row by row."""
+    if isinstance(records, SweepTable):
+        return records
+    columns = _blank_columns(len(records))
+    for i, record in enumerate(records):
+        _write_record(columns, i, record)
+    return SweepTable(columns)

@@ -48,17 +48,15 @@ sweep, table1 and fig2, fig3, fig5, fig6a) read columns, not records: a
 SweepTable's own arrays, or one conversion of any other sequence of records.
 Each numeric column is formatted in one pass with one finiteness check, and a
 grid-key column once per distinct value; a required column is checked for
-gaps first, so the first incomplete record in row order is the one named. The
-curve figures fig1 and fig4 share one loop: each record's curve passes one
-finiteness check and is formatted in one pass, and the K grid (a function of
-the cutoff) or x grid (of the thickness) that records share is built and
-formatted once per emitter call.
+gaps first, so the first incomplete record in row order is the one named.
 
-Besides its columns, a record carries the momentum spectrum its momentum
-block built, which holds the point's stationary solution; a SweepTable keeps
-the coefficients and moments to build it from. The curve figures (fig1, fig4)
-draw from it, so emitting them solves nothing again; a record without one (a
-failed solve or spectrum, or a record re-read from CSV) cannot be drawn.
+The curve figures fig1 and fig4 read the table's columns too: the wave's
+coefficients, the normalization, the thickness and fig1's cutoff. Each is one
+array of curves, a row per record, from the kernels behind momentum_amplitude()
+and psi_barrier(), so a curve has the point path's bits. Each distinct K or x
+grid (of the cutoff or the thickness) is built and formatted once, and a
+record's rows are one %-format of its curve. A record without a spectrum
+(its solve or spectrum failed, or it was re-read from CSV) cannot be drawn.
 
 Per-point failures land in the record's ``error`` column; a missing depth on a
 thin barrier is a ``no_crossing`` note, not an error. The barrier solution and
@@ -88,6 +86,7 @@ from .barrier import (
     _check_tunneling,
     _coefficients,
     _flux,
+    _wave,
     _wavenumber_pair,
     stationary_solution,
 )
@@ -99,7 +98,7 @@ from .constants import (
     length_nm_to_si,
     length_si_to_nm,
 )
-from .depth import _depth, penetration_depth, relative_density
+from .depth import _depth, _relative_density, penetration_depth
 from .errors import (
     DomainError,
     MissingGridPoint,
@@ -108,7 +107,7 @@ from .errors import (
     ValidationError,
 )
 from .momentum import (
-    MomentumSpectrum,
+    _amplitude,
     _exponential_moments,
     _kinematics,
     _series_route,
@@ -120,6 +119,7 @@ from .records import (
     TEXT_FIELDS,
     SweepRecord,
     SweepTable,
+    _as_table,
     _blank_columns,
     _write_record,
 )
@@ -761,15 +761,6 @@ def parse_records(text: str) -> list[SweepRecord]:
     return records
 
 
-def _require(index: dict[tuple[float, float], int], e_ratio: float, d_nm: float) -> int:
-    try:
-        return index[(e_ratio, d_nm)]
-    except KeyError:
-        raise MissingGridPoint(
-            f"no sweep record for E/V0={e_ratio}, d={d_nm} nm"
-        ) from None
-
-
 def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) -> str:
     """Penetration depths on the canonical 5x9 grid, nm, four decimals.
 
@@ -784,7 +775,9 @@ def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) 
     rows = []
     for e_ratio in TABLE1_E_RATIOS:
         for d_nm in TABLE1_D_NM:
-            row = _require(index, e_ratio, d_nm)
+            row = index.get((e_ratio, d_nm))
+            if row is None:
+                raise MissingGridPoint(f"no sweep record for E/V0={e_ratio}, d={d_nm} nm")
             if math.isnan(depths[row]):
                 rec = records[row]
                 raise _missing(
@@ -794,39 +787,41 @@ def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) 
     return _csv(_metadata(cfg, records), ("E_over_V0", "d_nm", "s_nm"), rows)
 
 
-def _figure_spectrum(rec: SweepRecord) -> MomentumSpectrum:
-    if rec.spectrum is None:
+def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
+    """The rows of fig1 (``fig1``) or else fig4: one array of curves, drawn
+    from the records' columns, one row of the array per record."""
+    table = _as_table(records)
+    gaps = np.isnan(table.column("normalization"))
+    if gaps.any():
+        rec = records[int(np.argmax(gaps))]
         raise _missing(
             rec, f"has no momentum spectrum to draw curves from (error={rec.error!r})"
         )
-    return rec.spectrum
-
-
-def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
-    """The rows of fig1 (``fig1``) or else fig4: each record's curve on its grid.
-
-    fig1's K grid depends only on the cutoff and fig4's x grid only on the
-    thickness, so records that share one share its array and its cells.
-    """
-    grids: dict[float, tuple[np.ndarray, list[str]]] = {}
-    for rec in records:
-        spectrum = _figure_spectrum(rec)
-        key = rec.cutoff if fig1 else spectrum.problem.thickness
-        if key not in grids:
-            if fig1:
-                grid = np.linspace(-key, key, FIG1_K_POINTS)
-                grids[key] = grid, _cells(grid)
-            else:
-                grid = np.linspace(0.0, key, FIG4_X_POINTS)
-                grids[key] = grid, _cells(length_si_to_nm(grid))
-        grid, grid_cells = grids[key]
-        curve = spectrum.pdf(grid) if fig1 else relative_density(spectrum.solution, grid)
-        prefix = f"{_fmt(rec.e_over_v0)},{_fmt(rec.d_nm)}"
-        yield from [f"{prefix},{x},{y}" for x, y in zip(grid_cells, _cells(curve))]
-
-
-def _eps_eff_plus_v0(read: Callable[[str], np.ndarray]) -> np.ndarray:
-    return read("eps_eff_ev") + read("v0_ev")
+    d_nm = table.column("d_nm")
+    d = length_nm_to_si(d_nm)
+    keys = (table.column("cutoff") if fig1 else d).tolist()
+    start, points = (-1.0, FIG1_K_POINTS) if fig1 else (0.0, FIG4_X_POINTS)
+    grids: dict[float, tuple[np.ndarray, str]] = {}
+    for key in dict.fromkeys(keys):
+        grid = np.linspace(start * key, key, points)
+        cells = _cells(grid if fig1 else length_si_to_nm(grid))
+        # a record's lines, each to take the record's prefix, then its value
+        grids[key] = grid, "\n".join(f"%s,{cell},%%.6g" for cell in cells)
+    x = np.array([grids[key][0] for key in keys])
+    d, norm, kappa, A, B, a_d, b_d = (
+        column[:, None]
+        for column in (d, *map(table.column, ("normalization", "kappa", "A", "B", "a_d", "b_d")))
+    )
+    if fig1:
+        curves = np.abs(_amplitude(x, d, kappa, A, B, a_d, b_d)) ** 2 / norm
+    else:
+        curves = _relative_density(_wave(x, d, kappa, B, a_d), _wave(0.0, d, kappa, B, a_d))
+    if not np.isfinite(curves).all():
+        raise FloatingPointError(_NON_FINITE)
+    rows = zip(table.column("e_over_v0").tolist(), d_nm.tolist(), keys, curves + 0.0)
+    for e_ratio, d_cell, key, curve in rows:
+        prefix = f"{_fmt(e_ratio)},{_fmt(d_cell)}"
+        yield grids[key][1] % ((prefix,) * len(curve)) % tuple(curve.tolist())
 
 
 #: The per-point figures, after the E_over_V0 and d_nm key columns: CSV
@@ -841,7 +836,7 @@ _SCALAR_FIGURES = {
         "t_bl_s": "t_bl_s",
     },
     "fig5": {"s_nm": "s_nm", "tau_eff_s": "tau_eff_s", "xi": "xi"},
-    "fig6a": {"eps_eff_plus_V0_eV": _eps_eff_plus_v0},
+    "fig6a": {"eps_eff_plus_V0_eV": lambda read: read("eps_eff_ev") + read("v0_ev")},
 }
 
 #: Attributes a figure may leave empty: absent where the density never
@@ -861,8 +856,12 @@ def emit_figure_data(
     fig5: depth, tau_eff, xi per grid point (empty cells where no crossing).
     fig6a: eps_eff + V0 per grid point.
 
-    fig1 and fig4 draw from each record's spectrum and raise MissingGridPoint
-    for a record without one.
+    fig1 and fig4 are drawn from the records' columns and raise
+    MissingGridPoint for the first record without a momentum spectrum, as
+    records re-read by parse_records() are. fig6a adds V0 to eps_eff; from
+    re-read records that is the six-digit eps_eff cell, so its last digit can
+    differ from the sweep's own (within 1e-5 relative, at 4 of the 990 dense
+    rows and 1 of the 50 default ones).
     """
     if which in ("fig1", "fig4"):
         fig1 = which == "fig1"

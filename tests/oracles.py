@@ -15,6 +15,7 @@ from dataclasses import replace
 from typing import Callable
 
 import numpy as np
+import pytest
 
 from tunneltimes import __version__
 from tunneltimes.barrier import stationary_solution
@@ -549,3 +550,24 @@ def per_cell_emit(records, which: str) -> str:
     else:
         raise ValueError(f"no per-cell reference for {which!r}")
     return "\n".join(out) + "\n"
+
+
+def outcome(route, records, which: str) -> str:
+    """The text ``route`` emits, or the MissingGridPoint it raises."""
+    try:
+        return route(records, which)
+    except MissingGridPoint as exc:
+        return f"MissingGridPoint: {exc}"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    # pytest's diff of two texts of megabytes takes minutes; quote the first
+    # line that differs instead
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next(
+            (i for i, pair in enumerate(zip(g, w)) if pair[0] != pair[1]),
+            min(len(g), len(w)),
+        )
+        message = f"line {i + 1} differs: {g[i:i + 1]} != {w[i:i + 1]}"
+        pytest.fail(message, pytrace=False)

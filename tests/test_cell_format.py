@@ -1,7 +1,7 @@
 """CSV cells formatted by column agree with the one-cell-at-a-time route.
 
 The per-record emitters read and format each column from all records at
-once, the curve figures check a whole curve for finiteness at once, and each
+once, the curve figures check every curve for finiteness at once, and each
 K or x grid a sweep shares is formatted only once. ``oracles.per_cell_emit``
 formats every cell on its own, in row order, as the emitters once did; the
 text, or the MissingGridPoint raised instead, must be identical for every
@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from oracles import per_cell_emit, per_cell_fmt
+from oracles import assert_same_text, outcome, per_cell_emit, per_cell_fmt
 from tunneltimes.errors import MissingGridPoint
 from tunneltimes.sweep import (
     FIGURE_IDS,
@@ -72,27 +72,6 @@ def emit(records, which: str) -> str:
     if which == "table1":
         return emit_table1(records)
     return emit_figure_data(records, which)
-
-
-def outcome(route, records, which: str) -> str:
-    """The text ``route`` emits, or the MissingGridPoint it raises."""
-    try:
-        return route(records, which)
-    except MissingGridPoint as exc:
-        return f"MissingGridPoint: {exc}"
-
-
-def assert_same_text(got: str, want: str) -> None:
-    # pytest's diff of two texts of megabytes takes minutes; quote the first
-    # line that differs instead
-    if got != want:
-        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
-        i = next(
-            (i for i, pair in enumerate(zip(g, w)) if pair[0] != pair[1]),
-            min(len(g), len(w)),
-        )
-        message = f"line {i + 1} differs: {g[i:i + 1]} != {w[i:i + 1]}"
-        pytest.fail(message, pytrace=False)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ import pytest
 
 from tunneltimes import __version__, cli, sweep
 from tunneltimes.cli import main
-from tunneltimes.momentum import MomentumSpectrum
 
 PINS = json.loads(
     Path(__file__).with_name("point_pins.json").read_text(encoding="utf-8")
@@ -229,13 +228,16 @@ class TestExitCodes:
 
     def test_non_finite_curve_is_three(self, capsys, tmp_path, monkeypatch):
         # the curve figures refuse a non-finite cell with the message every
-        # other emitter uses, and write nothing
-        def pdf_with_a_hole(self, wavenumber):
-            out = np.ones(len(wavenumber))
-            out[len(out) // 2] = np.nan
+        # other emitter uses, and write nothing; the NaN enters through the
+        # amplitude kernel that fig1 and the point path share
+        kernel = sweep._amplitude
+
+        def amplitude_with_a_hole(wavenumber, *args):
+            out = kernel(wavenumber, *args)
+            out[..., out.shape[-1] // 2] = np.nan
             return out
 
-        monkeypatch.setattr(MomentumSpectrum, "pdf", pdf_with_a_hole)
+        monkeypatch.setattr(sweep, "_amplitude", amplitude_with_a_hole)
         config = tmp_path / "small.cfg"
         config.write_text("E_over_V0_grid=0.5\nd_nm_grid=0.5\n", encoding="utf-8")
         code, out, err = run(capsys, "figures", "--config", str(config),

@@ -4,7 +4,8 @@ run_sweep() evaluates the usual grid points with array kernels and hands the
 others to evaluate_point(); both must give the same records. Each seeded
 config below is swept both ways, and the sweep CSV, fig1 and fig4 must match
 byte for byte, every note and error cell included, with every numeric column
-within 1e-13 relative.
+within 1e-13 relative. fig1 and fig4, drawn from the table's columns, must
+also match the per-record route of oracles.per_cell_emit.
 """
 
 import ast
@@ -16,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from oracles import assert_same_text, outcome, per_cell_emit
 from tunneltimes import cli, sweep
 from tunneltimes.barrier import BarrierProblem, wavenumbers
 from tunneltimes.constants import CONSTANTS
-from tunneltimes.errors import DomainError
+from tunneltimes.errors import DomainError, MissingGridPoint
 from tunneltimes.momentum import MomentumSpectrum, _series_route
 from tunneltimes.sweep import (
     RECORD_COLUMNS,
@@ -188,10 +190,9 @@ def test_records_carry_the_point_paths_problem_and_solution(cfg):
             assert abs(x - y) <= REL_TOL * y
 
 
-def test_the_sweep_command_builds_records_only_at_fallback_points(monkeypatch, tmp_path):
-    # the array pass writes its 978 dense points into the table's columns and
-    # the CSV is read from them: only the 12 evaluate_point() calls build a
-    # record or a spectrum, and no row of the table is built
+def count_builds(monkeypatch):
+    """Counts of the SweepRecords and MomentumSpectrums built, and of the
+    table rows asked for ("row")."""
     built = Counter()
     for cls in (SweepRecord, MomentumSpectrum):
         init = cls.__init__
@@ -205,6 +206,14 @@ def test_the_sweep_command_builds_records_only_at_fallback_points(monkeypatch, t
     monkeypatch.setattr(
         sweep.SweepTable, "__getitem__", lambda self, i: built.update(["row"]) or row(self, i)
     )
+    return built
+
+
+def test_the_sweep_command_builds_records_only_at_fallback_points(monkeypatch, tmp_path):
+    # the array pass writes its 978 dense points into the table's columns and
+    # the CSV is read from them: only the 12 evaluate_point() calls build a
+    # record or a spectrum, and no row of the table is built
+    built = count_builds(monkeypatch)
     calls = point_calls(monkeypatch)
     config, out = tmp_path / "dense.cfg", tmp_path / "sweep.csv"
     config.write_text("\n".join(config_lines(DENSE)) + "\n", encoding="utf-8")
@@ -212,6 +221,51 @@ def test_the_sweep_command_builds_records_only_at_fallback_points(monkeypatch, t
     assert len(calls) == 12
     assert built == {"SweepRecord": 12, "MomentumSpectrum": 12}
     assert out.read_text(encoding="utf-8") == records_to_csv(point_by_point(DENSE), DENSE)
+
+
+def test_the_figures_command_draws_curves_without_building_records(monkeypatch, tmp_path):
+    # fig1 and fig4 are drawn from the table's columns: the figures add no
+    # record, spectrum or table row to the 12 the fallback points build
+    built = count_builds(monkeypatch)
+    config = tmp_path / "dense.cfg"
+    config.write_text("\n".join(config_lines(DENSE)) + "\n", encoding="utf-8")
+    argv = ["figures", "--config", str(config), "--which", "all", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert built == {"SweepRecord": 12, "MomentumSpectrum": 12}
+    table = run_sweep(DENSE)
+    for fig in ("fig1", "fig4"):
+        text = (tmp_path / f"{fig}.csv").read_text(encoding="utf-8")
+        assert text == emit_figure_data(table, fig, DENSE)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("fig", ["fig1", "fig4"])
+def test_curve_figures_match_the_per_record_route(cfg, fig):
+    # the table's columns against each record's own spectrum, curve by curve:
+    # series-route fallbacks, superluminal windows that still draw, thick rows
+    # whose edge modes underflow to 0, and heights up to 1e130 eV; the whole
+    # table, which may hold an undrawable row, and its drawable records
+    table = run_sweep(cfg)
+    drawable = [rec for rec in table if rec.spectrum is not None]
+    for records in (table, drawable):
+        want = outcome(per_cell_emit, records, fig)
+        assert_same_text(outcome(emit_figure_data, records, fig), want)
+    assert not want.startswith("MissingGridPoint")
+
+
+@pytest.mark.parametrize("fig", ["fig1", "fig4"])
+def test_the_first_undrawable_row_in_row_order_is_named(fig):
+    # E/V0 = 0.9999999 is refused at every thickness, so rows 1, 3 and 5 of
+    # the table have no spectrum; row 1 is named
+    cfg = SweepConfig(e_over_v0_grid=(0.5, 0.9999999), d_nm_grid=(0.2, 0.5, 1.0))
+    table = run_sweep(cfg)
+    assert [rec.spectrum is None for rec in table] == [False, True] * 3
+    with pytest.raises(MissingGridPoint) as err:
+        emit_figure_data(table, fig)
+    assert str(err.value).startswith(
+        "record E/V0=0.9999999, d=0.2 nm has no momentum spectrum to draw curves from"
+    )
+    assert outcome(per_cell_emit, table, fig) == f"MissingGridPoint: {err.value}"
 
 
 def test_the_sweep_imports_no_private_constant():
