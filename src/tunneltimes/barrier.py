@@ -19,15 +19,18 @@ r = k / kappa, the standard transmission amplitude with numerator and
 denominator multiplied by 2 e^{-kappa d}. Matching value and slope at x = d
 gives B = t e^{ikd} (1 - ir) / 2 and the edge mode A e^{kappa d} =
 t e^{ikd} (1 + ir) e^{-kappa d} / 2; A, B e^{-kappa d} and S follow by
-factors of e^{-kappa d}, and R from value continuity at x = 0. The slope
-condition at x = 0 is not imposed separately: it holds identically for this
-t, and continuity_residual() certifies all four matching conditions
-numerically. The in-barrier wave is evaluated on the edge mode, as
-A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}, whose exponents are never
-positive. scaled_transmission() evaluates t at another energy over the same
-barrier, without building a problem or solving for A, B and R; it accepts the
-energies BarrierProblem does. The phase time's energy stencil calls its
-kernel _scaled_transmission() on the barrier's height and thickness alone.
+factors of e^{-kappa d}, and R = A + B - 1 from value continuity at x = 0.
+Below kappa d = 1/2, where A and B grow like r and their sum cancels, R is
+evaluated as the product i t e^{ikd} (r + 1/r) (e^{-2 kappa d} - 1) / 4.
+The slope condition at x = 0 is not imposed separately: it holds
+identically for this t, and continuity_residual() certifies all four
+matching conditions numerically. The in-barrier wave is evaluated on the
+edge mode, as A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}, whose
+exponents are never positive. scaled_transmission() evaluates t at another
+energy over the same barrier, without building a problem or solving for A,
+B and R; it accepts the energies BarrierProblem does. The phase time's
+energy stencil calls its unchecked kernel _scaled_transmission() on the
+barrier's height and thickness alone, and checks its two energies itself.
 
 Where S, A or the edge modes fall below the smallest double (kappa d past
 about 745) they are 0, which is their value to double precision; B and R
@@ -61,7 +64,8 @@ NEAR_THRESHOLD_GAP_EV = 1e-6
 
 #: Below this kappa d, A and B grow like k / kappa and terms built on them
 #: cancel, so the momentum moments and the dwell integral take series of
-#: positive terms on the edge form psi(d - y) (see the momentum module).
+#: positive terms on the edge form psi(d - y) (see the momentum module), and
+#: R = A + B - 1 a product.
 _SERIES_KAPPA_D = 0.5
 
 
@@ -226,8 +230,12 @@ def _coefficients(k, kappa, d, f=POINT):
     B = half * (1.0 - 1j * ratio)
     a_d = half * (1.0 + 1j * ratio) * decay
     A = a_d * decay
-    # Value continuity at x = 0.
-    return t, t * decay, A, B, A + B - 1.0, a_d, B * decay
+    # Value continuity at x = 0, R = A + B - 1; below _SERIES_KAPPA_D, where
+    # A and B grow like r and their sum cancels, as the module docstring's product
+    R, thin = A + B - 1.0, kappa * d < _SERIES_KAPPA_D
+    if f is not POINT or thin:
+        R = f.where(thin, 0.5j * half * (ratio + 1.0 / ratio) * f.expm1(-2.0 * kappa * d), R)
+    return t, t * decay, A, B, R, a_d, B * decay
 
 
 def scaled_transmission(problem: BarrierProblem, energy: float) -> complex:
@@ -237,12 +245,13 @@ def scaled_transmission(problem: BarrierProblem, energy: float) -> complex:
     for an energy BarrierProblem would refuse: not positive, or closer than
     NEAR_THRESHOLD_GAP_EV to the barrier top.
     """
+    _check_tunneling(energy, problem.height)
     return _scaled_transmission(energy, problem.height, problem.thickness)
 
 
 def _scaled_transmission(energy, height, thickness):
-    """scaled_transmission() on the barrier of ``height`` and ``thickness``."""
-    _check_tunneling(energy, height)
+    """scaled_transmission() on the barrier of ``height`` and ``thickness``,
+    at an energy the caller has checked."""
     return _transmission(*_wavenumber_pair(energy, height), thickness)
 
 

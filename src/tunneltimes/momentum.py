@@ -51,7 +51,10 @@ exponential integral at -is for m = 1, and an upward recursion by parts
 from it. Past kappa d = 64 the centre's T_p come from their closed form,
 cosh or sinh of kappa d less its Taylor head, with psi(d)'s e^{-kappa d}
 folded in, so a thick barrier under a narrow window needs bounded memory and
-nothing overflows. Against a 40-digit oracle the series hold the moments to
+nothing overflows. The series route broadcasts over arrays of points, a lane
+per point, so a sweep keeps its thin barriers and narrow windows on the array
+pass; the tail's integrals depend on c d alone and are computed once per
+window. Against a 40-digit oracle the series hold the moments to
 3e-14 or better for kappa d from 1e-7 to 500 (2e-16 at 800), and the
 exponential sum to 2e-15 on the paper's grid; the sum still loses digits
 where the window is narrow against kappa, down to about 4e-11 at c d of 2
@@ -66,6 +69,7 @@ than a buried constant.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +78,7 @@ import numpy as np
 from .barrier import _SERIES_KAPPA_D, BarrierProblem, StationarySolution, stationary_solution
 from .constants import CONSTANTS, SPEED_OF_LIGHT
 from .errors import DomainError
-from .numerics import POINT, scaled_e1
+from .numerics import GRID, POINT, scaled_e1, scaled_e1_grid
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -96,11 +100,46 @@ _SUMMED_TAILS_KAPPA_D = 64.0
 #: Terms of the tail's expansion in (kappa d / s)^2 <= 1/16.
 _TAIL_TERMS = 16
 
+#: Lanes the series route takes at once, which bounds its summed tails' memory.
+_SERIES_BLOCK = 256
+
+#: Over arrays the exponential sum leaves a lane unsettled where kappa exceeds
+#: this many times the cutoff: its second moment cancels by about
+#: 3 (kappa / c)^2 there, so its digits depend on the rounding of each step.
+_SUM_WELL_CONDITIONED_KAPPA_OVER_C = 4.0
+
 _TAYLOR_ORDERS = np.arange(_TAYLOR_TERMS + 1)
-_MINUS_I_POWERS = (-1j) ** _TAYLOR_ORDERS[:-1]
 _INVERSE_FACTORIALS = 1.0 / np.cumprod(np.arange(1.0, _TAYLOR_TERMS + 2))
-_EVEN_POWERS = np.arange(0, 2 * _TAYLOR_TERMS - 1, 2)
+#: The centre's quadratic forms in a_j s0^j and b_j s0^j, with a_j = T_{j+1}
+#: and b_j = kd T_{j+2}: Re(c_i conj c_j) / |psi(d)|^2 is (-1)^{i + q/2}
+#: (a_i a_j + b_i b_j) at even q = i + j (an odd q integrates to 0), and s^q
+#: and s^{q+2} integrate to s0^{q+1} 2/(q+1) and s0^{q+3} 2/(q+3) over |s| <= s0.
+_CENTRE_FORMS = np.array([
+    [(q % 2 == 0) * (-1.0) ** (i + q // 2) * 2.0 / (q + r)
+     for r in (1, 3) for q in range(i, i + _TAYLOR_TERMS)]
+    for i in range(_TAYLOR_TERMS)
+])
 _TAIL_ORDERS = np.arange(_TAIL_TERMS)
+#: Integrals of each kind _window_integrals() takes, of s^-m for m = 0 .. 34.
+_TAIL_INTEGRALS = 2 * _TAIL_TERMS + 3
+#: For the normalization (e = 2j + 4) and the second moment (e = 2j + 2), the
+#: places in _window_integrals() of plain[e], plain[e - 2], -2 osc.real[e],
+#: -2 osc.real[e - 2] and -2 osc.imag[e - 1], which p0, p2, q0, q2, q1 weigh.
+_TAIL_BASIS = np.array([
+    [e, e - 2, _TAIL_INTEGRALS + e, _TAIL_INTEGRALS + e - 2, 2 * _TAIL_INTEGRALS + e - 1]
+    for e in (2 * _TAIL_ORDERS + 4, 2 * _TAIL_ORDERS + 2)
+])
+#: Where every tail starts, s0 = _CENTRE: e^{i s0} s0^-m, e^{i s0} e^{-i s0}
+#: E1(-i s0), and for plain[m] the power m - 1 (1 for the unused odd m = 1)
+#: and s0^{1-m} / (m - 1).
+_TAIL_POWERS = np.arange(_TAIL_INTEGRALS, dtype=float)
+_NEAR_ENDS = cmath.exp(1j * _CENTRE) * _CENTRE**-_TAIL_POWERS
+_CENTRE_E1 = cmath.exp(1j * _CENTRE) * scaled_e1(-1j * _CENTRE)
+_PLAIN_POWERS = np.where(_TAIL_POWERS == 1, 1.0, _TAIL_POWERS - 1.0)
+_NEAR_PLAIN = _CENTRE**-_PLAIN_POWERS / _PLAIN_POWERS
+#: The powers of d that scale the normalization and the second moment, and of
+#: s0 that finish the centre's.
+_D_POWERS, _S0_POWERS = np.array([1.0, -1.0]), np.array([1.0, 3.0])
 
 
 def momentum_amplitude(sol: StationarySolution, wavenumber):
@@ -239,99 +278,147 @@ def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f, e1):
 
 
 def _series_route(kappa_d, edge):
-    """Whether the moments come from _series_moments(), at a point or
-    elementwise: kappa d below _SERIES_KAPPA_D, or a window whose edge c d
-    lies inside the centre. Elsewhere the exponential sum is well conditioned."""
+    """Whether the moments take the series route, at a point or elementwise:
+    kappa d below _SERIES_KAPPA_D, or a window whose edge c d lies inside the
+    centre. Elsewhere the exponential sum is well conditioned."""
     return (kappa_d < _SERIES_KAPPA_D) | (edge <= _CENTRE)
 
 
-def _sinh_tails(kappa_d: float) -> np.ndarray:
-    """T_p = sum_n (kappa d)^{2n} / (p + 2n)! for p = 1 .. _TAYLOR_TERMS + 1."""
+def _moments(k, kappa, d, c, t, S, A, B, a_d, b_d, f=POINT):
+    """The normalization and the second moment, each point by its own route:
+    the series where _series_route() holds, the exponential sum elsewhere.
+
+    At a point (``f`` is numerics.POINT) a failure raises. Over 1-D arrays of
+    lanes (numerics.GRID, with a scalar cutoff) a lane the sum cannot settle
+    is NaN: scaled_e1_grid() leaves its exponential integral unsettled, or
+    kappa exceeds _SUM_WELL_CONDITIONED_KAPPA_OVER_C times the cutoff.
+    """
+    edge = c * d
+    series = _series_route(kappa * d, edge)
+    if f is POINT and not series:
+        return _exponential_moments(kappa, d, c, A, B, a_d, b_d, POINT, scaled_e1)
+    decayed, tailed = kappa * d > _SUMMED_TAILS_KAPPA_D, edge > _CENTRE
+    if f is POINT:
+        norm, second = _series_moments(k, kappa, d, edge, t, S, decayed, tailed)
+        return float(norm), float(second)
+    moments = np.full((2, kappa.size), math.nan)
+    lanes = np.flatnonzero(~series & (kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c))
+    moments[:, lanes] = _exponential_moments(
+        *(x[lanes] for x in (kappa, d)), c, *(x[lanes] for x in (A, B, a_d, b_d)),
+        GRID, lambda z: scaled_e1_grid(z)[0],
+    )
+    # a decayed lane's window ends inside the centre, so it has no tail
+    for group in (series & ~decayed & ~tailed, series & ~decayed & tailed, series & decayed):
+        lanes = np.flatnonzero(group)
+        for start in range(0, lanes.size, _SERIES_BLOCK):
+            block = lanes[start : start + _SERIES_BLOCK]
+            moments[:, block] = _series_moments(
+                *(x[block] for x in (k, kappa, d, edge, t, S)), decayed[block[0]], tailed[block[0]]
+            )
+    return moments
+
+
+def _sinh_tails(kappa_d) -> np.ndarray:
+    """T_p = sum_n (kappa d)^{2n} / (p + 2n)! for p = 1 .. _TAYLOR_TERMS + 1
+    along a last axis, for a scalar or an array of kappa d, each the sum of its
+    own 20 + int(1.5 kappa d) terms."""
+    lam = np.asarray(kappa_d)[..., None]
+    terms = 20 + (1.5 * lam).astype(int)
+    n, steps = _term_steps(int(terms.max()))
+    ratios = lam**2 / steps
+    # zero past a row's own terms: its products there, and so what they
+    # add to its sum, are exact zeros
+    ratios *= n < terms
+    tails = (1.0 + np.cumprod(ratios, axis=0, out=ratios).sum(axis=0)) * _INVERSE_FACTORIALS
+    return tails.reshape(np.shape(kappa_d) + (-1,))
+
+
+@functools.cache
+def _term_steps(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """n < count, and (p + 2n + 1) (p + 2n + 2), by which each term of T_p
+    divides the one before it times (kappa d)^2, as (count, 1, p) arrays."""
     p = _TAYLOR_ORDERS + 1.0
-    n = np.arange(20 + int(1.5 * kappa_d))[:, None]
-    ratios = kappa_d**2 / ((p + 2.0 * n + 1.0) * (p + 2.0 * n + 2.0))
-    return (1.0 + np.cumprod(ratios, axis=0).sum(axis=0)) * _INVERSE_FACTORIALS
+    n = np.arange(count)[:, None, None]
+    return n, (p + 2.0 * n + 1.0) * (p + 2.0 * n + 2.0)
 
 
-def _decayed_sinh_tails(kappa_d: float) -> np.ndarray:
-    """e^{-kappa d} T_p for p = 1 .. _TAYLOR_TERMS + 1, for kappa d past
-    _SUMMED_TAILS_KAPPA_D.
+def _decayed_sinh_tails(kappa_d) -> np.ndarray:
+    """e^{-kappa d} T_p for p = 1 .. _TAYLOR_TERMS + 1 along a last axis, for
+    a scalar or an array of kappa d past _SUMMED_TAILS_KAPPA_D.
 
     With x = kappa d, T_p = x^{-p} (cosh x, or sinh x for odd p, minus its
     Taylor terms of degree below p), so e^{-x} T_p = x^{-p} ((1 +/- e^{-2x})/2
-    minus the Poisson weights e^{-x} x^m / m! of those degrees). Past 2
-    _TAYLOR_TERMS the weights are a small part of the total, so nothing
-    cancels; they underflow to 0 where e^{-x} does, which is their value.
+    minus the Poisson weights e^{-x} x^m / m! of those degrees), and past x = 64
+    (1 +/- e^{-2x})/2 is 1/2 in doubles. Past 2 _TAYLOR_TERMS the weights are
+    a small part of the total, so nothing cancels; they underflow to 0 where
+    e^{-x} does, which is their value.
     """
-    steps = np.empty(_TAYLOR_TERMS + 1)
-    steps[0] = math.exp(-kappa_d)
-    steps[1:] = kappa_d / np.arange(1.0, _TAYLOR_TERMS + 1)
-    weights = np.cumprod(steps)  # e^{-x} x^m / m!, m = 0 .. _TAYLOR_TERMS
-    heads = np.zeros(_TAYLOR_TERMS + 2)  # sums over m < p of p's parity
-    for p in range(2, _TAYLOR_TERMS + 2):
-        heads[p] = heads[p - 2] + weights[p - 2]
-    p = _TAYLOR_ORDERS + 1
-    decayed = np.where(p % 2, -math.expm1(-2.0 * kappa_d), 1.0 + math.exp(-2.0 * kappa_d))
-    return (0.5 * decayed - heads[1:]) * kappa_d ** -p.astype(float)
+    lam = np.asarray(kappa_d)[..., None]
+    steps = np.concatenate((np.exp(-lam), lam / _TAYLOR_ORDERS[1:]), axis=-1)
+    weights = np.cumprod(steps, axis=-1)  # e^{-x} x^m / m!, m = 0 .. _TAYLOR_TERMS
+    # the sums over m < p of p's parity, for p = 2, 3, ..: running sums down
+    # the pairs (e^{-x} x^{2r} / (2r)!, e^{-x} x^{2r+1} / (2r+1)!)
+    pairs = weights[..., :-1].reshape(lam.shape[:-1] + (-1, 2))
+    heads = np.cumsum(pairs, axis=-2).reshape(lam.shape[:-1] + (-1,))
+    heads = np.concatenate((np.zeros_like(lam), heads), axis=-1)
+    return (0.5 - heads) * lam ** -(_TAYLOR_ORDERS + 1.0)
 
 
-def _series_moments(sol: StationarySolution) -> tuple[float, float]:
-    """The normalization and the second moment, by the module docstring's series."""
-    k, kappa = sol.wavenumbers.k, sol.wavenumbers.kappa
-    d = sol.problem.thickness
-    lam, kd, edge = kappa * d, k * d, sol.problem.cutoff * d
-    if lam <= _SUMMED_TAILS_KAPPA_D:
-        psi_d, tails = sol.S * cmath.exp(1j * kd), _sinh_tails(lam)
-    else:
-        # psi(d) = t e^{ikd} e^{-kappa d}; the e^{-kappa d} goes into the tails
-        psi_d, tails = sol.t * cmath.exp(1j * kd), _decayed_sinh_tails(lam)
+def _window_integrals(edge: float) -> np.ndarray:
+    """plain, -2 osc.real and -2 osc.imag end to end, with plain and osc the
+    integrals over [_CENTRE, edge] of s^-m (even m) and s^-m e^{is},
+    m < _TAIL_INTEGRALS, for a window edge c d past the centre; -2 is the
+    factor of q0, q2 and q1 in the numerator. They depend on c d alone: one
+    set a thickness."""
+    far = cmath.exp(1j * edge)
+    ends = (_NEAR_ENDS - far * edge**-_TAIL_POWERS).tolist()
+    osc = [-1j * (far - _NEAR_ENDS[0]), _CENTRE_E1 - far * scaled_e1(-1j * edge)]
+    for j in range(1, _TAIL_INTEGRALS - 1):  # upward, by parts
+        osc.append((ends[j] + 1j * osc[j]) / j)
+    osc = -2.0 * np.array(osc)
+    plain = _NEAR_PLAIN - edge**-_PLAIN_POWERS / _PLAIN_POWERS
+    return np.concatenate((plain, osc.real, osc.imag))
 
-    # centre: the square of sum_j c_j s^j over |s| <= s0, term by term;
-    # only even powers of s survive the symmetric window
-    s0 = min(edge, _CENTRE)
-    c = psi_d * _MINUS_I_POWERS * (tails[:-1] - 1j * kd * tails[1:])
-    square = np.convolve(c, c.conjugate()).real[::2]
-    q = _EVEN_POWERS
-    norm = d * float(np.dot(square, 2.0 * s0 ** (q + 1.0) / (q + 1.0)))
-    second = float(np.dot(square, 2.0 * s0 ** (q + 3.0) / (q + 3.0))) / d
 
-    if edge > s0:
-        # psi and d psi/dx * d at both faces; the numerator of |a|^2, even
-        # part, reads p0 + p2 s^2 - 2 (q0 + q2 s^2) cos s - 2 q1 s sin s
-        shc = math.sinh(lam) / lam
-        alpha = psi_d * (math.cosh(lam) - 1j * kd * shc)
-        beta = psi_d * (1j * kd * math.cosh(lam) - lam * lam * shc)
-        alpha_d, beta_d = psi_d, 1j * kd * psi_d
-        p0 = abs(beta) ** 2 + abs(beta_d) ** 2
-        p2 = abs(alpha) ** 2 + abs(alpha_d) ** 2
-        q0 = (beta.conjugate() * beta_d).real
-        q2 = (alpha.conjugate() * alpha_d).real
-        q1 = (beta.conjugate() * alpha_d - alpha.conjugate() * beta_d).real
+def _series_moments(k, kappa, d, edge, t, S, decayed, tailed):
+    """The normalization and the second moment by the module docstring's
+    series: a kernel of a point's scalars, or of 1-D arrays of lanes that
+    share the flags. ``decayed`` lanes have kappa d past _SUMMED_TAILS_KAPPA_D,
+    ``tailed`` ones a window edge c d past the centre."""
+    lam, kd = np.multiply(kappa, d), np.multiply(k, d)
+    tails = _decayed_sinh_tails(lam) if decayed else _sinh_tails(lam)
+    # each term is |psi(d)|^2 times one of the unit edge wave; psi(d) = t
+    # e^{ikd} e^{-kappa d}, and the decayed tails hold the e^{-kappa d}
+    scale = np.power.outer(d, _D_POWERS) * np.abs(t if decayed else S)[..., None] ** 2
 
-        # integrals over [s0, edge] of s^-m e^{is} (osc) and of s^-m (even m)
-        top = 2 * _TAIL_TERMS + 3
-        near, far = cmath.exp(1j * s0), cmath.exp(1j * edge)
-        osc = np.empty(top, dtype=complex)
-        osc[0] = -1j * (far - near)
-        osc[1] = near * scaled_e1(-1j * s0) - far * scaled_e1(-1j * edge)
-        for m in range(1, top - 1):
-            osc[m + 1] = (near * s0**-m - far * edge**-m + 1j * osc[m]) / m
-        m = np.arange(top) - 1.0
-        m[1] = 1.0  # odd powers are never used
-        plain = (s0**-m - edge**-m) / m
+    # centre: the square of sum_j c_j s^j over |s| <= s0, term by term
+    s0 = np.minimum(edge, _CENTRE)
+    ab = np.array((tails[..., :-1], kd[..., None] * tails[..., 1:]))  # a_j, b_j
+    ab *= np.power.outer(s0, _TAYLOR_ORDERS[:-1])
+    # einsum, not matmul: its own loops need no BLAS work buffer
+    forms = np.einsum("a...i,ij->a...j", ab, _CENTRE_FORMS)
+    moments = (forms.reshape(forms.shape[:-1] + (2, -1)) * ab[..., None, :]).sum(axis=(0, -1))
+    moments *= np.power.outer(s0, _S0_POWERS)
 
-        def tail(shift):
-            # 1/(lam^2 + s^2)^2 = sum_j (j + 1) (-lam^2)^j s^{-2j-4}
-            e = 2 * _TAIL_ORDERS + 4 - shift
-            terms = p0 * plain[e] + p2 * plain[e - 2]
-            terms -= 2.0 * (q0 * osc[e].real + q2 * osc[e - 2].real)
-            terms -= 2.0 * q1 * osc[e - 1].imag
-            weights = (_TAIL_ORDERS + 1.0) * (-lam * lam) ** _TAIL_ORDERS
-            return float(np.dot(weights, terms))
-
-        norm += 2.0 * d * tail(0)
-        second += 2.0 * tail(2) / d
-    return norm / (2.0 * math.pi), second / (2.0 * math.pi)
+    if tailed:  # kappa d < _SERIES_KAPPA_D
+        # psi and d psi/dx * d at x = 0 over psi(d) are ch - i kd shc and
+        # i kd ch - (kappa d)^2 shc, with ch = cosh(kappa d) and shc =
+        # sinh(kappa d)/(kappa d), and at x = d 1 and i kd; the numerator of
+        # |a|^2, even part, reads p0 + p2 s^2 - 2 (q0 + q2 s^2) cos s - 2 q1 s sin s
+        ch, shc = np.cosh(lam), np.sinh(lam) / lam
+        ch21, sh2, kd2, lam2 = ch * ch + 1.0, shc * shc, kd * kd, lam * lam
+        coef = np.array((  # p0, p2, q0, q2, q1
+            kd2 * ch21 + lam2 * lam2 * sh2, ch21 + kd2 * sh2, kd2 * ch, ch, shc * (kd2 - lam2),
+        )).T
+        edges = np.ravel(edge).tolist()
+        sets = {e: _window_integrals(e) for e in set(edges)}
+        integrals = np.array([sets[e] for e in edges]).reshape(np.shape(edge) + (-1,))
+        integrals = integrals[..., _TAIL_BASIS]
+        # 1/(lam^2 + s^2)^2 = sum_j (j + 1) (-lam^2)^j s^{-2j-4}
+        weights = (_TAIL_ORDERS + 1.0) * np.power.outer(-lam2, _TAIL_ORDERS)
+        terms = (coef[..., None, :, None] * integrals).sum(axis=-2)
+        moments += 2.0 * (weights[..., None, :] * terms).sum(axis=-1)
+    return np.moveaxis(moments * scale, -1, 0) / (2.0 * math.pi)
 
 
 def momentum_spectrum(
@@ -340,13 +427,8 @@ def momentum_spectrum(
 ) -> MomentumSpectrum:
     """Build the spectrum for a problem: both moments over its window, exactly."""
     sol = stationary_solution(problem) if solution is None else solution
-    d = problem.thickness
-    if _series_route(sol.wavenumbers.kappa * d, problem.cutoff * d):
-        norm, second = _series_moments(sol)
-    else:
-        a_d, b_d = sol.edge_modes
-        norm, second = _exponential_moments(
-            sol.wavenumbers.kappa, d, problem.cutoff,
-            sol.A, sol.B, a_d, b_d, POINT, scaled_e1,
-        )
+    norm, second = _moments(
+        sol.wavenumbers.k, sol.wavenumbers.kappa, problem.thickness, problem.cutoff,
+        sol.t, sol.S, sol.A, sol.B, *sol.edge_modes,
+    )
     return MomentumSpectrum(solution=sol, normalization=norm, second_moment=second)

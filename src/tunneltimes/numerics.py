@@ -124,9 +124,9 @@ def scaled_e1_grid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the modified Lentz recurrence until its own step is within _EPS of 1, at
     most _MAX_TERMS levels, as scaled_e1() does. Returns the values and a mask
     of the elements that converged; the others, series-domain elements among
-    them, hold no meaningful value.
+    them, hold NaN, which every value computed from them carries.
     """
-    out = np.zeros(z.shape, dtype=complex)
+    out = np.full(z.shape, complex(math.nan, math.nan))
     converged = np.zeros(z.shape, dtype=bool)
     active = np.flatnonzero(~_series_domain(z, _E1_DOMAIN_MARGIN))
     if not active.size:

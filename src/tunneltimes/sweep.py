@@ -17,16 +17,17 @@ column of the usual points straight into the table; evaluate_point()
 evaluates every other point, so each note and error cell is written by the
 point path, and its record is written into the same columns by its flat
 index. Where a rule belongs to another module, the grid asks that module's
-predicate or kernel. A point is unusual when:
+predicate or kernel. The moments' series route (kappa d < 1/2 or c d <= 2)
+and the dwell time's edge form (kappa d < 1/2) are array kernels too, each
+lane taking the route its own point would (momentum._moments,
+times._stored_probability). A point is unusual when:
 
   * BarrierProblem refuses it (barrier);
-  * the moments take their series route, kappa d < 1/2 or c d <= 2, which
-    covers the dwell time's edge form (momentum._series_route);
-  * e^{-z} E1(-z) lies in the exponential integral's series domain, or its
-    continued fraction does not settle (numerics._series_domain, which
-    scaled_e1_grid() applies);
-  * kappa > 4 c, where the exponential sum cancels enough for its digits to
-    depend on rounding (here);
+  * on the moments' exponential sum, e^{-z} E1(-z) lies in the exponential
+    integral's series domain, or its continued fraction does not settle
+    (numerics._series_domain, which scaled_e1_grid() applies), or kappa > 4 c,
+    where the sum cancels enough for its digits to depend on rounding
+    (momentum._moments);
   * the phase stencil clips, the kinematics are not positive or are
     superluminal, a cross-check fails, or any value is not finite.
 
@@ -106,14 +107,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .momentum import (
-    _amplitude,
-    _exponential_moments,
-    _kinematics,
-    _series_route,
-    momentum_spectrum,
-)
-from .numerics import GRID, scaled_e1_grid
+from .momentum import _amplitude, _kinematics, _moments, momentum_spectrum
+from .numerics import GRID
 from .records import (
     RECORD_COLUMNS,
     TEXT_FIELDS,
@@ -396,12 +391,6 @@ def _passes(check: Callable[..., None], *args: float) -> bool:
     return True
 
 
-#: The grid leaves a point to evaluate_point() where kappa exceeds this many
-#: times the cutoff: the exponential sum's second moment cancels by about
-#: 3 (kappa / c)^2 there, so its digits depend on the rounding of each step.
-_SUM_WELL_CONDITIONED_KAPPA_OVER_C = 4.0
-
-
 def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> np.ndarray:
     """Write every usual grid point (see the module docstring) into
     ``columns`` by one pass of the array kernels; return their flat indices."""
@@ -422,30 +411,14 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
     with np.errstate(all="ignore"):
         k, kappa = _wavenumber_pair(energy, height, GRID)
         lam = kappa * thickness
-        # the series route covers the dwell time's edge form, which takes the
-        # same bound on kappa d
-        keep = ~_series_route(lam, c * thickness)
-        keep &= kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c
-        flat, energy, thickness, k, kappa, lam = (
-            a[keep] for a in (flat, energy, thickness, k, kappa, lam)
-        )
-
         t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, thickness, GRID)
-        # scaled_e1_grid() leaves unsettled the elements of its series domain
-        # and those its fraction does not settle
-        settled = np.ones(flat.size, dtype=bool)
-
-        def e1(z):
-            value, converged = scaled_e1_grid(z)
-            settled[:] &= converged
-            return value
-
-        norm, second = _exponential_moments(kappa, thickness, c, A, B, a_d, b_d, GRID, e1)
+        # a lane whose moments the array pass cannot settle holds NaN
+        norm, second = _moments(k, kappa, thickness, c, t, S, A, B, a_d, b_d, GRID)
         moments_ok = (norm > 0.0) & (second > 0.0)
         k_rms, v_rms, t_eff, eps_eff = _kinematics(norm, second, thickness, GRID)
         g = _g(height)
         t_ph_ana = _phase_time_closed(k, kappa, lam, g, GRID)
-        t_dw_num = _stored_probability(kappa, thickness, A, B, a_d, GRID) / _flux(k)
+        t_dw_num = _stored_probability(k, kappa, thickness, A, B, a_d, S, GRID) / _flux(k)
         t_dw_ana = _dwell_time_closed(k, kappa, lam, g, GRID)
         t_bl = _bl_time(kappa, thickness)
         depth, crossing = _depth(k, kappa, thickness, GRID)
@@ -453,8 +426,7 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
         s_abs2, r_abs2 = np.abs(S) ** 2, np.abs(R) ** 2
         eps_ev, s_nm = energy_si_to_ev(eps_eff), length_si_to_nm(depth)
         usual = (
-            settled
-            & moments_ok
+            moments_ok
             & (np.minimum(np.minimum(k_rms, v_rms), np.minimum(t_eff, eps_eff)) > 0.0)
             & (v_rms < SPEED_OF_LIGHT)
             & np.isfinite(np.stack((

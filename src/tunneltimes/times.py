@@ -45,6 +45,7 @@ from .barrier import (
     _SERIES_KAPPA_D,
     BarrierProblem,
     StationarySolution,
+    _check_tunneling,
     _scaled_transmission,
     incident_flux,
     stationary_solution,
@@ -97,12 +98,31 @@ def _dwell_time_closed(k, kappa, kd, g, f=POINT):
     return _M * k / (_HBAR * kappa * _scaled_denominator(k, kappa, kd, g, f)) * bracket
 
 
-def _stored_probability(kappa, d, A, B, a_d, f=POINT):
-    """The integral of |A e^{kappa x} + B e^{-kappa x}|^2 over [0, d], from
-    the coefficients (see dwell_time_numeric)."""
+def _stored_probability(k, kappa, d, A, B, a_d, S, f=POINT):
+    """The integral of |A e^{kappa x} + B e^{-kappa x}|^2 over [0, d] (see
+    dwell_time_numeric), each point by its own form: the edge form below
+    kappa d = _SERIES_KAPPA_D, the coefficients' elsewhere."""
+    thin = kappa * d < _SERIES_KAPPA_D
+    if f is POINT and thin:
+        return _edge_stored(k, kappa, d, S)
     ends = abs(a_d) ** 2 + abs(B) ** 2
     cross = 2.0 * (A * B.conjugate()).real
-    return ends * -f.expm1(-2.0 * kappa * d) / (2.0 * kappa) + cross * d
+    stored = ends * -f.expm1(-2.0 * kappa * d) / (2.0 * kappa) + cross * d
+    if f is not POINT:
+        thin = thin.nonzero()[0]
+        stored[thin] = _edge_stored(k[thin], kappa[thin], d[thin], S[thin])
+    return stored
+
+
+def _edge_stored(k, kappa, d, S):
+    """_stored_probability() in the edge form of dwell_time_numeric()."""
+    # sinh(x)/x - 1 at x = 2 kappa d, by its series
+    x2 = (2.0 * kappa * d) ** 2
+    term = excess = x2 / 6.0
+    for n in range(2, 12):
+        term = term * (x2 / ((2 * n) * (2 * n + 1)))
+        excess = excess + term
+    return 0.5 * d * abs(S) ** 2 * (2.0 + (1.0 + (k / kappa) ** 2) * excess)
 
 
 def _bl_time(kappa, d):
@@ -154,6 +174,9 @@ def _phase_stencil(e0, hi, d, h):
         raise DomainError(
             f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
         )
+    # of _check_tunneling()'s rules only the near-threshold one can still
+    # fail, and E - h lies further from the barrier top than E + h
+    _check_tunneling(e0 + h, hi)
     sp = _scaled_transmission(e0 + h, hi, d)
     sm = _scaled_transmission(e0 - h, hi, d)
     delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
@@ -181,18 +204,10 @@ def dwell_time_numeric(
     solved here when not given.
     """
     sol = stationary_solution(problem) if solution is None else solution
-    k, kappa = sol.wavenumbers.k, sol.wavenumbers.kappa
-    d = problem.thickness
-    if kappa * d < _SERIES_KAPPA_D:
-        # sinh(x)/x - 1 at x = 2 kappa d, by its series
-        x2 = (2.0 * kappa * d) ** 2
-        term = excess = x2 / 6.0
-        for n in range(2, 12):
-            term *= x2 / ((2 * n) * (2 * n + 1))
-            excess += term
-        stored = 0.5 * d * sol.transmission * (2.0 + (1.0 + (k / kappa) ** 2) * excess)
-    else:
-        stored = _stored_probability(kappa, d, sol.A, sol.B, sol.edge_modes[0])
+    stored = _stored_probability(
+        sol.wavenumbers.k, sol.wavenumbers.kappa, problem.thickness,
+        sol.A, sol.B, sol.edge_modes[0], sol.S,
+    )
     return stored / incident_flux(problem)
 
 

@@ -1,7 +1,8 @@
 """The sweep's array pass against the point path it stands in for.
 
 run_sweep() evaluates the usual grid points with array kernels and hands the
-others to evaluate_point(); both must give the same records. Each seeded
+others to evaluate_point(); both must give the same records. Thin barriers and
+narrow windows, where the moments take their series route, are usual. Each seeded
 config below is swept both ways, and the sweep CSV, fig1 and fig4 must match
 byte for byte, every note and error cell included, with every numeric column
 within 1e-13 relative. fig1 and fig4, drawn from the table's columns, must
@@ -17,13 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import assert_same_text, outcome, per_cell_emit
+from oracles import assert_same_text, mp_window_moments, outcome, per_cell_emit
 from tunneltimes import cli, sweep
 from tunneltimes.barrier import BarrierProblem, wavenumbers
 from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import DomainError, MissingGridPoint
-from tunneltimes.momentum import MomentumSpectrum, _series_route
+from tunneltimes.momentum import MomentumSpectrum, _series_route, momentum_spectrum
 from tunneltimes.sweep import (
+    NOTE_NO_CROSSING,
     RECORD_COLUMNS,
     SweepConfig,
     SweepRecord,
@@ -139,10 +141,20 @@ def test_grid_pass_matches_the_point_path(cfg):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-def test_series_route_points_take_the_point_path(cfg, monkeypatch):
+def test_usual_series_route_points_take_the_array_pass(cfg, monkeypatch):
+    # a series-route point the point path evaluates cleanly (no note but
+    # no_crossing, no error, every cell finite) needs no evaluate_point() call
     calls = point_calls(monkeypatch)
     run_sweep(cfg)
-    assert set(series_route_points(cfg)) <= set(calls)
+    calls = set(calls)
+    for r, d_nm in series_route_points(cfg):
+        rec = evaluate_point(cfg, r, d_nm)
+        cells = [getattr(rec, attr) for attr in RECORD_COLUMNS.values()]
+        clean = rec.error == "" and rec.note in ("", NOTE_NO_CROSSING) and all(
+            math.isfinite(v) for v in cells if isinstance(v, float)
+        )
+        if clean:
+            assert (r, d_nm) not in calls
 
 
 def test_the_seeded_configs_reach_both_arms_of_the_series_route():
@@ -157,18 +169,66 @@ DENSE = SweepConfig(
 )
 
 
-def test_only_the_series_route_takes_the_point_path_on_the_dense_grid(monkeypatch):
-    # kappa d < 1/2 (the series moments and the edge-form dwell time) at
-    # d = 0.1 nm near the barrier top; every other point is usual
+@pytest.mark.parametrize(
+    "cfg, thin_points", [(DENSE, 12), (SweepConfig(), 3)], ids=["dense", "default"]
+)
+def test_no_point_of_the_dense_or_default_grid_takes_the_point_path(
+    cfg, thin_points, monkeypatch
+):
+    # kappa d < 1/2 at d = 0.1 nm near the barrier top (12 dense points and 3
+    # default ones) takes the series moments and the edge-form dwell time,
+    # which are array kernels too
     calls = point_calls(monkeypatch)
-    run_sweep(DENSE)
+    run_sweep(cfg)
     thin = [
         (r, d)
-        for d in DENSE.d_nm_grid
-        for r in DENSE.e_over_v0_grid
-        if _kappa(r, DENSE.v0_ev) * d * 1e-9 < 0.5
+        for d in cfg.d_nm_grid
+        for r in cfg.e_over_v0_grid
+        if _kappa(r, cfg.v0_ev) * d * 1e-9 < 0.5
     ]
-    assert calls == thin and len(thin) == 12
+    assert calls == [] and len(thin) == thin_points
+
+
+#: Grids where every lane takes the series route or borders it: kappa d from
+#: about 1e-7 to 3 under the default window, whose edge c d runs from 1.5e-4
+#: (no tail past the centre) to 22.5 (a tail), and a window of c d at most 1
+#: over kappa d up to about 1100, where the centre's T_p are summed or closed.
+THIN_CONFIGS = {
+    "thin": SweepConfig(
+        e_over_v0_grid=(0.5, 0.9, 0.99, 0.999, 0.9999, 0.99998),
+        d_nm_grid=(2e-6, 1e-3, 0.01, 0.03, 0.1, 0.3),
+    ),
+    "narrow": SweepConfig(
+        e_over_v0_grid=(0.1, 0.5, 0.9, 0.99), d_nm_grid=(0.1, 1.0, 10.0, 100.0), cutoff=1e7
+    ),
+}
+
+
+def test_series_route_lanes_match_mpmath(monkeypatch):
+    # the array pass's series lanes against the 40-digit oracle at
+    # test_series_route_matches_mpmath's bound, and against the point path
+    pytest.importorskip("mpmath")
+    calls = point_calls(monkeypatch)
+    kinds = set()
+    smallest = math.inf
+    for cfg in THIN_CONFIGS.values():
+        table = run_sweep(cfg)
+        assert calls == []
+        for rec in table:
+            problem = BarrierProblem.from_ev_nm(rec.e_ev, cfg.v0_ev, rec.d_nm, cfg.cutoff)
+            d = problem.thickness
+            kappa_d, edge = wavenumbers(problem).kappa * d, cfg.cutoff * d
+            if _series_route(kappa_d, edge):
+                kinds.add("tail" if edge > 2.0 else "closed" if kappa_d > 64.0 else "centre")
+                smallest = min(smallest, kappa_d)
+            got = (rec.spectrum.normalization, rec.spectrum.second_moment)
+            point = momentum_spectrum(problem)
+            for value, oracle, at_point in zip(
+                got, mp_window_moments(problem), (point.normalization, point.second_moment)
+            ):
+                assert abs(value - oracle) <= 1e-12 * oracle
+                assert abs(value - at_point) <= 1e-13 * at_point
+    assert kinds == {"tail", "centre", "closed"} and smallest < 2e-7
 
 
 @pytest.mark.parametrize("cfg", [DENSE, *CONFIGS], ids=["dense", *CONFIG_IDS])
@@ -210,28 +270,28 @@ def count_builds(monkeypatch):
 
 
 def test_the_sweep_command_builds_records_only_at_fallback_points(monkeypatch, tmp_path):
-    # the array pass writes its 978 dense points into the table's columns and
-    # the CSV is read from them: only the 12 evaluate_point() calls build a
-    # record or a spectrum, and no row of the table is built
+    # the array pass writes all 990 dense points into the table's columns and
+    # the CSV is read from them: no evaluate_point() call, and no record,
+    # spectrum or table row is built
     built = count_builds(monkeypatch)
     calls = point_calls(monkeypatch)
     config, out = tmp_path / "dense.cfg", tmp_path / "sweep.csv"
     config.write_text("\n".join(config_lines(DENSE)) + "\n", encoding="utf-8")
     assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
-    assert len(calls) == 12
-    assert built == {"SweepRecord": 12, "MomentumSpectrum": 12}
+    assert calls == []
+    assert built == Counter()
     assert out.read_text(encoding="utf-8") == records_to_csv(point_by_point(DENSE), DENSE)
 
 
 def test_the_figures_command_draws_curves_without_building_records(monkeypatch, tmp_path):
-    # fig1 and fig4 are drawn from the table's columns: the figures add no
-    # record, spectrum or table row to the 12 the fallback points build
+    # fig1 and fig4 are drawn from the table's columns: the figures build no
+    # record, spectrum or table row, as the sweep builds none
     built = count_builds(monkeypatch)
     config = tmp_path / "dense.cfg"
     config.write_text("\n".join(config_lines(DENSE)) + "\n", encoding="utf-8")
     argv = ["figures", "--config", str(config), "--which", "all", "--out-dir", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert built == {"SweepRecord": 12, "MomentumSpectrum": 12}
+    assert built == Counter()
     table = run_sweep(DENSE)
     for fig in ("fig1", "fig4"):
         text = (tmp_path / f"{fig}.csv").read_text(encoding="utf-8")
