@@ -6,7 +6,9 @@ times and depth run the sweep's evaluate() on the blocks behind their columns,
 raise the first failure it caught, and print their columns of the record.
 Grid subcommands (sweep, table1, figures) run the configured sweep and emit
 the corresponding CSV files. Exit codes: 0 success, 1 validation or parse
-error, 2 missing grid point, 3 internal numeric failure.
+error or a file that cannot be read or written (a config that is missing or
+not UTF-8, an output path that cannot be made), 2 missing grid point, 3
+internal numeric failure.
 
 The argument parser is built once per process, by the first main() call, and
 every later call reuses it; parse_args keeps nothing from one call to the next.
@@ -217,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except SystemExit:  # --help or --version has printed; error() never exits
         return 0
-    except (ParseError, ValidationError, DomainError) as exc:
+    except (ParseError, ValidationError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 1
     except MissingGridPoint as exc:

@@ -28,9 +28,10 @@ exponential integral at z = d (kappa + ic), through
 and to these by parts for 1/w^2 and 1/v^2. For the second moment,
 K^2/(wv) = 1 - kappa^2/(wv) and K^2/w^2 = -1 + 2 kappa/w - kappa^2/w^2 (the
 same with v). Only the bounded scaled forms e^z E1(z) and e^{-z} Ei(z) =
--e^{-z} E1(-z) + i pi e^{-z} appear, two scaled_e1() calls per spectrum, and
-every term is real because E1(conj z) = conj E1(z). kinematics() is then
-arithmetic on the stored moments.
+-e^{-z} E1(-z) + i pi e^{-z} appear: two scaled_e1() calls per spectrum at a
+point, and on the sweep's array pass one scaled_e1_grid() call over z and -z of
+every lane together. Every term is real because E1(conj z) = conj E1(z).
+kinematics() is then arithmetic on the stored moments.
 
 The sum is exact but not always well conditioned. Where kappa d is small
 (near the barrier top, or on a barrier much thinner than 1/kappa) its terms
@@ -232,12 +233,15 @@ def _kinematics(normalization, second_moment, d, f=POINT):
     return k_rms, v_rms, d / v_rms, 0.5 * _M * v_rms**2
 
 
-def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f, e1):
+def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f):
     """The normalization and the second moment, by the module docstring's sum.
 
     A kernel of the decay constant, the thickness, the cutoff and the
     coefficients A, B, A e^{kappa d}, B e^{-kappa d}; ``f`` holds the
-    elementwise functions and ``e1`` the scaled exponential integral.
+    elementwise functions. At a point the scaled exponential integral takes
+    z and -z in two scaled_e1() calls; over arrays one scaled_e1_grid() call
+    takes both; each lane converges on its own, so the values are those of
+    two calls.
     """
     # |P + Q e^{-iKd}|^2 = plain/(wv) - 2 Re(cross/w^2)
     #     + 2 Re(e^{-iKd} (-osc/(wv) + osc_v2/v^2 + osc_w2/w^2))
@@ -254,9 +258,13 @@ def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f, e1):
     i_w2 = 2.0 * c / (kappa**2 + c**2)
     sinc = 2.0 * f.sin(c * d) / d
     z = kappa * d + 1j * (c * d)
+    if f is POINT:
+        e1_z, e1_minus_z = scaled_e1(z), scaled_e1(-z)
+    else:
+        e1_z, e1_minus_z = np.split(scaled_e1_grid(np.concatenate((z, -z)))[0], 2)
     turn = f.cexp(1j * c * d)
-    j_w = -2.0 * (e1(z) / turn).imag
-    j_v = 2.0 * (turn * (math.pi * 1j * f.cexp(-z) - e1(-z))).imag
+    j_w = -2.0 * (e1_z / turn).imag
+    j_v = 2.0 * (turn * (math.pi * 1j * f.cexp(-z) - e1_minus_z)).imag
     j_wv = (j_w + j_v) / (2.0 * kappa)
     l_w = 2.0 * (turn / (kappa - 1j * c)).imag - d * j_w
     l_v = -2.0 * (turn / (kappa + 1j * c)).imag + d * j_v
@@ -296,7 +304,7 @@ def _moments(k, kappa, d, c, t, S, A, B, a_d, b_d, f=POINT):
     edge = c * d
     series = _series_route(kappa * d, edge)
     if f is POINT and not series:
-        return _exponential_moments(kappa, d, c, A, B, a_d, b_d, POINT, scaled_e1)
+        return _exponential_moments(kappa, d, c, A, B, a_d, b_d, POINT)
     decayed, tailed = kappa * d > _SUMMED_TAILS_KAPPA_D, edge > _CENTRE
     if f is POINT:
         norm, second = _series_moments(k, kappa, d, edge, t, S, decayed, tailed)
@@ -304,8 +312,7 @@ def _moments(k, kappa, d, c, t, S, A, B, a_d, b_d, f=POINT):
     moments = np.full((2, kappa.size), math.nan)
     lanes = np.flatnonzero(~series & (kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c))
     moments[:, lanes] = _exponential_moments(
-        *(x[lanes] for x in (kappa, d)), c, *(x[lanes] for x in (A, B, a_d, b_d)),
-        GRID, lambda z: scaled_e1_grid(z)[0],
+        *(x[lanes] for x in (kappa, d)), c, *(x[lanes] for x in (A, B, a_d, b_d)), GRID
     )
     # a decayed lane's window ends inside the centre, so it has no tail
     for group in (series & ~decayed & ~tailed, series & ~decayed & tailed, series & decayed):

@@ -759,6 +759,11 @@ def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) 
     return _csv(_metadata(cfg, records), ("E_over_V0", "d_nm", "s_nm"), rows)
 
 
+#: Where a curve row's template takes the record's E_over_V0,d_nm cells; no
+#: formatted number contains it.
+_PREFIX = "@"
+
+
 def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
     """The rows of fig1 (``fig1``) or else fig4: one array of curves, drawn
     from the records' columns, one row of the array per record."""
@@ -777,8 +782,9 @@ def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
     for key in dict.fromkeys(keys):
         grid = np.linspace(start * key, key, points)
         cells = _cells(grid if fig1 else length_si_to_nm(grid))
-        # a record's lines, each to take the record's prefix, then its value
-        grids[key] = grid, "\n".join(f"%s,{cell},%%.6g" for cell in cells)
+        # a record's lines: each starts with _PREFIX, which one replace()
+        # turns into the record's key cells, and ends in its value's format
+        grids[key] = grid, "\n".join(f"{_PREFIX},{cell},%.6g" for cell in cells)
     x = np.array([grids[key][0] for key in keys])
     d, norm, kappa, A, B, a_d, b_d = (
         column[:, None]
@@ -793,7 +799,7 @@ def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
     rows = zip(table.column("e_over_v0").tolist(), d_nm.tolist(), keys, curves + 0.0)
     for e_ratio, d_cell, key, curve in rows:
         prefix = f"{_fmt(e_ratio)},{_fmt(d_cell)}"
-        yield grids[key][1] % ((prefix,) * len(curve)) % tuple(curve.tolist())
+        yield grids[key][1].replace(_PREFIX, prefix) % tuple(curve.tolist())
 
 
 #: The per-point figures, after the E_over_V0 and d_nm key columns: CSV

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from tunneltimes.cli import main
 PINS = json.loads(
     Path(__file__).with_name("point_pins.json").read_text(encoding="utf-8")
 )
+SMALL_CONFIG = b"E_over_V0_grid=0.5\nd_nm_grid=0.5\n"
 
 
 def run(capsys, *argv):
@@ -162,6 +166,37 @@ class TestExitCodes:
         config.write_text("V0_eV=abc\n", encoding="utf-8")
         code, _, err = run(capsys, "sweep", "--config", str(config))
         assert code == 1 and "line 1" in err
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            (None, ("table1", "--config", "{cfg}")),
+            (b"E_over_V0_grid=0.5\xff\n", ("sweep", "--config", "{cfg}")),
+            (SMALL_CONFIG, ("sweep", "--config", "{cfg}", "--out", "{dir}/none/o.csv")),
+            (SMALL_CONFIG, ("figures", "--config", "{cfg}", "--out-dir", "{cfg}/figs")),
+        ],
+        ids=["missing config", "config not UTF-8", "out into a missing directory",
+             "out-dir under a file"],
+    )
+    def test_file_errors_are_one(self, capsys, tmp_path, config, argv):
+        path = tmp_path / "small.cfg"
+        if config is not None:
+            path.write_bytes(config)
+        code, out, err = run(capsys, *(a.format(cfg=path, dir=tmp_path) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("tunneltimes: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_config_prints_no_traceback(self, tmp_path):
+        # as a process, so that an uncaught exception would print one
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunneltimes.cli", "sweep", "--config", "missing.cfg"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("tunneltimes: error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_missing_grid_point_is_two(self, capsys, tmp_path):
         config = tmp_path / "partial.cfg"

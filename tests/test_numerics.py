@@ -133,6 +133,19 @@ class TestScaledE1Grid:
         for z, value in zip(fraction, values[len(series):].tolist()):
             assert abs(value - scaled_e1(z)) <= 1e-14 * abs(scaled_e1(z))
 
+    def test_a_concatenated_call_changes_no_bit(self):
+        # the spectrum's array pass takes z and -z of every lane in one call,
+        # so each part must read as it would alone: values and masks, with
+        # series-domain lanes (NaN, unsettled) and slow lanes among them
+        z = np.array([5.0 + 5.0j, 1e4 - 3e3j, 350.0 + 21.9j, 0.5 + 0.5j, 1.0 + 0.3j,
+                      -3950.0 - 18.0j, 0.1 + 1.8j, 2.0 + 1e-3j, 710.0 + 0.0j])
+        parts = [z, -z, z[3:5], np.conj(z)[::-1], z[:0]]
+        whole = scaled_e1_grid(np.concatenate(parts))
+        alone = [np.concatenate(x) for x in zip(*map(scaled_e1_grid, parts))]
+        assert not whole[1].all() and whole[1].any()
+        for got, want in zip(whole, alone):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_empty_input(self):
         values, converged = scaled_e1_grid(np.zeros(0, dtype=complex))
         assert values.size == 0 and converged.size == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM
-from tunneltimes import sweep
+from tunneltimes import momentum, sweep
 from tunneltimes.barrier import BarrierProblem
 from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import (
@@ -181,6 +181,17 @@ class TestRunSweep:
         good, bad = run_sweep(cfg)
         assert good.error == "" and good.s_abs2 is not None
         assert bad.error.startswith("problem:") and bad.s_abs2 is None
+
+    @pytest.mark.parametrize("e_ratios", [None, tuple(i / 100.0 for i in range(1, 100))])
+    def test_one_exponential_integral_call_per_sweep(self, monkeypatch, e_ratios):
+        # the exponential sum takes E1 at z and -z of every lane in one call,
+        # on the default 5x10 grid and on the dense 99x10 one alike
+        calls = []
+        e1_grid = momentum.scaled_e1_grid
+        monkeypatch.setattr(momentum, "scaled_e1_grid", lambda z: calls.append(z) or e1_grid(z))
+        cfg = SweepConfig() if e_ratios is None else SweepConfig(e_over_v0_grid=e_ratios)
+        run_sweep(cfg)
+        assert len(calls) == 1 and calls[0].size > 0
 
     def test_phase_stencil_clipping_is_noted(self):
         rec = evaluate_point(SweepConfig(), 1e-6, 0.5)
