@@ -26,11 +26,10 @@ The slope condition at x = 0 is not imposed separately: it holds
 identically for this t, and continuity_residual() certifies all four
 matching conditions numerically. The in-barrier wave is evaluated on the
 edge mode, as A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}, whose
-exponents are never positive. scaled_transmission() evaluates t at another
-energy over the same barrier, without building a problem or solving for A,
-B and R; it accepts the energies BarrierProblem does. The phase time's
-energy stencil calls its unchecked kernel _scaled_transmission() on the
-barrier's height and thickness alone, and checks its two energies itself.
+exponents are never positive. The phase time's energy stencil takes t at two
+other energies over the same barrier from the kernel _transmission() alone,
+without building a problem or solving for A, B and R, and checks its two
+energies itself.
 
 Where S, A or the edge modes fall below the smallest double (kappa d past
 about 745) they are 0, which is their value to double precision; B and R
@@ -236,23 +235,6 @@ def _coefficients(k, kappa, d, f=POINT):
     if f is not POINT or thin:
         R = f.where(thin, 0.5j * half * (ratio + 1.0 / ratio) * f.expm1(-2.0 * kappa * d), R)
     return t, t * decay, A, B, R, a_d, B * decay
-
-
-def scaled_transmission(problem: BarrierProblem, energy: float) -> complex:
-    """t = S e^{kappa d} at incident ``energy`` over the problem's barrier.
-
-    t is bounded at any thickness and has the phase of S. Raises DomainError
-    for an energy BarrierProblem would refuse: not positive, or closer than
-    NEAR_THRESHOLD_GAP_EV to the barrier top.
-    """
-    _check_tunneling(energy, problem.height)
-    return _scaled_transmission(energy, problem.height, problem.thickness)
-
-
-def _scaled_transmission(energy, height, thickness):
-    """scaled_transmission() on the barrier of ``height`` and ``thickness``,
-    at an energy the caller has checked."""
-    return _transmission(*_wavenumber_pair(energy, height), thickness)
 
 
 def stationary_solution(problem: BarrierProblem) -> StationarySolution:

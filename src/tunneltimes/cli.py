@@ -2,13 +2,14 @@
 
 Single-point subcommands (coeffs, momentum, times, depth) report one barrier
 problem as a one-row CSV. coeffs prints the stationary solution; momentum,
-times and depth run the sweep's evaluate() on the blocks behind their columns,
-raise the first failure it caught, and print their columns of the record.
-Grid subcommands (sweep, table1, figures) run the configured sweep and emit
-the corresponding CSV files. Exit codes: 0 success, 1 validation or parse
-error or a file that cannot be read or written (a config that is missing or
-not UTF-8, an output path that cannot be made), 2 missing grid point, 3
-internal numeric failure.
+times and depth evaluate the sweep's whole record at the point, by the same
+kernel as the sweep, and print their columns of it. Each raises the first
+failure that concerns a column it prints; a non-finite |S|^2 or |R|^2
+concerns every column. Grid subcommands (sweep, table1, figures) run the
+configured sweep and emit the corresponding CSV files. Exit codes: 0 success,
+1 validation or parse error or a file that cannot be read or written (a
+config that is missing or not UTF-8, an output path that cannot be made; the
+message names the file), 2 missing grid point, 3 internal numeric failure.
 
 The argument parser is built once per process, by the first main() call, and
 every later call reuses it; parse_args keeps nothing from one call to the next.
@@ -35,35 +36,29 @@ from .sweep import (
     TOOL_NAME,
     SweepConfig,
     _csv,
+    _evaluate,
     _fmt,
     emit_figure_data,
     emit_table1,
-    evaluate,
     parse_config,
     records_to_csv,
     run_sweep,
 )
-from .times import shared_denominator
+from .times import DEFAULT_PHASE_STEP_EV, shared_denominator
 
-#: The point commands backed by the sweep record: the evaluate() blocks each
-#: runs and the record columns it prints.
+#: The point commands backed by the sweep record, and the record columns
+#: each prints.
 _RECORD_COMMANDS = {
-    "momentum": (
-        ("momentum",),
-        ("K_rms_per_m", "v_rms_m_per_s", "t_eff_s", "eps_eff_eV"),
-    ),
+    "momentum": ("K_rms_per_m", "v_rms_m_per_s", "t_eff_s", "eps_eff_eV"),
     "times": (
-        ("momentum", "times"),
-        (
-            "t_eff_s",
-            "t_ph_numeric_s",
-            "t_ph_analytic_s",
-            "t_dw_numeric_s",
-            "t_dw_analytic_s",
-            "t_bl_s",
-        ),
+        "t_eff_s",
+        "t_ph_numeric_s",
+        "t_ph_analytic_s",
+        "t_dw_numeric_s",
+        "t_dw_analytic_s",
+        "t_bl_s",
     ),
-    "depth": (("momentum", "depth"), ("s_nm", "tau_eff_s", "xi", "eps_eff_eV")),
+    "depth": ("s_nm", "tau_eff_s", "xi", "eps_eff_eV"),
 }
 
 
@@ -108,12 +103,12 @@ def _cmd_coeffs(args) -> str:
 
 def _cmd_record(args) -> str:
     problem = _point_problem(args)
-    blocks, columns = _RECORD_COMMANDS[args.command]
-    cfg = SweepConfig(v0_ev=args.v0_ev, cutoff=args.cutoff)
-    record, caught = evaluate(problem, cfg, blocks)
-    if caught:
-        raise caught[0]
-    values = {column: getattr(record, RECORD_COLUMNS[column]) for column in columns}
+    columns = {column: RECORD_COLUMNS[column] for column in _RECORD_COMMANDS[args.command]}
+    record, _, failures = _evaluate(problem, DEFAULT_PHASE_STEP_EV)
+    for exc, concerns in failures:
+        if not set(columns.values()).isdisjoint(concerns):
+            raise exc
+    values = {column: record[attr] for column, attr in columns.items()}
     if args.command == "times":
         values["D_denominator_per_m4"] = shared_denominator(problem)
     return _point_csv(args, values)
@@ -122,7 +117,11 @@ def _cmd_record(args) -> str:
 def _load_config(args) -> SweepConfig:
     if args.config is None:
         return SweepConfig()
-    return parse_config(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # named after the file, as an OSError is
+        raise ParseError(f"{exc}: {args.config!r}") from None
+    return parse_config(text)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -219,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except SystemExit:  # --help or --version has printed; error() never exits
         return 0
-    except (ParseError, ValidationError, DomainError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError, DomainError, OSError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 1
     except MissingGridPoint as exc:

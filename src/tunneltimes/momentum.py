@@ -183,13 +183,21 @@ class EffectiveKinematics:
     eps_eff: float  # J
 
     def __post_init__(self):
-        if min(self.k_rms, self.v_rms, self.t_eff, self.eps_eff) <= 0:
-            raise DomainError("effective kinematics must be strictly positive")
-        if self.v_rms >= SPEED_OF_LIGHT:
-            raise DomainError(
-                f"rms tunneling velocity {self.v_rms:.4e} m/s is superluminal; "
-                "the momentum window is unphysically wide"
-            )
+        positive = not min(self.k_rms, self.v_rms, self.t_eff, self.eps_eff) <= 0
+        if not positive or self.v_rms >= SPEED_OF_LIGHT:
+            raise _kinematics_error(positive, self.v_rms)
+
+
+def _kinematics_error(positive, v_rms) -> DomainError:
+    """The failure of EffectiveKinematics' checks, which the sweep's point
+    record quotes too: values not all ``positive``, or else a superluminal
+    ``v_rms``."""
+    if not positive:
+        return DomainError("effective kinematics must be strictly positive")
+    return DomainError(
+        f"rms tunneling velocity {v_rms:.4e} m/s is superluminal; "
+        "the momentum window is unphysically wide"
+    )
 
 
 @dataclass(frozen=True)

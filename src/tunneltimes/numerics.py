@@ -3,7 +3,9 @@ exponential integral e^z E1(z) behind the spectrum moments.
 
 A closed form is written once, as a kernel that takes the elementwise
 functions it calls: POINT (math and cmath) evaluates it at one point, GRID
-(numpy) over arrays of points. scaled_e1() is the point form of the
+(numpy) over arrays of points. ``finite`` takes a list of values, one per
+quantity, and gives the finiteness of each: a bool at a point, a row of a
+mask over arrays. scaled_e1() is the point form of the
 exponential integral; scaled_e1_grid() runs the same continued fraction over
 an array, each element to its own convergence.
 """
@@ -28,6 +30,7 @@ POINT = SimpleNamespace(
     atan2=math.atan2,
     cexp=cmath.exp,
     where=lambda cond, x, y: x if cond else y,
+    finite=lambda values: list(map(math.isfinite, values)),
 )
 
 #: The same functions over numpy arrays, for kernels evaluated on a grid.
@@ -40,6 +43,7 @@ GRID = SimpleNamespace(
     atan2=np.arctan2,
     cexp=np.exp,
     where=np.where,
+    finite=np.isfinite,
 )
 
 _EULER_GAMMA = 0.5772156649015329

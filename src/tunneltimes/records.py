@@ -29,9 +29,8 @@ class SweepRecord:
     Optional fields are None when not computed (upstream failure) or not
     defined (no depth crossing); ``note`` carries machine-readable reason
     codes, ``error`` the per-point failure messages. ``spectrum`` is not a
-    column: it is the momentum spectrum the evaluation built, None where the
-    momentum block did not run or failed, and records compare and hash
-    without it.
+    column: it is the momentum spectrum the evaluation built, None where its
+    moments failed, and records compare and hash without it.
     """
 
     e_over_v0: float

@@ -1,26 +1,29 @@
 """Parameter sweeps over barrier problems and deterministic CSV emission.
 
-evaluate() computes one barrier problem's flat record block by block: the
-momentum kinematics, the four clocks with their numeric/analytic
-cross-checks, and the penetration depth with tau_eff and xi. The momentum,
-times and depth commands evaluate only the blocks behind the columns they
-print and project the record onto those columns; they stay per point.
+Each quantity of a record has one evaluation: the kernel _columns() builds
+every numeric column from the solution's coefficients, the two window moments
+and the phase stencil's time, and returns the checks on them (the moments and
+the kinematics positive, v_rms subluminal, each numeric/analytic cross-check,
+each column finite). Each closed form in it is a kernel that takes the
+elementwise functions it calls: evaluate() runs it with numerics.POINT (math,
+cmath) at one problem, and the sweep's array pass with numerics.GRID (numpy).
+At a point, _failures() turns the checks and the exceptions the point caught
+into the note and error cells; the momentum, times and depth commands print
+their columns of that record and raise the first failure that concerns one.
 
 run_sweep() evaluates a grid as arrays over (E/V0, d), flattened thickness
 outer and energy inner, and returns a SweepTable (records module): a sequence
 of records that keeps its columns as arrays and builds a record when one is
-asked for. Each closed form is one kernel that takes the elementwise
-functions it calls, numerics.POINT (math, cmath) in evaluate() and
-numerics.GRID (numpy) here, and the exponential integral runs as one
-continued fraction over the array. One pass of the kernels writes every
-column of the usual points straight into the table; evaluate_point()
-evaluates every other point, so each note and error cell is written by the
-point path, and its record is written into the same columns by its flat
-index. Where a rule belongs to another module, the grid asks that module's
-predicate or kernel. The moments' series route (kappa d < 1/2 or c d <= 2)
-and the dwell time's edge form (kappa d < 1/2) are array kernels too, each
-lane taking the route its own point would (momentum._moments,
-times._stored_probability). A point is unusual when:
+asked for. The exponential integral runs as one continued fraction over the
+array. One pass of the kernels writes every column of the usual points, those
+that pass every check, straight into the table; evaluate_point() evaluates
+every other point, so each note and error cell is written by the point path,
+and its record is written into the same columns by its flat index. Where a
+rule belongs to another module, the grid asks that module's predicate or
+kernel. The moments' series route (kappa d < 1/2 or c d <= 2) and the dwell
+time's edge form (kappa d < 1/2) are array kernels too, each lane taking the
+route its own point would (momentum._moments, times._stored_probability). A
+point is unusual when:
 
   * BarrierProblem refuses it (barrier);
   * on the moments' exponential sum, e^{-z} E1(-z) lies in the exponential
@@ -28,8 +31,7 @@ times._stored_probability). A point is unusual when:
     (numerics._series_domain, which scaled_e1_grid() applies), or kappa > 4 c,
     where the sum cancels enough for its digits to depend on rounding
     (momentum._moments);
-  * the phase stencil clips, the kinematics are not positive or are
-    superluminal, a cross-check fails, or any value is not finite.
+  * the phase stencil clips, or any check of _columns() fails.
 
 The phase stencil is the point code at every point: its difference of two
 phases a few 1e-5 rad apart would turn a last-bit change in t into about
@@ -99,7 +101,7 @@ from .constants import (
     length_nm_to_si,
     length_si_to_nm,
 )
-from .depth import _depth, _relative_density, penetration_depth
+from .depth import _depth, _relative_density
 from .errors import (
     DomainError,
     MissingGridPoint,
@@ -107,8 +109,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .momentum import _amplitude, _kinematics, _moments, momentum_spectrum
-from .numerics import GRID
+from .momentum import _amplitude, _kinematics, _kinematics_error, _moments, momentum_spectrum
+from .numerics import GRID, POINT
 from .records import (
     RECORD_COLUMNS,
     TEXT_FIELDS,
@@ -127,10 +129,6 @@ from .times import (
     _phase_stencil,
     _phase_time_closed,
     _stored_probability,
-    bl_time,
-    dwell_time_analytic,
-    dwell_time_numeric,
-    phase_time_analytic,
     phase_time_numeric,
 )
 
@@ -202,128 +200,147 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
 NOTE_NO_CROSSING = "no_crossing"
 NOTE_PHASE_CLIPPED = "phase_stencil_clipped"
 
-#: Evaluation blocks in the order evaluate() runs them. "momentum" fills
-#: K_rms, v_rms, t_eff and eps_eff; "times" the phase, dwell and BL clocks;
-#: "depth" the depth s, plus tau_eff and xi when the momentum block succeeded.
-BLOCKS = ("momentum", "times", "depth")
+#: Record attributes the kinematics fill, and tau_eff and xi built on them:
+#: the cells a momentum failure leaves empty.
+_MOMENTUM = ("k_rms", "v_rms", "t_eff_s", "eps_eff_ev", "tau_eff_s", "xi")
+#: The depth's attributes, absent where the density never reaches the level.
+_DEPTH = ("s_nm", "tau_eff_s", "xi")
+#: Each cross-check's name and the numeric and analytic times it compares. A
+#: failed one quotes both, so neither is an error of its own when not finite.
+_CROSS_CHECKS = (
+    ("phase", "t_ph_numeric_s", "t_ph_analytic_s"),
+    ("dwell", "t_dw_numeric_s", "t_dw_analytic_s"),
+)
 
 
 def evaluate(
     problem: BarrierProblem,
     cfg: SweepConfig,
-    blocks: tuple[str, ...] = BLOCKS,
     grid_point: tuple[float, float] | None = None,
 ) -> tuple[SweepRecord, list[Exception]]:
-    """The record of ``blocks`` at one problem, and the exceptions they caught.
+    """The sweep's record at one problem, and the exceptions behind its
+    failures.
 
-    Each block isolates its failures: they become note or error cells, and the
-    exceptions behind them (a cross-check failure is a NoConvergence quoting
-    both routes) are returned in evaluation order. The sweep runs every block
-    and keeps only the cells; a point command runs the blocks behind its
-    columns and raises the first exception.
+    Every column comes from the kernel _columns(), as on the sweep's array
+    pass. Failures become note or error cells, and the exceptions behind them
+    (a cross-check failure is a NoConvergence quoting both routes) are
+    returned in the order of the cells. The sweep keeps only the cells; a
+    point command raises the first exception that concerns a column it
+    prints.
 
     ``grid_point`` is the (E/V0, d in nm) the record is filed under; the sweep
     passes its grid values so that records key exactly. It defaults to the
     problem's own. cfg supplies V0, the cutoff and the phase step;
     ``problem`` must agree with its V0 and cutoff.
     """
-    if grid_point is None:
-        grid_point = (problem.e_over_v0, length_si_to_nm(problem.thickness))
-    e_ratio, d_nm = grid_point
-    values: dict[str, float | None] = {}
-    spectrum = None
-    notes: list[str] = []
-    errors: list[str] = []
-    caught: list[Exception] = []
+    grid_point = grid_point or (problem.e_over_v0, length_si_to_nm(problem.thickness))
+    values, spectrum, failures = _evaluate(problem, cfg.phase_step_ev)
+    return _record(cfg, *grid_point, values, spectrum), [exc for exc, _ in failures]
 
-    def fail(exc: Exception, cell: str) -> None:
-        caught.append(exc)
-        errors.append(cell)
 
-    def cross_check(name: str, numeric: float, analytic: float) -> None:
-        if not _agrees(numeric, analytic):
-            mismatch = NoConvergence(
-                f"{name} cross-check: numeric {numeric!r} vs analytic {analytic!r}"
-            )
-            fail(mismatch, str(mismatch))
-
+def _evaluate(problem: BarrierProblem, step_ev: float):
+    """evaluate()'s record at ``problem`` but its grid key, as values by
+    attribute; the spectrum it carries; and its failures, each exception
+    with the attributes it concerns (see _failures). ``step_ev`` is the
+    phase stencil's step."""
     sol = stationary_solution(problem)
-    values.update(s_abs2=sol.transmission, r_abs2=sol.reflection)
-    kin = None
-    if "momentum" in blocks:
-        try:
-            # kept before kinematics(), so fig1 still draws a point whose
-            # window is too wide for a subluminal v_rms
-            spectrum = momentum_spectrum(problem, solution=sol)
-            kin = spectrum.kinematics()
-            values.update(
-                k_rms=kin.k_rms,
-                v_rms=kin.v_rms,
-                t_eff_s=kin.t_eff,
-                eps_eff_ev=energy_si_to_ev(kin.eps_eff),
-            )
-        except (DomainError, NoConvergence) as exc:
-            fail(exc, f"momentum: {exc}")
-    if "times" in blocks:
-        t_ph_num = None
-        try:
-            t_ph_num = phase_time_numeric(problem, cfg.phase_step_ev)
-        except DomainError as exc:
-            caught.append(exc)
-            notes.append(NOTE_PHASE_CLIPPED)
-        t_ph_ana = phase_time_analytic(problem)
-        t_dw_num = dwell_time_numeric(problem, solution=sol)
-        t_dw_ana = dwell_time_analytic(problem)
-        values.update(
-            t_ph_numeric_s=t_ph_num,
-            t_ph_analytic_s=t_ph_ana,
-            t_dw_numeric_s=t_dw_num,
-            t_dw_analytic_s=t_dw_ana,
-            t_bl_s=bl_time(problem),
-        )
-        if t_ph_num is not None:
-            cross_check("phase", t_ph_num, t_ph_ana)
-        cross_check("dwell", t_dw_num, t_dw_ana)
-    if "depth" in blocks:
-        depth = penetration_depth(problem)
-        if depth is None:
-            notes.append(NOTE_NO_CROSSING)
-        else:
-            values["s_nm"] = length_si_to_nm(depth)
-            if kin is not None:
-                tau, xi = _tau_xi(depth, kin.v_rms, kin.eps_eff)
-                values.update(tau_eff_s=tau, xi=xi)
-
-    # a non-finite value leaves its cell empty: a failed cross-check already
-    # quotes the times it compared, and any other value is an error of its own.
-    # The screen skips None and 0.0 (both falsy) and runs in C, so a finite
-    # record costs the point commands no Python loop.
-    if not all(map(math.isfinite, filter(None, values.values()))):
-        for name, value in values.items():
-            if value is not None and not math.isfinite(value):
-                values[name] = None
-                if name not in _CROSS_CHECKED:
-                    fail(FloatingPointError(_NON_FINITE), f"{name}: {_NON_FINITE}")
-
-    record = SweepRecord(
-        e_over_v0=e_ratio,
-        d_nm=d_nm,
-        e_ev=e_ratio * cfg.v0_ev,
-        v0_ev=cfg.v0_ev,
-        cutoff=cfg.cutoff,
-        **values,
-        note=";".join(notes),
-        error="; ".join(errors),
-        spectrum=spectrum,
+    faults: dict[str, Exception] = {}
+    # the kernel takes NaN for a failed moment or stencil, as the array pass
+    # holds it; NaN passes math.sqrt and division without raising
+    try:
+        spectrum = momentum_spectrum(problem, solution=sol)
+        moments = spectrum.normalization, spectrum.second_moment
+    except (DomainError, NoConvergence) as exc:
+        spectrum, moments, faults["momentum"] = None, (math.nan, math.nan), exc
+    try:
+        t_ph_num = phase_time_numeric(problem, step_ev)
+    except DomainError as exc:
+        t_ph_num, faults["clipped"] = math.nan, exc
+    wn, coefficients = sol.wavenumbers, (sol.t, sol.S, sol.A, sol.B, sol.R, *sol.edge_modes)
+    values, *checks = _columns(
+        wn.k, wn.kappa, problem.thickness, problem.height, coefficients, *moments, t_ph_num, POINT
     )
-    return record, caught
+    return values, spectrum, _failures(values, *checks, faults)
 
 
-#: The values a cross-check compares, and quotes when they fail it; a
-#: non-finite one always fails it.
-_CROSS_CHECKED = (
-    "t_ph_numeric_s", "t_ph_analytic_s", "t_dw_numeric_s", "t_dw_analytic_s"
-)
+def _columns(k, kappa, d, height, coefficients, norm, second, t_ph_num, f):
+    """Every numeric record column but the grid key, and the checks on them:
+    the one evaluation of a record, at a point (``f`` is numerics.POINT) or
+    over 1-D arrays of lanes (numerics.GRID).
+
+    Takes the wavenumbers, the thickness, the barrier height, the solution's
+    (t, S, A, B, R, A e^{kappa d}, B e^{-kappa d}), the two window moments
+    and the phase stencil's time, each NaN where it failed. Returns the
+    columns by attribute in record order; the checks by name, each True where
+    it holds (the moments and the kinematics positive, v_rms subluminal, each
+    cross-check); the finiteness of each column, in that order; and where the
+    depth is a crossing, without which s_nm, tau_eff and xi are absent.
+    """
+    t, S, A, B, R, a_d, b_d = coefficients
+    lam, g = kappa * d, _g(height)
+    k_rms, v_rms, t_eff, eps_eff = _kinematics(norm, second, d, f)
+    depth, crossing = _depth(k, kappa, d, f)
+    tau = depth / v_rms
+    values = {
+        "s_abs2": abs(S) ** 2, "r_abs2": abs(R) ** 2, "k_rms": k_rms, "v_rms": v_rms,
+        "t_eff_s": t_eff, "eps_eff_ev": energy_si_to_ev(eps_eff), "t_ph_numeric_s": t_ph_num,
+        "t_ph_analytic_s": _phase_time_closed(k, kappa, lam, g, f),
+        "t_dw_numeric_s": _stored_probability(k, kappa, d, A, B, a_d, S, f) / _flux(k),
+        "t_dw_analytic_s": _dwell_time_closed(k, kappa, lam, g, f), "t_bl_s": _bl_time(kappa, d),
+        "s_nm": length_si_to_nm(depth), "tau_eff_s": tau,
+        "xi": 2.0 * eps_eff * tau / CONSTANTS.hbar,
+    }
+    checks = {
+        "moments": (norm > 0.0) & (second > 0.0),
+        "positive": (k_rms > 0.0) & (v_rms > 0.0) & (t_eff > 0.0) & (eps_eff > 0.0),
+        "subluminal": v_rms < SPEED_OF_LIGHT,
+        **{name: _agrees(values[num], values[ana]) for name, num, ana in _CROSS_CHECKS},
+    }
+    return values, checks, f.finite(list(values.values())), crossing
+
+
+def _failures(values, checks, finite, crossing, faults):
+    """Turn a point's _columns() checks into its cells, in ``values``: empty
+    each value a failure leaves out, add the note and error cells, and return
+    the failures as (exception, the attributes it concerns).
+
+    ``faults`` holds what the point caught: the moments' exception
+    ("momentum") and the clipped phase stencil's ("clipped"). The failures
+    run in evaluation order: the moments' or the kinematics', the clipped
+    stencil (a note, not an error), the cross-checks, then each other value
+    that is not finite. A non-finite |S|^2 or |R|^2 concerns every attribute.
+    """
+    if crossing and not faults and all(checks.values()) and all(finite):
+        values.update(note="", error="")
+        return []
+    failures = []  # (exception, error cell or None, the attributes it concerns)
+    notes = []
+    if "momentum" in faults or not (checks["positive"] and checks["subluminal"]):
+        exc = faults.get("momentum") or _kinematics_error(checks["positive"], values["v_rms"])
+        failures.append((exc, f"momentum: {exc}", _MOMENTUM))
+    if "clipped" in faults:
+        failures.append((faults["clipped"], None, ("t_ph_numeric_s",)))
+        notes.append(NOTE_PHASE_CLIPPED)
+    empty = {name for *_, concerns in failures for name in concerns}
+    for name, numeric, analytic in _CROSS_CHECKS:
+        if numeric not in empty and not checks[name]:
+            exc = NoConvergence(
+                f"{name} cross-check: numeric {values[numeric]!r} vs analytic {values[analytic]!r}"
+            )
+            failures.append((exc, str(exc), (numeric, analytic)))
+    if not crossing:
+        notes.append(NOTE_NO_CROSSING)
+        empty.update(_DEPTH)
+    for name, ok in zip(list(values), finite):
+        if not (ok or name in empty or any(name in check[1:] for check in _CROSS_CHECKS)):
+            every = name in ("s_abs2", "r_abs2")
+            failures.append((FloatingPointError(_NON_FINITE), f"{name}: {_NON_FINITE}",
+                             tuple(values) if every else (name,)))
+        if not ok or name in empty:
+            values[name] = None
+    errors = [cell for _, cell, _ in failures if cell is not None]
+    values.update(note=";".join(notes), error="; ".join(errors))
+    return [(exc, concerns) for exc, _, concerns in failures]
 
 
 def _agrees(numeric, analytic):
@@ -334,26 +351,20 @@ def _agrees(numeric, analytic):
     return close & (abs(analytic) < math.inf)
 
 
-def _tau_xi(depth, v_rms, eps_eff):
-    """tau_eff = s / v_rms and xi = 2 eps_eff tau_eff / hbar."""
-    tau = depth / v_rms
-    return tau, 2.0 * eps_eff * tau / CONSTANTS.hbar
+def _record(cfg, e_ratio, d_nm, values, spectrum=None):
+    """The SweepRecord filed under the grid point (``e_ratio``, ``d_nm``)
+    of ``cfg``, with ``values`` by attribute."""
+    e_ev, v0_ev = e_ratio * cfg.v0_ev, cfg.v0_ev
+    return SweepRecord(e_over_v0=e_ratio, d_nm=d_nm, e_ev=e_ev, v0_ev=v0_ev,
+                       cutoff=cfg.cutoff, **values, spectrum=spectrum)
 
 
 def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord:
-    """The sweep's record at one grid point: every block, failures in its cells."""
-    e_ev = e_ratio * cfg.v0_ev
+    """The sweep's record at one grid point, failures in its cells."""
     try:
-        problem = BarrierProblem.from_ev_nm(e_ev, cfg.v0_ev, d_nm, cfg.cutoff)
+        problem = BarrierProblem.from_ev_nm(e_ratio * cfg.v0_ev, cfg.v0_ev, d_nm, cfg.cutoff)
     except DomainError as exc:
-        return SweepRecord(
-            e_over_v0=e_ratio,
-            d_nm=d_nm,
-            e_ev=e_ev,
-            v0_ev=cfg.v0_ev,
-            cutoff=cfg.cutoff,
-            error=f"problem: {exc}",
-        )
+        return _record(cfg, e_ratio, d_nm, {"error": f"problem: {exc}"})
     return evaluate(problem, cfg, grid_point=(e_ratio, d_nm))[0]
 
 
@@ -405,63 +416,31 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
     flat = np.flatnonzero(np.outer(d_ok, e_ok))
     energy = energy_ev_to_si(columns["e_ev"][flat])
     thickness = length_nm_to_si(columns["d_nm"][flat])
+    # the phase stencil is the point code at each lane; a clipped one is NaN
+    h = energy_ev_to_si(cfg.phase_step_ev)
+    t_ph_num = np.full(flat.size, math.nan)
+    for j, (e_j, d_j) in enumerate(zip(energy.tolist(), thickness.tolist())):
+        try:
+            t_ph_num[j] = _phase_stencil(e_j, height, d_j, h)
+        except DomainError:
+            pass
     # Python floats overflow to inf and make NaN without a warning; so does
     # this pass, and every lane that ends non-finite or fails a check goes
-    # to evaluate_point(), which evaluates the same formulas
+    # to evaluate_point(), which evaluates the same kernels
     with np.errstate(all="ignore"):
         k, kappa = _wavenumber_pair(energy, height, GRID)
-        lam = kappa * thickness
-        t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, thickness, GRID)
+        coefficients = t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, thickness, GRID)
         # a lane whose moments the array pass cannot settle holds NaN
         norm, second = _moments(k, kappa, thickness, c, t, S, A, B, a_d, b_d, GRID)
-        moments_ok = (norm > 0.0) & (second > 0.0)
-        k_rms, v_rms, t_eff, eps_eff = _kinematics(norm, second, thickness, GRID)
-        g = _g(height)
-        t_ph_ana = _phase_time_closed(k, kappa, lam, g, GRID)
-        t_dw_num = _stored_probability(k, kappa, thickness, A, B, a_d, S, GRID) / _flux(k)
-        t_dw_ana = _dwell_time_closed(k, kappa, lam, g, GRID)
-        t_bl = _bl_time(kappa, thickness)
-        depth, crossing = _depth(k, kappa, thickness, GRID)
-        tau, xi = _tau_xi(depth, v_rms, eps_eff)
-        s_abs2, r_abs2 = np.abs(S) ** 2, np.abs(R) ** 2
-        eps_ev, s_nm = energy_si_to_ev(eps_eff), length_si_to_nm(depth)
-        usual = (
-            moments_ok
-            & (np.minimum(np.minimum(k_rms, v_rms), np.minimum(t_eff, eps_eff)) > 0.0)
-            & (v_rms < SPEED_OF_LIGHT)
-            & np.isfinite(np.stack((
-                s_abs2, r_abs2, k_rms, v_rms, t_eff, eps_eff, eps_ev, t_ph_ana,
-                t_dw_num, t_dw_ana, t_bl, depth, s_nm, tau, xi,
-            ))).all(axis=0)
-            & _agrees(t_dw_num, t_dw_ana)
+        values, checks, finite, crossing = _columns(
+            k, kappa, thickness, height, coefficients, norm, second, t_ph_num, GRID
         )
-
-        # the phase stencil is the point code, at each usual point; a clipped
-        # stencil stays NaN, fails the check and is noted by evaluate_point()
-        h = energy_ev_to_si(cfg.phase_step_ev)
-        lanes = np.flatnonzero(usual)
-        t_ph_num = np.full(flat.size, math.nan)
-        stencils = zip(lanes.tolist(), energy[lanes].tolist(), thickness[lanes].tolist())
-        for j, e_j, d_j in stencils:
-            try:
-                t_ph_num[j] = _phase_stencil(e_j, height, d_j, h)
-            except DomainError:
-                pass
-        usual &= _agrees(t_ph_num, t_ph_ana)
-
-    found = {
-        "s_abs2": s_abs2, "r_abs2": r_abs2, "k_rms": k_rms, "v_rms": v_rms,
-        "t_eff_s": t_eff, "eps_eff_ev": eps_ev, "t_ph_numeric_s": t_ph_num,
-        "t_ph_analytic_s": t_ph_ana, "t_dw_numeric_s": t_dw_num,
-        "t_dw_analytic_s": t_dw_ana, "t_bl_s": t_bl, "k": k, "kappa": kappa, "t": t,
-        "S": S, "A": A, "B": B, "R": R, "a_d": a_d, "b_d": b_d,
-        "normalization": norm, "second_moment": second,
-    }
-    for name, values in found.items():
-        columns[name][flat[usual]] = values[usual]
-    crossed = usual & crossing
-    for name, values in (("s_nm", s_nm), ("tau_eff_s", tau), ("xi", xi)):
-        columns[name][flat[crossed]] = values[crossed]
+    usual = np.logical_and.reduce([*checks.values(), *finite])
+    values.update(k=k, kappa=kappa, t=t, S=S, A=A, B=B, R=R, a_d=a_d, b_d=b_d,
+                  normalization=norm, second_moment=second)
+    for name, lanes in values.items():
+        written = usual & crossing if name in _DEPTH else usual
+        columns[name][flat[written]] = lanes[written]
     for i in flat[usual & ~crossing].tolist():
         columns["note"][i] = NOTE_NO_CROSSING
     return flat[usual]

@@ -46,7 +46,8 @@ from .barrier import (
     BarrierProblem,
     StationarySolution,
     _check_tunneling,
-    _scaled_transmission,
+    _transmission,
+    _wavenumber_pair,
     incident_flux,
     stationary_solution,
     wavenumbers,
@@ -177,8 +178,8 @@ def _phase_stencil(e0, hi, d, h):
     # of _check_tunneling()'s rules only the near-threshold one can still
     # fail, and E - h lies further from the barrier top than E + h
     _check_tunneling(e0 + h, hi)
-    sp = _scaled_transmission(e0 + h, hi, d)
-    sm = _scaled_transmission(e0 - h, hi, d)
+    sp = _transmission(*_wavenumber_pair(e0 + h, hi), d)
+    sm = _transmission(*_wavenumber_pair(e0 - h, hi), d)
     delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
     delta -= 2.0 * math.pi * math.ceil((delta - math.pi) / (2.0 * math.pi))
     return d / math.sqrt(2.0 * e0 / _M) + _HBAR * (delta / (2.0 * h))

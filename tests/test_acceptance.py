@@ -150,7 +150,6 @@ def test_08_uncertainty_coefficient_range():
             rec, _ = evaluate(
                 BarrierProblem.from_ev_nm(V0_EV * e_ratio, V0_EV, d_nm),
                 SweepConfig(v0_ev=V0_EV),
-                ("momentum", "depth"),
             )
             xi = rec.xi
             low = min(low, xi)

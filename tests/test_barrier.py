@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +11,9 @@ from tunneltimes.barrier import (
     continuity_residual,
     incident_flux,
     stationary_solution,
-    scaled_transmission,
     wavenumbers,
 )
-from tunneltimes.constants import CONSTANTS, energy_ev_to_si
+from tunneltimes.constants import CONSTANTS
 from tunneltimes.errors import DomainError
 
 E_RATIOS = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
@@ -141,30 +139,12 @@ class TestStationarySolution:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
-class TestTransmissionAmplitude:
-    def test_equals_the_solved_t_at_the_problems_energy(self):
+class TestScaledTransmission:
+    def test_s_is_t_times_its_decay(self):
         for p in sweep_problems():
             sol = stationary_solution(p)
-            assert scaled_transmission(p, p.energy) == sol.t
             decay = math.exp(-sol.wavenumbers.kappa * p.thickness)
             assert sol.S == sol.t * decay
-
-    def test_equals_a_solved_problem_at_another_energy(self):
-        p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        for e_ev in (0.01, 2.5, 5.0001, 9.99):
-            other = BarrierProblem.from_ev_nm(e_ev, 10.0, 0.5)
-            got = scaled_transmission(p, other.energy)
-            assert got == stationary_solution(other).t
-
-    @pytest.mark.parametrize(
-        "e_ev", [0.0, -1.0, 10.0, 11.0, 10.0 - 5e-7, math.nan], ids=str
-    )
-    def test_refuses_what_the_problem_refuses(self, e_ev):
-        p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        with pytest.raises(DomainError) as refused:
-            BarrierProblem.from_ev_nm(e_ev, 10.0, 0.5)
-        with pytest.raises(DomainError, match=re.escape(str(refused.value))):
-            scaled_transmission(p, energy_ev_to_si(e_ev))
 
 
 class TestPsiEvaluation:

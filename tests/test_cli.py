@@ -168,17 +168,20 @@ class TestExitCodes:
         assert code == 1 and "line 1" in err
 
     @pytest.mark.parametrize(
-        "config, argv",
+        "config, argv, named",
         [
-            (None, ("table1", "--config", "{cfg}")),
-            (b"E_over_V0_grid=0.5\xff\n", ("sweep", "--config", "{cfg}")),
-            (SMALL_CONFIG, ("sweep", "--config", "{cfg}", "--out", "{dir}/none/o.csv")),
-            (SMALL_CONFIG, ("figures", "--config", "{cfg}", "--out-dir", "{cfg}/figs")),
+            (None, ("table1", "--config", "{cfg}"), "{cfg}"),
+            (b"E_over_V0_grid=0.5\xff\n", ("sweep", "--config", "{cfg}"), "{cfg}"),
+            (SMALL_CONFIG, ("sweep", "--config", "{cfg}", "--out", "{dir}/none/o.csv"),
+             "{dir}/none/o.csv"),
+            (SMALL_CONFIG, ("figures", "--config", "{cfg}", "--out-dir", "{cfg}/figs"),
+             "{cfg}/figs"),
         ],
         ids=["missing config", "config not UTF-8", "out into a missing directory",
              "out-dir under a file"],
     )
-    def test_file_errors_are_one(self, capsys, tmp_path, config, argv):
+    def test_file_errors_are_one(self, capsys, tmp_path, config, argv, named):
+        # one error line that names the file it could not read or write
         path = tmp_path / "small.cfg"
         if config is not None:
             path.write_bytes(config)
@@ -186,6 +189,7 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("tunneltimes: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert repr(named.format(cfg=path, dir=tmp_path)) in err
 
     def test_missing_config_prints_no_traceback(self, tmp_path):
         # as a process, so that an uncaught exception would print one
@@ -226,7 +230,7 @@ class TestExitCodes:
     def test_non_finite_output_is_three(self, capsys, monkeypatch):
         # a NaN closed-form time fails the cross-check before it could reach
         # a cell
-        monkeypatch.setattr(sweep, "phase_time_analytic", lambda problem: math.nan)
+        monkeypatch.setattr(sweep, "_phase_time_closed", lambda *args: math.nan)
         code, out, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "0.5")
         assert code == 3 and out == ""
         assert "numeric failure: phase cross-check: numeric " in err
@@ -235,7 +239,7 @@ class TestExitCodes:
     def test_non_finite_uncross_checked_output_is_three(self, capsys, monkeypatch):
         # the value is left out of the record, and the command reports it
         # as it always did
-        monkeypatch.setattr(sweep, "bl_time", lambda problem: math.nan)
+        monkeypatch.setattr(sweep, "_bl_time", lambda kappa, d: math.nan)
         code, out, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "0.5")
         assert code == 3 and out == ""
         assert err == "tunneltimes: numeric failure: refusing to serialize a non-finite value\n"

@@ -148,8 +148,8 @@ class TestClosedFormAgainstMpmath:
 
 
 def uncertainty_record(problem: BarrierProblem):
-    """What the ``depth`` command prints: the momentum and depth blocks."""
-    rec, caught = evaluate(problem, SweepConfig(), ("momentum", "depth"))
+    """The record the ``depth`` command prints its columns from."""
+    rec, caught = evaluate(problem, SweepConfig())
     assert caught == []
     return rec
 

@@ -30,6 +30,7 @@ from tunneltimes.sweep import (
     records_to_csv,
     run_sweep,
 )
+from tunneltimes.times import DEFAULT_PHASE_STEP_EV
 
 SMALL = SweepConfig(e_over_v0_grid=(0.1, 0.5, 0.9), d_nm_grid=(0.1, 0.5, 1.0))
 DEFAULT_E, DEFAULT_D = SweepConfig().e_over_v0_grid, SweepConfig().d_nm_grid
@@ -207,31 +208,43 @@ class TestEvaluate:
         bare = replace(rec, spectrum=None)
         assert bare == rec and hash(bare) == hash(rec)
 
-    def test_every_block_by_default_matches_the_sweep_record(self):
+    def test_matches_the_sweep_record(self):
         cfg = SweepConfig()
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, cfg, grid_point=(0.5, 0.5))
         assert caught == []
         assert rec == evaluate_point(cfg, 0.5, 0.5)
 
-    def test_unrequested_blocks_leave_their_columns_empty(self):
-        problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        rec, caught = evaluate(problem, SweepConfig(), ("momentum",))
-        assert caught == [] and rec.note == "" and rec.error == ""
-        assert rec.v_rms is not None and rec.s_abs2 is not None
-        times_and_depth = (rec.t_ph_numeric_s, rec.t_dw_numeric_s, rec.t_bl_s, rec.s_nm)
-        assert times_and_depth == (None, None, None, None)
+    def test_a_failure_concerns_only_its_own_columns(self):
+        # a clipped stencil leaves t_ph_numeric_s empty and no other cell, so
+        # the momentum and depth commands still print their columns there
+        problem = BarrierProblem.from_ev_nm(5e-5, 10.0, 0.5)
+        values, spectrum, failures = sweep._evaluate(problem, DEFAULT_PHASE_STEP_EV)
+        assert [(type(exc), concerns) for exc, concerns in failures] == [
+            (DomainError, ("t_ph_numeric_s",))
+        ]
+        assert values["t_ph_numeric_s"] is None and values["note"] == "phase_stencil_clipped"
+        assert None not in [values[name] for name in ("v_rms", "t_bl_s", "s_nm", "xi")]
+        assert spectrum is not None
 
-    def test_tau_and_xi_need_the_momentum_block(self):
-        problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        rec, _ = evaluate(problem, SweepConfig(), ("depth",))
+    def test_tau_and_xi_need_the_kinematics(self):
+        # a superluminal window fails the kinematics; the depth stands alone
+        problem = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0, cutoff=1e15)
+        rec, caught = evaluate(problem, SweepConfig(cutoff=1e15))
+        assert [type(exc) for exc in caught] == [DomainError]
+        assert rec.error.startswith("momentum: rms tunneling velocity ")
         assert rec.s_nm is not None and rec.tau_eff_s is None and rec.xi is None
+        assert rec.v_rms is None and rec.t_bl_s is not None
+        failures = sweep._evaluate(problem, DEFAULT_PHASE_STEP_EV)[2]
+        assert set(failures[0][1]) == {
+            "k_rms", "v_rms", "t_eff_s", "eps_eff_ev", "tau_eff_s", "xi"
+        }
 
     def test_clipped_stencil_is_the_only_failure_on_a_thick_barrier(self):
         # kappa*d is about 486, where sinh(kappa d)^2 is not a double; the
         # scaled closed forms still give both analytic times
         problem = BarrierProblem.from_ev_nm(5e-5, 10.0, 30.0)
-        rec, caught = evaluate(problem, SweepConfig(), ("momentum", "times"))
+        rec, caught = evaluate(problem, SweepConfig())
         assert [type(exc) for exc in caught] == [DomainError]
         assert rec.note == "phase_stencil_clipped" and rec.t_eff_s is not None
         assert rec.t_ph_analytic_s > 0.0 and rec.t_dw_analytic_s > 0.0
@@ -253,7 +266,7 @@ class TestEvaluate:
 
     def test_non_finite_analytic_route_fails_the_cross_check(self, monkeypatch):
         # a NaN closed form is something no comparison can certify
-        monkeypatch.setattr(sweep, "phase_time_analytic", lambda problem: math.nan)
+        monkeypatch.setattr(sweep, "_phase_time_closed", lambda *args: math.nan)
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
         # the cell stays empty; the cross-check quotes the value
@@ -264,9 +277,9 @@ class TestEvaluate:
 
     def test_infinite_analytic_route_fails_the_cross_check(self, monkeypatch):
         # |n - inf| <= tol * inf would hold
-        monkeypatch.setattr(sweep, "phase_time_analytic", lambda problem: math.inf)
+        monkeypatch.setattr(sweep, "_phase_time_closed", lambda *args: math.inf)
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        rec, caught = evaluate(problem, SweepConfig(), ("times",))
+        rec, caught = evaluate(problem, SweepConfig())
         assert rec.t_ph_analytic_s is None
         assert [type(exc) for exc in caught] == [NoConvergence]
         assert rec.error == (
@@ -277,7 +290,7 @@ class TestEvaluate:
     def test_other_non_finite_value_is_an_error_of_its_own(self, monkeypatch, bad):
         # no cross-check quotes the BL time, so its empty cell is explained
         # by an entry of its own
-        monkeypatch.setattr(sweep, "bl_time", lambda problem: bad)
+        monkeypatch.setattr(sweep, "_bl_time", lambda kappa, d: bad)
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
         assert rec.t_bl_s is None and rec.t_ph_analytic_s is not None
