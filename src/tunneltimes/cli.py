@@ -104,11 +104,11 @@ def _cmd_coeffs(args) -> str:
 def _cmd_record(args) -> str:
     problem = _point_problem(args)
     columns = {column: RECORD_COLUMNS[column] for column in _RECORD_COMMANDS[args.command]}
-    record, _, failures = _evaluate(problem, DEFAULT_PHASE_STEP_EV)
+    cells, _, failures = _evaluate(problem, DEFAULT_PHASE_STEP_EV)
     for exc, concerns in failures:
         if not set(columns.values()).isdisjoint(concerns):
             raise exc
-    values = {column: record[attr] for column, attr in columns.items()}
+    values = {column: cells[attr] for column, attr in columns.items()}
     if args.command == "times":
         values["D_denominator_per_m4"] = shared_denominator(problem)
     return _point_csv(args, values)

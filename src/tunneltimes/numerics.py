@@ -3,11 +3,11 @@ exponential integral e^z E1(z) behind the spectrum moments.
 
 A closed form is written once, as a kernel that takes the elementwise
 functions it calls: POINT (math and cmath) evaluates it at one point, GRID
-(numpy) over arrays of points. ``finite`` takes a list of values, one per
-quantity, and gives the finiteness of each: a bool at a point, a row of a
-mask over arrays. scaled_e1() is the point form of the
-exponential integral; scaled_e1_grid() runs the same continued fraction over
-an array, each element to its own convergence.
+(numpy) over arrays of points. Their ``finite`` takes a list of values, one
+per quantity, and gives the finiteness of each: a bool at a point, a row of
+a mask over arrays. scaled_e1() is the point form of the exponential
+integral; scaled_e1_grid() runs the same continued fraction over an array,
+each element to its own convergence.
 """
 
 from __future__ import annotations

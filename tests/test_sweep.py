@@ -323,6 +323,16 @@ class TestNeverAborts:
             )
             records_to_csv(run_sweep(cfg), cfg)
 
+    def test_a_non_finite_value_on_the_array_pass_is_an_error_cell(self, monkeypatch):
+        # no check quotes the BL time, so only the finiteness screen keeps a
+        # NaN one off the array pass; the point path then writes its error
+        monkeypatch.setattr(sweep, "_bl_time", lambda kappa, d: kappa * math.nan)
+        table = run_sweep(SMALL)
+        assert len(table) == 9
+        for rec in table:
+            assert rec.t_bl_s is None and rec.v_rms is not None
+            assert rec.error == "t_bl_s: refusing to serialize a non-finite value"
+
 
 class TestThickBarriers:
     """Every accepted thickness evaluates without raising and serializes."""
