@@ -26,10 +26,11 @@ The slope condition at x = 0 is not imposed separately: it holds
 identically for this t, and continuity_residual() certifies all four
 matching conditions numerically. The in-barrier wave is evaluated on the
 edge mode, as A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}, whose
-exponents are never positive. The phase time's energy stencil takes t at two
-other energies over the same barrier from the kernel _transmission() alone,
-without building a problem or solving for A, B and R, and checks its two
-energies itself.
+exponents are never positive. The kernel _transmission() takes the factors of
+t that depend on the energy alone (_energy_factors()) and a thickness. So the
+phase time's energy stencil takes t at two other energies without building a
+problem or solving for A, B and R: it checks its two energies and forms their
+factors once, and evaluates only the thickness's part of t at each thickness.
 
 Where S, A or the edge modes fall below the smallest double (kappa d past
 about 745) they are 0, which is their value to double precision; B and R
@@ -69,9 +70,16 @@ _SERIES_KAPPA_D = 0.5
 
 
 def _check_tunneling(energy: float, height: float) -> None:
-    """The tunneling regime: 0 < E and V0 - E >= NEAR_THRESHOLD_GAP_EV."""
+    """The tunneling regime: 0 < E, k > 0 and V0 - E >= NEAR_THRESHOLD_GAP_EV.
+
+    k = sqrt(2 m E) / hbar underflows to 0 below E of about 2e-275 eV, where
+    the closed forms would divide by it; it is positive exactly where 2 m E
+    is, for the square root of the least double over hbar is about 2e-128.
+    """
     if not energy > 0:
         raise DomainError("incident energy must be positive")
+    if not 2.0 * _M * energy > 0:
+        raise DomainError("incident energy is so small that its wavenumber k underflows to 0")
     if not energy < height:
         raise DomainError("tunneling requires E below the barrier height V0")
     if height - energy < energy_ev_to_si(NEAR_THRESHOLD_GAP_EV):
@@ -107,8 +115,9 @@ class BarrierProblem:
     """One tunneling problem: energy, barrier, and momentum-window cutoff.
 
     All fields are SI (joules, metres, 1/metres). Only the tunneling regime
-    0 < E < V0 is representable; construction rejects anything else; a height
-    or a cutoff so large that g^2 = (2 m V0 / hbar^2)^2 or Kprime^2, which the
+    0 < E < V0 is representable; construction rejects anything else; an
+    energy so small that its wavenumber k underflows to 0; a height or a
+    cutoff so large that g^2 = (2 m V0 / hbar^2)^2 or Kprime^2, which the
     closed forms square, is not a finite double; and a thickness so large
     that the phase k d, for any wavenumber up to sqrt(2 m V0) / hbar, or the
     window's phase Kprime d is not a finite double.
@@ -211,19 +220,28 @@ def wavenumbers(problem: BarrierProblem) -> Wavenumbers:
     return Wavenumbers(*_wavenumber_pair(problem.energy, problem.height))
 
 
-def _transmission(k, kappa, d, f=POINT):
-    """t = S e^{kappa d} for wavenumbers k, kappa through a barrier of thickness d."""
+def _energy_factors(k, kappa):
+    """The factors of t that depend on the energy alone, for _transmission():
+    1 - r^2, 2 i r, -4 i r, -i k and -2 kappa, with r = k / kappa."""
     ratio = k / kappa
-    x = -2.0 * kappa * d
-    den = (1.0 - ratio**2) * -f.expm1(x) - 2j * ratio * (1.0 + f.exp(x))
-    return -4j * ratio * f.cexp(-1j * k * d) / den
+    return 1.0 - ratio**2, 2j * ratio, -4j * ratio, -1j * k, -2.0 * kappa
+
+
+def _transmission(factors, d, f=POINT):
+    """t = S e^{kappa d} through a barrier of thickness d, from the energy's
+    _energy_factors(); each factor is the left operand of its product, so t
+    has the bits of the expression written out in full."""
+    one_minus_r2, two_ir, minus_four_ir, minus_ik, minus_two_kappa = factors
+    x = minus_two_kappa * d
+    den = one_minus_r2 * -f.expm1(x) - two_ir * (1.0 + f.exp(x))
+    return minus_four_ir * f.cexp(minus_ik * d) / den
 
 
 def _coefficients(k, kappa, d, f=POINT):
     """(t, S, A, B, R, A e^{kappa d}, B e^{-kappa d}) by the module docstring."""
     ratio = k / kappa
     decay = f.exp(-kappa * d)
-    t = _transmission(k, kappa, d, f)
+    t = _transmission(_energy_factors(k, kappa), d, f)
     # Value and slope continuity at x = d, solved for the in-barrier modes.
     half = 0.5 * t * f.cexp(1j * k * d)
     B = half * (1.0 - 1j * ratio)

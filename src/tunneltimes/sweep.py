@@ -33,17 +33,19 @@ point is unusual when:
     (momentum._moments);
   * the phase stencil clips, or any check of _columns() fails.
 
-The phase stencil is the point code at every point: its difference of two
-phases a few 1e-5 rad apart would turn a last-bit change in t into about
-1e-11 of the time. So the grid's records match evaluate_point()'s to about
-1e-14 and their CSV cells byte for byte. Records are pure data; the emitters
-below turn them into CSV with '#'-prefixed metadata lines (tool version,
-config echo, stencil clipping notes) ahead of the header. Identical configs
-produce byte-identical output: evaluation order is fixed, no timestamps are
-embedded, and floats are serialized at six significant digits (the depth
-table uses the conventional four decimals of nm instead). The config echo
-and the clipping note keep six digits only where they read back to the same
-float.
+The phase stencil is the point code, run once per energy over all the
+accepted thicknesses (times._phase_stencil): its difference of two phases a
+few 1e-5 rad apart would turn a last-bit change in t into about 1e-11 of the
+time, so it stays in math and cmath, and each thickness takes a point's
+operations in their order. So the grid's phase times equal evaluate_point()'s
+bit for bit, its other records match to about 1e-14, and their CSV cells
+match byte for byte. Records are pure data; the emitters below turn them into
+CSV with '#'-prefixed metadata lines (tool version, config echo, stencil
+clipping notes) ahead of the header. Identical configs produce byte-identical
+output: evaluation order is fixed, no timestamps are embedded, and floats are
+serialized at six significant digits (the depth table uses the conventional
+four decimals of nm instead). The config echo and the clipping note keep six
+digits only where they read back to the same float.
 
 Every CSV, the point commands' one-row files included, is written by one
 writer from its metadata lines, header and rows. The per-record CSVs (the
@@ -78,6 +80,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -124,10 +127,9 @@ from .times import (
     CROSS_CHECK_TOL,
     DEFAULT_PHASE_STEP_EV,
     _bl_time,
-    _dwell_time_closed,
+    _closed_times,
     _g,
     _phase_stencil,
-    _phase_time_closed,
     _stored_probability,
     phase_time_numeric,
 )
@@ -281,12 +283,13 @@ def _columns(k, kappa, d, height, coefficients, norm, second, t_ph_num, f):
     k_rms, v_rms, t_eff, eps_eff = _kinematics(norm, second, d, f)
     depth, crossing = _depth(k, kappa, d, f)
     tau = depth / v_rms
+    t_ph_ana, t_dw_ana, _ = _closed_times(k, kappa, lam, g, f)
     values = {
         "s_abs2": abs(S) ** 2, "r_abs2": abs(R) ** 2, "k_rms": k_rms, "v_rms": v_rms,
         "t_eff_s": t_eff, "eps_eff_ev": energy_si_to_ev(eps_eff), "t_ph_numeric_s": t_ph_num,
-        "t_ph_analytic_s": _phase_time_closed(k, kappa, lam, g, f),
+        "t_ph_analytic_s": t_ph_ana,
         "t_dw_numeric_s": _stored_probability(k, kappa, d, A, B, a_d, S, f) / _flux(k),
-        "t_dw_analytic_s": _dwell_time_closed(k, kappa, lam, g, f), "t_bl_s": _bl_time(kappa, d),
+        "t_dw_analytic_s": t_dw_ana, "t_bl_s": _bl_time(kappa, d),
         "s_nm": length_si_to_nm(depth), "tau_eff_s": tau,
         "xi": 2.0 * eps_eff * tau / CONSTANTS.hbar,
     }
@@ -409,21 +412,25 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
     height = energy_ev_to_si(cfg.v0_ev)
     # BarrierProblem's checks split into one on the energy and one on the
     # barrier, so they run once per grid value
-    e_ok = [
-        _passes(_check_tunneling, energy_ev_to_si(r * cfg.v0_ev), height) for r in e_grid
-    ]
-    d_ok = [_passes(_check_barrier, height, length_nm_to_si(d), c) for d in d_grid]
+    energies = [energy_ev_to_si(r * cfg.v0_ev) for r in e_grid]
+    thicknesses = [length_nm_to_si(d) for d in d_grid]
+    e_ok = [_passes(_check_tunneling, e, height) for e in energies]
+    d_ok = [_passes(_check_barrier, height, d, c) for d in thicknesses]
     flat = np.flatnonzero(np.outer(d_ok, e_ok))
     energy = energy_ev_to_si(columns["e_ev"][flat])
     thickness = length_nm_to_si(columns["d_nm"][flat])
-    # the phase stencil is the point code at each lane; a clipped one is NaN
+    # the phase stencil is the point code, run once per accepted energy over
+    # the accepted thicknesses, which fills that energy's column of lanes
+    # (thickness outer); every lane of a clipped energy is NaN
     h = energy_ev_to_si(cfg.phase_step_ev)
-    t_ph_num = np.full(flat.size, math.nan)
-    for j, (e_j, d_j) in enumerate(zip(energy.tolist(), thickness.tolist())):
+    ds = list(compress(thicknesses, d_ok))
+    t_ph_num = np.full((len(ds), sum(e_ok)), math.nan)
+    for j, e_j in enumerate(compress(energies, e_ok)):
         try:
-            t_ph_num[j] = _phase_stencil(e_j, height, d_j, h)
+            t_ph_num[:, j] = _phase_stencil(e_j, height, ds, h)
         except DomainError:
             pass
+    t_ph_num = t_ph_num.ravel()
     # Python floats overflow to inf and make NaN without a warning; so does
     # this pass, and every lane that ends non-finite or fails a check goes
     # to evaluate_point(), which evaluates the same kernels

@@ -21,20 +21,26 @@ e^{-2 kappa d}, on
                             + g^2 expm1(-2 kappa d)^2 / 4,
 
 with sinh(2 kappa d) e^{-2 kappa d} = -expm1(-4 kappa d) / 2, so they stay
-finite at any thickness. D itself, which only the ``times`` command prints, is
-D~ e^{2 kappa d} and is not a double past kappa d of about 355.
+finite at any thickness. One kernel, _closed_times(), evaluates both and
+computes D~, e^{-2 kappa d} and expm1(-4 kappa d) once. D itself, which only
+the ``times`` command prints, is D~ e^{2 kappa d} and is not a double past
+kappa d of about 355.
 
 The "numeric" routes work from the scattering coefficients, not from D: the
 phase time differences the argument of the bounded t = S e^{kappa d} (which
 is arg S) at E +/- h, and the dwell time integrates
 |A e^{kappa x} + B e^{-kappa x}|^2 over the barrier term by term, an exact
-integral of the definition. The numerical route is the arbiter.
-``sweep.evaluate`` cross-checks each pair: routes more than CROSS_CHECK_TOL
-(1e-5 relative) apart, or not finite, put both values in the record's error
-cell, and the ``times`` command exits 3 quoting them. (The test suite holds
-the routes to 1e-6.) Phase and dwell times saturate for thick barriers (their
-d-derivative dies off like exp(-2 kappa d)), which is exactly why they imply
-unbounded apparent velocities; the effective time does not saturate.
+integral of the definition. The stencil checks its two energies and forms t's
+energy-only factors once for any number of thicknesses, and evaluates only
+the thickness's part of t per thickness: a point passes one thickness, the
+sweep all of an energy's at once, each with the bits of the one-thickness
+result. The numerical route is the arbiter. ``sweep.evaluate`` cross-checks
+each pair: routes more than CROSS_CHECK_TOL (1e-5 relative) apart, or not
+finite, put both values in the record's error cell, and the ``times``
+command exits 3 quoting them. (The test suite holds the routes to 1e-6.)
+Phase and dwell times saturate for thick barriers (their d-derivative dies
+off like exp(-2 kappa d)), which is exactly why they imply unbounded
+apparent velocities; the effective time does not saturate.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .barrier import (
     BarrierProblem,
     StationarySolution,
     _check_tunneling,
+    _energy_factors,
     _transmission,
     _wavenumber_pair,
     incident_flux,
@@ -58,6 +65,7 @@ from .numerics import POINT
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
+_TWO_PI = 2.0 * math.pi
 
 #: Default energy step for the phase-derivative stencil, eV. arg S varies on
 #: the eV scale, so 1e-4 eV balances truncation against roundoff in doubles.
@@ -82,21 +90,16 @@ def _g(height):
 # the elementwise functions (numerics.POINT or numerics.GRID).
 
 
-def _scaled_denominator(k, kappa, kd, g, f=POINT):
-    return (4.0 * kappa**2 * k**2 * f.exp(-2.0 * kd)
-            + g**2 * f.expm1(-2.0 * kd) ** 2 / 4.0)
-
-
-def _phase_time_closed(k, kappa, kd, g, f=POINT):
-    bracket = 2.0 * k**2 * (kappa**2 - k**2) * (kd * f.exp(-2.0 * kd))
-    bracket -= g**2 * f.expm1(-4.0 * kd) / 2.0
-    return _M / (_HBAR * k * kappa * _scaled_denominator(k, kappa, kd, g, f)) * bracket
-
-
-def _dwell_time_closed(k, kappa, kd, g, f=POINT):
-    bracket = 2.0 * (kappa**2 - k**2) * (kd * f.exp(-2.0 * kd))
-    bracket -= g * f.expm1(-4.0 * kd) / 2.0
-    return _M * k / (_HBAR * kappa * _scaled_denominator(k, kappa, kd, g, f)) * bracket
+def _closed_times(k, kappa, kd, g, f=POINT):
+    """The phase time, the dwell time and D~ by their closed forms, which
+    share D~, e^{-2 kappa d} and expm1(-4 kappa d)."""
+    decay, fold = f.exp(-2.0 * kd), f.expm1(-4.0 * kd)
+    spread, ramp = kappa**2 - k**2, kd * decay
+    scaled = 4.0 * kappa**2 * k**2 * decay + g**2 * f.expm1(-2.0 * kd) ** 2 / 4.0
+    phase = 2.0 * k**2 * spread * ramp - g**2 * fold / 2.0
+    dwell = 2.0 * spread * ramp - g * fold / 2.0
+    return (_M / (_HBAR * k * kappa * scaled) * phase,
+            _M * k / (_HBAR * kappa * scaled) * dwell, scaled)
 
 
 def _stored_probability(k, kappa, d, A, B, a_d, S, f=POINT):
@@ -133,7 +136,7 @@ def _bl_time(kappa, d):
 def scaled_denominator(problem: BarrierProblem) -> float:
     """D~ = D e^{-2 kappa d} of the module docstring, 1/m^4, shared by both
     closed forms."""
-    return _scaled_denominator(*_parts(problem))
+    return _closed_times(*_parts(problem))[2]
 
 
 def shared_denominator(problem: BarrierProblem) -> float:
@@ -161,14 +164,20 @@ def phase_time_numeric(
     band), which clips the extreme edges of energy grids.
     """
     return _phase_stencil(
-        problem.energy, problem.height, problem.thickness, energy_ev_to_si(step_ev)
-    )
+        problem.energy, problem.height, (problem.thickness,), energy_ev_to_si(step_ev)
+    )[0]
 
 
-def _phase_stencil(e0, hi, d, h):
-    """phase_time_numeric() at energy ``e0`` over the barrier of height ``hi``
-    and thickness ``d``, with the step ``h`` in joules; it needs no problem,
-    so the sweep runs it at each grid point as the point path does."""
+def _phase_stencil(e0, hi, ds, h):
+    """phase_time_numeric() at energy ``e0`` over barriers of height ``hi``
+    and each thickness in ``ds``, with the step ``h`` in joules, as a list.
+
+    The checks, the wavenumbers and t's energy factors at E +/- h and the
+    free-flight speed depend on the energy alone, so they run once; each
+    thickness takes only its part of t and of the time, by the same
+    operations in the same order as a single thickness, so the sweep runs it
+    once per energy and the point path with one thickness.
+    """
     if not h > 0:
         raise DomainError("phase-derivative step h must be positive")
     if not (0.0 < e0 - h and e0 + h < hi):
@@ -178,16 +187,21 @@ def _phase_stencil(e0, hi, d, h):
     # of _check_tunneling()'s rules only the near-threshold one can still
     # fail, and E - h lies further from the barrier top than E + h
     _check_tunneling(e0 + h, hi)
-    sp = _transmission(*_wavenumber_pair(e0 + h, hi), d)
-    sm = _transmission(*_wavenumber_pair(e0 - h, hi), d)
-    delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
-    delta -= 2.0 * math.pi * math.ceil((delta - math.pi) / (2.0 * math.pi))
-    return d / math.sqrt(2.0 * e0 / _M) + _HBAR * (delta / (2.0 * h))
+    plus = _energy_factors(*_wavenumber_pair(e0 + h, hi))
+    minus = _energy_factors(*_wavenumber_pair(e0 - h, hi))
+    speed, two_h = math.sqrt(2.0 * e0 / _M), 2.0 * h
+    times = []
+    for d in ds:
+        sp, sm = _transmission(plus, d), _transmission(minus, d)
+        delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
+        delta -= _TWO_PI * math.ceil((delta - math.pi) / _TWO_PI)
+        times.append(d / speed + _HBAR * (delta / two_h))
+    return times
 
 
 def phase_time_analytic(problem: BarrierProblem) -> float:
     """Closed form for the group delay; certified against the numeric route."""
-    return _phase_time_closed(*_parts(problem))
+    return _closed_times(*_parts(problem))[0]
 
 
 def dwell_time_numeric(
@@ -214,7 +228,7 @@ def dwell_time_numeric(
 
 def dwell_time_analytic(problem: BarrierProblem) -> float:
     """Closed form for the dwell time; certified against the numeric route."""
-    return _dwell_time_closed(*_parts(problem))
+    return _closed_times(*_parts(problem))[1]
 
 
 def bl_time(problem: BarrierProblem) -> float:

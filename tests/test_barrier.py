@@ -8,6 +8,7 @@ import pytest
 from oracles import solve_by_matching, transmission_reference
 from tunneltimes.barrier import (
     BarrierProblem,
+    _wavenumber_pair,
     continuity_residual,
     incident_flux,
     stationary_solution,
@@ -59,6 +60,26 @@ class TestBarrierProblem:
         with pytest.raises(DomainError, match=f"{phase} must be finite"):
             BarrierProblem.from_ev_nm(e_ev, 10.0, d_nm, cutoff)
 
+    def test_energy_whose_wavenumber_underflows_rejected(self):
+        # 2 m E rounds to 0 below E of about 2e-275 eV, and k with it
+        with pytest.raises(DomainError, match="its wavenumber k underflows to 0"):
+            BarrierProblem.from_ev_nm(1e-290, 10.0, 1.0)
+
+    def test_an_energy_is_refused_exactly_where_k_is_zero(self):
+        # 2 m E rounds to 0 below E of about 1.4e-294 J; step across it
+        height, energy, outcomes = 1.6e-18, 1e-295, set()
+        while energy < 1e-293:
+            k = _wavenumber_pair(energy, height)[0]
+            try:
+                BarrierProblem(energy, height, 1e-9)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == (k > 0), energy
+            outcomes.add(accepted)
+            energy *= 1.01
+        assert outcomes == {True, False}
+
     def test_largest_thickness_with_a_finite_phase_is_solved(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1e298)
         sol = stationary_solution(p)
@@ -69,9 +90,9 @@ class TestBarrierProblem:
 
     def test_boundary_unit_conversion(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        assert p.energy == pytest.approx(5.0 * 1.6022e-19, rel=1e-15)
-        assert p.thickness == pytest.approx(0.5e-9, rel=1e-15)
-        assert p.e_over_v0 == pytest.approx(0.5, rel=1e-15)
+        assert p.energy == pytest.approx(5.0 * 1.6022e-19, rel=1e-15, abs=0)
+        assert p.thickness == pytest.approx(0.5e-9, rel=1e-15, abs=0)
+        assert p.e_over_v0 == pytest.approx(0.5, rel=1e-15, abs=0)
 
 
 class TestWavenumbers:
@@ -102,7 +123,7 @@ class TestStationarySolution:
             ref = transmission_reference(
                 p.energy / CONSTANTS.ev_to_joule, 10.0, p.thickness * 1e9
             )
-            assert sol.transmission == pytest.approx(ref, rel=1e-12)
+            assert sol.transmission == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_flux_conservation(self):
         for p in sweep_problems():
@@ -115,7 +136,7 @@ class TestStationarySolution:
             r_amp, a_amp, b_amp, s_amp = solve_by_matching(
                 p.energy / CONSTANTS.ev_to_joule, 10.0, p.thickness * 1e9
             )
-            assert sol.S == pytest.approx(s_amp, rel=1e-10)
+            assert sol.S == pytest.approx(s_amp, rel=1e-10, abs=0)
             assert sol.R == pytest.approx(r_amp, rel=1e-10)
             assert sol.A == pytest.approx(a_amp, rel=1e-10, abs=1e-290)
             assert sol.B == pytest.approx(b_amp, rel=1e-10)
@@ -153,7 +174,7 @@ class TestPsiEvaluation:
         d = sol.problem.thickness
         assert sol.psi_barrier(0.0) == pytest.approx(1.0 + sol.R, rel=1e-12)
         transmitted = sol.S * cmath.exp(1j * sol.wavenumbers.k * d)
-        assert sol.psi_barrier(d) == pytest.approx(transmitted, rel=1e-12)
+        assert sol.psi_barrier(d) == pytest.approx(transmitted, rel=1e-12, abs=0)
 
     def test_out_of_barrier_rejected(self):
         sol = stationary_solution(BarrierProblem.from_ev_nm(3.0, 10.0, 0.8))
@@ -169,7 +190,7 @@ class TestPsiEvaluation:
         kappa = sol.wavenumbers.kappa
         x = 0.5e-9
         ref = a_amp * math.exp(kappa * x) + b_amp * math.exp(-kappa * x)
-        assert sol.psi_barrier(x) == pytest.approx(ref, rel=1e-10)
+        assert sol.psi_barrier(x) == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_mid_barrier_density_is_nearly_pure_decay(self):
         # the decaying mode dominates mid-barrier, so the relative density
@@ -189,7 +210,7 @@ class TestPsiEvaluation:
         assert np.all(np.isfinite(psi))
         assert psi[0] == pytest.approx(1.0 + sol.R, rel=1e-12)
         decay = np.exp(-sol.wavenumbers.kappa * xs[1:4])
-        assert np.abs(psi[1:4]) == pytest.approx(abs(sol.B) * decay, rel=1e-12)
+        assert np.abs(psi[1:4]) == pytest.approx(abs(sol.B) * decay, rel=1e-12, abs=0)
 
     def test_vectorized_evaluation_matches_scalars(self):
         sol = stationary_solution(BarrierProblem.from_ev_nm(2.0, 10.0, 0.5))

@@ -46,9 +46,9 @@ class TestPointCommands:
         assert code == 0
         lines = [line for line in out.splitlines() if not line.startswith("#")]
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
-        assert float(row["t_bl_s"]) == pytest.approx(7.540e-16, rel=1e-3)
+        assert float(row["t_bl_s"]) == pytest.approx(7.540e-16, rel=1e-3, abs=0)
         assert float(row["t_ph_numeric_s"]) == pytest.approx(
-            float(row["t_ph_analytic_s"]), rel=1e-5
+            float(row["t_ph_analytic_s"]), rel=1e-5, abs=0
         )
 
     def test_depth_handles_no_crossing(self, capsys):
@@ -152,6 +152,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "tunneltimes: error: barrier phase k d must be finite\n"
 
+    @pytest.mark.parametrize("command", ["coeffs", "momentum", "times", "depth"])
+    def test_energy_whose_wavenumber_underflows_is_one(self, capsys, command):
+        # k = 0 at 1e-290 eV; the closed forms would divide by it
+        code, out, err = run(capsys, command, "--E-eV", "1e-290", "--d-nm", "1")
+        assert code == 1 and out == ""
+        assert err == (
+            "tunneltimes: error: incident energy is so small that its wavenumber k"
+            " underflows to 0\n"
+        )
+
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["sweep", "--help"]])
     def test_version_and_help_return_zero(self, capsys, argv):
         assert main(argv) == 0
@@ -230,7 +240,10 @@ class TestExitCodes:
     def test_non_finite_output_is_three(self, capsys, monkeypatch):
         # a NaN closed-form time fails the cross-check before it could reach
         # a cell
-        monkeypatch.setattr(sweep, "_phase_time_closed", lambda *args: math.nan)
+        closed = sweep._closed_times
+        monkeypatch.setattr(
+            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+        )
         code, out, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "0.5")
         assert code == 3 and out == ""
         assert "numeric failure: phase cross-check: numeric " in err

@@ -159,7 +159,7 @@ class TestUncertaintyReport:
         rec = uncertainty_record(BarrierProblem.from_ev_nm(1.0, 10.0, 0.8))
         eps_eff = energy_ev_to_si(rec.eps_eff_ev)
         assert rec.xi == pytest.approx(
-            2.0 * eps_eff * rec.tau_eff_s / CONSTANTS.hbar, rel=1e-14
+            2.0 * eps_eff * rec.tau_eff_s / CONSTANTS.hbar, rel=1e-14, abs=0
         )
 
     def test_no_crossing_leaves_fields_absent(self):

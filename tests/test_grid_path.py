@@ -170,6 +170,16 @@ DENSE = SweepConfig(
 
 
 @pytest.mark.parametrize(
+    "cfg", [SweepConfig(), DENSE, *CONFIGS], ids=["default", "dense", *CONFIG_IDS]
+)
+def test_the_grid_phase_time_is_the_point_paths_bit_for_bit(cfg):
+    # the array pass runs the point path's stencil once per energy, each
+    # thickness by the point's operations, so no phase time differs at all
+    grid = [rec.t_ph_numeric_s for rec in run_sweep(cfg)]
+    assert grid == [rec.t_ph_numeric_s for rec in point_by_point(cfg)]
+
+
+@pytest.mark.parametrize(
     "cfg, thin_points", [(DENSE, 12), (SweepConfig(), 3)], ids=["dense", "default"]
 )
 def test_no_point_of_the_dense_or_default_grid_takes_the_point_path(

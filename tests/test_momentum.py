@@ -50,7 +50,7 @@ class TestMomentumAmplitude:
             sol.A * (math.exp(kappa * d) - 1.0) / kappa
             + sol.B * (1.0 - math.exp(-kappa * d)) / kappa
         ) / SQRT_TWO_PI
-        assert momentum_amplitude(sol, 0.0) == pytest.approx(want, rel=1e-13)
+        assert momentum_amplitude(sol, 0.0) == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("e_ratio", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("d_nm", [0.3, 1.0])
@@ -264,9 +264,9 @@ class TestEffectiveKinematics:
         assert kin.v_rms == pytest.approx(
             CONSTANTS.hbar * kin.k_rms / CONSTANTS.electron_mass, rel=1e-14
         )
-        assert kin.t_eff == pytest.approx(p.thickness / kin.v_rms, rel=1e-14)
+        assert kin.t_eff == pytest.approx(p.thickness / kin.v_rms, rel=1e-14, abs=0)
         assert kin.eps_eff == pytest.approx(
-            0.5 * CONSTANTS.electron_mass * kin.v_rms**2, rel=1e-14
+            0.5 * CONSTANTS.electron_mass * kin.v_rms**2, rel=1e-14, abs=0
         )
 
     def test_rms_wavenumber_bounded_by_window(self):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM
+from test_point_pins import STDERR
+from test_point_pins import run as run_point
 from tunneltimes import momentum, sweep
 from tunneltimes.barrier import BarrierProblem
 from tunneltimes.constants import CONSTANTS
@@ -200,6 +202,37 @@ class TestRunSweep:
         assert "phase_stencil_clipped" in rec.note
         assert rec.t_ph_analytic_s is not None  # the analytic route survives
 
+    def test_one_phase_stencil_call_per_energy(self, monkeypatch):
+        # the array pass runs the stencil once per energy over all ten
+        # thicknesses of the dense grid
+        calls = []
+        stencil = sweep._phase_stencil
+        monkeypatch.setattr(
+            sweep, "_phase_stencil",
+            lambda e0, hi, ds, h: calls.append(len(ds)) or stencil(e0, hi, ds, h),
+        )
+        run_sweep(SweepConfig(e_over_v0_grid=tuple(i / 100.0 for i in range(1, 100))))
+        assert calls == [10] * 99
+
+    def test_a_clipped_energy_is_noted_at_every_thickness(self, capsys):
+        # E = 5e-5 eV is closer than the 1e-4 eV step to 0; each of its
+        # thicknesses has an empty phase cell and the note, and the point
+        # command quotes the pinned message at each
+        cfg = SweepConfig(e_over_v0_grid=(5e-6, 0.5), d_nm_grid=(0.1, 0.5, 1.0, 30.0))
+        table = run_sweep(cfg)
+        for rec in table:
+            clipped = rec.e_over_v0 == 5e-6
+            assert (rec.t_ph_numeric_s is None) is clipped
+            assert ("phase_stencil_clipped" in rec.note.split(";")) is clipped
+            assert rec.error == "" and rec.t_ph_analytic_s is not None
+        text = records_to_csv(table, cfg)
+        assert "# clipping: phase-time stencil left the energy domain at " + ", ".join(
+            f"(E/V0=5e-06, d={d} nm)" for d in ("0.1", "0.5", "1", "30")
+        ) in text.splitlines()
+        pinned = STDERR["times --E-eV 5e-5 --d-nm 0.5"]
+        for d_nm in ("0.1", "0.5", "1", "30"):
+            assert run_point(["times", "--E-eV", "5e-5", "--d-nm", d_nm])[::2] == pinned
+
 
 class TestEvaluate:
     def test_the_spectrum_is_not_part_of_the_record_value(self):
@@ -266,7 +299,10 @@ class TestEvaluate:
 
     def test_non_finite_analytic_route_fails_the_cross_check(self, monkeypatch):
         # a NaN closed form is something no comparison can certify
-        monkeypatch.setattr(sweep, "_phase_time_closed", lambda *args: math.nan)
+        closed = sweep._closed_times
+        monkeypatch.setattr(
+            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+        )
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
         # the cell stays empty; the cross-check quotes the value
@@ -277,7 +313,10 @@ class TestEvaluate:
 
     def test_infinite_analytic_route_fails_the_cross_check(self, monkeypatch):
         # |n - inf| <= tol * inf would hold
-        monkeypatch.setattr(sweep, "_phase_time_closed", lambda *args: math.inf)
+        closed = sweep._closed_times
+        monkeypatch.setattr(
+            sweep, "_closed_times", lambda *args: (math.inf, *closed(*args)[1:])
+        )
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
         assert rec.t_ph_analytic_s is None
@@ -323,6 +362,17 @@ class TestNeverAborts:
             )
             records_to_csv(run_sweep(cfg), cfg)
 
+    def test_an_energy_whose_wavenumber_underflows_is_an_error_cell(self):
+        # at E = 1e-299 eV, 2 m E and k round to 0, which the closed forms
+        # divide by; BarrierProblem refuses it, and the sweep goes on
+        cfg = SweepConfig(e_over_v0_grid=(1e-300, 0.5), d_nm_grid=(1.0,))
+        tiny, usual = parse_records(records_to_csv(run_sweep(cfg), cfg))
+        assert tiny.error == (
+            "problem: incident energy is so small that its wavenumber k underflows to 0"
+        )
+        assert tiny.s_abs2 is None and tiny.t_ph_numeric_s is None
+        assert usual.error == "" and usual.t_ph_numeric_s is not None
+
     def test_a_non_finite_value_on_the_array_pass_is_an_error_cell(self, monkeypatch):
         # no check quotes the BL time, so only the finiteness screen keeps a
         # NaN one off the array pass; the point path then writes its error
@@ -363,13 +413,13 @@ class TestThickBarriers:
         thin = records[0]
         for rec in records:
             scale = rec.d_nm / thin.d_nm
-            assert rec.t_eff_s == pytest.approx(scale * thin.t_eff_s, rel=1e-12)
-            assert rec.t_ph_analytic_s == pytest.approx(thin.t_ph_analytic_s, rel=1e-12)
-            assert rec.t_dw_analytic_s == pytest.approx(thin.t_dw_analytic_s, rel=1e-12)
-        assert thin.t_eff_s == pytest.approx(1.983e-15, rel=1e-3)
-        assert records[-1].t_eff_s == pytest.approx(7.932e-14, rel=1e-3)
-        assert thin.t_ph_analytic_s == pytest.approx(1.316939e-16, rel=1e-6)
-        assert thin.t_dw_analytic_s == pytest.approx(6.584696e-17, rel=1e-6)
+            assert rec.t_eff_s == pytest.approx(scale * thin.t_eff_s, rel=1e-12, abs=0)
+            assert rec.t_ph_analytic_s == pytest.approx(thin.t_ph_analytic_s, rel=1e-12, abs=0)
+            assert rec.t_dw_analytic_s == pytest.approx(thin.t_dw_analytic_s, rel=1e-12, abs=0)
+        assert thin.t_eff_s == pytest.approx(1.983e-15, rel=1e-3, abs=0)
+        assert records[-1].t_eff_s == pytest.approx(7.932e-14, rel=1e-3, abs=0)
+        assert thin.t_ph_analytic_s == pytest.approx(1.316939e-16, rel=1e-6, abs=0)
+        assert thin.t_dw_analytic_s == pytest.approx(6.584696e-17, rel=1e-6, abs=0)
 
     @pytest.mark.parametrize(
         "v0_ev, cutoff, e_ratio, d_nm, error",
@@ -496,8 +546,8 @@ class TestSweepCsv:
         back = parse_records(records_to_csv(records, SMALL))
         for orig, parsed in zip(records, back):
             assert parsed.note == orig.note
-            assert parsed.s_abs2 == pytest.approx(orig.s_abs2, rel=1e-5)
-            assert parsed.t_eff_s == pytest.approx(orig.t_eff_s, rel=1e-5)
+            assert parsed.s_abs2 == pytest.approx(orig.s_abs2, rel=1e-5, abs=0)
+            assert parsed.t_eff_s == pytest.approx(orig.t_eff_s, rel=1e-5, abs=0)
 
 
 class TestParseRecords:

@@ -60,22 +60,22 @@ class TestPhaseTime:
             * g**2
             * math.sinh(2.0 * wn.kappa * p.thickness)
         )
-        assert phase_time_analytic(p) == pytest.approx(want, rel=1e-14)
+        assert phase_time_analytic(p) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_thick_barrier_saturation_value(self):
         # saturates at 2m / (hbar k kappa); 1.3169e-16 s at half height
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
         wn = wavenumbers(p)
         limit = 2.0 * CONSTANTS.electron_mass / (CONSTANTS.hbar * wn.k * wn.kappa)
-        assert limit == pytest.approx(1.317e-16, rel=1e-3)
-        assert phase_time_analytic(p) == pytest.approx(limit, rel=1e-6)
+        assert limit == pytest.approx(1.317e-16, rel=1e-3, abs=0)
+        assert phase_time_analytic(p) == pytest.approx(limit, rel=1e-6, abs=0)
 
     def test_vanishing_barrier_limit(self):
         # every term goes linear in d, so the time scales straight to zero
         thin = phase_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 1e-4))
         thinner = phase_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 5e-5))
         assert 0.0 < thin < 1e-18
-        assert thin == pytest.approx(2.0 * thinner, rel=1e-6)
+        assert thin == pytest.approx(2.0 * thinner, rel=1e-6, abs=0)
 
     def test_stencil_clipping_raises(self):
         with pytest.raises(DomainError, match="leaves the valid domain"):
@@ -102,9 +102,11 @@ def _outcome(fn, *args):
 
 def substitute_t(monkeypatch, t_of_energy):
     """Make the stencil's t at energy E read t_of_energy(E): its wavenumber
-    pair passes E through, and the t kernel maps it."""
+    pair and t's energy factors pass E through, and the thickness's part of
+    the t kernel maps it."""
     monkeypatch.setattr(times, "_wavenumber_pair", lambda e, hi: (e, hi))
-    monkeypatch.setattr(times, "_transmission", lambda e, hi, d: t_of_energy(e))
+    monkeypatch.setattr(times, "_energy_factors", lambda e, hi: e)
+    monkeypatch.setattr(times, "_transmission", lambda e, d: t_of_energy(e))
 
 
 class TestPhaseStencil:
@@ -116,18 +118,28 @@ class TestPhaseStencil:
         return p.thickness / math.sqrt(2.0 * p.energy / CONSTANTS.electron_mass)
 
     def test_equals_the_solved_stencil_on_the_dense_grid(self):
+        # an energy's ten thicknesses at once, as the sweep runs them, keep
+        # the bits of one call per thickness and of the solved stencil
+        h = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
         for i in range(1, 100):
-            for d_nm in [j / 10.0 for j in range(1, 11)]:
-                p = BarrierProblem.from_ev_nm(10.0 * (i / 100.0), 10.0, d_nm)
-                assert phase_time_numeric(p) == stencil_phase_time(
-                    p, DEFAULT_PHASE_STEP_EV
-                )
+            problems = [
+                BarrierProblem.from_ev_nm(10.0 * (i / 100.0), 10.0, j / 10.0)
+                for j in range(1, 11)
+            ]
+            e0, hi = problems[0].energy, problems[0].height
+            together = times._phase_stencil(e0, hi, [p.thickness for p in problems], h)
+            assert together == [phase_time_numeric(p) for p in problems]
+            assert together == [
+                stencil_phase_time(p, DEFAULT_PHASE_STEP_EV) for p in problems
+            ]
 
     def test_equals_the_solved_stencil_at_random_points(self):
         # a fifth of the points sit within 2e-4 eV of the barrier top, where
         # the stencil may leave the domain or enter the guard band; there
-        # both routes must refuse with the same message
-        rng = random.Random(20071)
+        # both routes must refuse with the same message. Each point's energy
+        # also runs over three more thicknesses at once, which a second
+        # generator draws, so the points themselves stay as they were
+        rng, more = random.Random(20071), random.Random(20072)
         refused = 0
         for n in range(200):
             v0 = rng.uniform(0.5, 25.0)
@@ -140,6 +152,16 @@ class TestPhaseStencil:
             got = _outcome(phase_time_numeric, p, step)
             assert got == _outcome(stencil_phase_time, p, step)
             refused += isinstance(got, str)
+            batch = [p] + [
+                replace(p, thickness=10.0 ** more.uniform(-11.0, -7.7)) for _ in range(3)
+            ]
+            each = [_outcome(stencil_phase_time, q, step) for q in batch]
+            assert each == [_outcome(phase_time_numeric, q, step) for q in batch]
+            together = _outcome(
+                times._phase_stencil, p.energy, p.height, [q.thickness for q in batch],
+                energy_ev_to_si(step),
+            )
+            assert together == (got if isinstance(got, str) else each)
         assert 10 <= refused <= 40
 
     def test_unwraps_a_branch_cut_of_arg_s(self):
@@ -161,7 +183,7 @@ class TestPhaseStencil:
         slope = 1.3 / energy_ev_to_si(1.0)  # arg S = slope * E
         substitute_t(monkeypatch, lambda e: cmath.exp(1j * slope * e))
         delay = phase_time_numeric(self.P) - self.free_flight(self.P)
-        assert delay == pytest.approx(CONSTANTS.hbar * slope, rel=1e-9)
+        assert delay == pytest.approx(CONSTANTS.hbar * slope, rel=1e-9, abs=0)
 
     def test_constant_phase_leaves_the_free_flight(self, monkeypatch):
         substitute_t(monkeypatch, lambda e: 0.7 - 0.2j)
@@ -181,7 +203,7 @@ class TestPhaseStencil:
             plain = phase_time_numeric(p, 0.3)
             substitute_t(mp, lambda e: const * fake(e))
             scaled = phase_time_numeric(p, 0.3)
-        assert scaled == pytest.approx(plain, rel=1e-12)
+        assert scaled == pytest.approx(plain, rel=1e-12, abs=0)
 
 
 class TestDwellTime:
@@ -241,7 +263,7 @@ class TestDwellTime:
         thin = dwell_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 1e-4))
         thinner = dwell_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 5e-5))
         assert 0.0 < thin < 1e-18
-        assert thin == pytest.approx(2.0 * thinner, rel=1e-6)
+        assert thin == pytest.approx(2.0 * thinner, rel=1e-6, abs=0)
 
     def test_never_exceeds_phase_time(self):
         # the phase time carries the self-interference delay on top of the
@@ -256,13 +278,13 @@ class TestTraversalTime:
     def test_hand_value(self):
         # m d / (hbar kappa) at 5 eV under a 10 eV, 1 nm barrier
         assert bl_time(BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)) == pytest.approx(
-            7.540e-16, rel=1e-3
+            7.540e-16, rel=1e-3, abs=0
         )
 
     def test_linear_in_thickness(self):
         once = bl_time(BarrierProblem.from_ev_nm(5.0, 10.0, 0.5))
         twice = bl_time(BarrierProblem.from_ev_nm(5.0, 10.0, 1.0))
-        assert twice == pytest.approx(2.0 * once, rel=1e-14)
+        assert twice == pytest.approx(2.0 * once, rel=1e-14, abs=0)
 
     def test_grows_with_energy(self):
         values = [
@@ -292,8 +314,8 @@ class TestScaledForms:
             sol = stationary_solution(p)
             got = sol.t * cmath.exp(1j * sol.wavenumbers.k * p.thickness)
             assert abs(got - reduced) <= 1e-12 * abs(reduced)
-            assert phase_time_analytic(p) == pytest.approx(phase, rel=1e-12)
-            assert dwell_time_analytic(p) == pytest.approx(dwell, rel=1e-12)
+            assert phase_time_analytic(p) == pytest.approx(phase, rel=1e-12, abs=0)
+            assert dwell_time_analytic(p) == pytest.approx(dwell, rel=1e-12, abs=0)
             assert scaled_denominator(p) == pytest.approx(scaled, rel=1e-12)
 
     def test_printed_denominator_is_the_scaled_one_times_e_2_kappa_d(self):
@@ -312,7 +334,7 @@ class TestScaledForms:
         # kappa d of about 2300: S is below the smallest double, t is not
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 200.0)
         assert stationary_solution(p).S == 0
-        assert phase_time_numeric(p) == pytest.approx(phase_time_analytic(p), rel=AGREEMENT)
+        assert phase_time_numeric(p) == pytest.approx(phase_time_analytic(p), rel=AGREEMENT, abs=0)
 
 
 class TestSaturationAndDisagreement:
