@@ -5,9 +5,10 @@ A SweepTable keeps one float array per numeric record column, NaN in an
 empty cell, the note and error text, and the columns a row's momentum
 spectrum is built from. The sweep writes them by flat index (_blank_columns,
 _write_record and the grid pass in the sweep module), and a row becomes a
-SweepRecord only when it is asked for. The curve figures are drawn from those
-spectrum columns, so no record or spectrum is built to draw them; any other
-sequence of records is written into a table once (_as_table).
+SweepRecord only when it is asked for. Every emitter reads a table's columns
+and builds no record: the curve figures are drawn from the spectrum columns,
+and any other sequence of records is written into a table once (_as_table),
+where a numeric value that is neither None nor finite is refused.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ RECORD_COLUMNS = {
 
 #: Record attributes held as text; every other column is a float.
 TEXT_FIELDS = ("note", "error")
+
+#: The message of the FloatingPointError raised for a non-finite value that
+#: would reach a CSV cell.
+NON_FINITE = "refusing to serialize a non-finite value"
 
 #: SweepRecord's numeric fields, in column order.
 _NUMERIC = tuple(attr for attr in RECORD_COLUMNS.values() if attr not in TEXT_FIELDS)
@@ -168,7 +173,9 @@ def _blank_columns(size: int) -> dict[str, np.ndarray | list[str]]:
 
 def _write_record(columns: dict[str, np.ndarray | list[str]], i: int, record: SweepRecord):
     """Write ``record`` into row ``i`` of ``columns``: NaN for None, and the
-    _SPECTRUM values where it carries a spectrum."""
+    _SPECTRUM values where it carries a spectrum. Any other numeric record
+    value that is not finite raises FloatingPointError, so NaN in a record
+    column is always an empty cell."""
     row = {attr: getattr(record, attr) for attr in RECORD_COLUMNS.values()}
     if record.spectrum is not None:
         sol = record.spectrum.solution
@@ -177,7 +184,11 @@ def _write_record(columns: dict[str, np.ndarray | list[str]], i: int, record: Sw
             *sol.edge_modes, record.spectrum.normalization, record.spectrum.second_moment,
         ))
     for name, value in row.items():
-        columns[name][i] = math.nan if value is None else value
+        if value is None:
+            value = math.nan
+        elif name in _NUMERIC and not math.isfinite(value):
+            raise FloatingPointError(NON_FINITE)
+        columns[name][i] = value
 
 
 def _as_table(records: Sequence[SweepRecord]) -> SweepTable:

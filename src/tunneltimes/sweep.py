@@ -48,12 +48,15 @@ four decimals of nm instead). The config echo and the clipping note keep six
 digits only where they read back to the same float.
 
 Every CSV, the point commands' one-row files included, is written by one
-writer from its metadata lines, header and rows. The per-record CSVs (the
-sweep, table1 and fig2, fig3, fig5, fig6a) read columns, not records: a
-SweepTable's own arrays, or one conversion of any other sequence of records.
-Each numeric column is formatted in one pass with one finiteness check, and a
-grid-key column once per distinct value; a required column is checked for
-gaps first, so the first incomplete record in row order is the one named.
+writer from its metadata lines, header and rows. Every emitter converts its
+input into a SweepTable once (records._as_table: a table as it is, any other
+sequence of records written row by row) and reads its columns; none builds a
+record, not even to name a grid point in the clipping note or a
+MissingGridPoint message. The per-record CSVs (the sweep, table1 and fig2,
+fig3, fig5, fig6a) format each numeric column in one pass with one finiteness
+check, and a grid-key column once per distinct value; a required column is
+checked for gaps first, so the first incomplete record in row order is the
+one named.
 
 The curve figures fig1 and fig4 read the table's columns too: the wave's
 coefficients, the normalization, the thickness and fig1's cutoff. Each is one
@@ -71,8 +74,9 @@ cells, and so is a value that evaluate() finds not finite. A failed
 cross-check already quotes such a time in the error column; any other
 non-finite value gets an error entry of its own, and a FloatingPointError
 among the caught exceptions, so a point command still exits as a numeric
-failure. An emitter refuses a non-finite value that still reaches a cell with
-FloatingPointError.
+failure. An emitter refuses with FloatingPointError a non-finite value that
+still reaches it: in any numeric value of a record it writes into a table,
+where NaN can only mean an empty cell, and in any cell it prints.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ from .errors import (
 from .momentum import _amplitude, _kinematics, _kinematics_error, _moments, momentum_spectrum
 from .numerics import GRID, POINT
 from .records import (
+    NON_FINITE,
     RECORD_COLUMNS,
     TEXT_FIELDS,
     SweepRecord,
@@ -232,9 +237,13 @@ def evaluate(
 
     ``grid_point`` is the (E/V0, d in nm) the record is filed under; the sweep
     passes its grid values so that records key exactly. It defaults to the
-    problem's own. cfg supplies V0, the cutoff and the phase step;
-    ``problem`` must agree with its V0 and cutoff.
+    problem's own. cfg supplies V0, the cutoff and the phase step, and the
+    record files its values under cfg's V0 and cutoff: a problem whose height
+    is not energy_ev_to_si(cfg.v0_ev) or whose cutoff is not cfg.cutoff, as
+    BarrierProblem.from_ev_nm builds them, raises ValidationError.
     """
+    if energy_ev_to_si(cfg.v0_ev) != problem.height or cfg.cutoff != problem.cutoff:
+        raise ValidationError("the problem's height and cutoff must be cfg's V0_eV and Kprime")
     grid_point = grid_point or (problem.e_over_v0, length_si_to_nm(problem.thickness))
     values, spectrum, failures = _evaluate(problem, cfg.phase_step_ev)
     return _record(cfg, *grid_point, values, spectrum), [exc for exc, _ in failures]
@@ -337,7 +346,7 @@ def _failures(values, checks, finite, crossing, faults):
     for name, ok in zip(list(values), finite):
         if not (ok or name in empty or any(name in check[1:] for check in _CROSS_CHECKS)):
             every = name in ("s_abs2", "r_abs2")
-            failures.append((FloatingPointError(_NON_FINITE), f"{name}: {_NON_FINITE}",
+            failures.append((FloatingPointError(NON_FINITE), f"{name}: {NON_FINITE}",
                              tuple(values) if every else (name,)))
         if not ok or name in empty:
             values[name] = None
@@ -510,14 +519,12 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def _echo(value: object) -> str:
+def _echo(value: float | tuple[float, ...]) -> str:
     """A config value in file syntax that parses back to exactly that value."""
     if isinstance(value, tuple):
         return ",".join(_echo(v) for v in value)
-    if isinstance(value, float):
-        text = _fmt(value)
-        return text if float(text) == value else repr(value)
-    return str(value)
+    text = _fmt(value)
+    return text if float(text) == value else repr(value)
 
 
 def config_lines(cfg: SweepConfig) -> list[str]:
@@ -535,9 +542,6 @@ def config_lines(cfg: SweepConfig) -> list[str]:
 # --- CSV emission -----------------------------------------------------------
 
 
-_NON_FINITE = "refusing to serialize a non-finite value"
-
-
 def _fmt(value: float | None) -> str:
     """Six significant digits, empty cell for absent values, never NaN.
 
@@ -547,7 +551,7 @@ def _fmt(value: float | None) -> str:
     if value is None:
         return ""
     if not math.isfinite(value):
-        raise FloatingPointError(_NON_FINITE)
+        raise FloatingPointError(NON_FINITE)
     return f"{value + 0.0:.6g}"
 
 
@@ -559,7 +563,7 @@ def _cells(values: np.ndarray, empty: bool = False) -> list[str]:
     value prints a "nan".
     """
     if (np.isinf(values) if empty else ~np.isfinite(values)).any():
-        raise FloatingPointError(_NON_FINITE)
+        raise FloatingPointError(NON_FINITE)
     text = "%.6g\n" * len(values) % tuple((values + 0.0).tolist())
     return (text.replace("nan", "") if empty else text).split("\n")[:-1]
 
@@ -577,25 +581,6 @@ def _csv(meta: list[str], header: Iterable[str], rows: Iterable[str]) -> str:
     return "\n".join(lines)
 
 
-def _read(records: Sequence[SweepRecord], attr: str) -> np.ndarray | Sequence[str]:
-    """Column ``attr`` of the records: a float array with NaN for an empty
-    cell, or the strings of a text column.
-
-    A SweepTable's column is read as it is. Any other sequence of records is
-    read record by record, keeping _fmt's contract: None is an empty cell,
-    and a non-finite value raises FloatingPointError.
-    """
-    if isinstance(records, SweepTable):
-        return records.column(attr)
-    values = [getattr(rec, attr) for rec in records]
-    if attr in TEXT_FIELDS:
-        return values
-    array = np.array(values, dtype=float)
-    if np.count_nonzero(~np.isfinite(array)) != values.count(None):
-        raise FloatingPointError(_NON_FINITE)
-    return array
-
-
 def _key_cells(values: np.ndarray) -> list[str]:
     """_cells of a grid-key column, NaN empty: it repeats a few values, so
     each distinct value is formatted once."""
@@ -605,30 +590,29 @@ def _key_cells(values: np.ndarray) -> list[str]:
     return [texts[v] for v in values]
 
 
-def _metadata(cfg: SweepConfig | None, records: Sequence[SweepRecord]) -> list[str]:
+def _metadata(cfg: SweepConfig | None, table: SweepTable) -> list[str]:
     """The config echo and the stencil clipping note of a grid CSV; clipped
     points are named by their exact grid values, as in the config echo."""
     lines = [] if cfg is None else [f"# config: {entry}" for entry in config_lines(cfg)]
-    clipped = [
-        f"(E/V0={_echo(records[i].e_over_v0)}, d={_echo(records[i].d_nm)} nm)"
-        for i, note in enumerate(_read(records, "note"))
-        if NOTE_PHASE_CLIPPED in note
-    ]
-    if clipped:
-        lines.append(
-            "# clipping: phase-time stencil left the energy domain at " + ", ".join(clipped)
-        )
+    rows = [i for i, note in enumerate(table.column("note")) if NOTE_PHASE_CLIPPED in note]
+    if rows:
+        e_ratio, d_nm = (table.column(attr)[rows].tolist() for attr in ("e_over_v0", "d_nm"))
+        lines.append("# clipping: phase-time stencil left the energy domain at " + ", ".join(
+            f"(E/V0={_echo(e)}, d={_echo(d)} nm)" for e, d in zip(e_ratio, d_nm)
+        ))
     return lines
 
 
 def _missing(
-    rec: SweepRecord, what: str, key: Callable[[float], str] = _echo
+    table: SweepTable, row: int, what: str, quoted: Iterable[str] = TEXT_FIELDS,
+    key: Callable[[float], str] = _echo,
 ) -> MissingGridPoint:
-    """MissingGridPoint for a record that cannot be emitted because it ``what``,
-    naming its grid point by ``key`` of each value."""
-    return MissingGridPoint(
-        f"record E/V0={key(rec.e_over_v0)}, d={key(rec.d_nm)} nm {what}"
-    )
+    """MissingGridPoint for row ``row`` of ``table``, which cannot be emitted
+    because it ``what``: names its grid point by ``key`` of each value and
+    quotes its ``quoted`` text cells."""
+    e_ratio, d_nm = (key(table.column(attr).item(row)) for attr in ("e_over_v0", "d_nm"))
+    cells = ", ".join(f"{attr}={table.column(attr)[row]!r}" for attr in quoted)
+    return MissingGridPoint(f"record E/V0={e_ratio}, d={d_nm} nm {what} ({cells})")
 
 
 #: Record attributes whose columns repeat the grid's values.
@@ -638,24 +622,22 @@ _Source = str | Callable[[Callable[[str], np.ndarray]], np.ndarray]
 
 
 def _emit_rows(
-    records: Sequence[SweepRecord],
+    table: SweepTable,
     cfg: SweepConfig | None,
     columns: dict[str, _Source],
     required: Collection[str] = (),
 ) -> str:
-    """CSV with one row per record, in record order.
+    """CSV with one row per record of ``table``, in row order.
 
     ``columns`` maps each CSV column to a record attribute, or to a function
     that derives the column from the columns it reads. Each column is read
-    and formatted whole (see _read). An empty cell is allowed, except in a
-    ``required`` column: the first record in row order with a gap there
-    raises MissingGridPoint.
+    and formatted whole. An empty cell is allowed, except in a ``required``
+    column: the first record in row order with a gap there raises
+    MissingGridPoint.
     """
-    def read(attr: str) -> np.ndarray:
-        return _read(records, attr)
-
     values = [
-        source(read) if callable(source) else read(source) for source in columns.values()
+        source(table.column) if callable(source) else table.column(source)
+        for source in columns.values()
     ]
     gaps = [
         (int(np.argmax(empty)), i, name)
@@ -664,20 +646,19 @@ def _emit_rows(
     ]
     if gaps:
         row, _, name = min(gaps)
-        rec = records[row]
-        raise _missing(rec, f"is missing {name} (note={rec.note!r}, error={rec.error!r})")
+        raise _missing(table, row, f"is missing {name}")
     cells = [
         column if source in TEXT_FIELDS
         else _key_cells(column) if source in _KEYS
         else _cells(column, empty=True)
         for source, column in zip(columns.values(), values)
     ]
-    return _csv(_metadata(cfg, records), columns, map(",".join, zip(*cells)))
+    return _csv(_metadata(cfg, table), columns, map(",".join, zip(*cells)))
 
 
 def records_to_csv(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) -> str:
     """The full sweep as CSV, one row per grid point in evaluation order."""
-    return _emit_rows(records, cfg, RECORD_COLUMNS)
+    return _emit_rows(_as_table(records), cfg, RECORD_COLUMNS)
 
 
 def parse_records(text: str) -> list[SweepRecord]:
@@ -725,11 +706,12 @@ def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) 
     Rows run energy-ratio outer / thickness inner, both ascending. Every cell
     must be present and have a depth; anything else raises MissingGridPoint.
     """
+    table = _as_table(records)
     # a sweep files each row under its exact grid values; the table's grid
     # values read back exactly from six-digit CSV cells too
-    keys = zip(_read(records, "e_over_v0").tolist(), _read(records, "d_nm").tolist())
+    keys = zip(table.column("e_over_v0").tolist(), table.column("d_nm").tolist())
     index = {key: row for row, key in enumerate(keys)}
-    depths = _read(records, "s_nm").tolist()
+    depths = table.column("s_nm").tolist()
     rows = []
     for e_ratio in TABLE1_E_RATIOS:
         for d_nm in TABLE1_D_NM:
@@ -737,12 +719,9 @@ def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) 
             if row is None:
                 raise MissingGridPoint(f"no sweep record for E/V0={e_ratio}, d={d_nm} nm")
             if math.isnan(depths[row]):
-                rec = records[row]
-                raise _missing(
-                    rec, f"has no depth (note={rec.note!r}, error={rec.error!r})", str
-                )
+                raise _missing(table, row, "has no depth", key=str)
             rows.append(f"{_fmt(e_ratio)},{_fmt(d_nm)},{depths[row]:.4f}")
-    return _csv(_metadata(cfg, records), ("E_over_V0", "d_nm", "s_nm"), rows)
+    return _csv(_metadata(cfg, table), ("E_over_V0", "d_nm", "s_nm"), rows)
 
 
 #: Where a curve row's template takes the record's E_over_V0,d_nm cells; no
@@ -750,15 +729,14 @@ def emit_table1(records: Sequence[SweepRecord], cfg: SweepConfig | None = None) 
 _PREFIX = "@"
 
 
-def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
+def _curve_rows(table: SweepTable, fig1: bool) -> Iterator[str]:
     """The rows of fig1 (``fig1``) or else fig4: one array of curves, drawn
-    from the records' columns, one row of the array per record."""
-    table = _as_table(records)
+    from the table's columns, one row of the array per record."""
     gaps = np.isnan(table.column("normalization"))
     if gaps.any():
-        rec = records[int(np.argmax(gaps))]
         raise _missing(
-            rec, f"has no momentum spectrum to draw curves from (error={rec.error!r})"
+            table, int(np.argmax(gaps)), "has no momentum spectrum to draw curves from",
+            quoted=("error",),
         )
     d_nm = table.column("d_nm")
     d = length_nm_to_si(d_nm)
@@ -781,7 +759,7 @@ def _curve_rows(records: Sequence[SweepRecord], fig1: bool) -> Iterator[str]:
     else:
         curves = _relative_density(_wave(x, d, kappa, B, a_d), _wave(0.0, d, kappa, B, a_d))
     if not np.isfinite(curves).all():
-        raise FloatingPointError(_NON_FINITE)
+        raise FloatingPointError(NON_FINITE)
     rows = zip(table.column("e_over_v0").tolist(), d_nm.tolist(), keys, curves + 0.0)
     for e_ratio, d_cell, key, curve in rows:
         prefix = f"{_fmt(e_ratio)},{_fmt(d_cell)}"
@@ -803,10 +781,6 @@ _SCALAR_FIGURES = {
     "fig6a": {"eps_eff_plus_V0_eV": lambda read: read("eps_eff_ev") + read("v0_ev")},
 }
 
-#: Attributes a figure may leave empty: absent where the density never
-#: reaches the depth threshold (the no_crossing note).
-_MAY_BE_ABSENT = ("s_nm", "tau_eff_s", "xi")
-
 
 def emit_figure_data(
     records: Sequence[SweepRecord], which: str, cfg: SweepConfig | None = None
@@ -827,13 +801,14 @@ def emit_figure_data(
     differ from the sweep's own (within 1e-5 relative, at 4 of the 990 dense
     rows and 1 of the 50 default ones).
     """
+    if which not in FIGURE_IDS:
+        raise ValidationError(f"unknown figure id {which!r}; valid: {', '.join(FIGURE_IDS)}")
+    table = _as_table(records)
     if which in ("fig1", "fig4"):
         fig1 = which == "fig1"
         header = ("K_per_m", "pdf_m") if fig1 else ("x_nm", "relative_density")
         header = ("E_over_V0", "d_nm", *header)
-        return _csv(_metadata(cfg, records), header, _curve_rows(records, fig1))
-    if which in _SCALAR_FIGURES:
-        columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **_SCALAR_FIGURES[which]}
-        required = [c for c, source in columns.items() if source not in _MAY_BE_ABSENT]
-        return _emit_rows(records, cfg, columns, required)
-    raise ValidationError(f"unknown figure id {which!r}; valid: {', '.join(FIGURE_IDS)}")
+        return _csv(_metadata(cfg, table), header, _curve_rows(table, fig1))
+    columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **_SCALAR_FIGURES[which]}
+    required = [c for c, source in columns.items() if source not in _DEPTH]
+    return _emit_rows(table, cfg, columns, required)

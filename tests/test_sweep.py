@@ -89,6 +89,10 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config("E_over_V0_grid=0.5,1.5")
 
+    def test_empty_list_entry_reports_the_line(self):
+        with pytest.raises(ParseError, match=r"^line 2: .*\(empty list entry\)$"):
+            parse_config("V0_eV=10\nE_over_V0_grid=0.1,,0.5\n")
+
     def test_outputs_key_rejected(self):
         # the figures command picks its figures with --which
         for line in ("outputs=fig7", "outputs=table1,fig3"):
@@ -105,6 +109,15 @@ class TestSweepConfig:
         # they used to sweep, and the config echo then refused to serialize
         with pytest.raises(ValidationError):
             SweepConfig(**{field: (value,) if field == "d_nm_grid" else value})
+
+    @pytest.mark.parametrize(
+        "name, grid", [("E_over_V0_grid", (0.0, 0.5)), ("d_nm_grid", (0.0, 1.0)),
+                       ("d_nm_grid", (-1.0, 1.0))]
+    )
+    def test_grid_values_that_are_not_positive_rejected(self, name, grid):
+        field = {"E_over_V0_grid": "e_over_v0_grid", "d_nm_grid": "d_nm_grid"}[name]
+        with pytest.raises(ValidationError, match=f"^{name} values must be positive$"):
+            SweepConfig(**{field: grid})
 
     def test_numpy_scalars_are_held_as_floats(self):
         # a numpy scalar would echo as np.float64(...), which parse_config()
@@ -247,6 +260,19 @@ class TestEvaluate:
         rec, caught = evaluate(problem, cfg, grid_point=(0.5, 0.5))
         assert caught == []
         assert rec == evaluate_point(cfg, 0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "cfg", [SweepConfig(), SweepConfig(cutoff=1e10), SweepConfig(v0_ev=5.0)],
+        ids=["both", "height", "cutoff"],
+    )
+    def test_a_config_that_is_not_the_problems_is_refused(self, cfg):
+        # the record would file the problem's numbers under cfg's V0 and
+        # cutoff, and fig1 would draw its density over cfg's window
+        problem = BarrierProblem.from_ev_nm(2.0, 5.0, 1.0, 1e10)
+        with pytest.raises(ValidationError, match="must be cfg's V0_eV and Kprime"):
+            evaluate(problem, cfg)
+        rec, _ = evaluate(problem, SweepConfig(v0_ev=5.0, cutoff=1e10))
+        assert (rec.e_ev, rec.v0_ev, rec.cutoff) == (2.0, 5.0, 1e10)
 
     def test_a_failure_concerns_only_its_own_columns(self):
         # a clipped stencil leaves t_ph_numeric_s empty and no other cell, so
@@ -541,6 +567,14 @@ class TestSweepCsv:
         text = records_to_csv(run_sweep(SMALL), SMALL)
         assert records_to_csv(parse_records(text), SMALL) == text
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+    def test_a_record_with_a_non_finite_value_is_refused(self, bad):
+        # NaN in a table is an empty cell, so a NaN record value is refused
+        # when the records are written into one, not emptied
+        rec = replace(evaluate_point(SweepConfig(), 0.5, 0.5), t_eff_s=bad)
+        with pytest.raises(FloatingPointError, match="^refusing to serialize a non-finite"):
+            records_to_csv([rec])
+
     def test_round_trip_preserves_values_to_serialized_precision(self):
         records = run_sweep(SMALL)
         back = parse_records(records_to_csv(records, SMALL))
@@ -581,6 +615,17 @@ class TestParseRecords:
             parse_records(text)
         assert str(err.value).endswith("(not finite)")
 
+    @pytest.mark.parametrize("text", ["", "# tool: tunneltimes\n\n"], ids=["empty", "meta"])
+    def test_text_without_a_header_is_refused(self, text):
+        with pytest.raises(ParseError, match="^no header row found$"):
+            parse_records(text)
+
+    def test_wrong_header_names_its_line(self):
+        text = self.TEXT.replace("E_over_V0,d_nm,", "d_nm,E_over_V0,")
+        line = text.splitlines().index(next(x for x in text.splitlines() if x[0] != "#")) + 1
+        with pytest.raises(ParseError, match=rf"^line {line}: unexpected sweep CSV header$"):
+            parse_records(text)
+
     def test_short_row_names_its_line(self):
         lines = self.TEXT.splitlines()
         lines[-1] = lines[-1].rsplit(",", 1)[0]
@@ -612,6 +657,43 @@ class TestSweepTable:
         assert default_records.column("note")[0] == "no_crossing"
         with pytest.raises(ValueError):
             s_nm[0] = 1.0
+
+    def test_no_emitter_builds_a_record(self, monkeypatch):
+        # 1e-5 eV is inside the 1e-4 eV phase step, so that energy clips at
+        # every thickness (the clipping line, and fig3's gap); at V0 = 1 eV
+        # the depth of (0.01, 0.2 nm) never crosses (table1's gap); and no
+        # solution exists 1e-7 eV below the top (fig1's and fig4's gap)
+        cfg = SweepConfig(v0_ev=1.0, e_over_v0_grid=(1e-5, *sweep.TABLE1_E_RATIOS),
+                          d_nm_grid=sweep.TABLE1_D_NM)
+        table = run_sweep(cfg)
+        unsolved = run_sweep(SweepConfig(e_over_v0_grid=(0.5, 0.9999999), d_nm_grid=(0.5,)))
+        monkeypatch.setattr(
+            sweep.SweepTable, "_record", lambda self, i: pytest.fail(f"row {i} was built")
+        )
+        clipping = "# clipping: phase-time stencil left the energy domain at " + ", ".join(
+            f"(E/V0=1e-05, d={d:g} nm)" for d in sweep.TABLE1_D_NM
+        )
+        texts = [records_to_csv(table, cfg)] + [
+            emit_figure_data(table, fig, cfg)
+            for fig in ("fig1", "fig2", "fig4", "fig5", "fig6a")
+        ]
+        assert all(clipping in text.splitlines() for text in texts)
+        with pytest.raises(MissingGridPoint, match=(
+            r"^record E/V0=1e-05, d=0\.2 nm is missing t_ph_s "
+            r"\(note='phase_stencil_clipped;no_crossing', error=''\)$"
+        )):
+            emit_figure_data(table, "fig3", cfg)
+        with pytest.raises(MissingGridPoint, match=(
+            r"^record E/V0=0\.01, d=0\.2 nm has no depth \(note='no_crossing', error=''\)$"
+        )):
+            emit_table1(table, cfg)
+        for fig in ("fig1", "fig4"):
+            with pytest.raises(MissingGridPoint, match=(
+                r"^record E/V0=0\.9999999, d=0\.5 nm has no momentum spectrum to draw "
+                r"curves from \(error='problem: energy closer than 1e-06 eV to the barrier "
+                r"top is ill-conditioned'\)$"
+            )):
+                emit_figure_data(unsolved, fig)
 
     def test_the_clipping_line_names_each_point_exactly(self):
         # six digits would name both ratios 1e-06
@@ -661,6 +743,19 @@ class TestTable1Emission:
     def test_missing_cell_raises(self):
         records = run_sweep(SweepConfig(d_nm_grid=(0.2, 0.3)))
         with pytest.raises(MissingGridPoint):
+            emit_table1(records)
+
+    def test_a_cell_without_a_depth_names_its_point(self):
+        # the grid values are named as the table prints them, not echoed
+        records = [
+            SweepRecord(e_over_v0=r, d_nm=d, e_ev=10.0 * r, v0_ev=10.0, cutoff=7.5e10,
+                        s_nm=None if (r, d) == (0.5, 1.0) else 0.5, note="n", error="e")
+            for r in sweep.TABLE1_E_RATIOS
+            for d in TABLE_D_NM
+        ]
+        with pytest.raises(MissingGridPoint, match=(
+            r"^record E/V0=0\.5, d=1\.0 nm has no depth \(note='n', error='e'\)$"
+        )):
             emit_table1(records)
 
 
@@ -740,6 +835,14 @@ class TestFigureEmission:
         records = [evaluate_point(SweepConfig(), 1e-6, 0.5)]
         with pytest.raises(MissingGridPoint):
             emit_figure_data(records, "fig3")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+    def test_a_non_finite_value_is_refused_in_a_column_not_printed(self, bad):
+        # every record value is checked once, when the records become a
+        # table, not only the columns a figure prints
+        rec = replace(evaluate_point(SweepConfig(), 0.5, 0.5), xi=bad)
+        with pytest.raises(FloatingPointError, match="^refusing to serialize a non-finite"):
+            emit_figure_data([rec], "fig2")
 
     def test_derived_column_is_never_optional(self):
         # fig5 leaves an absent depth empty; fig6a's eps_eff + V0 has no such
