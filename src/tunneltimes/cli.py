@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Single-point subcommands (coeffs, momentum, times, depth) report one barrier
-problem as a one-row CSV. coeffs prints the stationary solution; momentum,
+problem as a one-row CSV, after a config echo of its four inputs that reads
+back to the same floats. coeffs prints the stationary solution; momentum,
 times and depth evaluate the sweep's whole record at the point, by the same
 kernel as the sweep, and print their columns of it. Each raises the first
 failure that concerns a column it prints; a non-finite |S|^2 or |R|^2
@@ -36,6 +37,7 @@ from .sweep import (
     TOOL_NAME,
     SweepConfig,
     _csv,
+    _echo,
     _evaluate,
     _fmt,
     emit_figure_data,
@@ -76,7 +78,7 @@ def _point_problem(args) -> BarrierProblem:
 def _point_csv(args, columns: dict[str, float | None]) -> str:
     config = (("E_eV", args.e_ev), ("V0_eV", args.v0_ev), ("d_nm", args.d_nm),
               ("Kprime", args.cutoff))
-    meta = [f"# config: {key}={_fmt(value)}" for key, value in config]
+    meta = [f"# config: {key}={_echo(value)}" for key, value in config]
     return _csv(meta, columns, [",".join(map(_fmt, columns.values()))])
 
 

@@ -44,8 +44,9 @@ CSV with '#'-prefixed metadata lines (tool version, config echo, stencil
 clipping notes) ahead of the header. Identical configs produce byte-identical
 output: evaluation order is fixed, no timestamps are embedded, and floats are
 serialized at six significant digits (the depth table uses the conventional
-four decimals of nm instead). The config echo and the clipping note keep six
-digits only where they read back to the same float.
+four decimals of nm instead). Every config echo (_echo, the point commands'
+too) and the clipping note keep six digits only where they read back to the
+same float.
 
 Every CSV, the point commands' one-row files included, is written by one
 writer from its metadata lines, header and rows. Every emitter converts its

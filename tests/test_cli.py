@@ -59,6 +59,23 @@ class TestPointCommands:
         assert row["s_nm"] == "" and row["xi"] == ""
         assert float(row["eps_eff_eV"]) > 0.0
 
+    @pytest.mark.parametrize("command", ["coeffs", "momentum", "times", "depth"])
+    def test_config_echo_reruns_the_command(self, capsys, command):
+        # six digits would echo E_eV=5.98349, and the run from that echo
+        # prints other data rows
+        argv = [command, "--E-eV", "5.983490325247025", "--V0-eV", "6.72482328895847",
+                "--d-nm", "2.941034802111792"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        flags = {"E_eV": "--E-eV", "V0_eV": "--V0-eV", "d_nm": "--d-nm", "Kprime": "--Kprime"}
+        echoed = [
+            line.removeprefix("# config: ").split("=")
+            for line in out.splitlines() if line.startswith("# config: ")
+        ]
+        assert echoed[:3] == [["E_eV", argv[2]], ["V0_eV", argv[4]], ["d_nm", argv[6]]]
+        rerun = [command, *(arg for key, value in echoed for arg in (flags[key], value))]
+        assert run(capsys, *rerun) == (0, out, "")
+
     def test_out_file_is_written(self, capsys, tmp_path):
         target = tmp_path / "point.csv"
         code, out, _ = run(capsys, "coeffs", "--E-eV", "5", "--d-nm", "0.5",
