@@ -7,13 +7,20 @@ times and depth evaluate the sweep's whole record at the point, by the same
 kernel as the sweep, and print their columns of it. Each raises the first
 failure that concerns a column it prints; a non-finite |S|^2 or |R|^2
 concerns every column. Grid subcommands (sweep, table1, figures) run the
-configured sweep and emit the corresponding CSV files. Exit codes: 0 success,
-1 validation or parse error or a file that cannot be read or written (a
-config that is missing or not UTF-8, an output path that cannot be made; the
-message names the file), 2 missing grid point, 3 internal numeric failure.
+configured sweep and emit the corresponding CSV files; figures refuses --out
+with --which all (six files, into --out-dir) and --out-dir with one figure.
+Exit codes: 0 success, 1 validation or parse error or a file that cannot be
+read or written (a config that is missing or not UTF-8, an output path that
+cannot be made; the message names the file), 2 missing grid point, 3 internal
+numeric failure.
 
 The argument parser is built once per process, by the first main() call, and
 every later call reuses it; parse_args keeps nothing from one call to the next.
+An argv whose first word names a subcommand is parsed once, by that
+subcommand's own parser (the one the top-level parser would hand it to); any
+other argv (empty, --version, -h, an unknown command) goes to the top-level
+parser. Both routes use the same parser objects, so every flag, default, help
+text and error message is written once.
 """
 
 from __future__ import annotations
@@ -140,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's own parser, by name
 
     def point(name, help_text):
         sp = sub.add_parser(name, help=help_text)
@@ -176,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument(
         "--out-dir",
-        default=".",
-        help="directory for the per-figure files when --which=all",
+        help="directory for the per-figure files when --which=all (default: .)",
     )
     return parser
 
@@ -194,10 +201,15 @@ def _dispatch(args) -> int:
         cfg = _load_config(args)
         _write(emit_table1(run_sweep(cfg), cfg), args.out)
     elif args.command == "figures":
+        if args.which == "all" and args.out is not None:
+            raise ValidationError("--out names one file; --which all writes six, into --out-dir")
+        if args.which != "all" and args.out_dir is not None:
+            raise ValidationError(f"--out-dir is for --which all; --which {args.which} "
+                                  "writes one file, to --out or stdout")
         cfg = _load_config(args)
         records = run_sweep(cfg)
         if args.which == "all":
-            out_dir = Path(args.out_dir)
+            out_dir = Path(args.out_dir or ".")
             out_dir.mkdir(parents=True, exist_ok=True)
             for fig in FIGURE_IDS:
                 text = emit_figure_data(records, fig, cfg)
@@ -211,13 +223,21 @@ def _dispatch(args) -> int:
 _parser: argparse.ArgumentParser | None = None
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str] | None) -> argparse.Namespace:
     global _parser
+    if _parser is None:
+        _parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        if _parser is None:
-            _parser = build_parser()
-        args = _parser.parse_args(argv)
-        return _dispatch(args)
+        return _dispatch(_parse(argv))
     except SystemExit:  # --help or --version has printed; error() never exits
         return 0
     except (ParseError, ValidationError, DomainError, OSError) as exc:

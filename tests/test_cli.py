@@ -11,6 +11,7 @@ import pytest
 
 from tunneltimes import __version__, cli, sweep
 from tunneltimes.cli import main
+from tunneltimes.errors import ValidationError
 
 PINS = json.loads(
     Path(__file__).with_name("point_pins.json").read_text(encoding="utf-8")
@@ -218,6 +219,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert repr(named.format(cfg=path, dir=tmp_path)) in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("figures", "--out", "x.csv"), "--out"),
+            (("figures", "--which", "all", "--out", "-"), "--out"),
+            (("figures", "--which", "fig3", "--out-dir", "/nonexistent/x"), "--out-dir"),
+            (("figures", "--which", "fig1", "--out-dir", "."), "--out-dir"),
+        ],
+        ids=["out with all", "stdout with all", "missing out-dir with one figure",
+             "default out-dir given with one figure"],
+    )
+    def test_a_figures_flag_that_would_go_unused_is_one(
+        self, capsys, tmp_path, monkeypatch, argv, flag
+    ):
+        # --out names the one file of a single figure, --out-dir the directory
+        # of all six; a flag the chosen --which would not use is refused
+        # before the sweep runs, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"tunneltimes: error: {flag} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_prints_no_traceback(self, tmp_path):
         # as a process, so that an uncaught exception would print one
         proc = subprocess.run(
@@ -318,21 +342,56 @@ class TestExitCodes:
 
 
 class TestParserReuse:
-    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
-        built = []
+    @staticmethod
+    def spy(monkeypatch):
+        """Count build_parser() calls and the top-level parse_args calls."""
+        built, top_level = [], []
         original = cli.build_parser
 
-        def counting_build_parser():
+        def spying_build_parser():
             built.append(1)
-            return original()
+            parser = original()
+            parse_args = parser.parse_args
 
-        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+            def spy(*args, **kwargs):
+                top_level.append(args)
+                return parse_args(*args, **kwargs)
+
+            parser.parse_args = spy
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", spying_build_parser)
         monkeypatch.setattr(cli, "_parser", None)
+        return built, top_level
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # built by the first call; a subcommand's flags are parsed once, by
+        # its own parser, so the top-level parser sees only an argv that
+        # names no subcommand
+        built, top_level = self.spy(monkeypatch)
         for e_ev in ("1", "2", "5"):
             for command in ("coeffs", "momentum", "times", "depth"):
                 assert run(capsys, command, "--E-eV", e_ev, "--d-nm", "0.5")[0] == 0
         assert run(capsys, "coeffs", "--E-eV", "5", "--nonsense")[0] == 1
+        assert run(capsys, "sweep", "--help")[0] == 0
+        assert top_level == []
+        assert run(capsys, "--version") == (0, f"tunneltimes {__version__}\n", "")
+        assert top_level == [(["--version"],)]
         assert len(built) == 1
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["coeffs", "--E-eV", "5", "--d-nm", "1"]
+        given = run(capsys, *argv)
+        assert given[0] == 0
+        _, top_level = self.spy(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["tunneltimes", *argv])
+        assert main() == 0
+        assert (0, *capsys.readouterr()) == given
+        assert top_level == []
+        monkeypatch.setattr(sys, "argv", ["tunneltimes", "--version"])
+        assert main() == 0
+        assert tuple(capsys.readouterr()) == (f"tunneltimes {__version__}\n", "")
+        assert top_level == [(["--version"],)]
 
     def test_no_parse_state_leaks_between_calls(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_parser", None)
@@ -360,3 +419,78 @@ class TestParserReuse:
         for command in ("coeffs", "momentum", "times", "depth"):
             argv = (command, "--E-eV", "1", "--d-nm", "0.1")
             assert pinned(*argv) == PINS[" ".join(argv)]
+
+
+POINT_ROUTES = [
+    (("--E-eV", "5", "--d-nm", "1"), "parsed"),
+    (("--d-nm", "1", "--E-eV", "5", "--V0-eV", "8", "--Kprime", "1e10", "--out", "-"),
+     "parsed"),
+    (("--E-eV", "5", "--d-nm", "1", "--bogus"), "refused"),
+    (("--E-eV", "5"), "refused"),
+    (("--E-eV", "x", "--d-nm", "1"), "refused"),
+    (("--E", "5", "--d-nm", "1"), "parsed"),
+    (("--E-eV", "-5", "--d-nm", "1"), "parsed"),
+    (("--", "--E-eV", "5", "--d-nm", "1"), "refused"),
+    (("-h",), "exited"),
+    (("--version",), "refused"),
+]
+GRID_ROUTES = [
+    (("--config", "grid.cfg", "--out", "grid.csv"), "parsed"),
+    ((), "parsed"),
+    (("--bogus",), "refused"),
+    (("--config",), "refused"),
+    (("--V0-eV", "5"), "refused"),
+    (("--conf", "grid.cfg"), "parsed"),
+    (("--out", "-5"), "parsed"),
+    (("--", "--config", "grid.cfg"), "refused"),
+    (("-h",), "exited"),
+    (("--version",), "refused"),
+]
+FIGURES_ROUTES = [
+    (("--which", "fig3", "--out", "fig3.csv"), "parsed"),
+    (("--which", "fig9"), "refused"),
+    (("--wh", "fig2", "--out-d", "figs"), "parsed"),
+]
+ROUTES = [
+    *((command, *case) for command in ("coeffs", "momentum", "times", "depth")
+      for case in POINT_ROUTES),
+    *((command, *case) for command in ("sweep", "table1", "figures")
+      for case in GRID_ROUTES),
+    *(("figures", *case) for case in FIGURES_ROUTES),
+]
+
+
+class TestParseRoutes:
+    """main() parses a subcommand's argv with that subcommand's own parser;
+    the outcome is the top-level parser's, flag for flag."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        try:
+            result = ("parsed", vars(parse(argv)))
+        except ValidationError as exc:
+            result = ("refused", str(exc))
+        except SystemExit as exc:
+            result = ("exited", exc.code)
+        return (*result, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "command, flags, kind", ROUTES,
+        ids=[f"{command} {' '.join(flags)}" for command, flags, _ in ROUTES],
+    )
+    def test_a_subcommand_parses_as_through_the_top_level(
+        self, capsys, monkeypatch, command, flags, kind
+    ):
+        monkeypatch.setattr(cli, "_parser", None)
+        argv = [command, *flags]
+        routed = self.outcome(capsys, cli._parse, argv)
+        assert routed == self.outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+        assert routed[0] == kind
+        if kind == "exited":
+            assert routed[1] == 0 and routed[2].startswith(f"usage: tunneltimes {command} ")
+
+    @pytest.mark.parametrize("argv", [[], ["--version"], ["-h"], ["tim"], ["--", "times"]])
+    def test_any_other_argv_goes_to_the_top_level(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_parser", None)
+        top = lambda a: cli.build_parser().parse_args(a)  # noqa: E731
+        assert self.outcome(capsys, cli._parse, argv) == self.outcome(capsys, top, argv)
