@@ -43,8 +43,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONSTANTS, energy_ev_to_si, length_nm_to_si
 from .errors import DomainError
 from .numerics import POINT
@@ -194,6 +192,8 @@ class StationarySolution:
 
         Evaluated as A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}.
         """
+        import numpy as np
+
         xarr = np.asarray(x, dtype=float)
         d = self.problem.thickness
         if np.any(xarr < 0.0) or np.any(xarr > d):
@@ -205,6 +205,8 @@ class StationarySolution:
 def _wave(x, d, kappa, b, a_d):
     """The in-barrier wave at x, as A e^{kappa d} e^{kappa (x - d)} +
     B e^{-kappa x}: a kernel whose arguments broadcast against each other."""
+    import numpy as np
+
     return a_d * np.exp(kappa * (x - d)) + b * np.exp(-kappa * x)
 
 

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .barrier import BarrierProblem, StationarySolution, wavenumbers
 from .errors import DomainError
 from .numerics import POINT
@@ -55,6 +53,8 @@ def _relative_density(psi, entry_psi):
     """|psi|^2 / |entry_psi|^2, elementwise with broadcasting. np.square
     squares a scalar as it does an array, so a point and a row of a curve
     get the same bits."""
+    import numpy as np
+
     entry = np.square(np.abs(entry_psi))
     if not np.all(entry > 0.0):
         raise DomainError("entry density vanished; the solution is corrupt")

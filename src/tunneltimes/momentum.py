@@ -61,6 +61,11 @@ exponential sum to 2e-15 on the paper's grid; the sum still loses digits
 where the window is narrow against kappa, down to about 4e-11 at c d of 2
 to 3 with kappa d near 700.
 
+Importing this module loads no numpy, and neither does a point on the
+exponential sum, which runs on math and cmath. The series route's constant
+arrays are built by its first call (_series_tables()), which imports numpy,
+as do the array pass and the functions that take arrays.
+
 The window cutoff matters: the distribution has heavy tails, so K_rms (and
 everything downstream of it) grows slowly but without bound as the window
 widens. The cutoff is therefore an explicit field of BarrierProblem rather
@@ -73,13 +78,16 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .barrier import _SERIES_KAPPA_D, BarrierProblem, StationarySolution, stationary_solution
 from .constants import CONSTANTS, SPEED_OF_LIGHT
 from .errors import DomainError
-from .numerics import GRID, POINT, scaled_e1, scaled_e1_grid
+from .numerics import POINT, scaled_e1, scaled_e1_grid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -109,38 +117,55 @@ _SERIES_BLOCK = 256
 #: 3 (kappa / c)^2 there, so its digits depend on the rounding of each step.
 _SUM_WELL_CONDITIONED_KAPPA_OVER_C = 4.0
 
-_TAYLOR_ORDERS = np.arange(_TAYLOR_TERMS + 1)
-_INVERSE_FACTORIALS = 1.0 / np.cumprod(np.arange(1.0, _TAYLOR_TERMS + 2))
-#: The centre's quadratic forms in a_j s0^j and b_j s0^j, with a_j = T_{j+1}
-#: and b_j = kd T_{j+2}: Re(c_i conj c_j) / |psi(d)|^2 is (-1)^{i + q/2}
-#: (a_i a_j + b_i b_j) at even q = i + j (an odd q integrates to 0), and s^q
-#: and s^{q+2} integrate to s0^{q+1} 2/(q+1) and s0^{q+3} 2/(q+3) over |s| <= s0.
-_CENTRE_FORMS = np.array([
-    [(q % 2 == 0) * (-1.0) ** (i + q // 2) * 2.0 / (q + r)
-     for r in (1, 3) for q in range(i, i + _TAYLOR_TERMS)]
-    for i in range(_TAYLOR_TERMS)
-])
-_TAIL_ORDERS = np.arange(_TAIL_TERMS)
 #: Integrals of each kind _window_integrals() takes, of s^-m for m = 0 .. 34.
 _TAIL_INTEGRALS = 2 * _TAIL_TERMS + 3
-#: For the normalization (e = 2j + 4) and the second moment (e = 2j + 2), the
-#: places in _window_integrals() of plain[e], plain[e - 2], -2 osc.real[e],
-#: -2 osc.real[e - 2] and -2 osc.imag[e - 1], which p0, p2, q0, q2, q1 weigh.
-_TAIL_BASIS = np.array([
-    [e, e - 2, _TAIL_INTEGRALS + e, _TAIL_INTEGRALS + e - 2, 2 * _TAIL_INTEGRALS + e - 1]
-    for e in (2 * _TAIL_ORDERS + 4, 2 * _TAIL_ORDERS + 2)
-])
-#: Where every tail starts, s0 = _CENTRE: e^{i s0} s0^-m, e^{i s0} e^{-i s0}
-#: E1(-i s0), and for plain[m] the power m - 1 (1 for the unused odd m = 1)
-#: and s0^{1-m} / (m - 1).
-_TAIL_POWERS = np.arange(_TAIL_INTEGRALS, dtype=float)
-_NEAR_ENDS = cmath.exp(1j * _CENTRE) * _CENTRE**-_TAIL_POWERS
-_CENTRE_E1 = cmath.exp(1j * _CENTRE) * scaled_e1(-1j * _CENTRE)
-_PLAIN_POWERS = np.where(_TAIL_POWERS == 1, 1.0, _TAIL_POWERS - 1.0)
-_NEAR_PLAIN = _CENTRE**-_PLAIN_POWERS / _PLAIN_POWERS
-#: The powers of d that scale the normalization and the second moment, and of
-#: s0 that finish the centre's.
-_D_POWERS, _S0_POWERS = np.array([1.0, -1.0]), np.array([1.0, 3.0])
+
+
+@functools.cache
+def _series_tables() -> SimpleNamespace:
+    """The series route's constant arrays, built by its first call, so that
+    a point on the exponential sum loads no numpy."""
+    import numpy as np
+
+    taylor_orders = np.arange(_TAYLOR_TERMS + 1)
+    tail_orders = np.arange(_TAIL_TERMS)
+    # where every tail starts, s0 = _CENTRE: the powers m of s0^-m, and for
+    # plain[m] the power m - 1 (1 for the unused odd m = 1)
+    tail_powers = np.arange(_TAIL_INTEGRALS, dtype=float)
+    plain_powers = np.where(tail_powers == 1, 1.0, tail_powers - 1.0)
+    return SimpleNamespace(
+        taylor_orders=taylor_orders,
+        inverse_factorials=1.0 / np.cumprod(np.arange(1.0, _TAYLOR_TERMS + 2)),
+        # The centre's quadratic forms in a_j s0^j and b_j s0^j, with a_j =
+        # T_{j+1} and b_j = kd T_{j+2}: Re(c_i conj c_j) / |psi(d)|^2 is
+        # (-1)^{i + q/2} (a_i a_j + b_i b_j) at even q = i + j (an odd q
+        # integrates to 0), and s^q and s^{q+2} integrate to s0^{q+1} 2/(q+1)
+        # and s0^{q+3} 2/(q+3) over |s| <= s0.
+        centre_forms=np.array([
+            [(q % 2 == 0) * (-1.0) ** (i + q // 2) * 2.0 / (q + r)
+             for r in (1, 3) for q in range(i, i + _TAYLOR_TERMS)]
+            for i in range(_TAYLOR_TERMS)
+        ]),
+        tail_orders=tail_orders,
+        # For the normalization (e = 2j + 4) and the second moment (e = 2j +
+        # 2), the places in _window_integrals() of plain[e], plain[e - 2],
+        # -2 osc.real[e], -2 osc.real[e - 2] and -2 osc.imag[e - 1], which p0,
+        # p2, q0, q2, q1 weigh.
+        tail_basis=np.array([
+            [e, e - 2, _TAIL_INTEGRALS + e, _TAIL_INTEGRALS + e - 2, 2 * _TAIL_INTEGRALS + e - 1]
+            for e in (2 * tail_orders + 4, 2 * tail_orders + 2)
+        ]),
+        tail_powers=tail_powers,
+        plain_powers=plain_powers,
+        # e^{i s0} s0^-m, e^{i s0} e^{-i s0} E1(-i s0) and s0^{1-m} / (m - 1)
+        near_ends=cmath.exp(1j * _CENTRE) * _CENTRE**-tail_powers,
+        centre_e1=cmath.exp(1j * _CENTRE) * scaled_e1(-1j * _CENTRE),
+        near_plain=_CENTRE**-plain_powers / plain_powers,
+        # the powers of d that scale the normalization and the second moment,
+        # and of s0 that finish the centre's
+        d_powers=np.array([1.0, -1.0]),
+        s0_powers=np.array([1.0, 3.0]),
+    )
 
 
 def momentum_amplitude(sol: StationarySolution, wavenumber):
@@ -149,6 +174,8 @@ def momentum_amplitude(sol: StationarySolution, wavenumber):
     Evaluates the exact antiderivative of exp(-iKx) (A e^{kappa x} +
     B e^{-kappa x}) over [0, d] on the edge modes; see _amplitude().
     """
+    import numpy as np
+
     karr = np.asarray(wavenumber, dtype=float)
     out = _amplitude(
         karr, sol.problem.thickness, sol.wavenumbers.kappa, sol.A, sol.B, *sol.edge_modes
@@ -166,6 +193,8 @@ def _amplitude(wavenumber, d, kappa, a, b, a_d, b_d):
     coefficients A, B, A e^{kappa d}, B e^{-kappa d}, which broadcast against
     each other. The denominators cannot vanish since kappa > 0.
     """
+    import numpy as np
+
     turn = np.exp(-1j * wavenumber * d)
     return (
         (a_d * turn - a) / (kappa - 1j * wavenumber)
@@ -220,6 +249,8 @@ class MomentumSpectrum:
 
     def pdf(self, wavenumber):
         """Normalized momentum density (units m); requires |K| <= cutoff."""
+        import numpy as np
+
         karr = np.asarray(wavenumber, dtype=float)
         if np.any(np.abs(karr) > self.problem.cutoff):
             raise DomainError("momentum density is only defined inside the window")
@@ -269,6 +300,8 @@ def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f):
     if f is POINT:
         e1_z, e1_minus_z = scaled_e1(z), scaled_e1(-z)
     else:
+        import numpy as np
+
         e1_z, e1_minus_z = np.split(scaled_e1_grid(np.concatenate((z, -z)))[0], 2)
     turn = f.cexp(1j * c * d)
     j_w = -2.0 * (e1_z / turn).imag
@@ -317,10 +350,12 @@ def _moments(k, kappa, d, c, t, S, A, B, a_d, b_d, f=POINT):
     if f is POINT:
         norm, second = _series_moments(k, kappa, d, edge, t, S, decayed, tailed)
         return float(norm), float(second)
+    import numpy as np
+
     moments = np.full((2, kappa.size), math.nan)
     lanes = np.flatnonzero(~series & (kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c))
     moments[:, lanes] = _exponential_moments(
-        *(x[lanes] for x in (kappa, d)), c, *(x[lanes] for x in (A, B, a_d, b_d)), GRID
+        *(x[lanes] for x in (kappa, d)), c, *(x[lanes] for x in (A, B, a_d, b_d)), f
     )
     # a decayed lane's window ends inside the centre, so it has no tail
     for group in (series & ~decayed & ~tailed, series & ~decayed & tailed, series & decayed):
@@ -337,6 +372,8 @@ def _sinh_tails(kappa_d) -> np.ndarray:
     """T_p = sum_n (kappa d)^{2n} / (p + 2n)! for p = 1 .. _TAYLOR_TERMS + 1
     along a last axis, for a scalar or an array of kappa d, each the sum of its
     own 20 + int(1.5 kappa d) terms."""
+    import numpy as np
+
     lam = np.asarray(kappa_d)[..., None]
     terms = 20 + (1.5 * lam).astype(int)
     n, steps = _term_steps(int(terms.max()))
@@ -344,7 +381,7 @@ def _sinh_tails(kappa_d) -> np.ndarray:
     # zero past a row's own terms: its products there, and so what they
     # add to its sum, are exact zeros
     ratios *= n < terms
-    tails = (1.0 + np.cumprod(ratios, axis=0, out=ratios).sum(axis=0)) * _INVERSE_FACTORIALS
+    tails = (1.0 + np.cumprod(ratios, axis=0, out=ratios).sum(axis=0)) * _series_tables().inverse_factorials
     return tails.reshape(np.shape(kappa_d) + (-1,))
 
 
@@ -352,7 +389,9 @@ def _sinh_tails(kappa_d) -> np.ndarray:
 def _term_steps(count: int) -> tuple[np.ndarray, np.ndarray]:
     """n < count, and (p + 2n + 1) (p + 2n + 2), by which each term of T_p
     divides the one before it times (kappa d)^2, as (count, 1, p) arrays."""
-    p = _TAYLOR_ORDERS + 1.0
+    import numpy as np
+
+    p = _series_tables().taylor_orders + 1.0
     n = np.arange(count)[:, None, None]
     return n, (p + 2.0 * n + 1.0) * (p + 2.0 * n + 2.0)
 
@@ -368,15 +407,18 @@ def _decayed_sinh_tails(kappa_d) -> np.ndarray:
     a small part of the total, so nothing cancels; they underflow to 0 where
     e^{-x} does, which is their value.
     """
+    import numpy as np
+
+    orders = _series_tables().taylor_orders
     lam = np.asarray(kappa_d)[..., None]
-    steps = np.concatenate((np.exp(-lam), lam / _TAYLOR_ORDERS[1:]), axis=-1)
+    steps = np.concatenate((np.exp(-lam), lam / orders[1:]), axis=-1)
     weights = np.cumprod(steps, axis=-1)  # e^{-x} x^m / m!, m = 0 .. _TAYLOR_TERMS
     # the sums over m < p of p's parity, for p = 2, 3, ..: running sums down
     # the pairs (e^{-x} x^{2r} / (2r)!, e^{-x} x^{2r+1} / (2r+1)!)
     pairs = weights[..., :-1].reshape(lam.shape[:-1] + (-1, 2))
     heads = np.cumsum(pairs, axis=-2).reshape(lam.shape[:-1] + (-1,))
     heads = np.concatenate((np.zeros_like(lam), heads), axis=-1)
-    return (0.5 - heads) * lam ** -(_TAYLOR_ORDERS + 1.0)
+    return (0.5 - heads) * lam ** -(orders + 1.0)
 
 
 def _window_integrals(edge: float) -> np.ndarray:
@@ -385,13 +427,16 @@ def _window_integrals(edge: float) -> np.ndarray:
     m < _TAIL_INTEGRALS, for a window edge c d past the centre; -2 is the
     factor of q0, q2 and q1 in the numerator. They depend on c d alone: one
     set a thickness."""
+    import numpy as np
+
+    tables = _series_tables()
     far = cmath.exp(1j * edge)
-    ends = (_NEAR_ENDS - far * edge**-_TAIL_POWERS).tolist()
-    osc = [-1j * (far - _NEAR_ENDS[0]), _CENTRE_E1 - far * scaled_e1(-1j * edge)]
+    ends = (tables.near_ends - far * edge**-tables.tail_powers).tolist()
+    osc = [-1j * (far - tables.near_ends[0]), tables.centre_e1 - far * scaled_e1(-1j * edge)]
     for j in range(1, _TAIL_INTEGRALS - 1):  # upward, by parts
         osc.append((ends[j] + 1j * osc[j]) / j)
     osc = -2.0 * np.array(osc)
-    plain = _NEAR_PLAIN - edge**-_PLAIN_POWERS / _PLAIN_POWERS
+    plain = tables.near_plain - edge**-tables.plain_powers / tables.plain_powers
     return np.concatenate((plain, osc.real, osc.imag))
 
 
@@ -400,20 +445,23 @@ def _series_moments(k, kappa, d, edge, t, S, decayed, tailed):
     series: a kernel of a point's scalars, or of 1-D arrays of lanes that
     share the flags. ``decayed`` lanes have kappa d past _SUMMED_TAILS_KAPPA_D,
     ``tailed`` ones a window edge c d past the centre."""
+    import numpy as np
+
+    tables = _series_tables()
     lam, kd = np.multiply(kappa, d), np.multiply(k, d)
     tails = _decayed_sinh_tails(lam) if decayed else _sinh_tails(lam)
     # each term is |psi(d)|^2 times one of the unit edge wave; psi(d) = t
     # e^{ikd} e^{-kappa d}, and the decayed tails hold the e^{-kappa d}
-    scale = np.power.outer(d, _D_POWERS) * np.abs(t if decayed else S)[..., None] ** 2
+    scale = np.power.outer(d, tables.d_powers) * np.abs(t if decayed else S)[..., None] ** 2
 
     # centre: the square of sum_j c_j s^j over |s| <= s0, term by term
     s0 = np.minimum(edge, _CENTRE)
     ab = np.array((tails[..., :-1], kd[..., None] * tails[..., 1:]))  # a_j, b_j
-    ab *= np.power.outer(s0, _TAYLOR_ORDERS[:-1])
+    ab *= np.power.outer(s0, tables.taylor_orders[:-1])
     # einsum, not matmul: its own loops need no BLAS work buffer
-    forms = np.einsum("a...i,ij->a...j", ab, _CENTRE_FORMS)
+    forms = np.einsum("a...i,ij->a...j", ab, tables.centre_forms)
     moments = (forms.reshape(forms.shape[:-1] + (2, -1)) * ab[..., None, :]).sum(axis=(0, -1))
-    moments *= np.power.outer(s0, _S0_POWERS)
+    moments *= np.power.outer(s0, tables.s0_powers)
 
     if tailed:  # kappa d < _SERIES_KAPPA_D
         # psi and d psi/dx * d at x = 0 over psi(d) are ch - i kd shc and
@@ -428,9 +476,10 @@ def _series_moments(k, kappa, d, edge, t, S, decayed, tailed):
         edges = np.ravel(edge).tolist()
         sets = {e: _window_integrals(e) for e in set(edges)}
         integrals = np.array([sets[e] for e in edges]).reshape(np.shape(edge) + (-1,))
-        integrals = integrals[..., _TAIL_BASIS]
+        integrals = integrals[..., tables.tail_basis]
         # 1/(lam^2 + s^2)^2 = sum_j (j + 1) (-lam^2)^j s^{-2j-4}
-        weights = (_TAIL_ORDERS + 1.0) * np.power.outer(-lam2, _TAIL_ORDERS)
+        orders = tables.tail_orders
+        weights = (orders + 1.0) * np.power.outer(-lam2, orders)
         terms = (coef[..., None, :, None] * integrals).sum(axis=-2)
         moments += 2.0 * (weights[..., None, :] * terms).sum(axis=-1)
     return np.moveaxis(moments * scale, -1, 0) / (2.0 * math.pi)

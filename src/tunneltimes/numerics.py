@@ -8,6 +8,9 @@ per quantity, and gives the finiteness of each: a bool at a point, a row of
 a mask over arrays. scaled_e1() is the point form of the exponential
 integral; scaled_e1_grid() runs the same continued fraction over an array,
 each element to its own convergence.
+
+Importing this module loads no numpy: GRID is built on its first access, by
+the module's __getattr__, and scaled_e1_grid() imports numpy when it runs.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from __future__ import annotations
 import cmath
 import math
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NoConvergence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The elementwise functions of a kernel evaluated at one point.
 POINT = SimpleNamespace(
@@ -33,18 +38,28 @@ POINT = SimpleNamespace(
     finite=lambda values: list(map(math.isfinite, values)),
 )
 
-#: The same functions over numpy arrays, for kernels evaluated on a grid.
-GRID = SimpleNamespace(
-    exp=np.exp,
-    expm1=np.expm1,
-    log=np.log,
-    sqrt=np.sqrt,
-    sin=np.sin,
-    atan2=np.arctan2,
-    cexp=np.exp,
-    where=np.where,
-    finite=np.isfinite,
-)
+
+def __getattr__(name: str):
+    """GRID, the same functions over numpy arrays for kernels evaluated on a
+    grid, built on first access and then kept as a module global."""
+    if name != "GRID":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    global GRID
+    GRID = SimpleNamespace(
+        exp=np.exp,
+        expm1=np.expm1,
+        log=np.log,
+        sqrt=np.sqrt,
+        sin=np.sin,
+        atan2=np.arctan2,
+        cexp=np.exp,
+        where=np.where,
+        finite=np.isfinite,
+    )
+    return GRID
+
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -75,12 +90,26 @@ def _series_domain(z, margin=0.0):
     return (size + z.real <= 2.0 + margin * size) & (size <= _SERIES_MAX_ABS * (1.0 + margin))
 
 
+#: Least |Re z| at which the continued fraction's ``b += 2`` can round back to
+#: b: the spacing of doubles there is 4.
+_ASYMPTOTIC_MIN_ABS_RE = 2.0**54
+
+
+def _asymptotic_domain(z):
+    """Whether scaled_e1() takes the two-term asymptotic series (1/z)(1 - 1/z)
+    at z, at a point or elementwise: |Re z| >= _ASYMPTOTIC_MIN_ABS_RE, where
+    the continued fraction stalls and the next term, 2/z^2 relative, is below
+    2^-107."""
+    return abs(z.real) >= _ASYMPTOTIC_MIN_ABS_RE
+
+
 def scaled_e1(z: complex) -> complex:
     """exp(z) * E1(z), the principal branch, for z off the cut (-inf, 0].
 
     Both expansions follow Abramowitz & Stegun section 5.1. In
-    _series_domain() it sums the series 5.1.11; elsewhere it evaluates the
-    continued fraction 5.1.22, in its even contraction
+    _series_domain() it sums the series 5.1.11; in _asymptotic_domain() it
+    takes the first two terms of the asymptotic series 5.1.51; elsewhere it
+    evaluates the continued fraction 5.1.22, in its even contraction
     1/(z+1 - 1/(z+3 - 4/(z+5 - ...))), by the modified Lentz method. Past |z|
     of about 700 the fraction converges near the cut too, where e^z, the jump
     across it, is below the double epsilon. The scaled form stays bounded
@@ -100,6 +129,9 @@ def scaled_e1(z: complex) -> complex:
             total += term / n
             if abs(term) <= _EPS * n * abs(total):
                 return cmath.exp(z) * (-_EULER_GAMMA - cmath.log(z) - total)
+    elif _asymptotic_domain(z):
+        inverse = 1.0 / z
+        return inverse * (1.0 - inverse)
     else:
         b = z + 1.0
         c = 1.0 / _TINY
@@ -122,17 +154,24 @@ def scaled_e1(z: complex) -> complex:
 
 
 def scaled_e1_grid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^z E1(z) over a 1-D complex array by scaled_e1()'s continued fraction.
+    """e^z E1(z) over a 1-D complex array, each element by scaled_e1()'s route
+    outside its series domain.
 
-    Each element outside the series domain, widened by _E1_DOMAIN_MARGIN, runs
-    the modified Lentz recurrence until its own step is within _EPS of 1, at
-    most _MAX_TERMS levels, as scaled_e1() does. Returns the values and a mask
-    of the elements that converged; the others, series-domain elements among
-    them, hold NaN, which every value computed from them carries.
+    Each element in _asymptotic_domain() takes scaled_e1()'s asymptotic
+    series. Each other element outside the series domain, widened by
+    _E1_DOMAIN_MARGIN, runs the modified Lentz recurrence until its own step is
+    within _EPS of 1, at most _MAX_TERMS levels, as scaled_e1() does. Returns
+    the values and a mask of the elements that converged; the others,
+    series-domain elements among them, hold NaN, which every value computed
+    from them carries.
     """
+    import numpy as np
+
     out = np.full(z.shape, complex(math.nan, math.nan))
-    converged = np.zeros(z.shape, dtype=bool)
-    active = np.flatnonzero(~_series_domain(z, _E1_DOMAIN_MARGIN))
+    converged = _asymptotic_domain(z)
+    inverse = 1.0 / z[converged]
+    out[converged] = inverse * (1.0 - inverse)
+    active = np.flatnonzero(~(converged | _series_domain(z, _E1_DOMAIN_MARGIN)))
     if not active.size:
         return out, converged
     b = z[active] + 1.0

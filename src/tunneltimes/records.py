@@ -16,11 +16,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .barrier import BarrierProblem, StationarySolution, Wavenumbers
 from .momentum import MomentumSpectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,8 @@ class SweepTable(Sequence[SweepRecord]):
 
 def _blank_columns(size: int) -> dict[str, np.ndarray | list[str]]:
     """The columns of a SweepTable of ``size`` rows, every cell empty."""
+    import numpy as np
+
     columns: dict[str, np.ndarray | list[str]] = {
         name: np.full(size, math.nan, dtype=complex if name in _COMPLEX else float)
         for name in (*_NUMERIC, *_SPECTRUM)

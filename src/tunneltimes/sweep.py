@@ -78,6 +78,13 @@ among the caught exceptions, so a point command still exits as a numeric
 failure. An emitter refuses with FloatingPointError a non-finite value that
 still reaches it: in any numeric value of a record it writes into a table,
 where NaN can only mean an empty cell, and in any cell it prints.
+
+The point path imports no numpy of its own: SweepConfig, parse_config(),
+evaluate() and evaluate_point(), _evaluate(), _columns() and _failures() at a
+point, and the writer the point commands share (_csv, _fmt, _echo) run on
+math and cmath alone, so a point loads numpy only where its moments take the
+series route (momentum). The functions that work on arrays import numpy when
+they run: run_sweep() and its array pass, and the emitters.
 """
 
 from __future__ import annotations
@@ -86,8 +93,7 @@ import math
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .barrier import (
@@ -118,7 +124,7 @@ from .errors import (
     ValidationError,
 )
 from .momentum import _amplitude, _kinematics, _kinematics_error, _moments, momentum_spectrum
-from .numerics import GRID, POINT
+from .numerics import POINT
 from .records import (
     NON_FINITE,
     RECORD_COLUMNS,
@@ -139,6 +145,11 @@ from .times import (
     _stored_probability,
     phase_time_numeric,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    _Source = str | Callable[[Callable[[str], np.ndarray]], np.ndarray]
 
 TOOL_NAME = "tunneltimes"
 
@@ -388,6 +399,8 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     columns (see the module docstring); evaluate_point() evaluates every
     other point, and its record is written into the same columns.
     """
+    import numpy as np
+
     e_grid, d_grid = cfg.e_over_v0_grid, cfg.d_nm_grid
     n_e = len(e_grid)
     size = n_e * len(d_grid)
@@ -418,6 +431,10 @@ def _passes(check: Callable[..., None], *args: float) -> bool:
 def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> np.ndarray:
     """Write every usual grid point (see the module docstring) into
     ``columns`` by one pass of the array kernels; return their flat indices."""
+    import numpy as np
+
+    from .numerics import GRID
+
     e_grid, d_grid, c = cfg.e_over_v0_grid, cfg.d_nm_grid, cfg.cutoff
     height = energy_ev_to_si(cfg.v0_ev)
     # BarrierProblem's checks split into one on the energy and one on the
@@ -563,6 +580,8 @@ def _cells(values: np.ndarray, empty: bool = False) -> list[str]:
     Where ``empty``, NaN is an empty cell, as None is for _fmt; no finite
     value prints a "nan".
     """
+    import numpy as np
+
     if (np.isinf(values) if empty else ~np.isfinite(values)).any():
         raise FloatingPointError(NON_FINITE)
     text = "%.6g\n" * len(values) % tuple((values + 0.0).tolist())
@@ -585,6 +604,8 @@ def _csv(meta: list[str], header: Iterable[str], rows: Iterable[str]) -> str:
 def _key_cells(values: np.ndarray) -> list[str]:
     """_cells of a grid-key column, NaN empty: it repeats a few values, so
     each distinct value is formatted once."""
+    import numpy as np
+
     values = values.tolist()
     distinct = list(dict.fromkeys(values))
     texts = dict(zip(distinct, _cells(np.array(distinct), empty=True)))
@@ -619,8 +640,6 @@ def _missing(
 #: Record attributes whose columns repeat the grid's values.
 _KEYS = ("e_over_v0", "d_nm", "e_ev", "v0_ev", "cutoff")
 
-_Source = str | Callable[[Callable[[str], np.ndarray]], np.ndarray]
-
 
 def _emit_rows(
     table: SweepTable,
@@ -636,6 +655,8 @@ def _emit_rows(
     column: the first record in row order with a gap there raises
     MissingGridPoint.
     """
+    import numpy as np
+
     values = [
         source(table.column) if callable(source) else table.column(source)
         for source in columns.values()
@@ -733,6 +754,8 @@ _PREFIX = "@"
 def _curve_rows(table: SweepTable, fig1: bool) -> Iterator[str]:
     """The rows of fig1 (``fig1``) or else fig4: one array of curves, drawn
     from the table's columns, one row of the array per record."""
+    import numpy as np
+
     gaps = np.isnan(table.column("normalization"))
     if gaps.any():
         raise _missing(
