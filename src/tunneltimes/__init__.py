@@ -4,6 +4,8 @@ Closed-form stationary scattering, in-barrier momentum spectra and the
 effective tunneling time they define, the classic phase/dwell/traversal
 times with analytic cross-checks, penetration depths with the energy-time
 uncertainty coefficient, and a deterministic CSV sweep engine plus CLI.
+Every per-point quantity is a column of the sweep's record: evaluate() gives
+the record at one problem, run_sweep() over a grid.
 
 The package exports lazily (PEP 562): ``import tunneltimes`` loads no
 submodule, and each name below imports its module on first access. No
@@ -22,7 +24,6 @@ _MODULE_EXPORTS = {
         "BarrierProblem",
         "StationarySolution",
         "Wavenumbers",
-        "continuity_residual",
         "incident_flux",
         "stationary_solution",
         "wavenumbers",
@@ -36,7 +37,7 @@ _MODULE_EXPORTS = {
         "length_nm_to_si",
         "length_si_to_nm",
     ),
-    "depth": ("DEPTH_LEVEL", "penetration_depth", "relative_density"),
+    "depth": ("DEPTH_LEVEL", "penetration_depth"),
     "errors": (
         "DomainError",
         "MissingGridPoint",
@@ -61,14 +62,7 @@ _MODULE_EXPORTS = {
         "records_to_csv",
         "run_sweep",
     ),
-    "times": (
-        "bl_time",
-        "dwell_time_analytic",
-        "dwell_time_numeric",
-        "phase_time_analytic",
-        "phase_time_numeric",
-        "shared_denominator",
-    ),
+    "times": ("dwell_time_numeric", "phase_time_numeric", "shared_denominator"),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 

@@ -23,14 +23,15 @@ factors of e^{-kappa d}, and R = A + B - 1 from value continuity at x = 0.
 Below kappa d = 1/2, where A and B grow like r and their sum cancels, R is
 evaluated as the product i t e^{ikd} (r + 1/r) (e^{-2 kappa d} - 1) / 4.
 The slope condition at x = 0 is not imposed separately: it holds
-identically for this t, and continuity_residual() certifies all four
-matching conditions numerically. The in-barrier wave is evaluated on the
-edge mode, as A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}, whose
-exponents are never positive. The kernel _transmission() takes the factors of
-t that depend on the energy alone (_energy_factors()) and a thickness. So the
-phase time's energy stencil takes t at two other energies without building a
-problem or solving for A, B and R: it checks its two energies and forms their
-factors once, and evaluates only the thickness's part of t at each thickness.
+identically for this t, and the test suite certifies all four matching
+conditions numerically (oracles.continuity_residual). The in-barrier wave is
+evaluated on the edge mode, as A e^{kappa d} e^{kappa (x - d)} +
+B e^{-kappa x}, whose exponents are never positive. The kernel
+_transmission() takes the factors of t that depend on the energy alone
+(_energy_factors()) and a thickness. So the phase time's energy stencil takes
+t at two other energies without building a problem or solving for A, B and R:
+it checks its two energies and forms their factors once, and evaluates only
+the thickness's part of t at each thickness.
 
 Where S, A or the edge modes fall below the smallest double (kappa d past
 about 745) they are 0, which is their value to double precision; B and R
@@ -39,7 +40,6 @@ stay of order one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -274,33 +274,3 @@ def incident_flux(problem: BarrierProblem) -> float:
 def _flux(k):
     return _HBAR * k / _M
 
-
-def continuity_residual(sol: StationarySolution) -> tuple[float, float, float, float]:
-    """Mismatch of the four matching conditions, slope residuals scaled by 1/k.
-
-    Returns (|value mismatch at 0|, |slope mismatch at 0|/k,
-    |value mismatch at d|, |slope mismatch at d|/k). All four are at rounding
-    level for a solution built by stationary_solution(); a corrupted
-    coefficient shows up orders of magnitude above that.
-    """
-    k = sol.wavenumbers.k
-    kappa = sol.wavenumbers.kappa
-    d = sol.problem.thickness
-
-    psi1_0 = 1.0 + sol.R
-    dpsi1_0 = 1j * k * (1.0 - sol.R)
-    psi2_0 = sol.A + sol.B
-    dpsi2_0 = kappa * (sol.A - sol.B)
-
-    a_d, b_d = sol.edge_modes
-    psi2_d = a_d + b_d
-    dpsi2_d = kappa * (a_d - b_d)
-    psi3_d = sol.S * cmath.exp(1j * k * d)
-    dpsi3_d = 1j * k * psi3_d
-
-    return (
-        abs(psi1_0 - psi2_0),
-        abs(dpsi1_0 - dpsi2_0) / k,
-        abs(psi2_d - psi3_d),
-        abs(dpsi2_d - dpsi3_d) / k,
-    )

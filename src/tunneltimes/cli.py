@@ -53,7 +53,7 @@ from .sweep import (
     records_to_csv,
     run_sweep,
 )
-from .times import DEFAULT_PHASE_STEP_EV, shared_denominator
+from .times import shared_denominator
 
 #: The point commands backed by the sweep record, and the record columns
 #: each prints.
@@ -113,7 +113,7 @@ def _cmd_coeffs(args) -> str:
 def _cmd_record(args) -> str:
     problem = _point_problem(args)
     columns = {column: RECORD_COLUMNS[column] for column in _RECORD_COMMANDS[args.command]}
-    cells, _, failures = _evaluate(problem, DEFAULT_PHASE_STEP_EV)
+    cells, _, failures = _evaluate(problem)
     for exc, concerns in failures:
         if not set(columns.values()).isdisjoint(concerns):
             raise exc

@@ -4,11 +4,14 @@ The in-barrier density relative to its value at the entry face,
 
     D(x) = |psi_barrier(x)|^2 / |psi_barrier(0)|^2,
 
-starts at exactly 1 and decays roughly exponentially. The penetration depth s
-is the first x where D falls to exp(-2); thin barriers may never get there, in
-which case the depth is absent (None), not zero and not an error. The time
-spent reaching that depth, tau_eff = s / v_rms, combines with the effective
-kinetic energy into the dimensionless uncertainty coefficient
+starts at exactly 1 and decays roughly exponentially. It is the curve of
+fig4, drawn by the kernel _relative_density() over each record's in-barrier
+wave (sweep.emit_figure_data); the depth needs only its closed form below.
+The penetration depth s is the first x where D falls to exp(-2); thin barriers
+may never get there, in which case the depth is absent (None), not zero and
+not an error. The time spent reaching that depth, tau_eff = s / v_rms,
+combines with the effective kinetic energy into the dimensionless uncertainty
+coefficient
 
     xi = 2 * eps_eff * tau_eff / hbar,
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 
-from .barrier import BarrierProblem, StationarySolution, wavenumbers
+from .barrier import BarrierProblem, wavenumbers
 from .errors import DomainError
 from .numerics import POINT
 
@@ -44,15 +47,10 @@ from .numerics import POINT
 DEPTH_LEVEL = math.exp(-2.0)
 
 
-def relative_density(sol: StationarySolution, x):
-    """D(x) = |psi_barrier(x)|^2 / |psi_barrier(0)|^2 on 0 <= x <= d."""
-    return _relative_density(sol.psi_barrier(x), sol.psi_barrier(0.0))
-
-
 def _relative_density(psi, entry_psi):
-    """|psi|^2 / |entry_psi|^2, elementwise with broadcasting. np.square
-    squares a scalar as it does an array, so a point and a row of a curve
-    get the same bits."""
+    """D(x) = |psi|^2 / |entry_psi|^2 for psi = psi_barrier(x) and entry_psi =
+    psi_barrier(0), elementwise with broadcasting. np.square squares a scalar
+    as it does an array, so a point and a row of a curve get the same bits."""
     import numpy as np
 
     entry = np.square(np.abs(entry_psi))

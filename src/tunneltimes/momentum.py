@@ -347,11 +347,14 @@ def _moments(k, kappa, d, c, t, S, A, B, a_d, b_d, f=POINT):
     if f is POINT and not series:
         return _exponential_moments(kappa, d, c, A, B, a_d, b_d, POINT)
     decayed, tailed = kappa * d > _SUMMED_TAILS_KAPPA_D, edge > _CENTRE
-    if f is POINT:
-        norm, second = _series_moments(k, kappa, d, edge, t, S, decayed, tailed)
-        return float(norm), float(second)
     import numpy as np
 
+    if f is POINT:
+        # as on the sweep's array pass (_grid_pass): a point whose series
+        # overflows ends non-finite and fails its checks, without a warning
+        with np.errstate(all="ignore"):
+            norm, second = _series_moments(k, kappa, d, edge, t, S, decayed, tailed)
+        return float(norm), float(second)
     moments = np.full((2, kappa.size), math.nan)
     lanes = np.flatnonzero(~series & (kappa <= _SUM_WELL_CONDITIONED_KAPPA_OVER_C * c))
     moments[:, lanes] = _exponential_moments(

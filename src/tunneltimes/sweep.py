@@ -176,7 +176,6 @@ class SweepConfig:
     e_over_v0_grid: tuple[float, ...] = DEFAULT_E_RATIOS
     d_nm_grid: tuple[float, ...] = DEFAULT_D_NM
     cutoff: float = DEFAULT_CUTOFF
-    phase_step_ev: float = DEFAULT_PHASE_STEP_EV
 
     def __post_init__(self):
         # held as Python floats: a numpy scalar would echo as np.float64(...),
@@ -194,11 +193,7 @@ class SweepConfig:
             )
         if not self.cutoff > 0:
             raise ValidationError("Kprime must be positive")
-        if not self.phase_step_ev > 0:
-            raise ValidationError("phase_step_eV must be positive")
-        for key, name in (
-            ("V0_eV", "v0_ev"), ("Kprime", "cutoff"), ("phase_step_eV", "phase_step_ev")
-        ):
+        for key, name in (("V0_eV", "v0_ev"), ("Kprime", "cutoff")):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValidationError(f"{key} must be finite")
@@ -249,23 +244,23 @@ def evaluate(
 
     ``grid_point`` is the (E/V0, d in nm) the record is filed under; the sweep
     passes its grid values so that records key exactly. It defaults to the
-    problem's own. cfg supplies V0, the cutoff and the phase step, and the
-    record files its values under cfg's V0 and cutoff: a problem whose height
-    is not energy_ev_to_si(cfg.v0_ev) or whose cutoff is not cfg.cutoff, as
-    BarrierProblem.from_ev_nm builds them, raises ValidationError.
+    problem's own. cfg supplies V0 and the cutoff, and the record files its
+    values under them: a problem whose height is not energy_ev_to_si(cfg.v0_ev)
+    or whose cutoff is not cfg.cutoff, as BarrierProblem.from_ev_nm builds
+    them, raises ValidationError. The phase stencil takes
+    DEFAULT_PHASE_STEP_EV, at a point as on the sweep's array pass.
     """
     if energy_ev_to_si(cfg.v0_ev) != problem.height or cfg.cutoff != problem.cutoff:
         raise ValidationError("the problem's height and cutoff must be cfg's V0_eV and Kprime")
     grid_point = grid_point or (problem.e_over_v0, length_si_to_nm(problem.thickness))
-    values, spectrum, failures = _evaluate(problem, cfg.phase_step_ev)
+    values, spectrum, failures = _evaluate(problem)
     return _record(cfg, *grid_point, values, spectrum), [exc for exc, _ in failures]
 
 
-def _evaluate(problem: BarrierProblem, step_ev: float):
+def _evaluate(problem: BarrierProblem):
     """evaluate()'s record at ``problem`` but its grid key, as values by
     attribute; the spectrum it carries; and its failures, each exception
-    with the attributes it concerns (see _failures). ``step_ev`` is the
-    phase stencil's step."""
+    with the attributes it concerns (see _failures)."""
     sol = stationary_solution(problem)
     faults: dict[str, Exception] = {}
     # the kernel takes NaN for a failed moment or stencil, as the array pass
@@ -276,7 +271,7 @@ def _evaluate(problem: BarrierProblem, step_ev: float):
     except (DomainError, NoConvergence) as exc:
         spectrum, moments, faults["momentum"] = None, (math.nan, math.nan), exc
     try:
-        t_ph_num = phase_time_numeric(problem, step_ev)
+        t_ph_num = phase_time_numeric(problem)
     except DomainError as exc:
         t_ph_num, faults["clipped"] = math.nan, exc
     wn, coefficients = sol.wavenumbers, (sol.t, sol.S, sol.A, sol.B, sol.R, *sol.edge_modes)
@@ -449,7 +444,7 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
     # the phase stencil is the point code, run once per accepted energy over
     # the accepted thicknesses, which fills that energy's column of lanes
     # (thickness outer); every lane of a clipped energy is NaN
-    h = energy_ev_to_si(cfg.phase_step_ev)
+    h = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
     ds = list(compress(thicknesses, d_ok))
     t_ph_num = np.full((len(ds), sum(e_ok)), math.nan)
     for j, e_j in enumerate(compress(energies, e_ok)):
@@ -504,7 +499,6 @@ _CONFIG_KEYS = {
     "E_over_V0_grid": (_parse_float_list, "e_over_v0_grid"),
     "d_nm_grid": (_parse_float_list, "d_nm_grid"),
     "Kprime": (_parse_float, "cutoff"),
-    "phase_step_eV": (_parse_float, "phase_step_ev"),
 }
 
 

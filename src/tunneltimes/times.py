@@ -23,12 +23,16 @@ e^{-2 kappa d}, on
 with sinh(2 kappa d) e^{-2 kappa d} = -expm1(-4 kappa d) / 2, so they stay
 finite at any thickness. One kernel, _closed_times(), evaluates both and
 computes D~, e^{-2 kappa d} and expm1(-4 kappa d) once. D itself, which only
-the ``times`` command prints, is D~ e^{2 kappa d} and is not a double past
-kappa d of about 355.
+the ``times`` command prints (shared_denominator()), is D~ e^{2 kappa d} and
+is not a double past kappa d of about 355.
 
-The "numeric" routes work from the scattering coefficients, not from D: the
-phase time differences the argument of the bounded t = S e^{kappa d} (which
-is arg S) at E +/- h, and the dwell time integrates
+The closed forms and the traversal time (_bl_time()) are kernels, not
+per-problem functions: each is a column of the sweep's record, built by
+``sweep._columns`` at a point and over the sweep's arrays alike. The "numeric"
+routes, phase_time_numeric() and dwell_time_numeric(), work from the
+scattering coefficients, not from D: the phase time differences the argument
+of the bounded t = S e^{kappa d} (which is arg S) at E +/- h, with h =
+DEFAULT_PHASE_STEP_EV, and the dwell time integrates
 |A e^{kappa x} + B e^{-kappa x}|^2 over the barrier term by term, an exact
 integral of the definition. The stencil checks its two energies and forms t's
 energy-only factors once for any number of thicknesses, and evaluates only
@@ -76,13 +80,8 @@ DEFAULT_PHASE_STEP_EV = 1e-4
 CROSS_CHECK_TOL = 1e-5
 
 
-def _parts(problem: BarrierProblem) -> tuple[float, float, float, float]:
-    """k, kappa, kappa d and g = 2 m V0 / hbar^2 (equal to k^2 + kappa^2)."""
-    wn = wavenumbers(problem)
-    return wn.k, wn.kappa, wn.kappa * problem.thickness, _g(problem.height)
-
-
 def _g(height):
+    """g = 2 m V0 / hbar^2, equal to k^2 + kappa^2."""
     return 2.0 * _M * height / _HBAR**2
 
 
@@ -133,19 +132,16 @@ def _bl_time(kappa, d):
     return _M * d / (_HBAR * kappa)
 
 
-def scaled_denominator(problem: BarrierProblem) -> float:
-    """D~ = D e^{-2 kappa d} of the module docstring, 1/m^4, shared by both
-    closed forms."""
-    return _closed_times(*_parts(problem))[2]
-
-
 def shared_denominator(problem: BarrierProblem) -> float:
-    """D of the module docstring, 1/m^4, as D~ e^{2 kappa d}.
+    """D of the module docstring, 1/m^4, as D~ e^{2 kappa d}, with D~ from
+    _closed_times().
 
     Past kappa d of about 355 it is not a double: inf, or OverflowError
     from the exponential.
     """
-    return scaled_denominator(problem) * math.exp(2.0 * _parts(problem)[2])
+    wn = wavenumbers(problem)
+    kd = wn.kappa * problem.thickness
+    return _closed_times(wn.k, wn.kappa, kd, _g(problem.height))[2] * math.exp(2.0 * kd)
 
 
 def phase_time_numeric(
@@ -199,11 +195,6 @@ def _phase_stencil(e0, hi, ds, h):
     return times
 
 
-def phase_time_analytic(problem: BarrierProblem) -> float:
-    """Closed form for the group delay; certified against the numeric route."""
-    return _closed_times(*_parts(problem))[0]
-
-
 def dwell_time_numeric(
     problem: BarrierProblem, solution: StationarySolution | None = None
 ) -> float:
@@ -224,13 +215,3 @@ def dwell_time_numeric(
         sol.A, sol.B, sol.edge_modes[0], sol.S,
     )
     return stored / incident_flux(problem)
-
-
-def dwell_time_analytic(problem: BarrierProblem) -> float:
-    """Closed form for the dwell time; certified against the numeric route."""
-    return _closed_times(*_parts(problem))[1]
-
-
-def bl_time(problem: BarrierProblem) -> float:
-    """Opaque-barrier traversal scale m d / (hbar kappa)."""
-    return _bl_time(wavenumbers(problem).kappa, problem.thickness)

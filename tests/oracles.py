@@ -5,11 +5,13 @@ linear solve, textbook closed forms, analytic antiderivatives, a dense scan
 plus bisection, adaptive quadrature, mpmath at 30 to 50 digits, CSV cells
 formatted one at a time) rather than calling the code path it certifies. The
 mpmath oracles import mpmath when called, so a test that uses them skips
-where it is not installed.
+where it is not installed. The exception is the first section: the library's
+kernels evaluated at one problem, for the tests whose subject they are.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import replace
 from typing import Callable
@@ -18,9 +20,9 @@ import numpy as np
 import pytest
 
 from tunneltimes import __version__
-from tunneltimes.barrier import stationary_solution
+from tunneltimes.barrier import stationary_solution, wavenumbers
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
-from tunneltimes.depth import DEPTH_LEVEL, relative_density
+from tunneltimes.depth import DEPTH_LEVEL, _relative_density
 from tunneltimes.errors import DomainError, MissingGridPoint, NoConvergence
 from tunneltimes.momentum import momentum_amplitude
 from tunneltimes.sweep import (
@@ -30,10 +32,27 @@ from tunneltimes.sweep import (
     RECORD_COLUMNS,
     TOOL_NAME,
 )
+from tunneltimes.times import _closed_times, _g
 
 M = CONSTANTS.electron_mass
 HBAR = CONSTANTS.hbar
 EV = CONSTANTS.ev_to_joule
+
+# --- the library's kernels at one problem -----------------------------------
+
+
+def closed_times(problem) -> tuple[float, float, float]:
+    """The closed-form phase time, dwell time and D~ = D e^{-2 kappa d} of the
+    times module, by its kernel at ``problem``."""
+    wn = wavenumbers(problem)
+    return _closed_times(wn.k, wn.kappa, wn.kappa * problem.thickness, _g(problem.height))
+
+
+def relative_density(sol, x):
+    """D(x) = |psi_barrier(x)|^2 / |psi_barrier(0)|^2 on 0 <= x <= d, by the
+    depth module's kernel, as fig4 draws it."""
+    return _relative_density(sol.psi_barrier(x), sol.psi_barrier(0.0))
+
 
 # --- adaptive quadrature: the reference for the closed-form integrals ---------
 
@@ -158,6 +177,37 @@ def solve_by_matching(e_ev: float, v0_ev: float, d_nm: float):
     rhs = np.array([-1.0, -1j * k, 0.0, 0.0], dtype=complex)
     r_amp, a_amp, b_amp, s_amp = np.linalg.solve(mat, rhs)
     return r_amp, a_amp, b_amp, s_amp
+
+
+def continuity_residual(sol) -> tuple[float, float, float, float]:
+    """Mismatch of the four matching conditions, slope residuals scaled by 1/k.
+
+    Returns (|value mismatch at 0|, |slope mismatch at 0|/k,
+    |value mismatch at d|, |slope mismatch at d|/k). All four are at rounding
+    level for a solution built by stationary_solution(); a corrupted
+    coefficient shows up orders of magnitude above that.
+    """
+    k = sol.wavenumbers.k
+    kappa = sol.wavenumbers.kappa
+    d = sol.problem.thickness
+
+    psi1_0 = 1.0 + sol.R
+    dpsi1_0 = 1j * k * (1.0 - sol.R)
+    psi2_0 = sol.A + sol.B
+    dpsi2_0 = kappa * (sol.A - sol.B)
+
+    a_d, b_d = sol.edge_modes
+    psi2_d = a_d + b_d
+    dpsi2_d = kappa * (a_d - b_d)
+    psi3_d = sol.S * cmath.exp(1j * k * d)
+    dpsi3_d = 1j * k * psi3_d
+
+    return (
+        abs(psi1_0 - psi2_0),
+        abs(dpsi1_0 - dpsi2_0) / k,
+        abs(psi2_d - psi3_d),
+        abs(dpsi2_d - dpsi3_d) / k,
+    )
 
 
 def stencil_phase_time(problem, step_ev: float) -> float:

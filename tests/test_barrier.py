@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import solve_by_matching, transmission_reference
+from oracles import continuity_residual, solve_by_matching, transmission_reference
 from tunneltimes.barrier import (
     BarrierProblem,
     _wavenumber_pair,
-    continuity_residual,
     incident_flux,
     stationary_solution,
     wavenumbers,

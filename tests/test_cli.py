@@ -159,6 +159,16 @@ class TestGridCommands:
         assert code == 1 and "line 3: unknown key 'outputs'" in err
         assert not out_dir.exists()
 
+    def test_phase_step_key_is_refused(self, capsys, tmp_path):
+        # the sweep takes the point commands' phase step
+        config = tmp_path / "step.cfg"
+        config.write_text("phase_step_eV=1e-4\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run(capsys, "sweep", "--config", str(config), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == ["tunneltimes: error: line 1: unknown key 'phase_step_eV'"]
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):

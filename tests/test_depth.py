@@ -4,10 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, mp_depth, scanned_depth
+from oracles import (
+    REFERENCE_DEPTHS_NM,
+    TABLE_D_NM,
+    mp_depth,
+    relative_density,
+    scanned_depth,
+)
 from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
-from tunneltimes.depth import DEPTH_LEVEL, penetration_depth, relative_density
+from tunneltimes.depth import DEPTH_LEVEL, penetration_depth
 from tunneltimes.errors import DomainError
 from tunneltimes.sweep import NOTE_NO_CROSSING, SweepConfig, evaluate
 

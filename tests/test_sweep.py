@@ -32,7 +32,6 @@ from tunneltimes.sweep import (
     records_to_csv,
     run_sweep,
 )
-from tunneltimes.times import DEFAULT_PHASE_STEP_EV
 
 SMALL = SweepConfig(e_over_v0_grid=(0.1, 0.5, 0.9), d_nm_grid=(0.1, 0.5, 1.0))
 DEFAULT_E, DEFAULT_D = SweepConfig().e_over_v0_grid, SweepConfig().d_nm_grid
@@ -48,7 +47,7 @@ class TestParseConfig:
         cfg = parse_config("")
         assert cfg.v0_ev == 10.0
         assert cfg.cutoff == 7.5e10
-        assert cfg.phase_step_ev == 1e-4
+        assert cfg == SweepConfig()
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# a comment\n\nV0_eV=8 # trailing comment\n")
@@ -99,11 +98,19 @@ class TestParseConfig:
             with pytest.raises(ParseError, match="unknown key 'outputs'"):
                 parse_config(f"d_nm_grid=0.5\n{line}\n")
 
+    def test_phase_step_key_rejected(self):
+        # the sweep takes the point path's DEFAULT_PHASE_STEP_EV
+        with pytest.raises(ParseError, match=r"^line 1: unknown key 'phase_step_eV'$") as err:
+            parse_config("phase_step_eV=1e-4")
+        assert err.value.line == 1
+        with pytest.raises(TypeError, match="phase_step_ev"):
+            SweepConfig(phase_step_ev=1e-4)
+
 
 class TestSweepConfig:
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=str)
     @pytest.mark.parametrize(
-        "field", ["v0_ev", "cutoff", "phase_step_ev", "d_nm_grid"]
+        "field", ["v0_ev", "cutoff", "d_nm_grid"]
     )
     def test_non_finite_values_rejected(self, field, value):
         # they used to sweep, and the config echo then refused to serialize
@@ -127,9 +134,8 @@ class TestSweepConfig:
             e_over_v0_grid=tuple(np.array([0.01, 0.1234567])),
             d_nm_grid=tuple(np.logspace(-1.0, 3.0, 200)[100:101]),
             cutoff=np.float64(7.5e10),
-            phase_step_ev=np.float64(1e-4),
         )
-        scalars = (cfg.v0_ev, cfg.cutoff, cfg.phase_step_ev)
+        scalars = (cfg.v0_ev, cfg.cutoff)
         assert all(type(v) is float for v in scalars + cfg.e_over_v0_grid + cfg.d_nm_grid)
         assert parse_config("\n".join(config_lines(cfg))) == cfg
         error = run_sweep(cfg)[0].error
@@ -152,8 +158,8 @@ class TestConfigEcho:
             "E_over_V0_grid=0.01,0.1,0.5,0.9,0.99",
             "d_nm_grid=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1",
             "Kprime=7.5e+10",
-            "phase_step_eV=0.0001",
         ]
+        assert parse_config("\n".join(config_lines(SweepConfig()))) == SweepConfig()
 
     def test_echo_reads_back_exactly(self):
         # six significant digits would round V0, the first ratio and Kprime
@@ -161,7 +167,6 @@ class TestConfigEcho:
             v0_ev=7.123456789,
             e_over_v0_grid=(0.1234567, 0.5),
             cutoff=7.1234567e10,
-            phase_step_ev=1.234567e-4,
         )
         lines = config_lines(cfg)
         assert "E_over_V0_grid=0.1234567,0.5" in lines
@@ -278,7 +283,7 @@ class TestEvaluate:
         # a clipped stencil leaves t_ph_numeric_s empty and no other cell, so
         # the momentum and depth commands still print their columns there
         problem = BarrierProblem.from_ev_nm(5e-5, 10.0, 0.5)
-        values, spectrum, failures = sweep._evaluate(problem, DEFAULT_PHASE_STEP_EV)
+        values, spectrum, failures = sweep._evaluate(problem)
         assert [(type(exc), concerns) for exc, concerns in failures] == [
             (DomainError, ("t_ph_numeric_s",))
         ]
@@ -294,7 +299,7 @@ class TestEvaluate:
         assert rec.error.startswith("momentum: rms tunneling velocity ")
         assert rec.s_nm is not None and rec.tau_eff_s is None and rec.xi is None
         assert rec.v_rms is None and rec.t_bl_s is not None
-        failures = sweep._evaluate(problem, DEFAULT_PHASE_STEP_EV)[2]
+        failures = sweep._evaluate(problem)[2]
         assert set(failures[0][1]) == {
             "k_rms", "v_rms", "t_eff_s", "eps_eff_ev", "tau_eff_s", "xi"
         }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import mp_closed_forms, mp_dwell_numerator, stencil_phase_time
+from oracles import closed_times, mp_closed_forms, mp_dwell_numerator, stencil_phase_time
 from tunneltimes import times
 from tunneltimes.barrier import (
     BarrierProblem,
@@ -20,23 +20,32 @@ from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.sweep import SweepConfig, evaluate
 from tunneltimes.times import (
     DEFAULT_PHASE_STEP_EV,
-    bl_time,
-    dwell_time_analytic,
     dwell_time_numeric,
-    phase_time_analytic,
     phase_time_numeric,
-    scaled_denominator,
     shared_denominator,
 )
 
 AGREEMENT = 1e-6  # numeric and analytic routes must agree this tightly
 
 
+def phase_closed(p):
+    return closed_times(p)[0]
+
+
+def dwell_closed(p):
+    return closed_times(p)[1]
+
+
+def bl_time(p):
+    """The traversal-time kernel behind the record's t_bl_s."""
+    return times._bl_time(wavenumbers(p).kappa, p.thickness)
+
+
 class TestPhaseTime:
     def test_routes_agree_at_half_height(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         numeric = phase_time_numeric(p)
-        analytic = phase_time_analytic(p)
+        analytic = phase_closed(p)
         assert abs(numeric - analytic) <= AGREEMENT * analytic
 
     def test_routes_agree_across_grid(self):
@@ -44,7 +53,7 @@ class TestPhaseTime:
             for d_nm in (0.1, 0.5, 1.0):
                 p = BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
                 numeric = phase_time_numeric(p)
-                analytic = phase_time_analytic(p)
+                analytic = phase_closed(p)
                 assert abs(numeric - analytic) <= AGREEMENT * analytic
 
     def test_half_height_degeneracy(self):
@@ -60,7 +69,7 @@ class TestPhaseTime:
             * g**2
             * math.sinh(2.0 * wn.kappa * p.thickness)
         )
-        assert phase_time_analytic(p) == pytest.approx(want, rel=1e-14, abs=0)
+        assert phase_closed(p) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_thick_barrier_saturation_value(self):
         # saturates at 2m / (hbar k kappa); 1.3169e-16 s at half height
@@ -68,12 +77,12 @@ class TestPhaseTime:
         wn = wavenumbers(p)
         limit = 2.0 * CONSTANTS.electron_mass / (CONSTANTS.hbar * wn.k * wn.kappa)
         assert limit == pytest.approx(1.317e-16, rel=1e-3, abs=0)
-        assert phase_time_analytic(p) == pytest.approx(limit, rel=1e-6, abs=0)
+        assert phase_closed(p) == pytest.approx(limit, rel=1e-6, abs=0)
 
     def test_vanishing_barrier_limit(self):
         # every term goes linear in d, so the time scales straight to zero
-        thin = phase_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 1e-4))
-        thinner = phase_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 5e-5))
+        thin = phase_closed(BarrierProblem.from_ev_nm(5.0, 10.0, 1e-4))
+        thinner = phase_closed(BarrierProblem.from_ev_nm(5.0, 10.0, 5e-5))
         assert 0.0 < thin < 1e-18
         assert thin == pytest.approx(2.0 * thinner, rel=1e-6, abs=0)
 
@@ -172,7 +181,7 @@ class TestPhaseStencil:
         above = cmath.phase(stationary_solution(replace(p, energy=p.energy + h)).t)
         assert below < -3.14 and above > 3.14
         numeric = phase_time_numeric(p)
-        assert abs(numeric - phase_time_analytic(p)) <= AGREEMENT * numeric
+        assert abs(numeric - phase_closed(p)) <= AGREEMENT * numeric
 
     @pytest.mark.parametrize("step_ev", [0.0, -1e-4, math.nan], ids=str)
     def test_nonpositive_step_rejected(self, step_ev):
@@ -210,7 +219,7 @@ class TestDwellTime:
     def test_routes_agree_at_half_height(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         numeric = dwell_time_numeric(p)
-        analytic = dwell_time_analytic(p)
+        analytic = dwell_closed(p)
         assert abs(numeric - analytic) <= AGREEMENT * analytic
 
     def test_routes_agree_across_grid(self):
@@ -218,7 +227,7 @@ class TestDwellTime:
             for d_nm in (0.1, 0.5, 1.0):
                 p = BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
                 numeric = dwell_time_numeric(p)
-                analytic = dwell_time_analytic(p)
+                analytic = dwell_closed(p)
                 assert abs(numeric - analytic) <= AGREEMENT * analytic
 
     @pytest.mark.parametrize(
@@ -255,13 +264,13 @@ class TestDwellTime:
     def test_positive_across_grid(self):
         for e_ratio in (0.01, 0.5, 0.99):
             for d_nm in (0.1, 1.0):
-                assert dwell_time_analytic(
+                assert dwell_closed(
                     BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
                 ) > 0.0
 
     def test_vanishing_barrier_limit(self):
-        thin = dwell_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 1e-4))
-        thinner = dwell_time_analytic(BarrierProblem.from_ev_nm(5.0, 10.0, 5e-5))
+        thin = dwell_closed(BarrierProblem.from_ev_nm(5.0, 10.0, 1e-4))
+        thinner = dwell_closed(BarrierProblem.from_ev_nm(5.0, 10.0, 5e-5))
         assert 0.0 < thin < 1e-18
         assert thin == pytest.approx(2.0 * thinner, rel=1e-6, abs=0)
 
@@ -271,7 +280,7 @@ class TestDwellTime:
         for e_ratio in (0.05, 0.3, 0.5, 0.7, 0.95):
             for d_nm in (0.1, 0.4, 0.7, 1.0):
                 p = BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
-                assert dwell_time_analytic(p) < phase_time_analytic(p)
+                assert dwell_closed(p) < phase_closed(p)
 
 
 class TestTraversalTime:
@@ -314,9 +323,9 @@ class TestScaledForms:
             sol = stationary_solution(p)
             got = sol.t * cmath.exp(1j * sol.wavenumbers.k * p.thickness)
             assert abs(got - reduced) <= 1e-12 * abs(reduced)
-            assert phase_time_analytic(p) == pytest.approx(phase, rel=1e-12, abs=0)
-            assert dwell_time_analytic(p) == pytest.approx(dwell, rel=1e-12, abs=0)
-            assert scaled_denominator(p) == pytest.approx(scaled, rel=1e-12)
+            assert phase_closed(p) == pytest.approx(phase, rel=1e-12, abs=0)
+            assert dwell_closed(p) == pytest.approx(dwell, rel=1e-12, abs=0)
+            assert closed_times(p)[2] == pytest.approx(scaled, rel=1e-12)
 
     def test_printed_denominator_is_the_scaled_one_times_e_2_kappa_d(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
@@ -334,7 +343,7 @@ class TestScaledForms:
         # kappa d of about 2300: S is below the smallest double, t is not
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 200.0)
         assert stationary_solution(p).S == 0
-        assert phase_time_numeric(p) == pytest.approx(phase_time_analytic(p), rel=AGREEMENT, abs=0)
+        assert phase_time_numeric(p) == pytest.approx(phase_closed(p), rel=AGREEMENT, abs=0)
 
 
 class TestSaturationAndDisagreement:
@@ -348,7 +357,7 @@ class TestSaturationAndDisagreement:
 
     def test_three_clocks_disagree_pairwise(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
-        clocks = (phase_time_analytic(p), dwell_time_analytic(p), bl_time(p))
+        clocks = (phase_closed(p), dwell_closed(p), bl_time(p))
         for i, a in enumerate(clocks):
             for b in clocks[i + 1 :]:
                 assert abs(a - b) / max(a, b) > 0.05
