@@ -13,7 +13,6 @@ import numpy as np
 from oracles import (
     REFERENCE_DEPTHS_NM,
     TABLE_D_NM,
-    closed_times,
     continuity_residual,
     integrate,
     transmission_reference,
@@ -107,11 +106,11 @@ def test_05_numeric_vs_analytic_times():
     for e_pct in range(5, 96, 5):  # E/V0 in [0.05, 0.95]
         for d_nm in D_GRID_NM:
             p = BarrierProblem.from_ev_nm(V0_EV * e_pct / 100.0, V0_EV, d_nm)
-            phase, dwell, _ = closed_times(p)
-            phase_gap = abs(phase_time_numeric(p) - phase)
-            dwell_gap = abs(dwell_time_numeric(p) - dwell)
-            worst_phase = max(worst_phase, phase_gap / phase)
-            worst_dwell = max(worst_dwell, dwell_gap / dwell)
+            rec, _ = evaluate(p, SweepConfig(v0_ev=V0_EV))
+            phase_gap = abs(phase_time_numeric(p) - rec.t_ph_analytic_s)
+            dwell_gap = abs(dwell_time_numeric(p) - rec.t_dw_analytic_s)
+            worst_phase = max(worst_phase, phase_gap / rec.t_ph_analytic_s)
+            worst_dwell = max(worst_dwell, dwell_gap / rec.t_dw_analytic_s)
     report(
         worst_phase <= 1e-6 and worst_dwell <= 1e-6,
         f"phase and dwell routes agree to 1e-6 relative "
