@@ -10,9 +10,9 @@ the record at one problem, run_sweep() over a grid.
 The package exports lazily (PEP 562): ``import tunneltimes`` loads no
 submodule, and each name below imports its module on first access. No
 submodule imports numpy at load either: the code that computes on arrays (the
-sweep's array pass and emitters, the momentum spectrum's series route, the
-functions that take arrays) imports it when it first runs, so a point command
-never loads it outside the series route.
+sweep's array pass and emitters, the momentum spectrum's series route) imports
+it when it first runs, so a point command never loads it outside the series
+route.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ _MODULE_EXPORTS = {
         "BarrierProblem",
         "StationarySolution",
         "Wavenumbers",
-        "incident_flux",
         "stationary_solution",
         "wavenumbers",
     ),
@@ -48,7 +47,6 @@ _MODULE_EXPORTS = {
     "momentum": (
         "EffectiveKinematics",
         "MomentumSpectrum",
-        "momentum_amplitude",
         "momentum_spectrum",
     ),
     "records": ("SweepRecord", "SweepTable"),

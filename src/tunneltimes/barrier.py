@@ -187,20 +187,6 @@ class StationarySolution:
         """Reflection probability |R|^2."""
         return abs(self.R) ** 2
 
-    def psi_barrier(self, x):
-        """In-barrier wave A e^{kappa x} + B e^{-kappa x}; requires 0 <= x <= d.
-
-        Evaluated as A e^{kappa d} e^{kappa (x - d)} + B e^{-kappa x}.
-        """
-        import numpy as np
-
-        xarr = np.asarray(x, dtype=float)
-        d = self.problem.thickness
-        if np.any(xarr < 0.0) or np.any(xarr > d):
-            raise DomainError("barrier wavefunction is only defined on 0 <= x <= d")
-        out = _wave(xarr, d, self.wavenumbers.kappa, self.B, self.edge_modes[0])
-        return complex(out) if xarr.ndim == 0 else out
-
 
 def _wave(x, d, kappa, b, a_d):
     """The in-barrier wave at x, as A e^{kappa d} e^{kappa (x - d)} +
@@ -266,11 +252,7 @@ def stationary_solution(problem: BarrierProblem) -> StationarySolution:
     )
 
 
-def incident_flux(problem: BarrierProblem) -> float:
-    """Probability flux of the unit incident wave: hbar k / m = sqrt(2E/m)."""
-    return _flux(wavenumbers(problem).k)
-
-
 def _flux(k):
+    """Probability flux of the unit incident wave: hbar k / m = sqrt(2E/m)."""
     return _HBAR * k / _M
 

@@ -64,7 +64,7 @@ to 3 with kappa d near 700.
 Importing this module loads no numpy, and neither does a point on the
 exponential sum, which runs on math and cmath. The series route's constant
 arrays are built by its first call (_series_tables()), which imports numpy,
-as do the array pass and the functions that take arrays.
+as do the array pass and the amplitude kernel that fig1 draws (_amplitude()).
 
 The window cutoff matters: the distribution has heavy tails, so K_rms (and
 everything downstream of it) grows slowly but without bound as the window
@@ -168,21 +168,6 @@ def _series_tables() -> SimpleNamespace:
     )
 
 
-def momentum_amplitude(sol: StationarySolution, wavenumber):
-    """Closed-form momentum amplitude at wavenumber K (scalar or array).
-
-    Evaluates the exact antiderivative of exp(-iKx) (A e^{kappa x} +
-    B e^{-kappa x}) over [0, d] on the edge modes; see _amplitude().
-    """
-    import numpy as np
-
-    karr = np.asarray(wavenumber, dtype=float)
-    out = _amplitude(
-        karr, sol.problem.thickness, sol.wavenumbers.kappa, sol.A, sol.B, *sol.edge_modes
-    )
-    return complex(out) if karr.ndim == 0 else out
-
-
 def _amplitude(wavenumber, d, kappa, a, b, a_d, b_d):
     """P + Q e^{-iKd} of the module docstring, over sqrt(2 pi):
 
@@ -246,16 +231,6 @@ class MomentumSpectrum:
     @property
     def problem(self) -> BarrierProblem:
         return self.solution.problem
-
-    def pdf(self, wavenumber):
-        """Normalized momentum density (units m); requires |K| <= cutoff."""
-        import numpy as np
-
-        karr = np.asarray(wavenumber, dtype=float)
-        if np.any(np.abs(karr) > self.problem.cutoff):
-            raise DomainError("momentum density is only defined inside the window")
-        out = np.abs(momentum_amplitude(self.solution, karr)) ** 2 / self.normalization
-        return float(out) if karr.ndim == 0 else out
 
     def kinematics(self) -> EffectiveKinematics:
         """rms wavenumber of the density and the derived velocity/time/energy."""

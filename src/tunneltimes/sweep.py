@@ -61,8 +61,8 @@ one named.
 
 The curve figures fig1 and fig4 read the table's columns too: the wave's
 coefficients, the normalization, the thickness and fig1's cutoff. Each is one
-array of curves, a row per record, from the kernels behind momentum_amplitude()
-and psi_barrier(), so a curve has the point path's bits. Each distinct K or x
+array of curves, a row per record, from the kernels momentum._amplitude() and
+barrier._wave(), so a curve has the point path's bits. Each distinct K or x
 grid (of the cutoff or the thickness) is built and formatted once, and a
 record's rows are one %-format of its curve. A record without a spectrum
 (its solve or spectrum failed, or it was re-read from CSV) cannot be drawn.
@@ -137,7 +137,6 @@ from .records import (
 )
 from .times import (
     CROSS_CHECK_TOL,
-    DEFAULT_PHASE_STEP_EV,
     _bl_time,
     _closed_times,
     _g,
@@ -248,7 +247,7 @@ def evaluate(
     values under them: a problem whose height is not energy_ev_to_si(cfg.v0_ev)
     or whose cutoff is not cfg.cutoff, as BarrierProblem.from_ev_nm builds
     them, raises ValidationError. The phase stencil takes
-    DEFAULT_PHASE_STEP_EV, at a point as on the sweep's array pass.
+    times.DEFAULT_PHASE_STEP_EV, at a point as on the sweep's array pass.
     """
     if energy_ev_to_si(cfg.v0_ev) != problem.height or cfg.cutoff != problem.cutoff:
         raise ValidationError("the problem's height and cutoff must be cfg's V0_eV and Kprime")
@@ -439,17 +438,20 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
     e_ok = [_passes(_check_tunneling, e, height) for e in energies]
     d_ok = [_passes(_check_barrier, height, d, c) for d in thicknesses]
     flat = np.flatnonzero(np.outer(d_ok, e_ok))
+    if not flat.size:
+        # every point is refused; the kernels would square a height or a
+        # cutoff past the largest double in Python floats, which raises
+        return flat
     energy = energy_ev_to_si(columns["e_ev"][flat])
     thickness = length_nm_to_si(columns["d_nm"][flat])
     # the phase stencil is the point code, run once per accepted energy over
     # the accepted thicknesses, which fills that energy's column of lanes
     # (thickness outer); every lane of a clipped energy is NaN
-    h = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
     ds = list(compress(thicknesses, d_ok))
     t_ph_num = np.full((len(ds), sum(e_ok)), math.nan)
     for j, e_j in enumerate(compress(energies, e_ok)):
         try:
-            t_ph_num[:, j] = _phase_stencil(e_j, height, ds, h)
+            t_ph_num[:, j] = _phase_stencil(e_j, height, ds)
         except DomainError:
             pass
     t_ph_num = t_ph_num.ravel()

@@ -31,17 +31,17 @@ per-problem functions: each is a column of the sweep's record, built by
 ``sweep._columns`` at a point and over the sweep's arrays alike. The "numeric"
 routes, phase_time_numeric() and dwell_time_numeric(), work from the
 scattering coefficients, not from D: the phase time differences the argument
-of the bounded t = S e^{kappa d} (which is arg S) at E +/- h, with h =
-DEFAULT_PHASE_STEP_EV, and the dwell time integrates
+of the bounded t = S e^{kappa d} (which is arg S) at E +/- h, with the one
+step h = DEFAULT_PHASE_STEP_EV, and the dwell time integrates
 |A e^{kappa x} + B e^{-kappa x}|^2 over the barrier term by term, an exact
-integral of the definition. The stencil checks its two energies and forms t's
-energy-only factors once for any number of thicknesses, and evaluates only
-the thickness's part of t per thickness: a point passes one thickness, the
-sweep all of an energy's at once, each with the bits of the one-thickness
-result. The numerical route is the arbiter. ``sweep.evaluate`` cross-checks
-each pair: routes more than CROSS_CHECK_TOL (1e-5 relative) apart, or not
-finite, put both values in the record's error cell, and the ``times``
-command exits 3 quoting them. (The test suite holds the routes to 1e-6.)
+integral of the definition, over the incident flux hbar k / m. The stencil
+checks its two energies and forms t's energy-only factors once for any number
+of thicknesses, and evaluates only the thickness's part of t per thickness: a
+point passes one thickness, the sweep all of an energy's at once, each with
+the bits of the one-thickness result. The numerical route is the arbiter.
+``sweep.evaluate`` cross-checks each pair: routes more than CROSS_CHECK_TOL
+(1e-5 relative) apart, or not finite, put both values in the record's error
+cell, and the ``times`` command exits 3 quoting them. (The test suite holds the routes to 1e-6.)
 Phase and dwell times saturate for thick barriers (their d-derivative dies
 off like exp(-2 kappa d)), which is exactly why they imply unbounded
 apparent velocities; the effective time does not saturate.
@@ -54,12 +54,11 @@ import math
 from .barrier import (
     _SERIES_KAPPA_D,
     BarrierProblem,
-    StationarySolution,
     _check_tunneling,
     _energy_factors,
+    _flux,
     _transmission,
     _wavenumber_pair,
-    incident_flux,
     stationary_solution,
     wavenumbers,
 )
@@ -71,9 +70,11 @@ _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
 _TWO_PI = 2.0 * math.pi
 
-#: Default energy step for the phase-derivative stencil, eV. arg S varies on
-#: the eV scale, so 1e-4 eV balances truncation against roundoff in doubles.
+#: Energy step of the phase-derivative stencil, eV. arg S varies on the eV
+#: scale, so 1e-4 eV balances truncation against roundoff in doubles.
 DEFAULT_PHASE_STEP_EV = 1e-4
+#: The same step h in joules, as the stencil takes it.
+_PHASE_STEP = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
 
 #: Numeric and analytic routes agreeing worse than this means one of them is
 #: wrong; report both rather than silently preferring either.
@@ -144,10 +145,9 @@ def shared_denominator(problem: BarrierProblem) -> float:
     return _closed_times(wn.k, wn.kappa, kd, _g(problem.height))[2] * math.exp(2.0 * kd)
 
 
-def phase_time_numeric(
-    problem: BarrierProblem, step_ev: float = DEFAULT_PHASE_STEP_EV
-) -> float:
-    """Group delay from a central difference of the transmission phase.
+def phase_time_numeric(problem: BarrierProblem) -> float:
+    """Group delay from a central difference of the transmission phase, with
+    the step h = DEFAULT_PHASE_STEP_EV.
 
     The phase difference arg t(E + h) - arg t(E - h) of the bounded
     t = S e^{kappa d}, which has the phase of S and is never zero or
@@ -155,18 +155,16 @@ def phase_time_numeric(
     so a branch cut of the principal argument between the stencil points does
     not corrupt it.
 
-    Raises DomainError for a step that is not positive and when the stencil
-    E +/- h leaves the tunneling regime (including the near-threshold guard
-    band), which clips the extreme edges of energy grids.
+    Raises DomainError when the stencil E +/- h leaves the tunneling regime
+    (including the near-threshold guard band), which clips the extreme edges
+    of energy grids.
     """
-    return _phase_stencil(
-        problem.energy, problem.height, (problem.thickness,), energy_ev_to_si(step_ev)
-    )[0]
+    return _phase_stencil(problem.energy, problem.height, (problem.thickness,))[0]
 
 
-def _phase_stencil(e0, hi, ds, h):
+def _phase_stencil(e0, hi, ds):
     """phase_time_numeric() at energy ``e0`` over barriers of height ``hi``
-    and each thickness in ``ds``, with the step ``h`` in joules, as a list.
+    and each thickness in ``ds``, as a list.
 
     The checks, the wavenumbers and t's energy factors at E +/- h and the
     free-flight speed depend on the energy alone, so they run once; each
@@ -174,8 +172,7 @@ def _phase_stencil(e0, hi, ds, h):
     operations in the same order as a single thickness, so the sweep runs it
     once per energy and the point path with one thickness.
     """
-    if not h > 0:
-        raise DomainError("phase-derivative step h must be positive")
+    h = _PHASE_STEP
     if not (0.0 < e0 - h and e0 + h < hi):
         raise DomainError(
             f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
@@ -195,9 +192,7 @@ def _phase_stencil(e0, hi, ds, h):
     return times
 
 
-def dwell_time_numeric(
-    problem: BarrierProblem, solution: StationarySolution | None = None
-) -> float:
+def dwell_time_numeric(problem: BarrierProblem) -> float:
     """In-barrier probability over incident flux, from the coefficients.
 
     The numerator is the exact integral of |A e^{kappa x} + B e^{-kappa x}|^2
@@ -206,12 +201,11 @@ def dwell_time_numeric(
     these terms cancel, so below kappa d = 1/2 the same integral is taken in
     the edge form psi(d - y) = S e^{ikd} [cosh(kappa y) - ik sinh(kappa y)/kappa]:
     |S|^2 d [2 + (1 + k^2/kappa^2) (sinh(2 kappa d)/(2 kappa d) - 1)] / 2, all
-    of positive terms. ``solution`` is the problem's stationary solution,
-    solved here when not given.
+    of positive terms.
     """
-    sol = stationary_solution(problem) if solution is None else solution
+    sol = stationary_solution(problem)
     stored = _stored_probability(
         sol.wavenumbers.k, sol.wavenumbers.kappa, problem.thickness,
         sol.A, sol.B, sol.edge_modes[0], sol.S,
     )
-    return stored / incident_flux(problem)
+    return stored / _flux(sol.wavenumbers.k)

@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from tunneltimes import __version__
-from tunneltimes.barrier import stationary_solution, wavenumbers
+from tunneltimes.barrier import _wave, stationary_solution, wavenumbers
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
 from tunneltimes.depth import DEPTH_LEVEL, _relative_density
 from tunneltimes.errors import DomainError, MissingGridPoint, NoConvergence
-from tunneltimes.momentum import momentum_amplitude
+from tunneltimes.momentum import _amplitude
 from tunneltimes.sweep import (
     FIG1_K_POINTS,
     FIG4_X_POINTS,
@@ -48,10 +48,41 @@ def closed_times(problem) -> tuple[float, float, float]:
     return _closed_times(wn.k, wn.kappa, wn.kappa * problem.thickness, _g(problem.height))
 
 
+def psi_barrier(sol, x):
+    """The in-barrier wave A e^{kappa x} + B e^{-kappa x} of a solution at x
+    (a scalar or an array) on 0 <= x <= d, by the barrier module's kernel."""
+    xarr = np.asarray(x, dtype=float)
+    d = sol.problem.thickness
+    if np.any(xarr < 0.0) or np.any(xarr > d):
+        raise DomainError("barrier wavefunction is only defined on 0 <= x <= d")
+    out = _wave(xarr, d, sol.wavenumbers.kappa, sol.B, sol.edge_modes[0])
+    return complex(out) if xarr.ndim == 0 else out
+
+
 def relative_density(sol, x):
     """D(x) = |psi_barrier(x)|^2 / |psi_barrier(0)|^2 on 0 <= x <= d, by the
     depth module's kernel, as fig4 draws it."""
-    return _relative_density(sol.psi_barrier(x), sol.psi_barrier(0.0))
+    return _relative_density(psi_barrier(sol, x), psi_barrier(sol, 0.0))
+
+
+def momentum_amplitude(sol, wavenumber):
+    """The momentum amplitude of a solution at K (a scalar or an array), by
+    the momentum module's kernel."""
+    karr = np.asarray(wavenumber, dtype=float)
+    out = _amplitude(
+        karr, sol.problem.thickness, sol.wavenumbers.kappa, sol.A, sol.B, *sol.edge_modes
+    )
+    return complex(out) if karr.ndim == 0 else out
+
+
+def momentum_density(spectrum, wavenumber):
+    """A spectrum's normalized momentum density (units m) at K, |K| <= cutoff,
+    by the momentum module's kernel, as fig1 draws it."""
+    karr = np.asarray(wavenumber, dtype=float)
+    if np.any(np.abs(karr) > spectrum.problem.cutoff):
+        raise DomainError("momentum density is only defined inside the window")
+    out = np.abs(momentum_amplitude(spectrum.solution, karr)) ** 2 / spectrum.normalization
+    return float(out) if karr.ndim == 0 else out
 
 
 # --- adaptive quadrature: the reference for the closed-form integrals ---------
@@ -221,8 +252,6 @@ def stencil_phase_time(problem, step_ev: float) -> float:
     """
     h = energy_ev_to_si(step_ev)
     e0, hi = problem.energy, problem.height
-    if not h > 0:
-        raise DomainError("phase-derivative step h must be positive")
     if not (0.0 < e0 - h and e0 + h < hi):
         raise DomainError(
             f"stencil [{e0 - h}, {e0 + h}] leaves the valid domain (0.0, {hi})"
@@ -239,7 +268,7 @@ def quartile_width(spectrum, n: int = 8001) -> float:
     """Interquartile range of a momentum density, via a trapezoid CDF."""
     cut = spectrum.problem.cutoff
     ks = np.linspace(-cut, cut, n)
-    pdf = spectrum.pdf(ks)
+    pdf = momentum_density(spectrum, ks)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(ks))])
     cdf /= cdf[-1]
     return float(np.interp(0.75, cdf, ks) - np.interp(0.25, cdf, ks))
@@ -549,7 +578,7 @@ def per_cell_emit(records, which: str) -> str:
         out.append("E_over_V0,d_nm,K_per_m,pdf_m")
         for rec in records:
             ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
-            pdf = _per_cell_spectrum(rec).pdf(ks)
+            pdf = momentum_density(_per_cell_spectrum(rec), ks)
             prefix = f"{per_cell_fmt(rec.e_over_v0)},{per_cell_fmt(rec.d_nm)}"
             out += [
                 f"{prefix},{per_cell_fmt(k)},{per_cell_fmt(p)}" for k, p in zip(ks, pdf)

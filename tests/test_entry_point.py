@@ -86,27 +86,35 @@ def test_command_loads_numpy_only_where_it_computes_with_it(capsys, tmp_path, ar
     assert out == capsys.readouterr().out.encode("utf-8")
 
 
-#: The 38 names the package exports.
+#: The 36 names the package exports.
 EXPORTS = (
     "BarrierProblem", "CONSTANTS", "DEFAULT_CUTOFF", "DEPTH_LEVEL", "DomainError",
     "EffectiveKinematics", "MissingGridPoint", "MomentumSpectrum", "NoConvergence",
     "ParseError", "PhysicalConstants", "SPEED_OF_LIGHT", "StationarySolution", "SweepConfig",
     "SweepRecord", "SweepTable", "ValidationError", "Wavenumbers", "dwell_time_numeric",
     "emit_figure_data", "emit_table1", "energy_ev_to_si", "energy_si_to_ev", "evaluate",
-    "incident_flux", "length_nm_to_si", "length_si_to_nm", "momentum_amplitude",
-    "momentum_spectrum", "parse_config", "parse_records", "penetration_depth",
-    "phase_time_numeric", "records_to_csv", "run_sweep", "shared_denominator",
-    "stationary_solution", "wavenumbers",
+    "length_nm_to_si", "length_si_to_nm", "momentum_spectrum", "parse_config",
+    "parse_records", "penetration_depth", "phase_time_numeric", "records_to_csv",
+    "run_sweep", "shared_denominator", "stationary_solution", "wavenumbers",
 )
 #: Per-quantity functions that are gone, by the module that defined them: each
-#: closed form, the traversal time and the relative density are record columns
-#: (or the fig4 curve) built by their kernels, and the boundary-matching check
-#: is a test oracle (oracles.continuity_residual).
+#: closed form, the traversal time, the relative density and the incident
+#: flux are record columns (or the fig4 curve) built by their kernels, the
+#: momentum amplitude is the fig1 curve's kernel, and the boundary-matching
+#: check is a test oracle (oracles.continuity_residual).
 REMOVED = {
-    "barrier": ("continuity_residual",),
+    "barrier": ("continuity_residual", "incident_flux"),
     "depth": ("relative_density",),
+    "momentum": ("momentum_amplitude",),
     "times": ("bl_time", "dwell_time_analytic", "phase_time_analytic", "scaled_denominator"),
 }
+#: Methods that are gone, by class: the curves fig1 and fig4 draw are the
+#: kernels' (oracles.momentum_density and oracles.psi_barrier at one problem).
+REMOVED_METHODS = (("StationarySolution", "psi_barrier"), ("MomentumSpectrum", "pdf"))
+#: Parameters that are gone, by function, as a positional and a keyword
+#: argument: the phase step is the module's DEFAULT_PHASE_STEP_EV, and the
+#: dwell time solves its own problem.
+REMOVED_PARAMETERS = {"phase_time_numeric": "step_ev", "dwell_time_numeric": "solution"}
 #: The submodules that import made attributes of the package.
 SUBMODULES = (
     "barrier", "constants", "depth", "errors", "momentum", "numerics", "records", "sweep",
@@ -116,7 +124,7 @@ SUBMODULES = (
 
 class TestPackageSurface:
     def test_every_export_imports_by_name(self):
-        assert len(EXPORTS) == 38 and sorted(tunneltimes.__all__) == sorted(EXPORTS)
+        assert len(EXPORTS) == 36 and sorted(tunneltimes.__all__) == sorted(EXPORTS)
         assert set(EXPORTS) | set(SUBMODULES) <= set(dir(tunneltimes))
         modules = [importlib.import_module(f"tunneltimes.{name}") for name in SUBMODULES]
         for name in EXPORTS:
@@ -140,6 +148,20 @@ class TestPackageSurface:
             getattr(tunneltimes, name)
         with pytest.raises(ImportError, match=f"cannot import name '{name}'"):
             exec(f"from tunneltimes.{module} import {name}", {})
+
+    @pytest.mark.parametrize("cls, name", REMOVED_METHODS)
+    def test_a_removed_method_is_refused(self, cls, name):
+        assert not hasattr(getattr(tunneltimes, cls), name)
+
+    @pytest.mark.parametrize("function, parameter", REMOVED_PARAMETERS.items())
+    def test_a_removed_parameter_is_refused(self, function, parameter):
+        problem = tunneltimes.BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        value = {"step_ev": 1e-4, "solution": tunneltimes.stationary_solution(problem)}[parameter]
+        call = getattr(tunneltimes, function)
+        with pytest.raises(TypeError, match="takes 1 positional argument but 2 were given"):
+            call(problem, value)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{parameter}'"):
+            call(problem, **{parameter: value})
 
     def test_an_unknown_name_is_refused(self):
         with pytest.raises(AttributeError, match=r"^module 'tunneltimes' has no attribute 'nope'$"):

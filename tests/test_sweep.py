@@ -227,7 +227,7 @@ class TestRunSweep:
         stencil = sweep._phase_stencil
         monkeypatch.setattr(
             sweep, "_phase_stencil",
-            lambda e0, hi, ds, h: calls.append(len(ds)) or stencil(e0, hi, ds, h),
+            lambda e0, hi, ds: calls.append(len(ds)) or stencil(e0, hi, ds),
         )
         run_sweep(SweepConfig(e_over_v0_grid=tuple(i / 100.0 for i in range(1, 100))))
         assert calls == [10] * 99
@@ -507,6 +507,8 @@ class TestHeightsAndWindows:
     )
     def test_the_found_points_are_problem_cells(self, cfg, error):
         assert evaluate_point(cfg, 0.5, 1.0).error == error
+        # a grid that refuses every point writes a problem cell at each
+        assert {rec.error for rec in run_sweep(cfg)} == {error}
 
 
 class TestGridKeys:

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import closed_times, mp_closed_forms, mp_dwell_numerator, stencil_phase_time
 from tunneltimes import times
-from tunneltimes.barrier import (
-    BarrierProblem,
-    incident_flux,
-    stationary_solution,
-    wavenumbers,
-)
+from tunneltimes.barrier import BarrierProblem, _flux, stationary_solution, wavenumbers
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si
 from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.sweep import SweepConfig, evaluate
@@ -129,25 +124,25 @@ class TestPhaseStencil:
     def test_equals_the_solved_stencil_on_the_dense_grid(self):
         # an energy's ten thicknesses at once, as the sweep runs them, keep
         # the bits of one call per thickness and of the solved stencil
-        h = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
         for i in range(1, 100):
             problems = [
                 BarrierProblem.from_ev_nm(10.0 * (i / 100.0), 10.0, j / 10.0)
                 for j in range(1, 11)
             ]
             e0, hi = problems[0].energy, problems[0].height
-            together = times._phase_stencil(e0, hi, [p.thickness for p in problems], h)
+            together = times._phase_stencil(e0, hi, [p.thickness for p in problems])
             assert together == [phase_time_numeric(p) for p in problems]
             assert together == [
                 stencil_phase_time(p, DEFAULT_PHASE_STEP_EV) for p in problems
             ]
 
-    def test_equals_the_solved_stencil_at_random_points(self):
+    def test_equals_the_solved_stencil_at_random_points(self, monkeypatch):
         # a fifth of the points sit within 2e-4 eV of the barrier top, where
         # the stencil may leave the domain or enter the guard band; there
         # both routes must refuse with the same message. Each point's energy
         # also runs over three more thicknesses at once, which a second
-        # generator draws, so the points themselves stay as they were
+        # generator draws, so the points themselves stay as they were. The
+        # step is drawn too, and set as the module's
         rng, more = random.Random(20071), random.Random(20072)
         refused = 0
         for n in range(200):
@@ -158,17 +153,17 @@ class TestPhaseStencil:
                 e_ev = rng.uniform(1e-3, 0.99) * v0
             p = BarrierProblem.from_ev_nm(e_ev, v0, 10.0 ** rng.uniform(-2.0, 1.3))
             step = rng.choice((1e-5, DEFAULT_PHASE_STEP_EV, 3e-4))
-            got = _outcome(phase_time_numeric, p, step)
+            monkeypatch.setattr(times, "_PHASE_STEP", energy_ev_to_si(step))
+            got = _outcome(phase_time_numeric, p)
             assert got == _outcome(stencil_phase_time, p, step)
             refused += isinstance(got, str)
             batch = [p] + [
                 replace(p, thickness=10.0 ** more.uniform(-11.0, -7.7)) for _ in range(3)
             ]
             each = [_outcome(stencil_phase_time, q, step) for q in batch]
-            assert each == [_outcome(phase_time_numeric, q, step) for q in batch]
+            assert each == [_outcome(phase_time_numeric, q) for q in batch]
             together = _outcome(
-                times._phase_stencil, p.energy, p.height, [q.thickness for q in batch],
-                energy_ev_to_si(step),
+                times._phase_stencil, p.energy, p.height, [q.thickness for q in batch]
             )
             assert together == (got if isinstance(got, str) else each)
         assert 10 <= refused <= 40
@@ -182,11 +177,6 @@ class TestPhaseStencil:
         assert below < -3.14 and above > 3.14
         numeric = phase_time_numeric(p)
         assert abs(numeric - phase_closed(p)) <= AGREEMENT * numeric
-
-    @pytest.mark.parametrize("step_ev", [0.0, -1e-4, math.nan], ids=str)
-    def test_nonpositive_step_rejected(self, step_ev):
-        with pytest.raises(DomainError, match="step h must be positive"):
-            phase_time_numeric(self.P, step_ev)
 
     def test_linear_phase_gives_its_slope(self, monkeypatch):
         slope = 1.3 / energy_ev_to_si(1.0)  # arg S = slope * E
@@ -208,10 +198,11 @@ class TestPhaseStencil:
         ev = energy_ev_to_si(1.0)
         fake = lambda e: cmath.exp(0.8j * e / ev) * (2.0 + 0.5j)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(times, "_PHASE_STEP", energy_ev_to_si(0.3))
             substitute_t(mp, fake)
-            plain = phase_time_numeric(p, 0.3)
+            plain = phase_time_numeric(p)
             substitute_t(mp, lambda e: const * fake(e))
-            scaled = phase_time_numeric(p, 0.3)
+            scaled = phase_time_numeric(p)
         assert scaled == pytest.approx(plain, rel=1e-12, abs=0)
 
 
@@ -247,19 +238,9 @@ class TestDwellTime:
     def test_numerator_matches_mpmath(self, args):
         pytest.importorskip("mpmath")
         p = BarrierProblem.from_ev_nm(*args)
-        stored = dwell_time_numeric(p) * incident_flux(p)
+        stored = dwell_time_numeric(p) * _flux(wavenumbers(p).k)
         want = mp_dwell_numerator(p)
         assert abs(stored - want) <= 1e-12 * want
-
-    def test_takes_the_given_solution(self, monkeypatch):
-        p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        sol = stationary_solution(p)
-
-        def unsolvable(problem):
-            raise AssertionError("solved again")
-
-        monkeypatch.setattr(times, "stationary_solution", unsolvable)
-        assert dwell_time_numeric(p, solution=sol) > 0.0
 
     def test_positive_across_grid(self):
         for e_ratio in (0.01, 0.5, 0.99):
