@@ -142,7 +142,7 @@ class TestPhaseStencil:
         # both routes must refuse with the same message. Each point's energy
         # also runs over three more thicknesses at once, which a second
         # generator draws, so the points themselves stay as they were. The
-        # step is drawn too, and set as the module's
+        # step is drawn too, and set as the module's _PHASE_STEP
         rng, more = random.Random(20071), random.Random(20072)
         refused = 0
         for n in range(200):
