@@ -209,10 +209,12 @@ def _dispatch(args) -> int:
         cfg = _load_config(args)
         records = run_sweep(cfg)
         if args.which == "all":
+            # every figure is emitted before any file is written, so a figure
+            # that cannot be emitted leaves no part of the set behind
+            texts = {fig: emit_figure_data(records, fig, cfg) for fig in FIGURE_IDS}
             out_dir = Path(args.out_dir or ".")
             out_dir.mkdir(parents=True, exist_ok=True)
-            for fig in FIGURE_IDS:
-                text = emit_figure_data(records, fig, cfg)
+            for fig, text in texts.items():
                 (out_dir / f"{fig}.csv").write_bytes(text.encode("utf-8"))
         else:
             _write(emit_figure_data(records, args.which, cfg), args.out)

@@ -61,6 +61,11 @@ exponential sum to 2e-15 on the paper's grid; the sum still loses digits
 where the window is narrow against kappa, down to about 4e-11 at c d of 2
 to 3 with kappa d near 700.
 
+momentum_spectrum() builds a MomentumSpectrum at one problem, for the library.
+The sweep builds none: its point path and its array pass run _moments() and
+_kinematics() themselves, and the point path fails a moment that is not
+positive with the spectrum's own check and message (_moments_error()).
+
 Importing this module loads no numpy, and neither does a point on the
 exponential sum, which runs on math and cmath. The series route's constant
 arrays are built by its first call (_series_tables()), which imports numpy,
@@ -223,10 +228,8 @@ class MomentumSpectrum:
     second_moment: float  # integral of K^2 |amplitude|^2 over the window, 1/m
 
     def __post_init__(self):
-        if not self.normalization > 0:
-            raise DomainError("momentum-density normalization must be positive")
-        if not self.second_moment > 0:
-            raise DomainError("momentum-density second moment must be positive")
+        if exc := _moments_error(self.normalization, self.second_moment):
+            raise exc
 
     @property
     def problem(self) -> BarrierProblem:
@@ -238,6 +241,16 @@ class MomentumSpectrum:
             self.normalization, self.second_moment, self.problem.thickness
         )
         return EffectiveKinematics(k_rms=k_rms, v_rms=v_rms, t_eff=t_eff, eps_eff=eps_eff)
+
+
+def _moments_error(normalization, second_moment) -> DomainError | None:
+    """The failure of MomentumSpectrum's checks, which the sweep's point
+    record quotes too: a moment that is not positive, or None."""
+    if not normalization > 0:
+        return DomainError("momentum-density normalization must be positive")
+    if not second_moment > 0:
+        return DomainError("momentum-density second moment must be positive")
+    return None
 
 
 def _kinematics(normalization, second_moment, d, f=POINT):
@@ -463,12 +476,9 @@ def _series_moments(k, kappa, d, edge, t, S, decayed, tailed):
     return np.moveaxis(moments * scale, -1, 0) / (2.0 * math.pi)
 
 
-def momentum_spectrum(
-    problem: BarrierProblem,
-    solution: StationarySolution | None = None,
-) -> MomentumSpectrum:
+def momentum_spectrum(problem: BarrierProblem) -> MomentumSpectrum:
     """Build the spectrum for a problem: both moments over its window, exactly."""
-    sol = stationary_solution(problem) if solution is None else solution
+    sol = stationary_solution(problem)
     norm, second = _moments(
         sol.wavenumbers.k, sol.wavenumbers.kappa, problem.thickness, problem.cutoff,
         sol.t, sol.S, sol.A, sol.B, *sol.edge_modes,

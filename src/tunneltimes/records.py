@@ -2,24 +2,24 @@
 holds a whole grid's records as columns.
 
 A SweepTable keeps one float array per numeric record column, NaN in an
-empty cell, the note and error text, and the columns a row's momentum
-spectrum is built from. The sweep writes them by flat index (_blank_columns,
-_write_record and the grid pass in the sweep module), and a row becomes a
-SweepRecord only when it is asked for. Every emitter reads a table's columns
-and builds no record: the curve figures are drawn from the spectrum columns,
+empty cell, the note and error text, and the columns the curve figures draw
+from. The sweep writes them by flat index (_blank_columns, _write_row and the
+grid pass in the sweep module), and a row becomes a SweepRecord, built from
+its cells, each time it is asked for. Every emitter reads a table's columns
+and builds no record: the curve figures are drawn from the curve columns,
 and any other sequence of records is written into a table once (_as_table),
-where a numeric value that is neither None nor finite is refused.
+where a numeric value that is neither None nor finite is refused. A record
+holds its cells and nothing else, so such a table has no curves to draw.
+
+This module imports nothing from the package: a record is its cells.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from .barrier import BarrierProblem, StationarySolution, Wavenumbers
-from .momentum import MomentumSpectrum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,9 +31,7 @@ class SweepRecord:
 
     Optional fields are None when not computed (upstream failure) or not
     defined (no depth crossing); ``note`` carries machine-readable reason
-    codes, ``error`` the per-point failure messages. ``spectrum`` is not a
-    column: it is the momentum spectrum the evaluation built, None where its
-    moments failed, and records compare and hash without it.
+    codes, ``error`` the per-point failure messages.
     """
 
     e_over_v0: float
@@ -57,7 +55,6 @@ class SweepRecord:
     xi: float | None = None
     note: str = ""
     error: str = ""
-    spectrum: MomentumSpectrum | None = field(default=None, compare=False, repr=False)
 
 
 #: Sweep CSV column -> SweepRecord attribute, in column order. Point commands
@@ -96,13 +93,11 @@ NON_FINITE = "refusing to serialize a non-finite value"
 #: SweepRecord's numeric fields, in column order.
 _NUMERIC = tuple(attr for attr in RECORD_COLUMNS.values() if attr not in TEXT_FIELDS)
 
-#: The columns a row's momentum spectrum is built from, besides its grid
-#: point: the wavenumbers, the solution's t, S, A, B, R and its edge modes
-#: (A e^{kappa d}, B e^{-kappa d}), then the two window moments.
-_SPECTRUM = (
-    "k", "kappa", "t", "S", "A", "B", "R", "a_d", "b_d", "normalization", "second_moment"
-)
-_COMPLEX = ("t", "S", "A", "B", "R", "a_d", "b_d")
+#: The columns the curve figures draw from, besides the grid point: the decay
+#: constant, the solution's A, B and edge modes (A e^{kappa d}, B e^{-kappa d}),
+#: and the normalization, NaN where the moments failed.
+_CURVES = ("kappa", "A", "B", "a_d", "b_d", "normalization")
+_COMPLEX = ("A", "B", "a_d", "b_d")
 
 
 class SweepTable(Sequence[SweepRecord]):
@@ -111,10 +106,10 @@ class SweepTable(Sequence[SweepRecord]):
     Each numeric record column is a read-only float array with NaN for an
     empty cell, which no record value can be mistaken for: evaluate() empties
     every non-finite value. note and error are tuples of str. The table also
-    keeps the columns a row's momentum spectrum is built from (_SPECTRUM),
-    NaN in the moments of a row without one. ``table[i]`` builds row i's
-    SweepRecord, spectrum included, the first time it is asked for and keeps
-    it; the emitters read the columns and build no record.
+    keeps the columns the curve figures draw from (_CURVES), NaN in the
+    normalization of a row that cannot be drawn. ``table[i]`` builds row i's
+    SweepRecord from its cells; the emitters read the columns and build no
+    record.
     """
 
     def __init__(self, columns: dict[str, np.ndarray | list[str]]):
@@ -126,41 +121,22 @@ class SweepTable(Sequence[SweepRecord]):
             else:
                 column.flags.writeable = False
         self._columns = columns
-        self._rows: list[SweepRecord | None] = [None] * len(columns["note"])
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns["note"])
 
     def column(self, attr: str) -> np.ndarray | tuple[str, ...]:
-        """The column of SweepRecord attribute ``attr``, or of a _SPECTRUM name."""
+        """The column of SweepRecord attribute ``attr``, or of a _CURVES name."""
         return self._columns[attr]
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
-        if self._rows[i] is None:
-            self._rows[i] = self._record(i)
-        return self._rows[i]
-
-    def _record(self, i: int) -> SweepRecord:
         values = {attr: self._columns[attr].item(i) for attr in _NUMERIC}
         values = {attr: None if math.isnan(v) else v for attr, v in values.items()}
-        k, kappa, t, S, A, B, R, a_d, b_d, norm, second = (
-            self._columns[name].item(i) for name in _SPECTRUM
-        )
-        spectrum = None
-        if not math.isnan(norm):
-            problem = BarrierProblem.from_ev_nm(
-                values["e_ev"], values["v0_ev"], values["d_nm"], values["cutoff"]
-            )
-            sol = StationarySolution(
-                problem, Wavenumbers(k, kappa),
-                t=t, S=S, A=A, B=B, R=R, edge_modes=(a_d, b_d),
-            )
-            spectrum = MomentumSpectrum(sol, norm, second)
         text = {attr: self._columns[attr][i] for attr in TEXT_FIELDS}
-        return SweepRecord(**values, **text, spectrum=spectrum)
+        return SweepRecord(**values, **text)
 
 
 def _blank_columns(size: int) -> dict[str, np.ndarray | list[str]]:
@@ -169,25 +145,17 @@ def _blank_columns(size: int) -> dict[str, np.ndarray | list[str]]:
 
     columns: dict[str, np.ndarray | list[str]] = {
         name: np.full(size, math.nan, dtype=complex if name in _COMPLEX else float)
-        for name in (*_NUMERIC, *_SPECTRUM)
+        for name in (*_NUMERIC, *_CURVES)
     }
     columns.update((name, [""] * size) for name in TEXT_FIELDS)
     return columns
 
 
-def _write_record(columns: dict[str, np.ndarray | list[str]], i: int, record: SweepRecord):
-    """Write ``record`` into row ``i`` of ``columns``: NaN for None, and the
-    _SPECTRUM values where it carries a spectrum. Any other numeric record
-    value that is not finite raises FloatingPointError, so NaN in a record
-    column is always an empty cell."""
-    row = {attr: getattr(record, attr) for attr in RECORD_COLUMNS.values()}
-    if record.spectrum is not None:
-        sol = record.spectrum.solution
-        row |= zip(_SPECTRUM, (
-            sol.wavenumbers.k, sol.wavenumbers.kappa, sol.t, sol.S, sol.A, sol.B, sol.R,
-            *sol.edge_modes, record.spectrum.normalization, record.spectrum.second_moment,
-        ))
-    for name, value in row.items():
+def _write_row(columns: dict[str, np.ndarray | list[str]], i: int, values: dict):
+    """Write ``values``, by column name, into row ``i`` of ``columns``: NaN
+    for None. A numeric record value that is not finite raises
+    FloatingPointError, so NaN in a record column is always an empty cell."""
+    for name, value in values.items():
         if value is None:
             value = math.nan
         elif name in _NUMERIC and not math.isfinite(value):
@@ -196,10 +164,11 @@ def _write_record(columns: dict[str, np.ndarray | list[str]], i: int, record: Sw
 
 
 def _as_table(records: Sequence[SweepRecord]) -> SweepTable:
-    """``records`` as a SweepTable: a table itself, or one written row by row."""
+    """``records`` as a SweepTable: a table itself, or one written row by row,
+    with no curve to draw."""
     if isinstance(records, SweepTable):
         return records
     columns = _blank_columns(len(records))
     for i, record in enumerate(records):
-        _write_record(columns, i, record)
+        _write_row(columns, i, vars(record))
     return SweepTable(columns)

@@ -5,20 +5,25 @@ every numeric column from the solution's coefficients, the two window moments
 and the phase stencil's time, and returns the checks on them (the moments and
 the kinematics positive, v_rms subluminal, each numeric/analytic cross-check,
 each column finite). Each closed form in it is a kernel that takes the
-elementwise functions it calls: evaluate() runs it with numerics.POINT (math,
-cmath) at one problem, and the sweep's array pass with numerics.GRID (numpy).
-At a point, _failures() turns the checks and the exceptions the point caught
-into the note and error cells; the momentum, times and depth commands print
-their columns of that record and raise the first failure that concerns one.
+elementwise functions it calls. The point path (_evaluate()) and the sweep's
+array pass run the same kernels in the same order, _wavenumber_pair(),
+_coefficients(), _moments(), then _columns(): the point path with
+numerics.POINT (math, cmath) at one problem, the array pass with
+numerics.GRID (numpy). At a point, _failures() turns the checks and the
+exceptions the point caught into the note and error cells; the momentum,
+times and depth commands print their columns of that record and raise the
+first failure that concerns one.
 
 run_sweep() evaluates a grid as arrays over (E/V0, d), flattened thickness
 outer and energy inner, and returns a SweepTable (records module): a sequence
-of records that keeps its columns as arrays and builds a record when one is
-asked for. The exponential integral runs as one continued fraction over the
-array. One pass of the kernels writes every column of the usual points, those
-that pass every check, straight into the table; evaluate_point() evaluates
-every other point, so each note and error cell is written by the point path,
-and its record is written into the same columns by its flat index. Where a
+of records that keeps its columns as arrays and builds a record from its
+cells when one is asked for. The exponential integral runs as one continued
+fraction over the array. One pass of the kernels writes every column of the
+usual points, those that pass every check, straight into the table; the point
+path evaluates every other point, so each note and error cell is written by
+the point path, and its record values and curve values are written into the
+same columns by its flat index, by the row writer that also writes a list of
+records into a table (records._write_row). Where a
 rule belongs to another module, the grid asks that module's predicate or
 kernel. The moments' series route (kappa d < 1/2 or c d <= 2) and the dwell
 time's edge form (kappa d < 1/2) are array kernels too, each lane taking the
@@ -64,8 +69,10 @@ coefficients, the normalization, the thickness and fig1's cutoff. Each is one
 array of curves, a row per record, from the kernels momentum._amplitude() and
 barrier._wave(), so a curve has the point path's bits. Each distinct K or x
 grid (of the cutoff or the thickness) is built and formatted once, and a
-record's rows are one %-format of its curve. A record without a spectrum
-(its solve or spectrum failed, or it was re-read from CSV) cannot be drawn.
+record's rows are one %-format of its curve. A row whose problem was refused
+or whose moments failed cannot be drawn. Neither can a list of records, which
+holds their cells alone (re-read from CSV, made by evaluate() or
+evaluate_point(), or joined from several tables): its first record is named.
 
 Per-point failures land in the record's ``error`` column; a missing depth on a
 thin barrier is a ``no_crossing`` note, not an error. The barrier solution and
@@ -105,7 +112,6 @@ from .barrier import (
     _flux,
     _wave,
     _wavenumber_pair,
-    stationary_solution,
 )
 from .constants import (
     CONSTANTS,
@@ -123,7 +129,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .momentum import _amplitude, _kinematics, _kinematics_error, _moments, momentum_spectrum
+from .momentum import _amplitude, _kinematics, _kinematics_error, _moments, _moments_error
 from .numerics import POINT
 from .records import (
     NON_FINITE,
@@ -133,7 +139,7 @@ from .records import (
     SweepTable,
     _as_table,
     _blank_columns,
-    _write_record,
+    _write_row,
 )
 from .times import (
     CROSS_CHECK_TOL,
@@ -226,11 +232,7 @@ _CROSS_CHECKS = (
 )
 
 
-def evaluate(
-    problem: BarrierProblem,
-    cfg: SweepConfig,
-    grid_point: tuple[float, float] | None = None,
-) -> tuple[SweepRecord, list[Exception]]:
+def evaluate(problem: BarrierProblem, cfg: SweepConfig) -> tuple[SweepRecord, list[Exception]]:
     """The sweep's record at one problem, and the exceptions behind its
     failures.
 
@@ -241,43 +243,50 @@ def evaluate(
     point command raises the first exception that concerns a column it
     prints.
 
-    ``grid_point`` is the (E/V0, d in nm) the record is filed under; the sweep
-    passes its grid values so that records key exactly. It defaults to the
-    problem's own. cfg supplies V0 and the cutoff, and the record files its
-    values under them: a problem whose height is not energy_ev_to_si(cfg.v0_ev)
-    or whose cutoff is not cfg.cutoff, as BarrierProblem.from_ev_nm builds
-    them, raises ValidationError. The phase stencil takes
-    times.DEFAULT_PHASE_STEP_EV, at a point as on the sweep's array pass.
+    The record is filed under the problem's own (E/V0, d in nm). cfg supplies
+    V0 and the cutoff, and the record files its values under them: a problem
+    whose height is not energy_ev_to_si(cfg.v0_ev) or whose cutoff is not
+    cfg.cutoff, as BarrierProblem.from_ev_nm builds them, raises
+    ValidationError. The phase stencil takes times.DEFAULT_PHASE_STEP_EV, at
+    a point as on the sweep's array pass.
     """
     if energy_ev_to_si(cfg.v0_ev) != problem.height or cfg.cutoff != problem.cutoff:
         raise ValidationError("the problem's height and cutoff must be cfg's V0_eV and Kprime")
-    grid_point = grid_point or (problem.e_over_v0, length_si_to_nm(problem.thickness))
-    values, spectrum, failures = _evaluate(problem)
-    return _record(cfg, *grid_point, values, spectrum), [exc for exc, _ in failures]
+    values, _, failures = _evaluate(problem)
+    record = _record(cfg, problem.e_over_v0, length_si_to_nm(problem.thickness), values)
+    return record, [exc for exc, _ in failures]
 
 
 def _evaluate(problem: BarrierProblem):
     """evaluate()'s record at ``problem`` but its grid key, as values by
-    attribute; the spectrum it carries; and its failures, each exception
-    with the attributes it concerns (see _failures)."""
-    sol = stationary_solution(problem)
+    attribute; the values of the curve columns (records._CURVES), the
+    normalization NaN where the moments failed; and its failures, each
+    exception with the attributes it concerns (see _failures).
+
+    The kernels run as on the sweep's array pass (_grid_pass), at a point:
+    _wavenumber_pair(), _coefficients(), _moments(), then _columns().
+    """
+    d, c = problem.thickness, problem.cutoff
+    k, kappa = _wavenumber_pair(problem.energy, problem.height)
+    coefficients = t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, d)
     faults: dict[str, Exception] = {}
     # the kernel takes NaN for a failed moment or stencil, as the array pass
     # holds it; NaN passes math.sqrt and division without raising
     try:
-        spectrum = momentum_spectrum(problem, solution=sol)
-        moments = spectrum.normalization, spectrum.second_moment
+        norm, second = _moments(k, kappa, d, c, t, S, A, B, a_d, b_d)
+        if exc := _moments_error(norm, second):
+            raise exc
     except (DomainError, NoConvergence) as exc:
-        spectrum, moments, faults["momentum"] = None, (math.nan, math.nan), exc
+        norm, second, faults["momentum"] = math.nan, math.nan, exc
     try:
         t_ph_num = phase_time_numeric(problem)
     except DomainError as exc:
         t_ph_num, faults["clipped"] = math.nan, exc
-    wn, coefficients = sol.wavenumbers, (sol.t, sol.S, sol.A, sol.B, sol.R, *sol.edge_modes)
     values, *checks = _columns(
-        wn.k, wn.kappa, problem.thickness, problem.height, coefficients, *moments, t_ph_num, POINT
+        k, kappa, d, problem.height, coefficients, norm, second, t_ph_num, POINT
     )
-    return values, spectrum, _failures(values, *checks, faults)
+    curves = {"kappa": kappa, "A": A, "B": B, "a_d": a_d, "b_d": b_d, "normalization": norm}
+    return values, curves, _failures(values, *checks, faults)
 
 
 def _columns(k, kappa, d, height, coefficients, norm, second, t_ph_num, f):
@@ -369,29 +378,36 @@ def _agrees(numeric, analytic):
     return close & (abs(analytic) < math.inf)
 
 
-def _record(cfg, e_ratio, d_nm, values, spectrum=None):
+def _record(cfg, e_ratio, d_nm, values):
     """The SweepRecord filed under the grid point (``e_ratio``, ``d_nm``)
     of ``cfg``, with ``values`` by attribute."""
     e_ev, v0_ev = e_ratio * cfg.v0_ev, cfg.v0_ev
     return SweepRecord(e_over_v0=e_ratio, d_nm=d_nm, e_ev=e_ev, v0_ev=v0_ev,
-                       cutoff=cfg.cutoff, **values, spectrum=spectrum)
+                       cutoff=cfg.cutoff, **values)
+
+
+def _point(cfg: SweepConfig, e_ratio: float, d_nm: float):
+    """_evaluate()'s record values and curve values at the grid point
+    (``e_ratio``, ``d_nm``) of ``cfg``; a problem BarrierProblem refuses has
+    only its error cell."""
+    try:
+        problem = BarrierProblem.from_ev_nm(e_ratio * cfg.v0_ev, cfg.v0_ev, d_nm, cfg.cutoff)
+    except DomainError as exc:
+        return {"error": f"problem: {exc}"}, {}
+    return _evaluate(problem)[:2]
 
 
 def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord:
     """The sweep's record at one grid point, failures in its cells."""
-    try:
-        problem = BarrierProblem.from_ev_nm(e_ratio * cfg.v0_ev, cfg.v0_ev, d_nm, cfg.cutoff)
-    except DomainError as exc:
-        return _record(cfg, e_ratio, d_nm, {"error": f"problem: {exc}"})
-    return evaluate(problem, cfg, grid_point=(e_ratio, d_nm))[0]
+    return _record(cfg, e_ratio, d_nm, _point(cfg, e_ratio, d_nm)[0])
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:
     """Evaluate the full grid, thickness outer, energy inner (ascending).
 
     One pass of array kernels writes the usual points into the table's
-    columns (see the module docstring); evaluate_point() evaluates every
-    other point, and its record is written into the same columns.
+    columns (see the module docstring); the point path evaluates every other
+    point, and its record and curve values are written into the same columns.
     """
     import numpy as np
 
@@ -410,7 +426,8 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
     todo = np.ones(size, dtype=bool)
     todo[_grid_pass(cfg, columns)] = False
     for i in np.flatnonzero(todo).tolist():
-        _write_record(columns, i, evaluate_point(cfg, e_grid[i % n_e], d_grid[i // n_e]))
+        values, curves = _point(cfg, e_grid[i % n_e], d_grid[i // n_e])
+        _write_row(columns, i, values | curves)
     return SweepTable(columns)
 
 
@@ -457,7 +474,7 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
     t_ph_num = t_ph_num.ravel()
     # Python floats overflow to inf and make NaN without a warning; so does
     # this pass, and every lane that ends non-finite or fails a check goes
-    # to evaluate_point(), which evaluates the same kernels
+    # to the point path, which evaluates the same kernels
     with np.errstate(all="ignore"):
         k, kappa = _wavenumber_pair(energy, height, GRID)
         coefficients = t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, thickness, GRID)
@@ -467,8 +484,7 @@ def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> 
             k, kappa, thickness, height, coefficients, norm, second, t_ph_num, GRID
         )
     usual = np.logical_and.reduce([*checks.values(), *finite])
-    values.update(k=k, kappa=kappa, t=t, S=S, A=A, B=B, R=R, a_d=a_d, b_d=b_d,
-                  normalization=norm, second_moment=second)
+    values.update(kappa=kappa, A=A, B=B, a_d=a_d, b_d=b_d, normalization=norm)
     for name, lanes in values.items():
         written = usual & crossing if name in _DEPTH else usual
         columns[name][flat[written]] = lanes[written]
@@ -814,9 +830,10 @@ def emit_figure_data(
     fig5: depth, tau_eff, xi per grid point (empty cells where no crossing).
     fig6a: eps_eff + V0 per grid point.
 
-    fig1 and fig4 are drawn from the records' columns and raise
-    MissingGridPoint for the first record without a momentum spectrum, as
-    records re-read by parse_records() are. fig6a adds V0 to eps_eff; from
+    fig1 and fig4 are drawn from the curve columns of a SweepTable that
+    run_sweep() made, and raise MissingGridPoint for its first row that
+    cannot be drawn; any other sequence of records holds no curve columns,
+    so its first record is named. fig6a adds V0 to eps_eff; from
     re-read records that is the six-digit eps_eff cell, so its last digit can
     differ from the sweep's own (within 1e-5 relative, at 4 of the 990 dense
     rows and 1 of the 50 default ones).

@@ -5,8 +5,10 @@ linear solve, textbook closed forms, analytic antiderivatives, a dense scan
 plus bisection, adaptive quadrature, mpmath at 30 to 50 digits, CSV cells
 formatted one at a time) rather than calling the code path it certifies. The
 mpmath oracles import mpmath when called, so a test that uses them skips
-where it is not installed. The exception is the first section: the library's
-kernels evaluated at one problem, for the tests whose subject they are.
+where it is not installed. The exceptions are the first two sections: the
+library's kernels evaluated at one problem, for the tests whose subject they
+are, and sweep tables assembled from chosen rows, which the curve figures
+draw from.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from tunneltimes import __version__
+from tunneltimes import __version__, sweep
 from tunneltimes.barrier import _wave, stationary_solution, wavenumbers
-from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
+from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_nm_to_si, length_si_to_nm
 from tunneltimes.depth import DEPTH_LEVEL, _relative_density
 from tunneltimes.errors import DomainError, MissingGridPoint, NoConvergence
 from tunneltimes.momentum import _amplitude
@@ -30,7 +32,10 @@ from tunneltimes.sweep import (
     FIG4_X_POINTS,
     NOTE_PHASE_CLIPPED,
     RECORD_COLUMNS,
+    TEXT_FIELDS,
     TOOL_NAME,
+    SweepTable,
+    run_sweep,
 )
 from tunneltimes.times import _closed_times, _g
 
@@ -83,6 +88,30 @@ def momentum_density(spectrum, wavenumber):
         raise DomainError("momentum density is only defined inside the window")
     out = np.abs(momentum_amplitude(spectrum.solution, karr)) ** 2 / spectrum.normalization
     return float(out) if karr.ndim == 0 else out
+
+
+# --- sweep tables of chosen rows ----------------------------------------------
+
+#: The columns the curve figures draw from, besides the record's.
+CURVE_COLUMNS = ("kappa", "A", "B", "a_d", "b_d", "normalization")
+
+
+def join_rows(rows) -> SweepTable:
+    """A SweepTable of ``rows``, each a (table, row index) pair: rows of one
+    table or of several, in the order given, every cell as its table holds it."""
+    columns = {}
+    for name in (*RECORD_COLUMNS.values(), *CURVE_COLUMNS):
+        cells = [table.column(name)[i] for table, i in rows]
+        columns[name] = cells if name in TEXT_FIELDS else np.array(cells)
+    return SweepTable(columns)
+
+
+def point_table(cfg) -> SweepTable:
+    """run_sweep(cfg) with the array pass turned off, so that the point path
+    evaluates every row and the fallback row writer writes it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_grid_pass", lambda cfg, columns: np.array([], dtype=int))
+        return run_sweep(cfg)
 
 
 # --- adaptive quadrature: the reference for the closed-form integrals ---------
@@ -543,19 +572,26 @@ _PER_CELL_FIGURES = {
 _PER_CELL_OPTIONAL = ("s_nm", "tau_eff_s", "xi")
 
 
-def _per_cell_spectrum(rec):
-    if rec.spectrum is None:
-        raise _per_cell_missing(
-            rec, f"has no momentum spectrum to draw curves from (error={rec.error!r})"
-        )
-    return rec.spectrum
+def _per_cell_curve(records, i: int, rec):
+    """Row ``i``'s thickness, then the decay constant, A, B, the edge modes
+    and the normalization, each read from its own cell of a SweepTable's
+    curve columns. A list of records has no curve columns."""
+    if isinstance(records, SweepTable):
+        curve = [records.column(name).item(i) for name in CURVE_COLUMNS]
+        if not math.isnan(curve[-1]):
+            return length_nm_to_si(rec.d_nm), *curve
+    raise _per_cell_missing(
+        rec, f"has no momentum spectrum to draw curves from (error={rec.error!r})"
+    )
 
 
 def per_cell_emit(records, which: str) -> str:
     """The sweep CSV ("sweep"), table1 or a figure's data of ``records``,
     emitted without a config, one cell at a time in row order, every curve
-    grid built per record. A record that cannot be emitted raises
-    MissingGridPoint naming the first gap in row order, then column order."""
+    grid built per record and every curve drawn from its row's cells of a
+    SweepTable's curve columns. A record that cannot be emitted raises
+    MissingGridPoint naming the first gap in row order, then column order;
+    the first record of a list, which has no curve columns, cannot be drawn."""
     out = [f"# tool: {TOOL_NAME} {__version__}"]
     clipped = [
         f"(E/V0={_per_cell_echo(r.e_over_v0)}, d={_per_cell_echo(r.d_nm)} nm)"
@@ -576,19 +612,20 @@ def per_cell_emit(records, which: str) -> str:
             )
     elif which == "fig1":
         out.append("E_over_V0,d_nm,K_per_m,pdf_m")
-        for rec in records:
+        for i, rec in enumerate(records):
+            d, kappa, a, b, a_d, b_d, norm = _per_cell_curve(records, i, rec)
             ks = np.linspace(-rec.cutoff, rec.cutoff, FIG1_K_POINTS)
-            pdf = momentum_density(_per_cell_spectrum(rec), ks)
+            pdf = np.abs(_amplitude(ks, d, kappa, a, b, a_d, b_d)) ** 2 / norm
             prefix = f"{per_cell_fmt(rec.e_over_v0)},{per_cell_fmt(rec.d_nm)}"
             out += [
                 f"{prefix},{per_cell_fmt(k)},{per_cell_fmt(p)}" for k, p in zip(ks, pdf)
             ]
     elif which == "fig4":
         out.append("E_over_V0,d_nm,x_nm,relative_density")
-        for rec in records:
-            sol = _per_cell_spectrum(rec).solution
-            xs = np.linspace(0.0, sol.problem.thickness, FIG4_X_POINTS)
-            dens = relative_density(sol, xs)
+        for i, rec in enumerate(records):
+            d, kappa, _, b, a_d, _, _ = _per_cell_curve(records, i, rec)
+            xs = np.linspace(0.0, d, FIG4_X_POINTS)
+            dens = _relative_density(_wave(xs, d, kappa, b, a_d), _wave(0.0, d, kappa, b, a_d))
             prefix = f"{per_cell_fmt(rec.e_over_v0)},{per_cell_fmt(rec.d_nm)}"
             out += [
                 f"{prefix},{per_cell_fmt(length_si_to_nm(x))},{per_cell_fmt(v)}"

@@ -5,18 +5,16 @@ once, the curve figures check every curve for finiteness at once, and each
 K or x grid a sweep shares is formatted only once. ``oracles.per_cell_emit``
 formats every cell on its own, in row order, as the emitters once did; the
 text, or the MissingGridPoint raised instead, must be identical for every
-emitter, on the dense acceptance grid and on records joined from sweeps whose
-cutoffs, heights and thicknesses differ.
+emitter, on the dense acceptance grid and on rows joined from sweeps whose
+cutoffs, heights and thicknesses differ, as a table and as a list of records.
 """
 
 import sys
 from dataclasses import replace
-from itertools import chain
-
 import numpy as np
 import pytest
 
-from oracles import assert_same_text, outcome, per_cell_emit, per_cell_fmt
+from oracles import assert_same_text, join_rows, outcome, per_cell_emit, per_cell_fmt
 from tunneltimes.errors import MissingGridPoint
 from tunneltimes.sweep import (
     FIGURE_IDS,
@@ -80,15 +78,21 @@ def dense_records():
 
 
 @pytest.fixture(scope="module")
-def mixed_records():
-    joined = list(chain.from_iterable(run_sweep(cfg) for cfg in MIXED))
-    # records of one thickness but different cutoffs follow each other, so a
-    # grid filed under the wrong key shows up in the next record's rows
-    joined.sort(key=lambda r: (r.d_nm, r.cutoff, r.e_over_v0))
-    # and one clipped phase stencil, for the metadata line and an empty cell
-    clipped = evaluate_point(SweepConfig(), 1e-6, 0.5)
-    assert clipped.spectrum is not None and clipped.t_ph_numeric_s is None
-    return joined + [clipped]
+def mixed_table():
+    def key(row):
+        rec = row[0][row[1]]
+        return rec.d_nm, rec.cutoff, rec.e_over_v0
+
+    rows = [(table, i) for table in map(run_sweep, MIXED) for i in range(len(table))]
+    # rows of one thickness but different cutoffs follow each other, so a
+    # grid filed under the wrong key shows up in the next row's curve
+    rows.sort(key=key)
+    # and one clipped phase stencil, for the metadata line and an empty cell:
+    # a row the point path writes, and draws
+    clipped = run_sweep(SweepConfig(e_over_v0_grid=(1e-6,), d_nm_grid=(0.5,)))
+    assert clipped[0].t_ph_numeric_s is None
+    assert clipped.column("normalization")[0] > 0.0
+    return join_rows(rows + [(clipped, 0)])
 
 
 @pytest.mark.parametrize("which", EMITTERS)
@@ -97,14 +101,26 @@ def test_dense_grid_matches_the_per_cell_route(dense_records, which):
 
 
 @pytest.mark.parametrize("which", EMITTERS)
-def test_mixed_grids_match_the_per_cell_route(mixed_records, which):
+def test_mixed_grids_match_the_per_cell_route(mixed_table, which):
+    mixed_records = list(mixed_table)
     assert len({r.cutoff for r in mixed_records}) == 3
-    want = outcome(per_cell_emit, mixed_records, which)
+    want = outcome(per_cell_emit, mixed_table, which)
     if which in MIXED_REFUSED:
         assert want.startswith("MissingGridPoint: ")
     else:
         assert "# clipping: " in want
-    assert_same_text(outcome(emit, mixed_records, which), want)
+    assert_same_text(outcome(emit, mixed_table, which), want)
+    # the same rows as a list of records: a list has no curve columns, so
+    # fig1 and fig4 name its first record
+    listed = outcome(per_cell_emit, mixed_records, which)
+    if which in ("fig1", "fig4"):
+        assert listed == (
+            "MissingGridPoint: record E/V0=0.1, d=0.2 nm has no momentum spectrum to "
+            "draw curves from (error='')"
+        )
+    else:
+        assert listed == want
+    assert_same_text(outcome(emit, mixed_records, which), listed)
 
 
 #: The dense grid plus a ratio whose phase stencil clips: fallback rows,
@@ -122,15 +138,22 @@ def clipped_table():
 @pytest.mark.parametrize("which", EMITTERS)
 def test_a_table_its_records_and_its_reparsed_csv_emit_alike(clipped_table, which):
     # the table is read by column, a list of its records by one conversion;
-    # re-parsed records carry no spectrum, so only the curve figures refuse them
+    # a list, re-parsed or not, has no curve columns, so only the curve
+    # figures refuse it, naming its first record
     table = clipped_table
     assert isinstance(table, SweepTable)
     want = outcome(emit, table, which)
-    assert outcome(emit, list(table), which) == want
+    listed = outcome(emit, list(table), which)
     parsed = outcome(emit, parse_records(records_to_csv(table, WITH_CLIPPED)), which)
     if which in ("fig1", "fig4"):
-        assert "no momentum spectrum" in parsed
-    elif which == "fig6a":
+        assert listed == parsed == (
+            "MissingGridPoint: record E/V0=1e-06, d=0.1 nm has no momentum spectrum to "
+            "draw curves from (error='')"
+        )
+        assert not want.startswith("MissingGridPoint")
+        return
+    assert listed == want
+    if which == "fig6a":
         # eps_eff + V0 is derived from the six-digit eps_eff cell, so its last
         # digit may round the other way
         pairs = list(zip(parsed.splitlines(), want.splitlines(), strict=True))

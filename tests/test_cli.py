@@ -269,6 +269,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "table1", "--config", str(config))
         assert code == 2 and "missing grid point" in err
 
+    def test_a_figure_set_that_cannot_be_emitted_writes_nothing(self, capsys, tmp_path):
+        # under Kprime = 1e15 every v_rms is superluminal: fig1 draws, but
+        # fig2 has no v_rms, so no figure file is made or overwritten
+        config, out_dir = tmp_path / "sl.cfg", tmp_path / "figs"
+        config.write_text("Kprime=1e15\n", encoding="utf-8")
+        argv = ("figures", "--config", str(config), "--out-dir", str(out_dir))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "is missing v_rms_m_per_s" in err
+        assert not out_dir.exists()
+        out_dir.mkdir()
+        (out_dir / "fig1.csv").write_bytes(b"an earlier fig1\n")
+        assert run(capsys, *argv) == (code, out, err)
+        assert [path.name for path in out_dir.iterdir()] == ["fig1.csv"]
+        assert (out_dir / "fig1.csv").read_bytes() == b"an earlier fig1\n"
+
     def test_cross_check_failure_is_three(self, capsys):
         code, out, err = run(capsys, "times", "--E-eV", "0.02", "--V0-eV", "1",
                              "--d-nm", "3")

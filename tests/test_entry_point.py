@@ -27,6 +27,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +113,13 @@ REMOVED = {
 #: kernels' (oracles.momentum_density and oracles.psi_barrier at one problem).
 REMOVED_METHODS = (("StationarySolution", "psi_barrier"), ("MomentumSpectrum", "pdf"))
 #: Parameters that are gone, by function, as a positional and a keyword
-#: argument: the phase step is the module's DEFAULT_PHASE_STEP_EV, and the
-#: dwell time solves its own problem.
-REMOVED_PARAMETERS = {"phase_time_numeric": "step_ev", "dwell_time_numeric": "solution"}
+#: argument: the phase step is the module's DEFAULT_PHASE_STEP_EV, the dwell
+#: time and the spectrum solve their own problem, and evaluate() files its
+#: record under its problem's own grid point.
+REMOVED_PARAMETERS = {
+    "phase_time_numeric": "step_ev", "dwell_time_numeric": "solution",
+    "momentum_spectrum": "solution", "evaluate": "grid_point",
+}
 #: The submodules that import made attributes of the package.
 SUBMODULES = (
     "barrier", "constants", "depth", "errors", "momentum", "numerics", "records", "sweep",
@@ -156,12 +161,20 @@ class TestPackageSurface:
     @pytest.mark.parametrize("function, parameter", REMOVED_PARAMETERS.items())
     def test_a_removed_parameter_is_refused(self, function, parameter):
         # refused before the value is looked at
-        problem = tunneltimes.BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
+        args = [tunneltimes.BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)]
+        if function == "evaluate":
+            args.append(tunneltimes.SweepConfig())
         call = getattr(tunneltimes, function)
-        with pytest.raises(TypeError, match="takes 1 positional argument but 2 were given"):
-            call(problem, None)
+        taken = "1 positional argument" if len(args) == 1 else f"{len(args)} positional arguments"
+        with pytest.raises(TypeError, match=f"takes {taken} but {len(args) + 1} were given"):
+            call(*args, None)
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{parameter}'"):
-            call(problem, **{parameter: None})
+            call(*args, **{parameter: None})
+
+    def test_a_record_has_no_spectrum(self):
+        # a record is its cells; fig1 and fig4 draw from the table's columns
+        assert not hasattr(tunneltimes.SweepRecord, "spectrum")
+        assert "spectrum" not in {field.name for field in fields(tunneltimes.SweepRecord)}
 
     def test_an_unknown_name_is_refused(self):
         with pytest.raises(AttributeError, match=r"^module 'tunneltimes' has no attribute 'nope'$"):

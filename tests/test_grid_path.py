@@ -1,12 +1,12 @@
 """The sweep's array pass against the point path it stands in for.
 
 run_sweep() evaluates the usual grid points with array kernels and hands the
-others to evaluate_point(); both must give the same records. Thin barriers and
+others to the point path; both must give the same records. Thin barriers and
 narrow windows, where the moments take their series route, are usual. Each seeded
 config below is swept both ways, and the sweep CSV, fig1 and fig4 must match
 byte for byte, every note and error cell included, with every numeric column
 within 1e-13 relative. fig1 and fig4, drawn from the table's columns, must
-also match the per-record route of oracles.per_cell_emit.
+also match the per-cell route of oracles.per_cell_emit.
 """
 
 import ast
@@ -16,14 +16,30 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oracles import assert_same_text, mp_window_moments, outcome, per_cell_emit
+from oracles import (
+    CURVE_COLUMNS,
+    assert_same_text,
+    join_rows,
+    mp_window_moments,
+    outcome,
+    per_cell_emit,
+    point_table,
+)
 from tunneltimes import cli, sweep
-from tunneltimes.barrier import BarrierProblem, wavenumbers
-from tunneltimes.constants import CONSTANTS
+from tunneltimes.barrier import (
+    BarrierProblem,
+    _coefficients,
+    _wavenumber_pair,
+    stationary_solution,
+    wavenumbers,
+)
+from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_nm_to_si
 from tunneltimes.errors import DomainError, MissingGridPoint
-from tunneltimes.momentum import MomentumSpectrum, _series_route, momentum_spectrum
+from tunneltimes.momentum import MomentumSpectrum, _moments, _series_route, momentum_spectrum
+from tunneltimes.numerics import GRID
 from tunneltimes.sweep import (
     NOTE_NO_CROSSING,
     RECORD_COLUMNS,
@@ -95,23 +111,58 @@ def assert_same_records(grid, points, cfg):
                 assert abs(x - y) <= REL_TOL * abs(y), (attr, a.e_over_v0, a.d_nm, x, y)
             else:
                 assert x == y, (attr, a.e_over_v0, a.d_nm, x, y)
-        assert (a.spectrum is None) == (b.spectrum is None)
     assert records_to_csv(grid, cfg) == records_to_csv(points, cfg)
-    drawable = [i for i, rec in enumerate(points) if rec.spectrum is not None]
+    # the curves of the rows the point path can draw, from a table the
+    # fallback row writer wrote whole, whose records are the points'
+    table = point_table(cfg)
+    assert list(table) == points
+    drawable = drawable_rows(table)
+    assert drawable == drawable_rows(grid)
     for fig in ("fig1", "fig4"):
-        assert emit_figure_data([grid[i] for i in drawable], fig) == emit_figure_data(
-            [points[i] for i in drawable], fig
+        assert_same_text(
+            emit_figure_data(join_rows([(grid, i) for i in drawable]), fig),
+            emit_figure_data(join_rows([(table, i) for i in drawable]), fig),
         )
 
 
+def drawable_rows(table):
+    """The rows of ``table`` the curve figures can draw."""
+    return np.flatnonzero(~np.isnan(table.column("normalization"))).tolist()
+
+
 def point_calls(monkeypatch):
-    """The (E/V0, d) of every evaluate_point() call run_sweep() makes."""
+    """The (E/V0, d) of every point run_sweep() leaves to the point path."""
     calls = []
-    point = sweep.evaluate_point
+    point = sweep._point
     monkeypatch.setattr(
-        sweep, "evaluate_point", lambda cfg, r, d: calls.append((r, d)) or point(cfg, r, d)
+        sweep, "_point", lambda cfg, r, d: calls.append((r, d)) or point(cfg, r, d)
     )
     return calls
+
+
+def accepted_problems(cfg):
+    """Row -> problem, for each row of ``cfg``'s sweep that BarrierProblem
+    accepts."""
+    problems = {}
+    for row, (d_nm, r) in enumerate((d, r) for d in cfg.d_nm_grid for r in cfg.e_over_v0_grid):
+        try:
+            problems[row] = BarrierProblem.from_ev_nm(r * cfg.v0_ev, cfg.v0_ev, d_nm, cfg.cutoff)
+        except DomainError:
+            pass
+    return problems
+
+
+def grid_lanes(table, cfg, rows):
+    """The array pass's kernels over ``rows`` of ``table``, by numerics.GRID:
+    (k, kappa), the coefficients (t, S, A, B, R, A e^{kappa d}, B e^{-kappa d})
+    and the two moments, each indexed by position in ``rows``."""
+    energy = energy_ev_to_si(table.column("e_ev")[rows])
+    d = length_nm_to_si(table.column("d_nm")[rows])
+    with np.errstate(all="ignore"):
+        k, kappa = _wavenumber_pair(energy, energy_ev_to_si(cfg.v0_ev), GRID)
+        coefficients = t, S, A, B, _, a_d, b_d = _coefficients(k, kappa, d, GRID)
+        moments = _moments(k, kappa, d, cfg.cutoff, t, S, A, B, a_d, b_d, GRID)
+    return (k, kappa), coefficients, moments
 
 
 def series_route_points(cfg):
@@ -224,6 +275,7 @@ def test_series_route_lanes_match_mpmath(monkeypatch):
     for cfg in THIN_CONFIGS.values():
         table = run_sweep(cfg)
         assert calls == []
+        points, oracles = [], []
         for rec in table:
             problem = BarrierProblem.from_ev_nm(rec.e_ev, cfg.v0_ev, rec.d_nm, cfg.cutoff)
             d = problem.thickness
@@ -231,32 +283,51 @@ def test_series_route_lanes_match_mpmath(monkeypatch):
             if _series_route(kappa_d, edge):
                 kinds.add("tail" if edge > 2.0 else "closed" if kappa_d > 64.0 else "centre")
                 smallest = min(smallest, kappa_d)
-            got = (rec.spectrum.normalization, rec.spectrum.second_moment)
             point = momentum_spectrum(problem)
-            for value, oracle, at_point in zip(
-                got, mp_window_moments(problem), (point.normalization, point.second_moment)
-            ):
-                assert abs(value - oracle) <= 1e-12 * oracle
-                assert abs(value - at_point) <= 1e-13 * at_point
+            points.append((point.normalization, point.second_moment))
+            oracles.append(mp_window_moments(problem))
+        # both moments of the lanes the sweep wrote its normalization from
+        _, _, lanes = grid_lanes(table, cfg, list(range(len(table))))
+        assert np.array_equal(lanes[0], table.column("normalization"))
+        for got, at_point, oracle in zip(lanes.T.tolist(), points, oracles):
+            for value, x, y in zip(got, at_point, oracle):
+                assert abs(value - y) <= 1e-12 * y
+                assert abs(value - x) <= 1e-13 * x
     assert kinds == {"tail", "centre", "closed"} and smallest < 2e-7
 
 
 @pytest.mark.parametrize("cfg", [DENSE, *CONFIGS], ids=["dense", *CONFIG_IDS])
-def test_records_carry_the_point_paths_problem_and_solution(cfg):
-    # the table builds each spectrum on demand, from the array pass's columns
-    # or from those a fallback record was written into
-    for grid, point in zip(run_sweep(cfg), point_by_point(cfg)):
-        if point.spectrum is None:
-            assert grid.spectrum is None
+def test_records_carry_the_point_paths_problem_and_solution(cfg, monkeypatch):
+    # the table's curve columns, from the array pass or written by the
+    # fallback row writer, against the point path's; and on the rows the
+    # array pass wrote, its kernels against the point's
+    calls = point_calls(monkeypatch)
+    table = run_sweep(cfg)
+    problems = accepted_problems(cfg)
+    assert np.isnan(table.column("normalization")[[
+        row for row in range(len(table)) if row not in problems
+    ]]).all()
+    for row, problem in problems.items():
+        _, curves, _ = sweep._evaluate(problem)
+        grid = {name: table.column(name).item(row) for name in CURVE_COLUMNS}
+        if math.isnan(curves["normalization"]):
+            assert math.isnan(grid["normalization"])
             continue
-        a, b = grid.spectrum.solution, point.spectrum.solution
-        assert a.problem == b.problem and a.wavenumbers == b.wavenumbers
-        for name in ("t", "S", "A", "B", "R"):
-            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-14 * abs(getattr(b, name))
-        for x, y in zip(a.edge_modes, b.edge_modes):
-            assert abs(x - y) <= 1e-14 * abs(y)
-        for name in ("normalization", "second_moment"):
-            x, y = getattr(grid.spectrum, name), getattr(point.spectrum, name)
+        assert grid["kappa"] == curves["kappa"]
+        for name in ("A", "B", "a_d", "b_d"):
+            assert abs(grid[name] - curves[name]) <= 1e-14 * abs(curves[name])
+        norm = curves["normalization"]
+        assert abs(grid["normalization"] - norm) <= REL_TOL * norm
+    fallbacks = set(calls)
+    rows = [row for row in problems if (table[row].e_over_v0, table[row].d_nm) not in fallbacks]
+    (k, kappa), coefficients, moments = grid_lanes(table, cfg, rows)
+    for lane, row in enumerate(rows):
+        sol = stationary_solution(problems[row])
+        assert (k[lane], kappa[lane]) == (sol.wavenumbers.k, sol.wavenumbers.kappa)
+        for x, y in zip(coefficients, (sol.t, sol.S, sol.A, sol.B, sol.R, *sol.edge_modes)):
+            assert abs(x[lane] - y) <= 1e-14 * abs(y)
+        point = momentum_spectrum(problems[row])
+        for x, y in zip(moments[:, lane], (point.normalization, point.second_moment)):
             assert abs(x - y) <= REL_TOL * y
 
 
@@ -311,12 +382,13 @@ def test_the_figures_command_draws_curves_without_building_records(monkeypatch, 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
 @pytest.mark.parametrize("fig", ["fig1", "fig4"])
 def test_curve_figures_match_the_per_record_route(cfg, fig):
-    # the table's columns against each record's own spectrum, curve by curve:
-    # series-route fallbacks, superluminal windows that still draw, thick rows
-    # whose edge modes underflow to 0, and heights up to 1e130 eV; the whole
-    # table, which may hold an undrawable row, and its drawable records
+    # the emitter against the per-cell route, which draws each curve cell by
+    # cell from its row of the table's curve columns: series-route fallbacks,
+    # superluminal windows that still draw, thick rows whose edge modes
+    # underflow to 0, and heights up to 1e130 eV; the whole table, which may
+    # hold an undrawable row, and its drawable rows
     table = run_sweep(cfg)
-    drawable = [rec for rec in table if rec.spectrum is not None]
+    drawable = join_rows([(table, i) for i in drawable_rows(table)])
     for records in (table, drawable):
         want = outcome(per_cell_emit, records, fig)
         assert_same_text(outcome(emit_figure_data, records, fig), want)
@@ -329,7 +401,7 @@ def test_the_first_undrawable_row_in_row_order_is_named(fig):
     # the table have no spectrum; row 1 is named
     cfg = SweepConfig(e_over_v0_grid=(0.5, 0.9999999), d_nm_grid=(0.2, 0.5, 1.0))
     table = run_sweep(cfg)
-    assert [rec.spectrum is None for rec in table] == [False, True] * 3
+    assert np.isnan(table.column("normalization")).tolist() == [False, True] * 3
     with pytest.raises(MissingGridPoint) as err:
         emit_figure_data(table, fig)
     assert str(err.value).startswith(

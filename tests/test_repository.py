@@ -1,6 +1,7 @@
 """Checks on the repository's own text, which no linter runs here: the
-README's Library example runs as written, and every name a module of the
-package imports is used in that module."""
+README's Library example runs as written, every name a module of the
+package imports is used in that module, and the records module imports
+nothing from the package."""
 
 import ast
 import re
@@ -39,3 +40,24 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _package_imports(tree: ast.Module) -> list[str]:
+    """Each import statement in ``tree`` that names a module of the package."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "tunneltimes")
+        or isinstance(node, ast.Import)
+        and any(alias.name.partition(".")[0] == "tunneltimes" for alias in node.names)
+    ]
+
+
+def test_the_records_module_imports_nothing_from_the_package():
+    # a record is its cells and a table its columns: no solution or spectrum
+    # object may come back into the module that holds them
+    tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree) == []
+    # the check sees the imports the other modules make
+    assert _package_imports(ast.parse((PACKAGE / "sweep.py").read_text(encoding="utf-8")))

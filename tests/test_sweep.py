@@ -1,11 +1,12 @@
 import math
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM
+from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, join_rows, per_cell_emit, point_table
 from test_point_pins import STDERR
 from test_point_pins import run as run_point
 from tunneltimes import momentum, sweep
@@ -20,6 +21,7 @@ from tunneltimes.errors import (
 )
 from tunneltimes.sweep import (
     FIGURE_IDS,
+    RECORD_COLUMNS,
     SweepConfig,
     emit_figure_data,
     SweepRecord,
@@ -254,16 +256,19 @@ class TestRunSweep:
 
 class TestEvaluate:
     def test_the_spectrum_is_not_part_of_the_record_value(self):
+        # a record is its cells; the curves are the sweep table's columns
         rec = evaluate_point(SweepConfig(), 0.5, 0.5)
-        assert rec.spectrum is not None
-        bare = replace(rec, spectrum=None)
-        assert bare == rec and hash(bare) == hash(rec)
+        assert [field.name for field in fields(rec)] == list(RECORD_COLUMNS.values())
+        assert not hasattr(rec, "spectrum")
+        assert rec == replace(rec) and hash(rec) == hash(replace(rec))
 
     def test_matches_the_sweep_record(self):
         cfg = SweepConfig()
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        rec, caught = evaluate(problem, cfg, grid_point=(0.5, 0.5))
+        rec, caught = evaluate(problem, cfg)
         assert caught == []
+        # filed under the problem's own grid point, which reads back as given
+        assert (rec.e_over_v0, rec.d_nm) == (0.5, 0.5)
         assert rec == evaluate_point(cfg, 0.5, 0.5)
 
     @pytest.mark.parametrize(
@@ -283,13 +288,13 @@ class TestEvaluate:
         # a clipped stencil leaves t_ph_numeric_s empty and no other cell, so
         # the momentum and depth commands still print their columns there
         problem = BarrierProblem.from_ev_nm(5e-5, 10.0, 0.5)
-        values, spectrum, failures = sweep._evaluate(problem)
+        values, curves, failures = sweep._evaluate(problem)
         assert [(type(exc), concerns) for exc, concerns in failures] == [
             (DomainError, ("t_ph_numeric_s",))
         ]
         assert values["t_ph_numeric_s"] is None and values["note"] == "phase_stencil_clipped"
         assert None not in [values[name] for name in ("v_rms", "t_bl_s", "s_nm", "xi")]
-        assert spectrum is not None
+        assert curves["normalization"] > 0.0
 
     def test_tau_and_xi_need_the_kinematics(self):
         # a superluminal window fails the kinematics; the depth stands alone
@@ -314,15 +319,15 @@ class TestEvaluate:
         assert rec.t_ph_analytic_s > 0.0 and rec.t_dw_analytic_s > 0.0
 
     def test_each_point_is_solved_once(self, monkeypatch):
-        from tunneltimes import times
+        from tunneltimes import barrier
 
         solves = []
-        for module in (sweep, times):
-            solve = module.stationary_solution
+        for module in (barrier, sweep):
+            solve = module._coefficients
             monkeypatch.setattr(
                 module,
-                "stationary_solution",
-                lambda problem, solve=solve: solves.append(problem) or solve(problem),
+                "_coefficients",
+                lambda *args, solve=solve: solves.append(args) or solve(*args),
             )
         evaluate_point(SweepConfig(), 0.5, 0.5)
         # the phase stencil takes S at E +/- h from its closed form
@@ -421,17 +426,28 @@ class TestThickBarriers:
     def test_no_point_raises_and_every_record_serializes(self):
         # d log-uniform over nine decades reaches kappa*d of about 2e7
         rng = random.Random(9)
-        records = []
+        records, rows = [], []
         for _ in range(3000):
             v0 = rng.uniform(0.5, 25.0)
             e_ratio = rng.uniform(0.01, 0.99)
             d_nm = 10.0 ** rng.uniform(-3.0, 6.0)
             records.append(evaluate_point(SweepConfig(v0_ev=v0), e_ratio, d_nm))
+            cfg = SweepConfig(v0_ev=v0, e_over_v0_grid=(e_ratio,), d_nm_grid=(d_nm,))
+            rows.append((point_table(cfg), 0))
+        assert [table[0] for table, _ in rows] == records
         for start in range(0, len(records), 500):
             chunk = records[start : start + 500]
             records_to_csv(chunk)
-            emit_figure_data(chunk, "fig1")
-            emit_figure_data(chunk, "fig4")
+            # a list of records has no curve columns to draw from; the same
+            # rows, as the point path writes them into a table, draw
+            table = join_rows(rows[start : start + 500])
+            for fig in ("fig1", "fig4"):
+                with pytest.raises(MissingGridPoint, match=re.escape(
+                    f"record E/V0={chunk[0].e_over_v0!r}, d={chunk[0].d_nm!r} nm has no "
+                    "momentum spectrum to draw curves from "
+                )):
+                    emit_figure_data(chunk, fig)
+                emit_figure_data(table, fig)
         # past about 100 nm the fixed phase stencil aliases the free-flight
         # phase (ROADMAP item 3); nothing else fails
         assert {r.error.split(":")[0] for r in records} == {"", "phase cross-check"}
@@ -650,9 +666,9 @@ class TestSweepTable:
         assert [(r.e_over_v0, r.d_nm, r.note) for r in records] == [
             (r.e_over_v0, r.d_nm, r.note) for r in points
         ]
-        # a row is built once and kept
-        assert table[-1] is records[-1] and table[10:13] == records[10:13]
-        assert table[7] is table[7]
+        # a row is built from its cells each time it is asked for
+        assert table[-1] == records[-1] and table[10:13] == records[10:13]
+        assert table[7] == table[7] and table[7] is not table[7]
         for index in (50, -51):
             with pytest.raises(IndexError):
                 table[index]
@@ -675,7 +691,7 @@ class TestSweepTable:
         table = run_sweep(cfg)
         unsolved = run_sweep(SweepConfig(e_over_v0_grid=(0.5, 0.9999999), d_nm_grid=(0.5,)))
         monkeypatch.setattr(
-            sweep.SweepTable, "_record", lambda self, i: pytest.fail(f"row {i} was built")
+            sweep.SweepTable, "__getitem__", lambda self, i: pytest.fail(f"row {i} was built")
         )
         clipping = "# clipping: phase-time stencil left the energy domain at " + ", ".join(
             f"(E/V0=1e-05, d={d:g} nm)" for d in sweep.TABLE1_D_NM
@@ -885,6 +901,32 @@ class TestFigureEmission:
         for fig in ("fig1", "fig4"):
             with pytest.raises(MissingGridPoint, match="no momentum spectrum"):
                 emit_figure_data(records, fig)
+
+    def test_curve_figures_refuse_a_list_of_records_at_row_0(self, default_records):
+        # a record is its cells: a list of a table's records has no curve
+        # columns, so its first record is named, drawable or not
+        for fig in ("fig1", "fig4"):
+            emit_figure_data(default_records, fig)
+            with pytest.raises(MissingGridPoint, match=(
+                r"^record E/V0=0\.01, d=0\.1 nm has no momentum spectrum to draw curves "
+                r"from \(error=''\)$"
+            )):
+                emit_figure_data(list(default_records), fig)
+
+    def test_a_fallback_row_draws(self, monkeypatch):
+        # the clipped stencil sends (1e-6, 0.5 nm) to the point path, whose
+        # curve values the row writer puts beside its record values
+        calls = []
+        point = sweep._point
+        monkeypatch.setattr(
+            sweep, "_point", lambda cfg, r, d: calls.append((r, d)) or point(cfg, r, d)
+        )
+        table = run_sweep(SweepConfig(e_over_v0_grid=(1e-6,), d_nm_grid=(0.5,)))
+        assert calls == [(1e-6, 0.5)] and "phase_stencil_clipped" in table[0].note
+        for fig, points in (("fig1", 201), ("fig4", 128)):
+            text = emit_figure_data(table, fig)
+            rows = [line for line in text.splitlines() if not line.startswith("#")]
+            assert len(rows) == 1 + points and text == per_cell_emit(table, fig)
 
     def test_curve_figures_refuse_unsolved_records(self):
         # inside the near-threshold guard band no solution exists at all
