@@ -19,8 +19,14 @@ every later call reuses it; parse_args keeps nothing from one call to the next.
 An argv whose first word names a subcommand is parsed once, by that
 subcommand's own parser (the one the top-level parser would hand it to); any
 other argv (empty, --version, -h, an unknown command) goes to the top-level
-parser. Both routes use the same parser objects, so every flag, default, help
-text and error message is written once.
+parser. A subcommand's argv that is plain skips argparse: after the command
+word it alternates flags and values, each flag spelled in full and given once,
+each value one argparse would take as it is (the exact rule is _parse_plain's),
+and every required flag is given. The namespace is then built from the
+subcommand parser's own actions: their names, types, defaults and choices. Any
+other argv (an abbreviation, --flag=value, a repeated flag, -h, a value that
+starts with '-', an error) goes to argparse. Every route uses the same parser
+objects, so every flag, default, help text and error message is written once.
 """
 
 from __future__ import annotations
@@ -127,7 +133,7 @@ def _load_config(args) -> SweepConfig:
     if args.config is None:
         return SweepConfig()
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:  # named after the file, as an OSError is
         raise ParseError(f"{exc}: {args.config!r}") from None
     return parse_config(text)
@@ -234,7 +240,46 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     command = _parser.commands.get(argv[0]) if argv else None
     if command is None:
         return _parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    args = _parse_plain(command, argv)
+    if args is None:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return args
+
+
+def _parse_plain(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace parser.parse_args(argv[1:]) builds, if argv is plain; else None.
+
+    After the command word, a plain argv alternates flags and values. Each flag
+    is the full option string of a store action taking one value, and names a
+    dest no earlier flag named. Each value is non-empty, does not start with a
+    prefix char, converts by the action's type and is one of its choices.
+    Every required action is given, and no default left in place is a string
+    that argparse would convert by the action's type.
+    """
+    if len(argv) % 2 == 0:
+        return None
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        action = parser._option_string_actions.get(flag)
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or action.dest in given or not value or value[0] in parser.prefix_chars):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(command=argv[0])
+    for action in parser._actions:
+        if action.dest in given:
+            setattr(args, action.dest, given[action.dest])
+        elif action.required or isinstance(action.default, str) and action.type is not None:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

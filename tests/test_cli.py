@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunneltimes import __version__, cli, sweep
 from tunneltimes.cli import main
@@ -110,6 +114,14 @@ class TestGridCommands:
         assert code == 0
         rows = [l for l in out.splitlines() if l and not l.startswith("#")]
         assert len(rows) == 1 + 2
+
+    def test_a_config_that_starts_with_a_bom_reads_as_without_it(self, capsys, tmp_path):
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"V0_eV=8\n" + SMALL_CONFIG)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        code, out, err = run(capsys, "sweep", "--config", str(plain))
+        assert code == 0 and err == "" and "V0_eV=8\n" in out
+        assert run(capsys, "sweep", "--config", str(bom)) == (0, out, "")
 
     def test_figures_all_writes_six_files(self, capsys, tmp_path):
         config = tmp_path / "small.cfg"
@@ -462,6 +474,15 @@ POINT_ROUTES = [
     (("--E-eV", "5", "--d-nm", "1"), "parsed"),
     (("--d-nm", "1", "--E-eV", "5", "--V0-eV", "8", "--Kprime", "1e10", "--out", "-"),
      "parsed"),
+    (("--E-eV", "5", "--d-nm", "1", "--out", "-"), "parsed"),
+    (("--E-eV", "5", "--d-nm", "1", "--out", ""), "parsed"),
+    (("--E-eV", " 5 ", "--d-nm", "1"), "parsed"),
+    (("--E-eV", "1_0", "--d-nm", "1"), "parsed"),
+    (("--E-eV", "nan", "--d-nm", "1"), "parsed"),
+    (("--E-eV", "1e400", "--d-nm", "1"), "parsed"),
+    (("--E-eV", "1", "--d-nm", "1", "--E-eV", "5"), "parsed"),
+    (("--E-eV=5", "--d-nm", "1"), "parsed"),
+    (("--E-eV", "5", "--d-nm", "1", "--out"), "refused"),
     (("--E-eV", "5", "--d-nm", "1", "--bogus"), "refused"),
     (("--E-eV", "5"), "refused"),
     (("--E-eV", "x", "--d-nm", "1"), "refused"),
@@ -487,6 +508,8 @@ FIGURES_ROUTES = [
     (("--which", "fig3", "--out", "fig3.csv"), "parsed"),
     (("--which", "fig9"), "refused"),
     (("--wh", "fig2", "--out-d", "figs"), "parsed"),
+    (("--which", "all", "--out-dir", "figs"), "parsed"),
+    (("--which", "fig9", "--out-dir", "figs"), "refused"),
 ]
 ROUTES = [
     *(([command, *flags], kind) for command in ("coeffs", "momentum", "times", "depth")
@@ -503,25 +526,78 @@ ROUTES = [
 ]
 
 
+@st.composite
+def point_argvs(draw):
+    """A point command's flags, shuffled, some left out and some given twice,
+    each with the repr of any float (negative, subnormal, infinite or NaN),
+    and sometimes an --out."""
+    flags = draw(st.permutations(("--E-eV", "--V0-eV", "--d-nm", "--Kprime", "--out")))
+    flags = flags[:draw(st.integers(2, len(flags)))]
+    flags += draw(st.lists(st.sampled_from(flags), max_size=1))
+    argv = [draw(st.sampled_from(("coeffs", "momentum", "times", "depth")))]
+    for flag in flags:
+        if flag == "--out":
+            value = draw(st.sampled_from(("o.csv", "-", "", "-o")))
+        else:
+            value = repr(draw(st.floats(min_value=0.0) | st.floats(min_value=0.0) | st.floats()))
+        argv += [flag, value]
+    return argv
+
+
 class TestParseRoutes:
     """main() parses a subcommand's argv with that subcommand's own parser;
     the outcome is the top-level parser's, flag for flag."""
 
     @staticmethod
-    def outcome(capsys, parse, argv):
+    def outcome(parse, argv):
+        # the namespace as the repr of its sorted items, so that a NaN value
+        # equals itself and -0.0 differs from 0.0
         try:
-            result = ("parsed", vars(parse(argv)))
+            return "parsed", repr(sorted(vars(parse(argv)).items()))
         except ValidationError as exc:
-            result = ("refused", str(exc))
+            return "refused", str(exc)
         except SystemExit as exc:
-            result = ("exited", exc.code)
-        return (*result, *capsys.readouterr())
+            return "exited", exc.code
+
+    @staticmethod
+    def top_level(argv):
+        return cli.build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv, kind", ROUTES, ids=[" ".join(a) or "empty" for a, _ in ROUTES])
     def test_main_parses_as_the_top_level_parser(self, capsys, monkeypatch, argv, kind):
         monkeypatch.setattr(cli, "_parser", None)
-        routed = self.outcome(capsys, cli._parse, argv)
-        assert routed == self.outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+        routed = (*self.outcome(cli._parse, argv), *capsys.readouterr())
+        assert routed == (*self.outcome(self.top_level, argv), *capsys.readouterr())
         assert routed[0] == kind
         if kind == "exited":  # -h or --version printed
             assert routed[1] == 0 and routed[2]
+
+    def test_plain_argvs_never_reach_argparse(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's argv shapes: full flags, each given once with a value
+        class ReachedArgparse(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise ReachedArgparse
+
+        config = tmp_path / "small.cfg"
+        config.write_bytes(SMALL_CONFIG)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        monkeypatch.chdir(tmp_path)
+        pairs = (("--E-eV", "5.0"), ("--V0-eV", "10.0"), ("--d-nm", "0.5"))
+        for command in ("coeffs", "momentum", "times", "depth"):
+            for order in itertools.permutations(pairs):
+                assert run(capsys, command, *itertools.chain(*order))[0] == 0
+        assert run(capsys, "sweep", "--config", str(config))[0] == 0
+        assert run(capsys, "table1")[0] == 0
+        assert run(capsys, "figures", "--which", "all", "--out-dir", "figs")[0] == 0
+        assert len(list((tmp_path / "figs").iterdir())) == 6
+        # an abbreviation or a help flag still goes to argparse
+        for argv in (("coeffs", "--E", "5", "--d-nm", "0.5"), ("coeffs", "-h")):
+            with pytest.raises(ReachedArgparse):
+                main(list(argv))
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=point_argvs())
+    def test_point_argvs_parse_as_the_top_level_parser(self, argv):
+        assert self.outcome(cli._parse, argv) == self.outcome(self.top_level, argv)
