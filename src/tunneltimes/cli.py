@@ -275,7 +275,7 @@ def _parse_plain(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.N
     for action in parser._actions:
         if action.dest in given:
             setattr(args, action.dest, given[action.dest])
-        elif action.required or isinstance(action.default, str) and action.type is not None:
+        elif action.required or (isinstance(action.default, str) and action.type is not None):
             return None
         elif action.default is not argparse.SUPPRESS:
             setattr(args, action.dest, action.default)

@@ -545,8 +545,9 @@ def point_argvs(draw):
 
 
 class TestParseRoutes:
-    """main() parses a subcommand's argv with that subcommand's own parser;
-    the outcome is the top-level parser's, flag for flag."""
+    """main() parses a plain subcommand argv from that subcommand's own
+    actions, and any other with that subcommand's own parser; the outcome is
+    the top-level parser's, flag for flag."""
 
     @staticmethod
     def outcome(parse, argv):
