@@ -19,14 +19,8 @@ every later call reuses it; parse_args keeps nothing from one call to the next.
 An argv whose first word names a subcommand is parsed once, by that
 subcommand's own parser (the one the top-level parser would hand it to); any
 other argv (empty, --version, -h, an unknown command) goes to the top-level
-parser. A subcommand's argv that is plain skips argparse: after the command
-word it alternates flags and values, each flag spelled in full and given once,
-each value one argparse would take as it is (the exact rule is _parse_plain's),
-and every required flag is given. The namespace is then built from the
-subcommand parser's own actions: their names, types, defaults and choices. Any
-other argv (an abbreviation, --flag=value, a repeated flag, -h, a value that
-starts with '-', an error) goes to argparse. Every route uses the same parser
-objects, so every flag, default, help text and error message is written once.
+parser. A plain subcommand argv is parsed from the subcommand parser's own
+actions without argparse (see _parse_plain); every other argv goes to argparse.
 """
 
 from __future__ import annotations
@@ -255,6 +249,11 @@ def _parse_plain(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.N
     prefix char, converts by the action's type and is one of its choices.
     Every required action is given, and no default left in place is a string
     that argparse would convert by the action's type.
+
+    The route reads argparse internals that are not public API
+    (_option_string_actions, _actions, _StoreAction); the route-table and
+    property tests in tests/test_cli.py hold it to argparse's result, so a
+    Python minor version is supported once CI's matrix runs them on it.
     """
     if len(argv) % 2 == 0:
         return None
