@@ -11,16 +11,17 @@ configured sweep and emit the corresponding CSV files; figures refuses --out
 with --which all (six files, into --out-dir) and --out-dir with one figure.
 Exit codes: 0 success, 1 validation or parse error or a file that cannot be
 read or written (a config that is missing or not UTF-8, an output path that
-cannot be made; the message names the file), 2 missing grid point, 3 internal
-numeric failure.
+cannot be made, an empty path; the message names the file, or the flag of an
+empty path), 2 missing grid point, 3 internal numeric failure.
 
-The argument parser is built once per process, by the first main() call, and
-every later call reuses it; parse_args keeps nothing from one call to the next.
-An argv whose first word names a subcommand is parsed once, by that
-subcommand's own parser (the one the top-level parser would hand it to); any
-other argv (empty, --version, -h, an unknown command) goes to the top-level
-parser. A plain subcommand argv is parsed from the subcommand parser's own
-actions without argparse (see _parse_plain); every other argv goes to argparse.
+Each subcommand's help text and flags are declared once, in _COMMANDS. A
+plain subcommand argv is parsed from that table without argparse (see
+_parse_plain). Any other argv goes to argparse, whose parser is built by the
+first argv that is not plain and reused by every later one; parse_args keeps
+nothing from one call to the next. An argv whose first word names a
+subcommand goes to that subcommand's own parser (the one the top-level parser
+would hand it to); any other (empty, --version, -h, an unknown command) goes
+to the top-level parser.
 """
 
 from __future__ import annotations
@@ -68,6 +69,36 @@ _RECORD_COMMANDS = {
         "t_bl_s",
     ),
     "depth": ("s_nm", "tau_eff_s", "xi", "eps_eff_eV"),
+}
+
+_OUT = {"dest": "out", "help": "output file ('-' or omitted: stdout)"}
+_POINT_FLAGS = {
+    "--E-eV": {"dest": "e_ev", "type": float, "required": True, "help": "incident energy in eV"},
+    "--V0-eV": {"dest": "v0_ev", "type": float, "default": 10.0,
+                "help": "barrier height in eV (default 10)"},
+    "--d-nm": {"dest": "d_nm", "type": float, "required": True, "help": "barrier thickness in nm"},
+    "--Kprime": {"dest": "cutoff", "type": float, "default": DEFAULT_CUTOFF,
+                 "help": "momentum window cutoff in 1/m (default 7.5e10)"},
+    "--out": _OUT,
+}
+_GRID_FLAGS = {"--config": {"dest": "config", "help": "key=value config file"}, "--out": _OUT}
+
+#: Each subcommand's help text and flags, as option string -> add_argument
+#: keywords; build_parser() and _parse_plain() both read it.
+_COMMANDS = {
+    "coeffs": ("wavenumbers and scattering coefficients for one problem", _POINT_FLAGS),
+    "momentum": ("rms-momentum kinematics for one problem", _POINT_FLAGS),
+    "times": ("all transit-time quantities for one problem", _POINT_FLAGS),
+    "depth": ("penetration depth and uncertainty coefficient for one problem", _POINT_FLAGS),
+    "sweep": ("full record CSV over the configured grid", _GRID_FLAGS),
+    "table1": ("penetration-depth table on the canonical 5x9 grid", _GRID_FLAGS),
+    "figures": ("figure-data CSVs over the configured grid", {
+        **_GRID_FLAGS,
+        "--which": {"dest": "which", "choices": FIGURE_IDS + ("all",), "default": "all",
+                    "help": "which figure to emit (default: all of them)"},
+        "--out-dir": {"dest": "out_dir", "help": "directory for the per-figure files when "
+                      "--which=all (default: .)"},
+    }),
 }
 
 
@@ -123,11 +154,17 @@ def _cmd_record(args) -> str:
     return _point_csv(args, values)
 
 
+def _path(flag: str, value: str) -> Path:
+    if not value:  # Path("") is the working directory
+        raise ValidationError(f"{flag} {value!r} is an empty path")
+    return Path(value)
+
+
 def _load_config(args) -> SweepConfig:
     if args.config is None:
         return SweepConfig()
     try:
-        text = Path(args.config).read_text(encoding="utf-8-sig")
+        text = _path("--config", args.config).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:  # named after the file, as an OSError is
         raise ParseError(f"{exc}: {args.config!r}") from None
     return parse_config(text)
@@ -137,7 +174,7 @@ def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_bytes(text.encode("utf-8"))
+        _path("--out", out).write_bytes(text.encode("utf-8"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,44 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each subcommand's own parser, by name
-
-    def point(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--E-eV", dest="e_ev", type=float, required=True,
-                        help="incident energy in eV")
-        sp.add_argument("--V0-eV", dest="v0_ev", type=float, default=10.0,
-                        help="barrier height in eV (default 10)")
-        sp.add_argument("--d-nm", dest="d_nm", type=float, required=True,
-                        help="barrier thickness in nm")
-        sp.add_argument("--Kprime", dest="cutoff", type=float, default=DEFAULT_CUTOFF,
-                        help="momentum window cutoff in 1/m (default 7.5e10)")
-        sp.add_argument("--out", help="output file ('-' or omitted: stdout)")
-        return sp
-
-    point("coeffs", "wavenumbers and scattering coefficients for one problem")
-    point("momentum", "rms-momentum kinematics for one problem")
-    point("times", "all transit-time quantities for one problem")
-    point("depth", "penetration depth and uncertainty coefficient for one problem")
-
-    def grid(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--out", help="output file ('-' or omitted: stdout)")
-        return sp
-
-    grid("sweep", "full record CSV over the configured grid")
-    grid("table1", "penetration-depth table on the canonical 5x9 grid")
-    figures = grid("figures", "figure-data CSVs over the configured grid")
-    figures.add_argument(
-        "--which",
-        choices=FIGURE_IDS + ("all",),
-        default="all",
-        help="which figure to emit (default: all of them)",
-    )
-    figures.add_argument(
-        "--out-dir",
-        help="directory for the per-figure files when --which=all (default: .)",
-    )
+    for name, (help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags.items():
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -212,7 +215,7 @@ def _dispatch(args) -> int:
             # every figure is emitted before any file is written, so a figure
             # that cannot be emitted leaves no part of the set behind
             texts = {fig: emit_figure_data(records, fig, cfg) for fig in FIGURE_IDS}
-            out_dir = Path(args.out_dir or ".")
+            out_dir = Path(".") if args.out_dir is None else _path("--out-dir", args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             for fig, text in texts.items():
                 (out_dir / f"{fig}.csv").write_bytes(text.encode("utf-8"))
@@ -221,63 +224,53 @@ def _dispatch(args) -> int:
     return 0
 
 
-#: The parser main() reuses; built by its first call, not at import.
+#: The parser main() reuses; built by the first argv that is not plain.
 _parser: argparse.ArgumentParser | None = None
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     global _parser
-    if _parser is None:
-        _parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    command = _parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return _parser.parse_args(argv)
-    args = _parse_plain(command, argv)
-    if args is None:
-        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-    return args
+    args = _parse_plain(argv)
+    if args is not None:
+        return args
+    if _parser is None:
+        _parser = build_parser()
+    if argv and argv[0] in _COMMANDS:
+        return _parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _parser.parse_args(argv)
 
 
-def _parse_plain(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
-    """The namespace parser.parse_args(argv[1:]) builds, if argv is plain; else None.
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would build from argv, if argv is plain; else None.
 
-    After the command word, a plain argv alternates flags and values. Each flag
-    is the full option string of a store action taking one value, and names a
-    dest no earlier flag named. Each value is non-empty, does not start with a
-    prefix char, converts by the action's type and is one of its choices.
-    Every required action is given, and no default left in place is a string
-    that argparse would convert by the action's type.
-
-    The route reads argparse internals that are not public API
-    (_option_string_actions, _actions, _StoreAction); the route-table and
-    property tests in tests/test_cli.py hold it to argparse's result, so a
-    Python minor version is supported once CI's matrix runs them on it.
+    A plain argv is a command of _COMMANDS, then its flags, each followed by
+    its value. Each flag is an option string of the command's table, given in
+    full and once. Each value does not start with '-', converts by the flag's
+    type and is one of its choices. Every required flag is given; each other
+    flag takes its default, which is never a string that a type would convert.
     """
-    if len(argv) % 2 == 0:
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
         return None
+    flags = _COMMANDS[argv[0]][1]
     given = {}
     for flag, value in zip(argv[1::2], argv[2::2]):
-        action = parser._option_string_actions.get(flag)
-        if (type(action) is not argparse._StoreAction or action.nargs is not None
-                or action.dest in given or not value or value[0] in parser.prefix_chars):
+        keywords = flags.get(flag)
+        if keywords is None or flag in given or value.startswith("-"):
             return None
         try:
-            value = value if action.type is None else action.type(value)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = keywords.get("type", str)(value)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in keywords and value not in keywords["choices"]:
             return None
-        given[action.dest] = value
+        given[flag] = value
     args = argparse.Namespace(command=argv[0])
-    for action in parser._actions:
-        if action.dest in given:
-            setattr(args, action.dest, given[action.dest])
-        elif action.required or (isinstance(action.default, str) and action.type is not None):
+    for flag, keywords in flags.items():
+        if flag not in given and keywords.get("required"):
             return None
-        elif action.default is not argparse.SUPPRESS:
-            setattr(args, action.dest, action.default)
+        setattr(args, keywords["dest"], given.get(flag, keywords.get("default")))
     return args
 
 

@@ -264,6 +264,22 @@ class TestExitCodes:
         assert err.startswith(f"tunneltimes: error: {flag} ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("coeffs", "--E-eV", "5", "--d-nm", "1", "--out", ""), "--out"),
+            (("sweep", "--config", ""), "--config"),
+            (("figures", "--out-dir", ""), "--out-dir"),
+        ],
+        ids=["out", "config", "out-dir"],
+    )
+    def test_an_empty_path_is_one(self, capsys, tmp_path, monkeypatch, argv, flag):
+        # Path("") is the working directory; an empty path is refused by its
+        # flag, and nothing is written there
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == (1, "", f"tunneltimes: error: {flag} '' is an empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_prints_no_traceback(self, tmp_path):
         # as a process, so that an uncaught exception would print one
         proc = subprocess.run(
@@ -414,9 +430,9 @@ class TestParserReuse:
         return built, top_level
 
     def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
-        # built by the first call; a subcommand's flags are parsed once, by
-        # its own parser, so the top-level parser sees only an argv that
-        # names no subcommand
+        # built by the first argv that is not plain; a subcommand's flags are
+        # parsed once, by its own parser, so the top-level parser sees only
+        # an argv that names no subcommand
         built, top_level = self.spy(monkeypatch)
         for e_ev in ("1", "2", "5"):
             for command in ("coeffs", "momentum", "times", "depth"):
@@ -544,10 +560,24 @@ def point_argvs(draw):
     return argv
 
 
+@st.composite
+def grid_argvs(draw):
+    """A grid command's flags, shuffled, some left out and some given twice,
+    each with a path, a dash, a flag-like word or a figure id, known or not."""
+    flags = draw(st.permutations(("--config", "--out", "--which", "--out-dir")))
+    flags = flags[:draw(st.integers(0, len(flags)))]
+    flags += draw(st.lists(st.sampled_from(flags), max_size=1)) if flags else []
+    values = st.sampled_from(("", "-", "-o", "x.csv", *sweep.FIGURE_IDS, "all", "fig9"))
+    argv = [draw(st.sampled_from(("sweep", "table1", "figures")))]
+    for flag in flags:
+        argv += [flag, draw(values)]
+    return argv
+
+
 class TestParseRoutes:
-    """main() parses a plain subcommand argv from that subcommand's own
-    actions, and any other with that subcommand's own parser; the outcome is
-    the top-level parser's, flag for flag."""
+    """main() parses a plain subcommand argv from the flag table, and any
+    other with that subcommand's own parser; the outcome is the top-level
+    parser's, flag for flag."""
 
     @staticmethod
     def outcome(parse, argv):
@@ -584,6 +614,7 @@ class TestParseRoutes:
         config = tmp_path / "small.cfg"
         config.write_bytes(SMALL_CONFIG)
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.chdir(tmp_path)
         pairs = (("--E-eV", "5.0"), ("--V0-eV", "10.0"), ("--d-nm", "0.5"))
         for command in ("coeffs", "momentum", "times", "depth"):
@@ -593,6 +624,7 @@ class TestParseRoutes:
         assert run(capsys, "table1")[0] == 0
         assert run(capsys, "figures", "--which", "all", "--out-dir", "figs")[0] == 0
         assert len(list((tmp_path / "figs").iterdir())) == 6
+        assert cli._parser is None  # no argparse parser was built
         # an abbreviation or a help flag still goes to argparse
         for argv in (("coeffs", "--E", "5", "--d-nm", "0.5"), ("coeffs", "-h")):
             with pytest.raises(ReachedArgparse):
@@ -601,4 +633,9 @@ class TestParseRoutes:
     @settings(max_examples=500, deadline=None)
     @given(argv=point_argvs())
     def test_point_argvs_parse_as_the_top_level_parser(self, argv):
+        assert self.outcome(cli._parse, argv) == self.outcome(self.top_level, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=grid_argvs())
+    def test_grid_argvs_parse_as_the_top_level_parser(self, argv):
         assert self.outcome(cli._parse, argv) == self.outcome(self.top_level, argv)

@@ -1,7 +1,8 @@
 """Checks on the repository's own text, which no linter runs here: the
 README's Library example runs as written, every name a module of the
-package imports is used in that module, and the records module imports
-nothing from the package."""
+package imports is used in that module, no module reads a private attribute
+of anything but itself, and the records module imports nothing from the
+package."""
 
 import ast
 import re
@@ -40,6 +41,28 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """Each read in ``tree`` of an attribute with one leading underscore, on
+    anything but ``self``."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
+def test_no_module_reads_a_private_attribute():
+    # another module's or another library's private names (argparse's
+    # _actions, say) are no API to build on
+    reads = {path.name: _private_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {}
+    # the check sees such a read
+    assert _private_reads(ast.parse("parser._actions\nself._x")) == ["line 1: parser._actions"]
 
 
 def _package_imports(tree: ast.Module) -> list[str]:
