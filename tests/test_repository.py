@@ -1,7 +1,7 @@
 """Checks on the repository's own text, which no linter runs here: the
 README's Library example runs as written, every name a module of the
 package imports is used in that module, no module reads a private attribute
-of anything but itself, and the records module imports nothing from the
+of anything but ``self``, and the records module imports nothing from the
 package."""
 
 import ast
