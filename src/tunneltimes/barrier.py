@@ -41,11 +41,11 @@ stay of order one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import CONSTANTS, energy_ev_to_si, length_nm_to_si
 from .errors import DomainError
 from .numerics import POINT
+from .records import _Value
 
 _M = CONSTANTS.electron_mass
 _HBAR = CONSTANTS.hbar
@@ -108,8 +108,7 @@ def _check_barrier(height: float, thickness: float, cutoff: float) -> None:
             raise DomainError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class BarrierProblem:
+class BarrierProblem(_Value):
     """One tunneling problem: energy, barrier, and momentum-window cutoff.
 
     All fields are SI (joules, metres, 1/metres). Only the tunneling regime
@@ -121,14 +120,12 @@ class BarrierProblem:
     window's phase Kprime d is not a finite double.
     """
 
-    energy: float
-    height: float
-    thickness: float
-    cutoff: float = DEFAULT_CUTOFF
-
-    def __post_init__(self):
-        _check_tunneling(self.energy, self.height)
-        _check_barrier(self.height, self.thickness, self.cutoff)
+    def __init__(
+        self, energy: float, height: float, thickness: float, cutoff: float = DEFAULT_CUTOFF
+    ):
+        _check_tunneling(energy, height)
+        _check_barrier(height, thickness, cutoff)
+        self.__dict__.update(energy=energy, height=height, thickness=thickness, cutoff=cutoff)
 
     @classmethod
     def from_ev_nm(
@@ -151,16 +148,14 @@ class BarrierProblem:
         return self.energy / self.height
 
 
-@dataclass(frozen=True)
-class Wavenumbers:
+class Wavenumbers(_Value):
     """Propagating wavenumber k and in-barrier decay constant kappa (1/m)."""
 
-    k: float
-    kappa: float
+    def __init__(self, k: float, kappa: float):
+        self.__dict__.update(k=k, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class StationarySolution:
+class StationarySolution(_Value):
     """The four complex coefficients of the matched eigenfunction.
 
     ``edge_modes`` is (A e^{kappa d}, B e^{-kappa d}), the two in-barrier
@@ -168,14 +163,21 @@ class StationarySolution:
     docstring, so they stay finite at any thickness.
     """
 
-    problem: BarrierProblem
-    wavenumbers: Wavenumbers
-    t: complex  # S e^{kappa d}
-    S: complex  # transmitted amplitude
-    A: complex  # growing in-barrier mode
-    B: complex  # decaying in-barrier mode
-    R: complex  # reflected amplitude
-    edge_modes: tuple[complex, complex]
+    def __init__(
+        self,
+        problem: BarrierProblem,
+        wavenumbers: Wavenumbers,
+        t: complex,  # S e^{kappa d}
+        S: complex,  # transmitted amplitude
+        A: complex,  # growing in-barrier mode
+        B: complex,  # decaying in-barrier mode
+        R: complex,  # reflected amplitude
+        edge_modes: tuple[complex, complex],
+    ):
+        self.__dict__.update(
+            problem=problem, wavenumbers=wavenumbers, t=t, S=S, A=A, B=B, R=R,
+            edge_modes=edge_modes,
+        )
 
     @property
     def transmission(self) -> float:

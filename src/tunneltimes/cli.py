@@ -16,19 +16,19 @@ empty path), 2 missing grid point, 3 internal numeric failure.
 
 Each subcommand's help text and flags are declared once, in _COMMANDS. A
 plain subcommand argv is parsed from that table without argparse (see
-_parse_plain). Any other argv goes to argparse, whose parser is built by the
-first argv that is not plain and reused by every later one; parse_args keeps
-nothing from one call to the next. An argv whose first word names a
-subcommand goes to that subcommand's own parser (the one the top-level parser
-would hand it to); any other (empty, --version, -h, an unknown command) goes
-to the top-level parser.
+_parse_plain), which only build_parser() imports. Any other argv goes to
+argparse, whose parser is built by the first argv that is not plain and
+reused by every later one; parse_args keeps nothing from one call to the
+next. An argv whose first word names a subcommand goes to that subcommand's
+own parser (the one the top-level parser would hand it to); any other
+(empty, --version, -h, an unknown command) goes to the top-level parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .barrier import DEFAULT_CUTOFF, BarrierProblem, stationary_solution
@@ -102,13 +102,6 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad flags; route through the
-    # validation-error path instead so exit codes stay as documented.
-    def error(self, message):
-        raise ValidationError(message)
-
-
 def _point_problem(args) -> BarrierProblem:
     return BarrierProblem.from_ev_nm(args.e_ev, args.v0_ev, args.d_nm, args.cutoff)
 
@@ -170,14 +163,22 @@ def _load_config(args) -> SweepConfig:
     return parse_config(text)
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+def _write(text: str, out: Path | None) -> None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        _path("--out", out).write_bytes(text.encode("utf-8"))
+        out.write_bytes(text.encode("utf-8"))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with code 2 on bad flags; route through the
+        # validation-error path instead so exit codes stay as documented.
+        def error(self, message):
+            raise ValidationError(message)
+
     parser = _Parser(
         prog=TOOL_NAME,
         description="Rectangular-barrier tunneling times as deterministic CSV.",
@@ -193,34 +194,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    if args.command == "coeffs":
-        _write(_cmd_coeffs(args), args.out)
-    elif args.command in _RECORD_COMMANDS:
-        _write(_cmd_record(args), args.out)
-    elif args.command == "sweep":
-        cfg = _load_config(args)
-        _write(records_to_csv(run_sweep(cfg), cfg), args.out)
-    elif args.command == "table1":
-        cfg = _load_config(args)
-        _write(emit_table1(run_sweep(cfg), cfg), args.out)
-    elif args.command == "figures":
+    # the output flags are checked before the work, and an empty path is
+    # refused there; a path that cannot be written is met only on writing,
+    # for no file is made before there is a result to put in it
+    if args.command == "figures":
         if args.which == "all" and args.out is not None:
             raise ValidationError("--out names one file; --which all writes six, into --out-dir")
         if args.which != "all" and args.out_dir is not None:
             raise ValidationError(f"--out-dir is for --which all; --which {args.which} "
                                   "writes one file, to --out or stdout")
+        out_dir = Path(".") if args.out_dir is None else _path("--out-dir", args.out_dir)
+    out = None if args.out in (None, "-") else _path("--out", args.out)
+    if args.command == "coeffs":
+        _write(_cmd_coeffs(args), out)
+    elif args.command in _RECORD_COMMANDS:
+        _write(_cmd_record(args), out)
+    elif args.command == "sweep":
+        cfg = _load_config(args)
+        _write(records_to_csv(run_sweep(cfg), cfg), out)
+    elif args.command == "table1":
+        cfg = _load_config(args)
+        _write(emit_table1(run_sweep(cfg), cfg), out)
+    elif args.command == "figures":
         cfg = _load_config(args)
         records = run_sweep(cfg)
         if args.which == "all":
             # every figure is emitted before any file is written, so a figure
             # that cannot be emitted leaves no part of the set behind
             texts = {fig: emit_figure_data(records, fig, cfg) for fig in FIGURE_IDS}
-            out_dir = Path(".") if args.out_dir is None else _path("--out-dir", args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             for fig, text in texts.items():
                 (out_dir / f"{fig}.csv").write_bytes(text.encode("utf-8"))
         else:
-            _write(emit_figure_data(records, args.which, cfg), args.out)
+            _write(emit_figure_data(records, args.which, cfg), out)
     return 0
 
 
@@ -228,7 +234,7 @@ def _dispatch(args) -> int:
 _parser: argparse.ArgumentParser | None = None
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
+def _parse(argv: list[str] | None) -> SimpleNamespace | argparse.Namespace:
     global _parser
     if argv is None:
         argv = sys.argv[1:]
@@ -238,11 +244,11 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     if _parser is None:
         _parser = build_parser()
     if argv and argv[0] in _COMMANDS:
-        return _parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        return _parser.commands[argv[0]].parse_args(argv[1:], SimpleNamespace(command=argv[0]))
     return _parser.parse_args(argv)
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse would build from argv, if argv is plain; else None.
 
     A plain argv is a command of _COMMANDS, then its flags, each followed by
@@ -266,7 +272,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         given[flag] = value
-    args = argparse.Namespace(command=argv[0])
+    args = SimpleNamespace(command=argv[0])
     for flag, keywords in flags.items():
         if flag not in given and keywords.get("required"):
             return None

@@ -11,20 +11,21 @@ anywhere else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import _Value
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Value):
     """Electron mass, reduced Planck constant, and the electron volt (SI)."""
 
-    electron_mass: float = 9.1095e-31  # kg
-    hbar: float = 1.055e-34  # J*s
-    ev_to_joule: float = 1.6022e-19  # J per eV
-
-    def __post_init__(self):
-        if not (self.electron_mass > 0 and self.hbar > 0 and self.ev_to_joule > 0):
+    def __init__(
+        self,
+        electron_mass: float = 9.1095e-31,  # kg
+        hbar: float = 1.055e-34,  # J*s
+        ev_to_joule: float = 1.6022e-19,  # J per eV
+    ):
+        if not (electron_mass > 0 and hbar > 0 and ev_to_joule > 0):
             raise ValueError("physical constants must be strictly positive")
+        self.__dict__.update(electron_mass=electron_mass, hbar=hbar, ev_to_joule=ev_to_joule)
 
 
 CONSTANTS = PhysicalConstants()

@@ -82,15 +82,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .barrier import _SERIES_KAPPA_D, BarrierProblem, StationarySolution, stationary_solution
 from .constants import CONSTANTS, SPEED_OF_LIGHT
 from .errors import DomainError
 from .numerics import POINT, scaled_e1, scaled_e1_grid
+from .records import _Value
 
+TYPE_CHECKING = False  # true for a type checker only
 if TYPE_CHECKING:
     import numpy as np
 
@@ -192,19 +192,20 @@ def _amplitude(wavenumber, d, kappa, a, b, a_d, b_d):
     ) / _SQRT_TWO_PI
 
 
-@dataclass(frozen=True)
-class EffectiveKinematics:
+class EffectiveKinematics(_Value):
     """rms wavenumber and the velocity, transit time, and energy it implies."""
 
-    k_rms: float  # 1/m
-    v_rms: float  # m/s
-    t_eff: float  # s
-    eps_eff: float  # J
-
-    def __post_init__(self):
-        positive = not min(self.k_rms, self.v_rms, self.t_eff, self.eps_eff) <= 0
-        if not positive or self.v_rms >= SPEED_OF_LIGHT:
-            raise _kinematics_error(positive, self.v_rms)
+    def __init__(
+        self,
+        k_rms: float,  # 1/m
+        v_rms: float,  # m/s
+        t_eff: float,  # s
+        eps_eff: float,  # J
+    ):
+        positive = not min(k_rms, v_rms, t_eff, eps_eff) <= 0
+        if not positive or v_rms >= SPEED_OF_LIGHT:
+            raise _kinematics_error(positive, v_rms)
+        self.__dict__.update(k_rms=k_rms, v_rms=v_rms, t_eff=t_eff, eps_eff=eps_eff)
 
 
 def _kinematics_error(positive, v_rms) -> DomainError:
@@ -219,17 +220,20 @@ def _kinematics_error(positive, v_rms) -> DomainError:
     )
 
 
-@dataclass(frozen=True)
-class MomentumSpectrum:
+class MomentumSpectrum(_Value):
     """A solution plus the zeroth and second moments of its momentum density."""
 
-    solution: StationarySolution
-    normalization: float  # integral of |amplitude|^2 over the window, m
-    second_moment: float  # integral of K^2 |amplitude|^2 over the window, 1/m
-
-    def __post_init__(self):
-        if exc := _moments_error(self.normalization, self.second_moment):
+    def __init__(
+        self,
+        solution: StationarySolution,
+        normalization: float,  # integral of |amplitude|^2 over the window, m
+        second_moment: float,  # integral of K^2 |amplitude|^2 over the window, 1/m
+    ):
+        if exc := _moments_error(normalization, second_moment):
             raise exc
+        self.__dict__.update(
+            solution=solution, normalization=normalization, second_moment=second_moment
+        )
 
     @property
     def problem(self) -> BarrierProblem:

@@ -18,10 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, NoConvergence
 
+TYPE_CHECKING = False  # true for a type checker only
 if TYPE_CHECKING:
     import numpy as np
 

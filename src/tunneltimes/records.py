@@ -11,22 +11,46 @@ and any other sequence of records is written into a table once (_as_table),
 where a numeric value that is neither None nor finite is refused. A record
 holds its cells and nothing else, so such a table has no curves to draw.
 
-This module imports nothing from the package: a record is its cells.
+This module imports nothing from the package: a record is its cells. It
+also holds _Value, the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # true for a type checker only
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class _Value:
+    """An immutable value: its fields are the parameters of its class's
+    __init__, which puts them into its __dict__ in that order. Equal, and
+    hashed alike, when of the same class with equal fields; its repr is
+    ``Class(field=value, ...)``; no attribute is assigned or deleted."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SweepRecord(_Value):
     """One grid point: problem inputs plus every scalar output.
 
     Optional fields are None when not computed (upstream failure) or not
@@ -34,27 +58,38 @@ class SweepRecord:
     codes, ``error`` the per-point failure messages.
     """
 
-    e_over_v0: float
-    d_nm: float
-    e_ev: float
-    v0_ev: float
-    cutoff: float
-    s_abs2: float | None = None
-    r_abs2: float | None = None
-    k_rms: float | None = None
-    v_rms: float | None = None
-    t_eff_s: float | None = None
-    eps_eff_ev: float | None = None
-    t_ph_numeric_s: float | None = None
-    t_ph_analytic_s: float | None = None
-    t_dw_numeric_s: float | None = None
-    t_dw_analytic_s: float | None = None
-    t_bl_s: float | None = None
-    s_nm: float | None = None
-    tau_eff_s: float | None = None
-    xi: float | None = None
-    note: str = ""
-    error: str = ""
+    def __init__(
+        self,
+        e_over_v0: float,
+        d_nm: float,
+        e_ev: float,
+        v0_ev: float,
+        cutoff: float,
+        s_abs2: float | None = None,
+        r_abs2: float | None = None,
+        k_rms: float | None = None,
+        v_rms: float | None = None,
+        t_eff_s: float | None = None,
+        eps_eff_ev: float | None = None,
+        t_ph_numeric_s: float | None = None,
+        t_ph_analytic_s: float | None = None,
+        t_dw_numeric_s: float | None = None,
+        t_dw_analytic_s: float | None = None,
+        t_bl_s: float | None = None,
+        s_nm: float | None = None,
+        tau_eff_s: float | None = None,
+        xi: float | None = None,
+        note: str = "",
+        error: str = "",
+    ):
+        self.__dict__.update(
+            e_over_v0=e_over_v0, d_nm=d_nm, e_ev=e_ev, v0_ev=v0_ev, cutoff=cutoff,
+            s_abs2=s_abs2, r_abs2=r_abs2, k_rms=k_rms, v_rms=v_rms, t_eff_s=t_eff_s,
+            eps_eff_ev=eps_eff_ev, t_ph_numeric_s=t_ph_numeric_s,
+            t_ph_analytic_s=t_ph_analytic_s, t_dw_numeric_s=t_dw_numeric_s,
+            t_dw_analytic_s=t_dw_analytic_s, t_bl_s=t_bl_s, s_nm=s_nm, tau_eff_s=tau_eff_s,
+            xi=xi, note=note, error=error,
+        )
 
 
 #: Sweep CSV column -> SweepRecord attribute, in column order. Point commands

@@ -98,9 +98,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .barrier import (
@@ -139,6 +137,7 @@ from .records import (
     SweepTable,
     _as_table,
     _blank_columns,
+    _Value,
     _write_row,
 )
 from .times import (
@@ -151,6 +150,7 @@ from .times import (
     phase_time_numeric,
 )
 
+TYPE_CHECKING = False  # true for a type checker only
 if TYPE_CHECKING:
     import numpy as np
 
@@ -173,36 +173,40 @@ FIG1_K_POINTS = 201
 FIG4_X_POINTS = 128
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Value):
     """Validated sweep parameters; every field has a documented default."""
 
-    v0_ev: float = 10.0
-    e_over_v0_grid: tuple[float, ...] = DEFAULT_E_RATIOS
-    d_nm_grid: tuple[float, ...] = DEFAULT_D_NM
-    cutoff: float = DEFAULT_CUTOFF
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        v0_ev: float = 10.0,
+        e_over_v0_grid: tuple[float, ...] = DEFAULT_E_RATIOS,
+        d_nm_grid: tuple[float, ...] = DEFAULT_D_NM,
+        cutoff: float = DEFAULT_CUTOFF,
+    ):
         # held as Python floats: a numpy scalar would echo as np.float64(...),
         # which parse_config() refuses, and be quoted so in error cells; the
         # grids are converted first, so an array is checked as its values
-        for name in ("e_over_v0_grid", "d_nm_grid"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if not self.v0_ev > 0:
+        e_over_v0_grid = tuple(map(float, e_over_v0_grid))
+        d_nm_grid = tuple(map(float, d_nm_grid))
+        if not v0_ev > 0:
             raise ValidationError("V0_eV must be positive")
-        _check_grid("E_over_V0_grid", self.e_over_v0_grid)
-        _check_grid("d_nm_grid", self.d_nm_grid)
-        if any(not 0.0 < r < 1.0 for r in self.e_over_v0_grid):
+        _check_grid("E_over_V0_grid", e_over_v0_grid)
+        _check_grid("d_nm_grid", d_nm_grid)
+        if any(not 0.0 < r < 1.0 for r in e_over_v0_grid):
             raise ValidationError(
                 "E_over_V0_grid must stay inside the tunneling regime (0, 1)"
             )
-        if not self.cutoff > 0:
+        if not cutoff > 0:
             raise ValidationError("Kprime must be positive")
-        for key, name in (("V0_eV", "v0_ev"), ("Kprime", "cutoff")):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{key} must be finite")
-            object.__setattr__(self, name, value)
+        v0_ev = float(v0_ev)
+        if not math.isfinite(v0_ev):
+            raise ValidationError("V0_eV must be finite")
+        cutoff = float(cutoff)
+        if not math.isfinite(cutoff):
+            raise ValidationError("Kprime must be finite")
+        self.__dict__.update(
+            v0_ev=v0_ev, e_over_v0_grid=e_over_v0_grid, d_nm_grid=d_nm_grid, cutoff=cutoff
+        )
 
 
 def _check_grid(name: str, grid: tuple[float, ...]) -> None:

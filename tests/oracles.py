@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -42,6 +41,13 @@ from tunneltimes.times import _closed_times, _g
 M = CONSTANTS.electron_mass
 HBAR = CONSTANTS.hbar
 EV = CONSTANTS.ev_to_joule
+
+
+def replace(value, **changes):
+    """A value of ``value``'s class with its fields, and ``changes`` to them:
+    the package's value classes are immutable."""
+    return type(value)(**{**vars(value), **changes})
+
 
 # --- the library's kernels at one problem -----------------------------------
 

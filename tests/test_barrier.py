@@ -1,20 +1,28 @@
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import continuity_residual, psi_barrier, solve_by_matching, transmission_reference
+from oracles import (
+    continuity_residual,
+    psi_barrier,
+    replace,
+    solve_by_matching,
+    transmission_reference,
+)
 from tunneltimes.barrier import (
     BarrierProblem,
+    StationarySolution,
+    Wavenumbers,
     _flux,
     _wavenumber_pair,
     stationary_solution,
     wavenumbers,
 )
-from tunneltimes.constants import CONSTANTS
+from tunneltimes.constants import CONSTANTS, PhysicalConstants
 from tunneltimes.errors import DomainError
+from tunneltimes.momentum import EffectiveKinematics, MomentumSpectrum
 
 E_RATIOS = (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 D_GRID_NM = (0.1, 0.4, 0.7, 1.0)
@@ -267,3 +275,69 @@ class TestContinuityResidual:
         sol = stationary_solution(BarrierProblem.from_ev_nm(5.0, 10.0, 0.1))
         corrupted = replace(sol, S=sol.S * (1.0 + 1e-3))
         assert max(continuity_residual(corrupted)) > 1e-4
+
+
+def check_value_class(cls, make_args, pinned, other):
+    """The contract of the package's immutable value classes, on
+    ``cls(*make_args())`` whose repr is ``pinned``: built by position or by
+    keyword, with the defaults the repr shows, in the repr's field order;
+    equal, with equal hashes, to an instance built from equal fields, and
+    unequal to ``other``, an instance of another class; no field, and no new
+    attribute, assigned or deleted."""
+    args = make_args()
+    value = cls(*args)
+    assert repr(value) == pinned
+    fields = dict(vars(value))
+    assert cls(**dict(zip(fields, args))) == value
+    assert cls(*fields.values()) == value
+    twin = cls(*make_args())
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert value.__eq__(other) is NotImplemented and value != other
+    for name in (*fields, "new"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert vars(value) == fields
+
+
+PROBLEM_REPR = (
+    "BarrierProblem(energy=8e-19, height=1.6e-18, thickness=1e-09, cutoff=75000000000.0)"
+)
+SOLUTION_REPR = (
+    f"StationarySolution(problem={PROBLEM_REPR}, wavenumbers=Wavenumbers(k=1.0, kappa=2.0), "
+    "t=1j, S=2j, A=3j, B=4j, R=5j, edge_modes=(6j, 7j))"
+)
+
+
+def solution_args():
+    return (BarrierProblem(8e-19, 1.6e-18, 1e-9), Wavenumbers(1.0, 2.0), 1j, 2j, 3j, 4j, 5j,
+            (6j, 7j))
+
+
+#: The value classes of the barrier, constants and momentum modules: each
+#: with a function that makes its arguments afresh, its pinned repr, and an
+#: instance of another class.
+VALUE_CLASSES = [
+    (BarrierProblem, lambda: (8e-19, 1.6e-18, 1e-9), PROBLEM_REPR, Wavenumbers(1.0, 2.0)),
+    (Wavenumbers, lambda: (1.0, 2.0), "Wavenumbers(k=1.0, kappa=2.0)",
+     EffectiveKinematics(1.0, 2.0, 3.0, 4.0)),
+    (StationarySolution, solution_args, SOLUTION_REPR, PhysicalConstants()),
+    (PhysicalConstants, lambda: (9e-31,),
+     "PhysicalConstants(electron_mass=9e-31, hbar=1.055e-34, ev_to_joule=1.6022e-19)",
+     Wavenumbers(1.0, 2.0)),
+    (EffectiveKinematics, lambda: (1.0, 2.0, 3.0, 4.0),
+     "EffectiveKinematics(k_rms=1.0, v_rms=2.0, t_eff=3.0, eps_eff=4.0)",
+     Wavenumbers(1.0, 2.0)),
+    (MomentumSpectrum, lambda: (StationarySolution(*solution_args()), 1.0, 2.0),
+     f"MomentumSpectrum(solution={SOLUTION_REPR}, normalization=1.0, second_moment=2.0)",
+     StationarySolution(*solution_args())),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, make_args, pinned, other", VALUE_CLASSES,
+    ids=[case[0].__name__ for case in VALUE_CLASSES],
+)
+def test_value_class_contract(cls, make_args, pinned, other):
+    check_value_class(cls, make_args, pinned, other)

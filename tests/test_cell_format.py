@@ -10,11 +10,18 @@ cutoffs, heights and thicknesses differ, as a table and as a list of records.
 """
 
 import sys
-from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import assert_same_text, join_rows, outcome, per_cell_emit, per_cell_fmt
+from oracles import (
+    assert_same_text,
+    join_rows,
+    outcome,
+    per_cell_emit,
+    per_cell_fmt,
+    replace,
+)
 from tunneltimes.errors import MissingGridPoint
 from tunneltimes.sweep import (
     FIGURE_IDS,

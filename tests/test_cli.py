@@ -268,14 +268,21 @@ class TestExitCodes:
         "argv, flag",
         [
             (("coeffs", "--E-eV", "5", "--d-nm", "1", "--out", ""), "--out"),
+            (("times", "--E-eV", "5", "--d-nm", "1", "--out", ""), "--out"),
+            (("sweep", "--out", ""), "--out"),
             (("sweep", "--config", ""), "--config"),
             (("figures", "--out-dir", ""), "--out-dir"),
         ],
-        ids=["out", "config", "out-dir"],
+        ids=["out", "times out", "sweep out", "config", "out-dir"],
     )
     def test_an_empty_path_is_one(self, capsys, tmp_path, monkeypatch, argv, flag):
         # Path("") is the working directory; an empty path is refused by its
-        # flag, and nothing is written there
+        # flag before the command's work is done, and nothing is written there
+        def work(*args):
+            raise AssertionError("the work ran before the path was refused")
+
+        for name in ("stationary_solution", "_evaluate", "run_sweep"):
+            monkeypatch.setattr(cli, name, work)
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *argv) == (1, "", f"tunneltimes: error: {flag} '' is an empty path\n")
         assert list(tmp_path.iterdir()) == []

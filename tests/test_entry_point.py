@@ -9,11 +9,12 @@ interpreter finds it, and must not come from ``src/``.
 
 Importing the package or its CLI, --version, and each point command at a point
 whose momentum moments take the exponential sum load no numpy; a grid command
-and a point on the moments' series route do. Each process runs with
-PYTHONPROFILEIMPORTTIME, whose report on stderr names every module the process
-imports, so numpy is in its sys.modules at exit exactly when the report names
-it. Each command's stdout must be byte for byte that of cli.main() in this
-process on the same argv.
+and a point on the moments' series route do. Importing the CLI and each plain
+argv load no argparse and no dataclasses; an argv that is not plain loads
+argparse. Each process runs with PYTHONPROFILEIMPORTTIME, whose report on
+stderr names every module the process imports, so a module is in its
+sys.modules at exit exactly when the report names it. Each command's stdout
+must be byte for byte that of cli.main() in this process on the same argv.
 
 TestCommands holds what a user sees of the grid commands and of the failures:
 the files they write, exit codes, errors of exactly one line with no
@@ -22,12 +23,12 @@ to the same bytes. TestPackageSurface pins the exported names in-process.
 """
 
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -45,27 +46,27 @@ COMMAND = [INSTALLED] if INSTALLED else [sys.executable, "-m", "tunneltimes.cli"
 SUM_POINT = ("--E-eV", "5", "--d-nm", "1")
 SERIES_POINT = ("--E-eV", "9.9", "--d-nm", "0.1")
 
-#: The report line of a first import of numpy itself.
-_NUMPY_IMPORT = re.compile(r"^import time:.*\|\s*numpy$", re.MULTILINE)
+#: The module each line of the import report names.
+_IMPORTED = re.compile(r"^import time:.*\|\s*(\S+)$", re.MULTILINE)
 
 
 def start(args, cwd):
     """Run ``args``; return its exit code, stdout bytes, stderr without the
-    import report, and whether it imported numpy."""
+    import report, and the set of modules it imported."""
     env = dict(os.environ, PYTHONPROFILEIMPORTTIME="1")
     if not INSTALLED:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(args, cwd=cwd, env=env, capture_output=True, timeout=120)
     report = proc.stderr.decode("utf-8")
     err = "".join(line for line in report.splitlines(True) if not line.startswith("import time:"))
-    return proc.returncode, proc.stdout, err, bool(_NUMPY_IMPORT.search(report))
+    return proc.returncode, proc.stdout, err, set(_IMPORTED.findall(report))
 
 
 @pytest.mark.parametrize("module", ["tunneltimes", "tunneltimes.cli"])
 def test_import_loads_no_numpy(tmp_path, module):
     script = f"import {module}, tunneltimes; print(tunneltimes.__file__)"
-    code, out, err, numpy = start([sys.executable, "-c", script], tmp_path)
-    assert (code, err, numpy) == (0, "", False)
+    code, out, err, modules = start([sys.executable, "-c", script], tmp_path)
+    assert (code, err, "numpy" in modules) == (0, "", False)
     # the package under test: src/ by default, the installed one otherwise
     assert Path(out.decode().strip()).resolve().is_relative_to(SRC) == (not INSTALLED)
 
@@ -81,10 +82,35 @@ def test_import_loads_no_numpy(tmp_path, module):
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
 def test_command_loads_numpy_only_where_it_computes_with_it(capsys, tmp_path, argv, loads_numpy):
-    code, out, err, numpy = start([*COMMAND, *argv], tmp_path)
-    assert (code, err, numpy) == (0, "", loads_numpy)
+    code, out, err, modules = start([*COMMAND, *argv], tmp_path)
+    assert (code, err, "numpy" in modules) == (0, "", loads_numpy)
     assert cli.main(argv) == 0
     assert out == capsys.readouterr().out.encode("utf-8")
+
+
+#: What argparse loads, and modules the package does not use.
+ARGPARSE = {"argparse", "gettext"}
+UNUSED = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "args, absent, present",
+    [
+        ([sys.executable, "-c", "import tunneltimes.cli"], ARGPARSE | UNUSED, set()),
+        *(([*COMMAND, command, *SUM_POINT], ARGPARSE | UNUSED, set())
+          for command in ("coeffs", "momentum", "times", "depth")),
+        ([*COMMAND, "sweep"], {"argparse", "dataclasses"}, set()),  # numpy imports inspect
+        ([*COMMAND, "--version"], set(), {"argparse"}),
+        ([*COMMAND, "times", "-h"], set(), {"argparse"}),
+        ([*COMMAND, "times", "--E", "5", "--d-nm", "1"], set(), {"argparse"}),
+    ],
+    ids=["import", "coeffs", "momentum", "times", "depth", "sweep", "--version", "-h",
+         "abbreviated"],
+)
+def test_argparse_loads_only_for_an_argv_that_is_not_plain(tmp_path, args, absent, present):
+    code, _, err, modules = start(args, tmp_path)
+    assert (code, err) == (0, "")
+    assert modules & (absent | present) == present
 
 
 #: The 36 names the package exports.
@@ -174,7 +200,8 @@ class TestPackageSurface:
     def test_a_record_has_no_spectrum(self):
         # a record is its cells; fig1 and fig4 draw from the table's columns
         assert not hasattr(tunneltimes.SweepRecord, "spectrum")
-        assert "spectrum" not in {field.name for field in fields(tunneltimes.SweepRecord)}
+        fields = inspect.signature(tunneltimes.SweepRecord).parameters
+        assert "spectrum" not in fields
 
     def test_an_unknown_name_is_refused(self):
         with pytest.raises(AttributeError, match=r"^module 'tunneltimes' has no attribute 'nope'$"):

@@ -1,8 +1,8 @@
 """Checks on the repository's own text, which no linter runs here: the
 README's Library example runs as written, every name a module of the
 package imports is used in that module, no module reads a private attribute
-of anything but ``self``, and the records module imports nothing from the
-package."""
+of anything but ``self``, the records module imports nothing from the
+package, and no module imports dataclasses, nor the CLI argparse at load."""
 
 import ast
 import re
@@ -84,3 +84,33 @@ def test_the_records_module_imports_nothing_from_the_package():
     assert _package_imports(tree) == []
     # the check sees the imports the other modules make
     assert _package_imports(ast.parse((PACKAGE / "sweep.py").read_text(encoding="utf-8")))
+
+
+def _imports(tree: ast.AST, in_functions: bool = True) -> set[str]:
+    """The top-level names of the modules that the import statements in
+    ``tree`` import, not counting a package's own; those inside a function
+    only if ``in_functions``."""
+    found, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+        if in_functions or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_start_up_loads_neither_dataclasses_nor_argparse():
+    # what a plain command does not run, it does not import: dataclasses
+    # (which imports inspect) serves no module, and argparse parses only an
+    # argv that is not plain
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "dataclasses" not in _imports(ast.parse(path.read_text(encoding="utf-8"))), path
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert "argparse" in _imports(cli) and "argparse" not in _imports(cli, in_functions=False)
+    # the check sees an import at load, and one in a function
+    sample = ast.parse("import argparse\ndef f():\n    from dataclasses import dataclass\n")
+    assert _imports(sample) == {"argparse", "dataclasses"}
+    assert _imports(sample, in_functions=False) == {"argparse"}

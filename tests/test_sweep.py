@@ -1,12 +1,19 @@
 import math
 import random
 import re
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from oracles import REFERENCE_DEPTHS_NM, TABLE_D_NM, join_rows, per_cell_emit, point_table
+from oracles import (
+    REFERENCE_DEPTHS_NM,
+    TABLE_D_NM,
+    join_rows,
+    per_cell_emit,
+    point_table,
+    replace,
+)
+from test_barrier import check_value_class
 from test_point_pins import STDERR
 from test_point_pins import run as run_point
 from tunneltimes import momentum, sweep
@@ -254,13 +261,33 @@ class TestRunSweep:
             assert run_point(["times", "--E-eV", "5e-5", "--d-nm", d_nm])[::2] == pinned
 
 
+@pytest.mark.parametrize(
+    "cls, args, pinned, other",
+    [
+        (SweepRecord, (0.5, 1.0, 5.0, 10.0, 7.5e10),
+         "SweepRecord(e_over_v0=0.5, d_nm=1.0, e_ev=5.0, v0_ev=10.0, cutoff=75000000000.0, "
+         "s_abs2=None, r_abs2=None, k_rms=None, v_rms=None, t_eff_s=None, eps_eff_ev=None, "
+         "t_ph_numeric_s=None, t_ph_analytic_s=None, t_dw_numeric_s=None, "
+         "t_dw_analytic_s=None, t_bl_s=None, s_nm=None, tau_eff_s=None, xi=None, note='', "
+         "error='')", SweepConfig()),
+        (SweepConfig, (10.0, (0.5,), (0.1, 1.0)),
+         "SweepConfig(v0_ev=10.0, e_over_v0_grid=(0.5,), d_nm_grid=(0.1, 1.0), "
+         "cutoff=75000000000.0)", SweepRecord(0.5, 1.0, 5.0, 10.0, 7.5e10)),
+    ],
+    ids=["SweepRecord", "SweepConfig"],
+)
+def test_value_class_contract(cls, args, pinned, other):
+    check_value_class(cls, lambda: args, pinned, other)
+
+
 class TestEvaluate:
     def test_the_spectrum_is_not_part_of_the_record_value(self):
-        # a record is its cells; the curves are the sweep table's columns
+        # a record is its cells, in column order; the curves are the sweep
+        # table's columns
         rec = evaluate_point(SweepConfig(), 0.5, 0.5)
-        assert [field.name for field in fields(rec)] == list(RECORD_COLUMNS.values())
+        assert list(vars(rec)) == list(RECORD_COLUMNS.values())
         assert not hasattr(rec, "spectrum")
-        assert rec == replace(rec) and hash(rec) == hash(replace(rec))
+        assert rec == SweepRecord(**vars(rec)) and hash(rec) == hash(SweepRecord(**vars(rec)))
 
     def test_matches_the_sweep_record(self):
         cfg = SweepConfig()

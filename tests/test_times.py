@@ -1,13 +1,18 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import closed_times, mp_closed_forms, mp_dwell_numerator, stencil_phase_time
+from oracles import (
+    closed_times,
+    mp_closed_forms,
+    mp_dwell_numerator,
+    replace,
+    stencil_phase_time,
+)
 from tunneltimes import times
 from tunneltimes.barrier import BarrierProblem, _flux, stationary_solution, wavenumbers
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si
