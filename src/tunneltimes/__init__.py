@@ -23,9 +23,7 @@ _MODULE_EXPORTS = {
         "DEFAULT_CUTOFF",
         "BarrierProblem",
         "StationarySolution",
-        "Wavenumbers",
         "stationary_solution",
-        "wavenumbers",
     ),
     "constants": (
         "CONSTANTS",

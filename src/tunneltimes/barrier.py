@@ -33,7 +33,7 @@ t at two other energies without building a problem or solving for A, B and R:
 it checks its two energies and forms their factors once, and evaluates only
 the thickness's part of t at each thickness.
 
-Where S, A or the edge modes fall below the smallest double (kappa d past
+Where S, A, a_d or b_d fall below the smallest double (kappa d past
 about 745) they are 0, which is their value to double precision; B and R
 stay of order one.
 """
@@ -148,35 +148,29 @@ class BarrierProblem(_Value):
         return self.energy / self.height
 
 
-class Wavenumbers(_Value):
-    """Propagating wavenumber k and in-barrier decay constant kappa (1/m)."""
-
-    def __init__(self, k: float, kappa: float):
-        self.__dict__.update(k=k, kappa=kappa)
-
-
 class StationarySolution(_Value):
-    """The four complex coefficients of the matched eigenfunction.
-
-    ``edge_modes`` is (A e^{kappa d}, B e^{-kappa d}), the two in-barrier
-    modes at x = d. All of them are derived from the bounded t of the module
-    docstring, so they stay finite at any thickness.
+    """The matched eigenfunction: the wavenumbers k and kappa (1/m), t, and
+    the four complex coefficients S, A, B and R, followed by the in-barrier
+    modes at x = d, a_d = A e^{kappa d} and b_d = B e^{-kappa d}. All of them
+    are derived from the bounded t of the module docstring, so they stay
+    finite at any thickness.
     """
 
     def __init__(
         self,
         problem: BarrierProblem,
-        wavenumbers: Wavenumbers,
+        k: float,  # propagating wavenumber
+        kappa: float,  # in-barrier decay constant
         t: complex,  # S e^{kappa d}
         S: complex,  # transmitted amplitude
         A: complex,  # growing in-barrier mode
         B: complex,  # decaying in-barrier mode
         R: complex,  # reflected amplitude
-        edge_modes: tuple[complex, complex],
+        a_d: complex,  # A e^{kappa d}
+        b_d: complex,  # B e^{-kappa d}
     ):
         self.__dict__.update(
-            problem=problem, wavenumbers=wavenumbers, t=t, S=S, A=A, B=B, R=R,
-            edge_modes=edge_modes,
+            problem=problem, k=k, kappa=kappa, t=t, S=S, A=A, B=B, R=R, a_d=a_d, b_d=b_d
         )
 
     @property
@@ -203,11 +197,6 @@ def _wavenumber_pair(energy, height, f=POINT):
     k = f.sqrt(2.0 * _M * energy) / _HBAR
     kappa = f.sqrt(2.0 * _M * (height - energy)) / _HBAR
     return k, kappa
-
-
-def wavenumbers(problem: BarrierProblem) -> Wavenumbers:
-    """k = sqrt(2mE)/hbar and kappa = sqrt(2m(V0-E))/hbar for the problem."""
-    return Wavenumbers(*_wavenumber_pair(problem.energy, problem.height))
 
 
 def _energy_factors(k, kappa):
@@ -247,11 +236,8 @@ def _coefficients(k, kappa, d, f=POINT):
 
 def stationary_solution(problem: BarrierProblem) -> StationarySolution:
     """Solve the matching conditions; see the module docstring for the route."""
-    wn = wavenumbers(problem)
-    t, S, A, B, R, a_d, b_d = _coefficients(wn.k, wn.kappa, problem.thickness)
-    return StationarySolution(
-        problem, wn, t=t, S=S, A=A, B=B, R=R, edge_modes=(a_d, b_d)
-    )
+    k, kappa = _wavenumber_pair(problem.energy, problem.height)
+    return StationarySolution(problem, k, kappa, *_coefficients(k, kappa, problem.thickness))
 
 
 def _flux(k):

@@ -16,12 +16,9 @@ empty path), 2 missing grid point, 3 internal numeric failure.
 
 Each subcommand's help text and flags are declared once, in _COMMANDS. A
 plain subcommand argv is parsed from that table without argparse (see
-_parse_plain), which only build_parser() imports. Any other argv goes to
-argparse, whose parser is built by the first argv that is not plain and
-reused by every later one; parse_args keeps nothing from one call to the
-next. An argv whose first word names a subcommand goes to that subcommand's
-own parser (the one the top-level parser would hand it to); any other
-(empty, --version, -h, an unknown command) goes to the top-level parser.
+_parse_plain), which only build_parser() imports. Any other argv (an
+abbreviated or repeated flag, -h, --version, an unknown command, an empty
+argv) goes to a parser that build_parser() makes for it.
 """
 
 from __future__ import annotations
@@ -118,8 +115,8 @@ def _cmd_coeffs(args) -> str:
     return _point_csv(
         args,
         {
-            "k_per_m": sol.wavenumbers.k,
-            "kappa_per_m": sol.wavenumbers.kappa,
+            "k_per_m": sol.k,
+            "kappa_per_m": sol.kappa,
             "S_re": sol.S.real,
             "S_im": sol.S.imag,
             "A_re": sol.A.real,
@@ -185,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each subcommand's own parser, by name
     for name, (help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         for flag, keywords in flags.items():
@@ -230,22 +226,11 @@ def _dispatch(args) -> int:
     return 0
 
 
-#: The parser main() reuses; built by the first argv that is not plain.
-_parser: argparse.ArgumentParser | None = None
-
-
 def _parse(argv: list[str] | None) -> SimpleNamespace | argparse.Namespace:
-    global _parser
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_plain(argv)
-    if args is not None:
-        return args
-    if _parser is None:
-        _parser = build_parser()
-    if argv and argv[0] in _COMMANDS:
-        return _parser.commands[argv[0]].parse_args(argv[1:], SimpleNamespace(command=argv[0]))
-    return _parser.parse_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:

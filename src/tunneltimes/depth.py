@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 
-from .barrier import BarrierProblem, wavenumbers
+from .barrier import BarrierProblem, _wavenumber_pair
 from .errors import DomainError
 from .numerics import POINT
 
@@ -61,8 +61,8 @@ def _relative_density(psi, entry_psi):
 
 def penetration_depth(problem: BarrierProblem) -> float | None:
     """First x in (0, d] where the relative density reaches exp(-2), or None."""
-    wn = wavenumbers(problem)
-    depth, crosses = _depth(wn.k, wn.kappa, problem.thickness)
+    k, kappa = _wavenumber_pair(problem.energy, problem.height)
+    depth, crosses = _depth(k, kappa, problem.thickness)
     return depth if crosses else None
 
 

@@ -484,7 +484,7 @@ def momentum_spectrum(problem: BarrierProblem) -> MomentumSpectrum:
     """Build the spectrum for a problem: both moments over its window, exactly."""
     sol = stationary_solution(problem)
     norm, second = _moments(
-        sol.wavenumbers.k, sol.wavenumbers.kappa, problem.thickness, problem.cutoff,
-        sol.t, sol.S, sol.A, sol.B, *sol.edge_modes,
+        sol.k, sol.kappa, problem.thickness, problem.cutoff,
+        sol.t, sol.S, sol.A, sol.B, sol.a_d, sol.b_d,
     )
     return MomentumSpectrum(solution=sol, normalization=norm, second_moment=second)

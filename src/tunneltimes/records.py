@@ -129,7 +129,7 @@ NON_FINITE = "refusing to serialize a non-finite value"
 _NUMERIC = tuple(attr for attr in RECORD_COLUMNS.values() if attr not in TEXT_FIELDS)
 
 #: The columns the curve figures draw from, besides the grid point: the decay
-#: constant, the solution's A, B and edge modes (A e^{kappa d}, B e^{-kappa d}),
+#: constant, the solution's A, B, a_d = A e^{kappa d} and b_d = B e^{-kappa d},
 #: and the normalization, NaN where the moments failed.
 _CURVES = ("kappa", "A", "B", "a_d", "b_d", "normalization")
 _COMPLEX = ("A", "B", "a_d", "b_d")

@@ -42,7 +42,7 @@ The phase stencil is the point code, run once per energy over all the
 accepted thicknesses (times._phase_stencil): its difference of two phases a
 few 1e-5 rad apart would turn a last-bit change in t into about 1e-11 of the
 time, so it stays in math and cmath, and each thickness takes a point's
-operations in their order. So the grid's phase times equal evaluate_point()'s
+operations in their order. So the grid's phase times equal the point path's
 bit for bit, its other records match to about 1e-14, and their CSV cells
 match byte for byte. Records are pure data; the emitters below turn them into
 CSV with '#'-prefixed metadata lines (tool version, config echo, stencil
@@ -71,8 +71,8 @@ barrier._wave(), so a curve has the point path's bits. Each distinct K or x
 grid (of the cutoff or the thickness) is built and formatted once, and a
 record's rows are one %-format of its curve. A row whose problem was refused
 or whose moments failed cannot be drawn. Neither can a list of records, which
-holds their cells alone (re-read from CSV, made by evaluate() or
-evaluate_point(), or joined from several tables): its first record is named.
+holds their cells alone (re-read from CSV, made by evaluate(), or joined
+from several tables): its first record is named.
 
 Per-point failures land in the record's ``error`` column; a missing depth on a
 thin barrier is a ``no_crossing`` note, not an error. The barrier solution and
@@ -87,11 +87,11 @@ still reaches it: in any numeric value of a record it writes into a table,
 where NaN can only mean an empty cell, and in any cell it prints.
 
 The point path imports no numpy of its own: SweepConfig, parse_config(),
-evaluate() and evaluate_point(), _evaluate(), _columns() and _failures() at a
-point, and the writer the point commands share (_csv, _fmt, _echo) run on
-math and cmath alone, so a point loads numpy only where its moments take the
-series route (momentum). The functions that work on arrays import numpy when
-they run: run_sweep() and its array pass, and the emitters.
+evaluate(), _evaluate(), _columns() and _failures() at a point, and the
+writer the point commands share (_csv, _fmt, _echo) run on math and cmath
+alone, so a point loads numpy only where its moments take the series route
+(momentum). The functions that work on arrays import numpy when they run:
+run_sweep() and its array pass, and the emitters.
 """
 
 from __future__ import annotations
@@ -399,11 +399,6 @@ def _point(cfg: SweepConfig, e_ratio: float, d_nm: float):
     except DomainError as exc:
         return {"error": f"problem: {exc}"}, {}
     return _evaluate(problem)[:2]
-
-
-def evaluate_point(cfg: SweepConfig, e_ratio: float, d_nm: float) -> SweepRecord:
-    """The sweep's record at one grid point, failures in its cells."""
-    return _record(cfg, e_ratio, d_nm, _point(cfg, e_ratio, d_nm)[0])
 
 
 def run_sweep(cfg: SweepConfig) -> SweepTable:

@@ -60,7 +60,6 @@ from .barrier import (
     _transmission,
     _wavenumber_pair,
     stationary_solution,
-    wavenumbers,
 )
 from .constants import CONSTANTS, energy_ev_to_si
 from .errors import DomainError
@@ -140,9 +139,9 @@ def shared_denominator(problem: BarrierProblem) -> float:
     Past kappa d of about 355 it is not a double: inf, or OverflowError
     from the exponential.
     """
-    wn = wavenumbers(problem)
-    kd = wn.kappa * problem.thickness
-    return _closed_times(wn.k, wn.kappa, kd, _g(problem.height))[2] * math.exp(2.0 * kd)
+    k, kappa = _wavenumber_pair(problem.energy, problem.height)
+    kd = kappa * problem.thickness
+    return _closed_times(k, kappa, kd, _g(problem.height))[2] * math.exp(2.0 * kd)
 
 
 def phase_time_numeric(problem: BarrierProblem) -> float:
@@ -205,7 +204,6 @@ def dwell_time_numeric(problem: BarrierProblem) -> float:
     """
     sol = stationary_solution(problem)
     stored = _stored_probability(
-        sol.wavenumbers.k, sol.wavenumbers.kappa, problem.thickness,
-        sol.A, sol.B, sol.edge_modes[0], sol.S,
+        sol.k, sol.kappa, problem.thickness, sol.A, sol.B, sol.a_d, sol.S
     )
-    return stored / _flux(sol.wavenumbers.k)
+    return stored / _flux(sol.k)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from tunneltimes import __version__, sweep
-from tunneltimes.barrier import _wave, stationary_solution, wavenumbers
+from tunneltimes.barrier import _wave, _wavenumber_pair, stationary_solution
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_nm_to_si, length_si_to_nm
 from tunneltimes.depth import DEPTH_LEVEL, _relative_density
 from tunneltimes.errors import DomainError, MissingGridPoint, NoConvergence
@@ -55,8 +55,14 @@ def replace(value, **changes):
 def closed_times(problem) -> tuple[float, float, float]:
     """The closed-form phase time, dwell time and D~ = D e^{-2 kappa d} of the
     times module, by its kernel at ``problem``."""
-    wn = wavenumbers(problem)
-    return _closed_times(wn.k, wn.kappa, wn.kappa * problem.thickness, _g(problem.height))
+    k, kappa = _wavenumber_pair(problem.energy, problem.height)
+    return _closed_times(k, kappa, kappa * problem.thickness, _g(problem.height))
+
+
+def evaluate_point(cfg, e_ratio: float, d_nm: float):
+    """The sweep's record at one grid point of ``cfg``, failures in its cells,
+    by the point path alone."""
+    return sweep._record(cfg, e_ratio, d_nm, sweep._point(cfg, e_ratio, d_nm)[0])
 
 
 def psi_barrier(sol, x):
@@ -66,7 +72,7 @@ def psi_barrier(sol, x):
     d = sol.problem.thickness
     if np.any(xarr < 0.0) or np.any(xarr > d):
         raise DomainError("barrier wavefunction is only defined on 0 <= x <= d")
-    out = _wave(xarr, d, sol.wavenumbers.kappa, sol.B, sol.edge_modes[0])
+    out = _wave(xarr, d, sol.kappa, sol.B, sol.a_d)
     return complex(out) if xarr.ndim == 0 else out
 
 
@@ -80,9 +86,7 @@ def momentum_amplitude(sol, wavenumber):
     """The momentum amplitude of a solution at K (a scalar or an array), by
     the momentum module's kernel."""
     karr = np.asarray(wavenumber, dtype=float)
-    out = _amplitude(
-        karr, sol.problem.thickness, sol.wavenumbers.kappa, sol.A, sol.B, *sol.edge_modes
-    )
+    out = _amplitude(karr, sol.problem.thickness, sol.kappa, sol.A, sol.B, sol.a_d, sol.b_d)
     return complex(out) if karr.ndim == 0 else out
 
 
@@ -253,18 +257,15 @@ def continuity_residual(sol) -> tuple[float, float, float, float]:
     level for a solution built by stationary_solution(); a corrupted
     coefficient shows up orders of magnitude above that.
     """
-    k = sol.wavenumbers.k
-    kappa = sol.wavenumbers.kappa
-    d = sol.problem.thickness
+    k, kappa, d = sol.k, sol.kappa, sol.problem.thickness
 
     psi1_0 = 1.0 + sol.R
     dpsi1_0 = 1j * k * (1.0 - sol.R)
     psi2_0 = sol.A + sol.B
     dpsi2_0 = kappa * (sol.A - sol.B)
 
-    a_d, b_d = sol.edge_modes
-    psi2_d = a_d + b_d
-    dpsi2_d = kappa * (a_d - b_d)
+    psi2_d = sol.a_d + sol.b_d
+    dpsi2_d = kappa * (sol.a_d - sol.b_d)
     psi3_d = sol.S * cmath.exp(1j * k * d)
     dpsi3_d = 1j * k * psi3_d
 

@@ -14,11 +14,10 @@ from oracles import (
 from tunneltimes.barrier import (
     BarrierProblem,
     StationarySolution,
-    Wavenumbers,
+    _coefficients,
     _flux,
     _wavenumber_pair,
     stationary_solution,
-    wavenumbers,
 )
 from tunneltimes.constants import CONSTANTS, PhysicalConstants
 from tunneltimes.errors import DomainError
@@ -105,18 +104,41 @@ class TestBarrierProblem:
 class TestWavenumbers:
     def test_symmetric_point_has_equal_wavenumbers(self):
         # 2mE equals 2m(V0-E) at E = V0/2
-        wn = wavenumbers(BarrierProblem.from_ev_nm(5.0, 10.0, 0.5))
-        assert wn.k == wn.kappa
+        sol = stationary_solution(BarrierProblem.from_ev_nm(5.0, 10.0, 0.5))
+        assert sol.k == sol.kappa
 
     def test_hand_value_at_half_height(self):
         # sqrt(2 m 5 eV)/hbar with the stored constants
-        wn = wavenumbers(BarrierProblem.from_ev_nm(5.0, 10.0, 0.5))
-        assert wn.k == pytest.approx(1.1451e10, rel=1e-4)
+        sol = stationary_solution(BarrierProblem.from_ev_nm(5.0, 10.0, 0.5))
+        assert sol.k == pytest.approx(1.1451e10, rel=1e-4)
 
     def test_hand_value_near_threshold(self):
         # kappa only sees the 0.1 eV gap to the top
-        wn = wavenumbers(BarrierProblem.from_ev_nm(9.9, 10.0, 1.0))
-        assert wn.kappa == pytest.approx(1.6194e9, rel=1e-4)
+        sol = stationary_solution(BarrierProblem.from_ev_nm(9.9, 10.0, 1.0))
+        assert sol.kappa == pytest.approx(1.6194e9, rel=1e-4)
+
+
+#: A thin barrier (kappa d about 0.11), a paper point (about 11) and a thick
+#: one (about 1145), where S, A and a_d underflow to 0.
+LAYOUT_POINTS = {"thin": (5.0, 0.01), "paper": (5.0, 1.0), "thick": (5.0, 100.0)}
+
+
+@pytest.mark.parametrize("point", list(LAYOUT_POINTS))
+def test_a_solution_is_the_problem_its_wavenumbers_and_coefficients(point):
+    # one flat value: the problem, then (k, kappa), then the coefficients in
+    # the order the kernel returns them, each with the kernel's bits
+    e_ev, d_nm = LAYOUT_POINTS[point]
+    p = BarrierProblem.from_ev_nm(e_ev, 10.0, d_nm)
+    sol = stationary_solution(p)
+    k, kappa = _wavenumber_pair(p.energy, p.height)
+    assert list(vars(sol)) == ["problem", "k", "kappa", "t", "S", "A", "B", "R", "a_d", "b_d"]
+    assert repr(tuple(vars(sol).values())) == repr(
+        (p, k, kappa, *_coefficients(k, kappa, p.thickness))
+    )
+    if point == "thick":
+        assert kappa * p.thickness > 745.0 and (sol.S, sol.A, sol.a_d) == (0, 0, 0)
+    else:
+        assert 0.0 not in (sol.S, sol.A, sol.a_d)
 
 
 class TestStationarySolution:
@@ -171,7 +193,7 @@ class TestScaledTransmission:
     def test_s_is_t_times_its_decay(self):
         for p in sweep_problems():
             sol = stationary_solution(p)
-            decay = math.exp(-sol.wavenumbers.kappa * p.thickness)
+            decay = math.exp(-sol.kappa * p.thickness)
             assert sol.S == sol.t * decay
 
 
@@ -180,7 +202,7 @@ class TestPsiEvaluation:
         sol = stationary_solution(BarrierProblem.from_ev_nm(3.0, 10.0, 0.8))
         d = sol.problem.thickness
         assert psi_barrier(sol, 0.0) == pytest.approx(1.0 + sol.R, rel=1e-12)
-        transmitted = sol.S * cmath.exp(1j * sol.wavenumbers.k * d)
+        transmitted = sol.S * cmath.exp(1j * sol.k * d)
         assert psi_barrier(sol, d) == pytest.approx(transmitted, rel=1e-12, abs=0)
 
     def test_out_of_barrier_rejected(self):
@@ -194,7 +216,7 @@ class TestPsiEvaluation:
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
         sol = stationary_solution(p)
         r_amp, a_amp, b_amp, _ = solve_by_matching(5.0, 10.0, 1.0)
-        kappa = sol.wavenumbers.kappa
+        kappa = sol.kappa
         x = 0.5e-9
         ref = a_amp * math.exp(kappa * x) + b_amp * math.exp(-kappa * x)
         assert psi_barrier(sol, x) == pytest.approx(ref, rel=1e-10, abs=0)
@@ -206,7 +228,7 @@ class TestPsiEvaluation:
         sol = stationary_solution(p)
         x = 0.5e-9
         ratio = abs(psi_barrier(sol, x)) ** 2 / abs(psi_barrier(sol, 0.0)) ** 2
-        pure = math.exp(-2.0 * sol.wavenumbers.kappa * x)
+        pure = math.exp(-2.0 * sol.kappa * x)
         assert abs(ratio - pure) / pure < 0.2
 
     def test_thick_barrier_wave_is_finite_and_decays(self):
@@ -216,7 +238,7 @@ class TestPsiEvaluation:
         psi = psi_barrier(sol, xs)
         assert np.all(np.isfinite(psi))
         assert psi[0] == pytest.approx(1.0 + sol.R, rel=1e-12)
-        decay = np.exp(-sol.wavenumbers.kappa * xs[1:4])
+        decay = np.exp(-sol.kappa * xs[1:4])
         assert np.abs(psi[1:4]) == pytest.approx(abs(sol.B) * decay, rel=1e-12, abs=0)
 
     def test_vectorized_evaluation_matches_scalars(self):
@@ -230,7 +252,7 @@ class TestPsiEvaluation:
 
 def incident_flux(p):
     """The flux kernel that the record's dwell time divides by, at ``p``."""
-    return _flux(wavenumbers(p).k)
+    return _flux(stationary_solution(p).k)
 
 
 class TestIncidentFlux:
@@ -305,30 +327,27 @@ PROBLEM_REPR = (
     "BarrierProblem(energy=8e-19, height=1.6e-18, thickness=1e-09, cutoff=75000000000.0)"
 )
 SOLUTION_REPR = (
-    f"StationarySolution(problem={PROBLEM_REPR}, wavenumbers=Wavenumbers(k=1.0, kappa=2.0), "
-    "t=1j, S=2j, A=3j, B=4j, R=5j, edge_modes=(6j, 7j))"
+    f"StationarySolution(problem={PROBLEM_REPR}, k=1.0, kappa=2.0, "
+    "t=1j, S=2j, A=3j, B=4j, R=5j, a_d=6j, b_d=7j)"
 )
 
 
 def solution_args():
-    return (BarrierProblem(8e-19, 1.6e-18, 1e-9), Wavenumbers(1.0, 2.0), 1j, 2j, 3j, 4j, 5j,
-            (6j, 7j))
+    return (BarrierProblem(8e-19, 1.6e-18, 1e-9), 1.0, 2.0, 1j, 2j, 3j, 4j, 5j, 6j, 7j)
 
 
 #: The value classes of the barrier, constants and momentum modules: each
 #: with a function that makes its arguments afresh, its pinned repr, and an
 #: instance of another class.
 VALUE_CLASSES = [
-    (BarrierProblem, lambda: (8e-19, 1.6e-18, 1e-9), PROBLEM_REPR, Wavenumbers(1.0, 2.0)),
-    (Wavenumbers, lambda: (1.0, 2.0), "Wavenumbers(k=1.0, kappa=2.0)",
-     EffectiveKinematics(1.0, 2.0, 3.0, 4.0)),
+    (BarrierProblem, lambda: (8e-19, 1.6e-18, 1e-9), PROBLEM_REPR, PhysicalConstants()),
     (StationarySolution, solution_args, SOLUTION_REPR, PhysicalConstants()),
     (PhysicalConstants, lambda: (9e-31,),
      "PhysicalConstants(electron_mass=9e-31, hbar=1.055e-34, ev_to_joule=1.6022e-19)",
-     Wavenumbers(1.0, 2.0)),
+     BarrierProblem(8e-19, 1.6e-18, 1e-9)),
     (EffectiveKinematics, lambda: (1.0, 2.0, 3.0, 4.0),
      "EffectiveKinematics(k_rms=1.0, v_rms=2.0, t_eff=3.0, eps_eff=4.0)",
-     Wavenumbers(1.0, 2.0)),
+     BarrierProblem(8e-19, 1.6e-18, 1e-9)),
     (MomentumSpectrum, lambda: (StationarySolution(*solution_args()), 1.0, 2.0),
      f"MomentumSpectrum(solution={SOLUTION_REPR}, normalization=1.0, second_moment=2.0)",
      StationarySolution(*solution_args())),

@@ -16,6 +16,7 @@ import pytest
 
 from oracles import (
     assert_same_text,
+    evaluate_point,
     join_rows,
     outcome,
     per_cell_emit,
@@ -31,7 +32,6 @@ from tunneltimes.sweep import (
     _fmt,
     emit_figure_data,
     emit_table1,
-    evaluate_point,
     parse_records,
     records_to_csv,
     run_sweep,

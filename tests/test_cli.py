@@ -414,14 +414,17 @@ class TestExitCodes:
 
 
 class TestParserReuse:
+    """main() called again and again in one process: no parser and no parse
+    state outlives a call."""
+
     @staticmethod
     def spy(monkeypatch):
-        """Count build_parser() calls and the top-level parse_args calls."""
-        built, top_level = [], []
+        """Record the top-level parse_args calls of the parsers build_parser()
+        makes; an argv that is not plain builds its own."""
+        top_level = []
         original = cli.build_parser
 
         def spying_build_parser():
-            built.append(1)
             parser = original()
             parse_args = parser.parse_args
 
@@ -433,29 +436,13 @@ class TestParserReuse:
             return parser
 
         monkeypatch.setattr(cli, "build_parser", spying_build_parser)
-        monkeypatch.setattr(cli, "_parser", None)
-        return built, top_level
-
-    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
-        # built by the first argv that is not plain; a subcommand's flags are
-        # parsed once, by its own parser, so the top-level parser sees only
-        # an argv that names no subcommand
-        built, top_level = self.spy(monkeypatch)
-        for e_ev in ("1", "2", "5"):
-            for command in ("coeffs", "momentum", "times", "depth"):
-                assert run(capsys, command, "--E-eV", e_ev, "--d-nm", "0.5")[0] == 0
-        assert run(capsys, "coeffs", "--E-eV", "5", "--nonsense")[0] == 1
-        assert run(capsys, "sweep", "--help")[0] == 0
-        assert top_level == []
-        assert run(capsys, "--version") == (0, f"tunneltimes {__version__}\n", "")
-        assert top_level == [(["--version"],)]
-        assert len(built) == 1
+        return top_level
 
     def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
         argv = ["coeffs", "--E-eV", "5", "--d-nm", "1"]
         given = run(capsys, *argv)
         assert given[0] == 0
-        _, top_level = self.spy(monkeypatch)
+        top_level = self.spy(monkeypatch)
         monkeypatch.setattr(sys, "argv", ["tunneltimes", *argv])
         assert main() == 0
         assert (0, *capsys.readouterr()) == given
@@ -465,8 +452,7 @@ class TestParserReuse:
         assert tuple(capsys.readouterr()) == (f"tunneltimes {__version__}\n", "")
         assert top_level == [(["--version"],)]
 
-    def test_no_parse_state_leaks_between_calls(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_parser", None)
+    def test_no_parse_state_leaks_between_calls(self, capsys, tmp_path):
         small = tmp_path / "small.cfg"
         small.write_text("E_over_V0_grid=0.5\nd_nm_grid=0.5\n", encoding="utf-8")
         bad = tmp_path / "bad.cfg"
@@ -583,8 +569,8 @@ def grid_argvs(draw):
 
 class TestParseRoutes:
     """main() parses a plain subcommand argv from the flag table, and any
-    other with that subcommand's own parser; the outcome is the top-level
-    parser's, flag for flag."""
+    other with the top-level parser; the outcome is the top-level parser's,
+    flag for flag."""
 
     @staticmethod
     def outcome(parse, argv):
@@ -602,8 +588,7 @@ class TestParseRoutes:
         return cli.build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv, kind", ROUTES, ids=[" ".join(a) or "empty" for a, _ in ROUTES])
-    def test_main_parses_as_the_top_level_parser(self, capsys, monkeypatch, argv, kind):
-        monkeypatch.setattr(cli, "_parser", None)
+    def test_main_parses_as_the_top_level_parser(self, capsys, argv, kind):
         routed = (*self.outcome(cli._parse, argv), *capsys.readouterr())
         assert routed == (*self.outcome(self.top_level, argv), *capsys.readouterr())
         assert routed[0] == kind
@@ -620,8 +605,9 @@ class TestParseRoutes:
 
         config = tmp_path / "small.cfg"
         config.write_bytes(SMALL_CONFIG)
+        built, build_parser = [], cli.build_parser
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
-        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
         monkeypatch.chdir(tmp_path)
         pairs = (("--E-eV", "5.0"), ("--V0-eV", "10.0"), ("--d-nm", "0.5"))
         for command in ("coeffs", "momentum", "times", "depth"):
@@ -631,7 +617,7 @@ class TestParseRoutes:
         assert run(capsys, "table1")[0] == 0
         assert run(capsys, "figures", "--which", "all", "--out-dir", "figs")[0] == 0
         assert len(list((tmp_path / "figs").iterdir())) == 6
-        assert cli._parser is None  # no argparse parser was built
+        assert built == []  # no argparse parser was built
         # an abbreviation or a help flag still goes to argparse
         for argv in (("coeffs", "--E", "5", "--d-nm", "0.5"), ("coeffs", "-h")):
             with pytest.raises(ReachedArgparse):

@@ -43,7 +43,7 @@ class TestRelativeDensity:
 
     def test_deep_tunneling_is_nearly_pure_decay(self):
         sol = stationary_solution(BarrierProblem.from_ev_nm(0.1, 10.0, 1.0))
-        kappa = sol.wavenumbers.kappa
+        kappa = sol.kappa
         xs = np.linspace(0.05e-9, 0.3e-9, 9)  # well inside the barrier
         pure = np.exp(-2.0 * kappa * xs)
         assert np.max(np.abs(relative_density(sol, xs) - pure) / pure) < 0.05
@@ -84,7 +84,7 @@ class TestPenetrationDepth:
         for e_ratio in (0.01, 0.1):
             for d_nm in (0.5, 1.0):
                 p = BarrierProblem.from_ev_nm(10.0 * e_ratio, 10.0, d_nm)
-                decay_length = 1.0 / stationary_solution(p).wavenumbers.kappa
+                decay_length = 1.0 / stationary_solution(p).kappa
                 depth = penetration_depth(p)
                 assert abs(depth - decay_length) / decay_length < 0.02
 

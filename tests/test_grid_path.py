@@ -22,6 +22,7 @@ import pytest
 from oracles import (
     CURVE_COLUMNS,
     assert_same_text,
+    evaluate_point,
     join_rows,
     mp_window_moments,
     outcome,
@@ -34,7 +35,6 @@ from tunneltimes.barrier import (
     _coefficients,
     _wavenumber_pair,
     stationary_solution,
-    wavenumbers,
 )
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_nm_to_si
 from tunneltimes.errors import DomainError, MissingGridPoint
@@ -47,7 +47,6 @@ from tunneltimes.sweep import (
     SweepRecord,
     config_lines,
     emit_figure_data,
-    evaluate_point,
     records_to_csv,
     run_sweep,
 )
@@ -176,7 +175,7 @@ def series_route_points(cfg):
             except DomainError:
                 continue
             d = problem.thickness
-            kappa_d = wavenumbers(problem).kappa * d
+            kappa_d = stationary_solution(problem).kappa * d
             if _series_route(kappa_d, cfg.cutoff * d):
                 points[(r, d_nm)] = _series_route(kappa_d, math.inf)
     return points
@@ -279,7 +278,7 @@ def test_series_route_lanes_match_mpmath(monkeypatch):
         for rec in table:
             problem = BarrierProblem.from_ev_nm(rec.e_ev, cfg.v0_ev, rec.d_nm, cfg.cutoff)
             d = problem.thickness
-            kappa_d, edge = wavenumbers(problem).kappa * d, cfg.cutoff * d
+            kappa_d, edge = stationary_solution(problem).kappa * d, cfg.cutoff * d
             if _series_route(kappa_d, edge):
                 kinds.add("tail" if edge > 2.0 else "closed" if kappa_d > 64.0 else "centre")
                 smallest = min(smallest, kappa_d)
@@ -323,8 +322,8 @@ def test_records_carry_the_point_paths_problem_and_solution(cfg, monkeypatch):
     (k, kappa), coefficients, moments = grid_lanes(table, cfg, rows)
     for lane, row in enumerate(rows):
         sol = stationary_solution(problems[row])
-        assert (k[lane], kappa[lane]) == (sol.wavenumbers.k, sol.wavenumbers.kappa)
-        for x, y in zip(coefficients, (sol.t, sol.S, sol.A, sol.B, sol.R, *sol.edge_modes)):
+        assert (k[lane], kappa[lane]) == (sol.k, sol.kappa)
+        for x, y in zip(coefficients, (sol.t, sol.S, sol.A, sol.B, sol.R, sol.a_d, sol.b_d)):
             assert abs(x[lane] - y) <= 1e-14 * abs(y)
         point = momentum_spectrum(problems[row])
         for x, y in zip(moments[:, lane], (point.normalization, point.second_moment)):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    evaluate_point,
     integrate,
     momentum_amplitude,
     momentum_density,
@@ -26,7 +27,7 @@ from tunneltimes.momentum import (
     _sinh_tails,
     momentum_spectrum,
 )
-from tunneltimes.sweep import SweepConfig, evaluate_point
+from tunneltimes.sweep import SweepConfig
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -46,7 +47,7 @@ def quadrature_amplitude(sol, wavenumber):
 class TestMomentumAmplitude:
     def test_zero_wavenumber_antiderivative(self):
         sol = stationary_solution(BarrierProblem.from_ev_nm(4.0, 10.0, 0.6))
-        kappa = sol.wavenumbers.kappa
+        kappa = sol.kappa
         d = sol.problem.thickness
         want = (
             sol.A * (math.exp(kappa * d) - 1.0) / kappa

@@ -1,8 +1,9 @@
 """Checks on the repository's own text, which no linter runs here: the
 README's Library example runs as written, every name a module of the
-package imports is used in that module, no module reads a private attribute
-of anything but ``self``, the records module imports nothing from the
-package, and no module imports dataclasses, nor the CLI argparse at load."""
+package imports is used in that module, every private name a module defines
+is read somewhere in the package, no module reads a private attribute of
+anything but ``self``, the records module imports nothing from the package,
+and no module imports dataclasses, nor the CLI argparse at load."""
 
 import ast
 import re
@@ -41,6 +42,46 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _dead_names(sources: dict[str, str]) -> list[str]:
+    """The module-level names with one leading underscore that a module of
+    ``sources`` (file name -> text) defines and no module reads: as a name,
+    as an attribute, or by importing it by name."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    dead = []
+    for path, tree in trees.items():
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(statement, "targets", None) or [statement.target]
+                defined = [node.id for target in targets for node in ast.walk(target)
+                           if isinstance(node, ast.Name)]
+            else:
+                continue
+            dead += [f"{path} line {statement.lineno}: {name}" for name in defined
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return dead
+
+
+def test_every_private_name_is_read():
+    # what a removal leaves behind: a helper, constant or cache no code reads
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_names(sources) == []
+    # the check sees a name no module reads, and each kind of read
+    sample = {
+        "a.py": "_dead, _named = 1, 2\ndef _imported(): return _named\nclass _Attr: pass\n",
+        "b.py": "from a import _imported\nimport a\na._Attr\n",
+    }
+    assert _dead_names(sample) == ["a.py line 1: _dead"]
 
 
 def _private_reads(tree: ast.Module) -> list[str]:

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     REFERENCE_DEPTHS_NM,
     TABLE_D_NM,
+    evaluate_point,
     join_rows,
     per_cell_emit,
     point_table,
@@ -35,7 +36,6 @@ from tunneltimes.sweep import (
     config_lines,
     emit_table1,
     evaluate,
-    evaluate_point,
     parse_config,
     parse_records,
     records_to_csv,

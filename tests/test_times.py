@@ -14,7 +14,7 @@ from oracles import (
     stencil_phase_time,
 )
 from tunneltimes import times
-from tunneltimes.barrier import BarrierProblem, _flux, stationary_solution, wavenumbers
+from tunneltimes.barrier import BarrierProblem, _flux, stationary_solution
 from tunneltimes.constants import CONSTANTS, energy_ev_to_si
 from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.sweep import SweepConfig, evaluate
@@ -38,7 +38,7 @@ def dwell_closed(p):
 
 def bl_time(p):
     """The traversal-time kernel behind the record's t_bl_s."""
-    return times._bl_time(wavenumbers(p).kappa, p.thickness)
+    return times._bl_time(stationary_solution(p).kappa, p.thickness)
 
 
 class TestPhaseTime:
@@ -60,22 +60,22 @@ class TestPhaseTime:
         # at E = V0/2 the wavenumbers coincide, the bracket's first term
         # carries a (kappa^2 - k^2) factor and dies, leaving only the sinh term
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
-        wn = wavenumbers(p)
+        sol = stationary_solution(p)
         g = 2.0 * CONSTANTS.electron_mass * p.height / CONSTANTS.hbar**2
-        dd = 4.0 * wn.kappa**2 * wn.k**2 + g**2 * math.sinh(wn.kappa * p.thickness) ** 2
+        dd = 4.0 * sol.kappa**2 * sol.k**2 + g**2 * math.sinh(sol.kappa * p.thickness) ** 2
         want = (
             CONSTANTS.electron_mass
-            / (CONSTANTS.hbar * wn.k * wn.kappa * dd)
+            / (CONSTANTS.hbar * sol.k * sol.kappa * dd)
             * g**2
-            * math.sinh(2.0 * wn.kappa * p.thickness)
+            * math.sinh(2.0 * sol.kappa * p.thickness)
         )
         assert phase_closed(p) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_thick_barrier_saturation_value(self):
         # saturates at 2m / (hbar k kappa); 1.3169e-16 s at half height
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
-        wn = wavenumbers(p)
-        limit = 2.0 * CONSTANTS.electron_mass / (CONSTANTS.hbar * wn.k * wn.kappa)
+        sol = stationary_solution(p)
+        limit = 2.0 * CONSTANTS.electron_mass / (CONSTANTS.hbar * sol.k * sol.kappa)
         assert limit == pytest.approx(1.317e-16, rel=1e-3, abs=0)
         assert phase_closed(p) == pytest.approx(limit, rel=1e-6, abs=0)
 
@@ -243,7 +243,7 @@ class TestDwellTime:
     def test_numerator_matches_mpmath(self, args):
         pytest.importorskip("mpmath")
         p = BarrierProblem.from_ev_nm(*args)
-        stored = dwell_time_numeric(p) * _flux(wavenumbers(p).k)
+        stored = dwell_time_numeric(p) * _flux(stationary_solution(p).k)
         want = mp_dwell_numerator(p)
         assert abs(stored - want) <= 1e-12 * want
 
@@ -293,7 +293,7 @@ def scaled_points():
     """kappa d from 1e-3 to 3e3 at energy ratios up to 0.999 and three heights."""
     for ratio in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
         for v0 in (1.0, 10.0, 25.0):
-            kappa = wavenumbers(BarrierProblem.from_ev_nm(ratio * v0, v0, 1.0)).kappa
+            kappa = stationary_solution(BarrierProblem.from_ev_nm(ratio * v0, v0, 1.0)).kappa
             for kappa_d in (1e-3, 3e-3, 1e-2, 0.1, 0.4, 0.6, 1.0, 10.0, 100.0, 355.0,
                             710.0, 1e3, 3e3):
                 yield BarrierProblem.from_ev_nm(ratio * v0, v0, kappa_d / kappa * 1e9)
@@ -307,7 +307,7 @@ class TestScaledForms:
         for p in scaled_points():
             reduced, phase, dwell, scaled = mp_closed_forms(p)
             sol = stationary_solution(p)
-            got = sol.t * cmath.exp(1j * sol.wavenumbers.k * p.thickness)
+            got = sol.t * cmath.exp(1j * sol.k * p.thickness)
             assert abs(got - reduced) <= 1e-12 * abs(reduced)
             assert phase_closed(p) == pytest.approx(phase, rel=1e-12, abs=0)
             assert dwell_closed(p) == pytest.approx(dwell, rel=1e-12, abs=0)
@@ -315,9 +315,9 @@ class TestScaledForms:
 
     def test_printed_denominator_is_the_scaled_one_times_e_2_kappa_d(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
-        wn = wavenumbers(p)
+        sol = stationary_solution(p)
         g = 2.0 * CONSTANTS.electron_mass * p.height / CONSTANTS.hbar**2
-        textbook = 4.0 * wn.kappa**2 * wn.k**2 + g**2 * math.sinh(wn.kappa * p.thickness) ** 2
+        textbook = 4.0 * sol.kappa**2 * sol.k**2 + g**2 * math.sinh(sol.kappa * p.thickness) ** 2
         assert shared_denominator(p) == pytest.approx(textbook, rel=1e-14)
 
     def test_printed_denominator_is_not_a_double_on_a_thick_barrier(self):
