@@ -26,9 +26,10 @@ _MODULE_EXPORTS = {
         "stationary_solution",
     ),
     "constants": (
-        "CONSTANTS",
+        "ELECTRON_MASS",
+        "EV_TO_JOULE",
+        "HBAR",
         "SPEED_OF_LIGHT",
-        "PhysicalConstants",
         "energy_ev_to_si",
         "energy_si_to_ev",
         "length_nm_to_si",

@@ -42,13 +42,10 @@ from __future__ import annotations
 
 import math
 
-from .constants import CONSTANTS, energy_ev_to_si, length_nm_to_si
+from .constants import ELECTRON_MASS as _M, HBAR as _HBAR, energy_ev_to_si, length_nm_to_si
 from .errors import DomainError
 from .numerics import POINT
 from .records import _Value
-
-_M = CONSTANTS.electron_mass
-_HBAR = CONSTANTS.hbar
 
 #: Momentum-spectrum integration window, 1/m. The default matches the golden
 #: reference data; rms-momentum quantities are sensitive to it because the
@@ -87,13 +84,18 @@ def _check_tunneling(energy: float, height: float) -> None:
         )
 
 
+def _g(height):
+    """g = 2 m V0 / hbar^2, equal to k^2 + kappa^2."""
+    return 2.0 * _M * height / _HBAR**2
+
+
 def _check_barrier(height: float, thickness: float, cutoff: float) -> None:
     """BarrierProblem's rules that do not involve the energy."""
     if not thickness > 0:
         raise DomainError("barrier thickness must be positive")
     if not cutoff > 0:
         raise DomainError("momentum cutoff must be positive")
-    g = 2.0 * _M * height / _HBAR**2  # k^2 + kappa^2
+    g = _g(height)
     top = math.sqrt(2.0 * _M * height) / _HBAR  # k, kappa < top below V0
     for name, value in (
         ("barrier height", height),

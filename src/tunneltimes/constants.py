@@ -2,33 +2,20 @@
 
 Everything downstream computes in SI; electron volts and nanometres only
 appear at function and CLI boundaries, through the converters below. The
-constant values are deliberately truncated rather than full-precision
-CODATA: the golden reference data the acceptance suite reproduces digit
-for digit were computed with exactly these truncations, and reproducing
-them beats metrological accuracy here. They must not be redefined
-anywhere else in the package.
+electron mass, the reduced Planck constant and the electron volt are
+deliberately truncated rather than full-precision CODATA: the golden
+reference data the acceptance suite reproduces digit for digit were computed
+with exactly these truncations, and reproducing them beats metrological
+accuracy here. They are plain module constants, defined here and nowhere
+else in the package; this module imports nothing.
 """
 
-from __future__ import annotations
-
-from .records import _Value
-
-
-class PhysicalConstants(_Value):
-    """Electron mass, reduced Planck constant, and the electron volt (SI)."""
-
-    def __init__(
-        self,
-        electron_mass: float = 9.1095e-31,  # kg
-        hbar: float = 1.055e-34,  # J*s
-        ev_to_joule: float = 1.6022e-19,  # J per eV
-    ):
-        if not (electron_mass > 0 and hbar > 0 and ev_to_joule > 0):
-            raise ValueError("physical constants must be strictly positive")
-        self.__dict__.update(electron_mass=electron_mass, hbar=hbar, ev_to_joule=ev_to_joule)
-
-
-CONSTANTS = PhysicalConstants()
+#: Electron mass, kg.
+ELECTRON_MASS = 9.1095e-31
+#: Reduced Planck constant, J*s.
+HBAR = 1.055e-34
+#: Joules per electron volt.
+EV_TO_JOULE = 1.6022e-19
 
 #: Vacuum speed of light in m/s; used only as the superluminality guard.
 SPEED_OF_LIGHT = 2.9979e8
@@ -36,12 +23,12 @@ SPEED_OF_LIGHT = 2.9979e8
 
 def energy_ev_to_si(energy_ev: float) -> float:
     """Convert an energy from eV to joules."""
-    return energy_ev * CONSTANTS.ev_to_joule
+    return energy_ev * EV_TO_JOULE
 
 
 def energy_si_to_ev(energy_j: float) -> float:
     """Convert an energy from joules to eV."""
-    return energy_j / CONSTANTS.ev_to_joule
+    return energy_j / EV_TO_JOULE
 
 
 def length_nm_to_si(length_nm: float) -> float:

@@ -85,7 +85,7 @@ import math
 from types import SimpleNamespace
 
 from .barrier import _SERIES_KAPPA_D, BarrierProblem, StationarySolution, stationary_solution
-from .constants import CONSTANTS, SPEED_OF_LIGHT
+from .constants import ELECTRON_MASS as _M, HBAR as _HBAR, SPEED_OF_LIGHT
 from .errors import DomainError
 from .numerics import POINT, scaled_e1, scaled_e1_grid
 from .records import _Value
@@ -93,9 +93,6 @@ from .records import _Value
 TYPE_CHECKING = False  # true for a type checker only
 if TYPE_CHECKING:
     import numpy as np
-
-_M = CONSTANTS.electron_mass
-_HBAR = CONSTANTS.hbar
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -294,7 +291,7 @@ def _exponential_moments(kappa, d, c, a, b, a_d, b_d, f):
     else:
         import numpy as np
 
-        e1_z, e1_minus_z = np.split(scaled_e1_grid(np.concatenate((z, -z)))[0], 2)
+        e1_z, e1_minus_z = np.split(scaled_e1_grid(np.concatenate((z, -z))), 2)
     turn = f.cexp(1j * c * d)
     j_w = -2.0 * (e1_z / turn).imag
     j_v = 2.0 * (turn * (math.pi * 1j * f.cexp(-z) - e1_minus_z)).imag

@@ -153,27 +153,26 @@ def scaled_e1(z: complex) -> complex:
     )
 
 
-def scaled_e1_grid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def scaled_e1_grid(z: np.ndarray) -> np.ndarray:
     """e^z E1(z) over a 1-D complex array, each element by scaled_e1()'s route
     outside its series domain.
 
     Each element in _asymptotic_domain() takes scaled_e1()'s asymptotic
     series. Each other element outside the series domain, widened by
     _E1_DOMAIN_MARGIN, runs the modified Lentz recurrence until its own step is
-    within _EPS of 1, at most _MAX_TERMS levels, as scaled_e1() does. Returns
-    the values and a mask of the elements that converged; the others,
-    series-domain elements among them, hold NaN, which every value computed
-    from them carries.
+    within _EPS of 1, at most _MAX_TERMS levels, as scaled_e1() does. The
+    elements that do not settle, series-domain elements among them, hold NaN,
+    which every value computed from them carries.
     """
     import numpy as np
 
     out = np.full(z.shape, complex(math.nan, math.nan))
-    converged = _asymptotic_domain(z)
-    inverse = 1.0 / z[converged]
-    out[converged] = inverse * (1.0 - inverse)
-    active = np.flatnonzero(~(converged | _series_domain(z, _E1_DOMAIN_MARGIN)))
+    asymptotic = _asymptotic_domain(z)
+    inverse = 1.0 / z[asymptotic]
+    out[asymptotic] = inverse * (1.0 - inverse)
+    active = np.flatnonzero(~(asymptotic | _series_domain(z, _E1_DOMAIN_MARGIN)))
     if not active.size:
-        return out, converged
+        return out
     b = z[active] + 1.0
     c = np.full(active.shape, 1.0 / _TINY, dtype=complex)
     d = 1.0 / b
@@ -190,9 +189,8 @@ def scaled_e1_grid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         done = np.abs(step - 1.0) <= _EPS
         if done.any():
             out[active[done]] = value[done]
-            converged[active[done]] = True
             keep = ~done
             if not keep.any():
                 break
             active, b, c, d, value = active[keep], b[keep], c[keep], d[keep], value[keep]
-    return out, converged
+    return out

@@ -108,11 +108,12 @@ from .barrier import (
     _check_tunneling,
     _coefficients,
     _flux,
+    _g,
     _wave,
     _wavenumber_pair,
 )
 from .constants import (
-    CONSTANTS,
+    HBAR,
     SPEED_OF_LIGHT,
     energy_ev_to_si,
     energy_si_to_ev,
@@ -144,7 +145,6 @@ from .times import (
     CROSS_CHECK_TOL,
     _bl_time,
     _closed_times,
-    _g,
     _phase_stencil,
     _stored_probability,
     phase_time_numeric,
@@ -184,24 +184,20 @@ class SweepConfig(_Value):
         cutoff: float = DEFAULT_CUTOFF,
     ):
         # held as Python floats: a numpy scalar would echo as np.float64(...),
-        # which parse_config() refuses, and be quoted so in error cells; the
-        # grids are converted first, so an array is checked as its values
-        e_over_v0_grid = tuple(map(float, e_over_v0_grid))
-        d_nm_grid = tuple(map(float, d_nm_grid))
+        # which parse_config() refuses, and be quoted so in error cells
+        v0_ev, cutoff = _real("V0_eV", v0_ev), _real("Kprime", cutoff)
         if not v0_ev > 0:
             raise ValidationError("V0_eV must be positive")
-        _check_grid("E_over_V0_grid", e_over_v0_grid)
-        _check_grid("d_nm_grid", d_nm_grid)
+        e_over_v0_grid = _grid("E_over_V0_grid", e_over_v0_grid)
+        d_nm_grid = _grid("d_nm_grid", d_nm_grid)
         if any(not 0.0 < r < 1.0 for r in e_over_v0_grid):
             raise ValidationError(
                 "E_over_V0_grid must stay inside the tunneling regime (0, 1)"
             )
         if not cutoff > 0:
             raise ValidationError("Kprime must be positive")
-        v0_ev = float(v0_ev)
         if not math.isfinite(v0_ev):
             raise ValidationError("V0_eV must be finite")
-        cutoff = float(cutoff)
         if not math.isfinite(cutoff):
             raise ValidationError("Kprime must be finite")
         self.__dict__.update(
@@ -209,7 +205,25 @@ class SweepConfig(_Value):
         )
 
 
-def _check_grid(name: str, grid: tuple[float, ...]) -> None:
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, where it is one real number; anything else
+    is refused under the config key ``name``. float() alone would read a
+    string's digits and the value of a one-element array."""
+    if not isinstance(value, (str, bytes)) and not getattr(value, "ndim", 0):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a real number")
+
+
+def _grid(name: str, grid) -> tuple[float, ...]:
+    """The checked grid ``grid``, as a tuple of Python floats by _real(), an
+    array as its values; a string, which iterates by character, is refused
+    like any other value that is not a sequence of numbers."""
+    if isinstance(grid, (str, bytes)) or not hasattr(grid, "__iter__"):
+        raise ValidationError(f"{name} must be a sequence of real numbers")
+    grid = tuple(_real(f"each {name} value", value) for value in grid)
     if not grid:
         raise ValidationError(f"{name} must not be empty")
     if any(v <= 0 for v in grid):
@@ -218,6 +232,7 @@ def _check_grid(name: str, grid: tuple[float, ...]) -> None:
         raise ValidationError(f"{name} values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{name} must be strictly increasing")
+    return grid
 
 
 NOTE_NO_CROSSING = "no_crossing"
@@ -229,7 +244,8 @@ _MOMENTUM = ("k_rms", "v_rms", "t_eff_s", "eps_eff_ev", "tau_eff_s", "xi")
 #: The depth's attributes, absent where the density never reaches the level.
 _DEPTH = ("s_nm", "tau_eff_s", "xi")
 #: Each cross-check's name and the numeric and analytic times it compares. A
-#: failed one quotes both, so neither is an error of its own when not finite.
+#: failed one quotes both, so neither is an error of its own when not finite;
+#: a skipped one (the numeric time is empty) quotes neither.
 _CROSS_CHECKS = (
     ("phase", "t_ph_numeric_s", "t_ph_analytic_s"),
     ("dwell", "t_dw_numeric_s", "t_dw_analytic_s"),
@@ -319,7 +335,7 @@ def _columns(k, kappa, d, height, coefficients, norm, second, t_ph_num, f):
         "t_dw_numeric_s": _stored_probability(k, kappa, d, A, B, a_d, S, f) / _flux(k),
         "t_dw_analytic_s": t_dw_ana, "t_bl_s": _bl_time(kappa, d),
         "s_nm": length_si_to_nm(depth), "tau_eff_s": tau,
-        "xi": 2.0 * eps_eff * tau / CONSTANTS.hbar,
+        "xi": 2.0 * eps_eff * tau / HBAR,
     }
     checks = {
         "moments": (norm > 0.0) & (second > 0.0),
@@ -353,17 +369,19 @@ def _failures(values, checks, finite, crossing, faults):
         failures.append((faults["clipped"], None, ("t_ph_numeric_s",)))
         notes.append(NOTE_PHASE_CLIPPED)
     empty = {name for *_, concerns in failures for name in concerns}
+    quoted = set()  # the times a failed cross-check quotes
     for name, numeric, analytic in _CROSS_CHECKS:
         if numeric not in empty and not checks[name]:
             exc = NoConvergence(
                 f"{name} cross-check: numeric {values[numeric]!r} vs analytic {values[analytic]!r}"
             )
             failures.append((exc, str(exc), (numeric, analytic)))
+            quoted.update((numeric, analytic))
     if not crossing:
         notes.append(NOTE_NO_CROSSING)
         empty.update(_DEPTH)
     for name, ok in zip(list(values), finite):
-        if not (ok or name in empty or any(name in check[1:] for check in _CROSS_CHECKS)):
+        if not (ok or name in empty or name in quoted):
             every = name in ("s_abs2", "r_abs2")
             failures.append((FloatingPointError(NON_FINITE), f"{name}: {NON_FINITE}",
                              tuple(values) if every else (name,)))

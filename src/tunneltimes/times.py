@@ -12,7 +12,9 @@ Four inequivalent clocks are computed side by side:
 Phase and dwell times are each computed twice: numerically from their
 definitions and from independent closed forms sharing the denominator
 
-    D = 4 kappa^2 k^2 + g^2 sinh^2(kappa d),   g = 2 m V0 / hbar^2.
+    D = 4 kappa^2 k^2 + g^2 sinh^2(kappa d),   g = 2 m V0 / hbar^2
+
+(barrier._g(), which also bounds the heights BarrierProblem accepts).
 
 Both closed forms are evaluated with numerator and denominator scaled by
 e^{-2 kappa d}, on
@@ -57,16 +59,15 @@ from .barrier import (
     _check_tunneling,
     _energy_factors,
     _flux,
+    _g,
     _transmission,
     _wavenumber_pair,
     stationary_solution,
 )
-from .constants import CONSTANTS, energy_ev_to_si
+from .constants import ELECTRON_MASS as _M, HBAR as _HBAR, energy_ev_to_si
 from .errors import DomainError
 from .numerics import POINT
 
-_M = CONSTANTS.electron_mass
-_HBAR = CONSTANTS.hbar
 _TWO_PI = 2.0 * math.pi
 
 #: Energy step of the phase-derivative stencil, eV. arg S varies on the eV
@@ -78,11 +79,6 @@ _PHASE_STEP = energy_ev_to_si(DEFAULT_PHASE_STEP_EV)
 #: Numeric and analytic routes agreeing worse than this means one of them is
 #: wrong; report both rather than silently preferring either.
 CROSS_CHECK_TOL = 1e-5
-
-
-def _g(height):
-    """g = 2 m V0 / hbar^2, equal to k^2 + kappa^2."""
-    return 2.0 * _M * height / _HBAR**2
 
 
 # The closed forms below are kernels of (k, kappa, kappa d, g): ``f`` holds

@@ -21,8 +21,15 @@ import numpy as np
 import pytest
 
 from tunneltimes import __version__, sweep
-from tunneltimes.barrier import _wave, _wavenumber_pair, stationary_solution
-from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_nm_to_si, length_si_to_nm
+from tunneltimes.barrier import _g, _wave, _wavenumber_pair, stationary_solution
+from tunneltimes.constants import (
+    ELECTRON_MASS,
+    EV_TO_JOULE,
+    HBAR,
+    energy_ev_to_si,
+    length_nm_to_si,
+    length_si_to_nm,
+)
 from tunneltimes.depth import DEPTH_LEVEL, _relative_density
 from tunneltimes.errors import DomainError, MissingGridPoint, NoConvergence
 from tunneltimes.momentum import _amplitude
@@ -36,11 +43,7 @@ from tunneltimes.sweep import (
     SweepTable,
     run_sweep,
 )
-from tunneltimes.times import _closed_times, _g
-
-M = CONSTANTS.electron_mass
-HBAR = CONSTANTS.hbar
-EV = CONSTANTS.ev_to_joule
+from tunneltimes.times import _closed_times
 
 
 def replace(value, **changes):
@@ -209,16 +212,16 @@ TABLE_D_NM = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
 def wavenumber_pair(e_ev: float, v0_ev: float) -> tuple[float, float]:
-    k = math.sqrt(2.0 * M * e_ev * EV) / HBAR
-    kappa = math.sqrt(2.0 * M * (v0_ev - e_ev) * EV) / HBAR
+    k = math.sqrt(2.0 * ELECTRON_MASS * e_ev * EV_TO_JOULE) / HBAR
+    kappa = math.sqrt(2.0 * ELECTRON_MASS * (v0_ev - e_ev) * EV_TO_JOULE) / HBAR
     return k, kappa
 
 
 def transmission_reference(e_ev: float, v0_ev: float, d_nm: float) -> float:
     """Textbook closed form |S|^2 = 1 / (1 + V0^2 sinh^2(kappa d) / (4E(V0-E)))."""
     _, kappa = wavenumber_pair(e_ev, v0_ev)
-    e = e_ev * EV
-    v0 = v0_ev * EV
+    e = e_ev * EV_TO_JOULE
+    v0 = v0_ev * EV_TO_JOULE
     d = d_nm * 1e-9
     return 1.0 / (1.0 + v0**2 * math.sinh(kappa * d) ** 2 / (4.0 * e * (v0 - e)))
 
@@ -297,7 +300,7 @@ def stencil_phase_time(problem, step_ev: float) -> float:
     two_pi = 2.0 * math.pi
     delta = math.atan2(sp.imag, sp.real) - math.atan2(sm.imag, sm.real)
     delta -= two_pi * math.ceil((delta - math.pi) / two_pi)  # wrap into (-pi, pi]
-    return problem.thickness / math.sqrt(2.0 * e0 / M) + HBAR * (delta / (2.0 * h))
+    return problem.thickness / math.sqrt(2.0 * e0 / ELECTRON_MASS) + HBAR * (delta / (2.0 * h))
 
 
 def quartile_width(spectrum, n: int = 8001) -> float:
@@ -373,8 +376,8 @@ def two_integral_moments(problem) -> tuple[float, float]:
 
 def _mp_solution(problem, mp):
     """(k, kappa, d, c, A, B) at mpmath's working precision, solved anew."""
-    m = mp.mpf(CONSTANTS.electron_mass)
-    hbar = mp.mpf(CONSTANTS.hbar)
+    m = mp.mpf(ELECTRON_MASS)
+    hbar = mp.mpf(HBAR)
     k = mp.sqrt(2 * m * mp.mpf(problem.energy)) / hbar
     kappa = mp.sqrt(2 * m * (mp.mpf(problem.height) - mp.mpf(problem.energy))) / hbar
     d = mp.mpf(problem.thickness)
@@ -402,8 +405,8 @@ def mp_closed_forms(problem, dps: int = 50) -> tuple[complex, float, float, floa
     import mpmath as mp
 
     with mp.workdps(dps):
-        m = mp.mpf(CONSTANTS.electron_mass)
-        hbar = mp.mpf(CONSTANTS.hbar)
+        m = mp.mpf(ELECTRON_MASS)
+        hbar = mp.mpf(HBAR)
         k = mp.sqrt(2 * m * mp.mpf(problem.energy)) / hbar
         kappa = mp.sqrt(2 * m * (mp.mpf(problem.height) - mp.mpf(problem.energy))) / hbar
         d = mp.mpf(problem.thickness)

@@ -19,7 +19,7 @@ from tunneltimes.barrier import (
     _wavenumber_pair,
     stationary_solution,
 )
-from tunneltimes.constants import CONSTANTS, PhysicalConstants
+from tunneltimes.constants import ELECTRON_MASS, EV_TO_JOULE
 from tunneltimes.errors import DomainError
 from tunneltimes.momentum import EffectiveKinematics, MomentumSpectrum
 
@@ -150,7 +150,7 @@ class TestStationarySolution:
         for p in sweep_problems():
             sol = stationary_solution(p)
             ref = transmission_reference(
-                p.energy / CONSTANTS.ev_to_joule, 10.0, p.thickness * 1e9
+                p.energy / EV_TO_JOULE, 10.0, p.thickness * 1e9
             )
             assert sol.transmission == pytest.approx(ref, rel=1e-12, abs=0)
 
@@ -163,7 +163,7 @@ class TestStationarySolution:
         for p in sweep_problems():
             sol = stationary_solution(p)
             r_amp, a_amp, b_amp, s_amp = solve_by_matching(
-                p.energy / CONSTANTS.ev_to_joule, 10.0, p.thickness * 1e9
+                p.energy / EV_TO_JOULE, 10.0, p.thickness * 1e9
             )
             assert sol.S == pytest.approx(s_amp, rel=1e-10, abs=0)
             assert sol.R == pytest.approx(r_amp, rel=1e-10)
@@ -264,7 +264,7 @@ class TestIncidentFlux:
     def test_equals_classical_speed(self):
         for e_ev in (0.5, 2.0, 7.0):
             p = BarrierProblem.from_ev_nm(e_ev, 10.0, 0.5)
-            classical = math.sqrt(2.0 * p.energy / CONSTANTS.electron_mass)
+            classical = math.sqrt(2.0 * p.energy / ELECTRON_MASS)
             assert incident_flux(p) == pytest.approx(classical, rel=1e-14)
 
     def test_vanishes_with_energy(self):
@@ -336,15 +336,13 @@ def solution_args():
     return (BarrierProblem(8e-19, 1.6e-18, 1e-9), 1.0, 2.0, 1j, 2j, 3j, 4j, 5j, 6j, 7j)
 
 
-#: The value classes of the barrier, constants and momentum modules: each
-#: with a function that makes its arguments afresh, its pinned repr, and an
-#: instance of another class.
+#: The value classes of the barrier and momentum modules: each with a
+#: function that makes its arguments afresh, its pinned repr, and an instance
+#: of another class.
 VALUE_CLASSES = [
-    (BarrierProblem, lambda: (8e-19, 1.6e-18, 1e-9), PROBLEM_REPR, PhysicalConstants()),
-    (StationarySolution, solution_args, SOLUTION_REPR, PhysicalConstants()),
-    (PhysicalConstants, lambda: (9e-31,),
-     "PhysicalConstants(electron_mass=9e-31, hbar=1.055e-34, ev_to_joule=1.6022e-19)",
-     BarrierProblem(8e-19, 1.6e-18, 1e-9)),
+    (BarrierProblem, lambda: (8e-19, 1.6e-18, 1e-9), PROBLEM_REPR,
+     EffectiveKinematics(1.0, 2.0, 3.0, 4.0)),
+    (StationarySolution, solution_args, SOLUTION_REPR, BarrierProblem(8e-19, 1.6e-18, 1e-9)),
     (EffectiveKinematics, lambda: (1.0, 2.0, 3.0, 4.0),
      "EffectiveKinematics(k_rms=1.0, v_rms=2.0, t_eff=3.0, eps_eff=4.0)",
      BarrierProblem(8e-19, 1.6e-18, 1e-9)),

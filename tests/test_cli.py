@@ -358,6 +358,17 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "tunneltimes: numeric failure: refusing to serialize a non-finite value\n"
 
+    def test_a_clipped_stencil_stays_the_first_failure(self, capsys, monkeypatch):
+        # a non-finite analytic phase time the skipped cross-check does not
+        # quote is an error of its own, behind the clipped stencil
+        closed = sweep._closed_times
+        monkeypatch.setattr(
+            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+        )
+        code, out, err = run(capsys, "times", "--E-eV", "5e-5", "--d-nm", "1")
+        assert code == 1 and out == ""
+        assert "stencil" in err and "leaves the valid domain" in err
+
     def test_non_finite_value_in_a_sweep_is_zero(self, capsys, tmp_path):
         # the phase closed form is NaN at E/V0 0.99, V0 4e134 eV: an empty
         # cell and an error entry, not an aborted sweep

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tunneltimes.constants import (
-    CONSTANTS,
-    PhysicalConstants,
+    ELECTRON_MASS,
+    EV_TO_JOULE,
+    HBAR,
     energy_ev_to_si,
     energy_si_to_ev,
     length_nm_to_si,
@@ -19,16 +20,9 @@ SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "tunneltimes"
 
 
 def test_stored_values_are_the_exact_truncations():
-    assert CONSTANTS.electron_mass == 9.1095e-31
-    assert CONSTANTS.hbar == 1.055e-34
-    assert CONSTANTS.ev_to_joule == 1.6022e-19
-
-
-def test_constants_must_be_positive():
-    with pytest.raises(ValueError):
-        PhysicalConstants(electron_mass=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar=0.0)
+    assert ELECTRON_MASS == 9.1095e-31
+    assert HBAR == 1.055e-34
+    assert EV_TO_JOULE == 1.6022e-19
 
 
 @pytest.mark.parametrize(

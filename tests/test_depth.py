@@ -12,7 +12,13 @@ from oracles import (
     scanned_depth,
 )
 from tunneltimes.barrier import BarrierProblem, stationary_solution
-from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_si_to_nm
+from tunneltimes.constants import (
+    ELECTRON_MASS,
+    EV_TO_JOULE,
+    HBAR,
+    energy_ev_to_si,
+    length_si_to_nm,
+)
 from tunneltimes.depth import DEPTH_LEVEL, penetration_depth
 from tunneltimes.errors import DomainError
 from tunneltimes.sweep import NOTE_NO_CROSSING, SweepConfig, evaluate
@@ -135,14 +141,14 @@ class TestClosedFormAgainstMpmath:
         # about half the points have no crossing, and both must agree on which
         pytest.importorskip("mpmath")
         rng = random.Random(3_2026)
-        ev = CONSTANTS.ev_to_joule
+        ev = EV_TO_JOULE
         missing = 0
         for _ in range(400):
             v0_ev = rng.uniform(0.5, 25.0)
             e_ratio = 10.0 ** rng.uniform(-8.0, math.log10(0.999))
             kappa_d = 10.0 ** rng.uniform(-3.0, math.log10(3e3))
             gap = (1.0 - e_ratio) * v0_ev * ev
-            kappa = math.sqrt(2.0 * CONSTANTS.electron_mass * gap) / CONSTANTS.hbar
+            kappa = math.sqrt(2.0 * ELECTRON_MASS * gap) / HBAR
             problem = BarrierProblem(e_ratio * v0_ev * ev, v0_ev * ev, kappa_d / kappa)
             closed, want = penetration_depth(problem), mp_depth(problem)
             assert (closed is None) == (want is None), (e_ratio, kappa_d)
@@ -165,7 +171,7 @@ class TestUncertaintyReport:
         rec = uncertainty_record(BarrierProblem.from_ev_nm(1.0, 10.0, 0.8))
         eps_eff = energy_ev_to_si(rec.eps_eff_ev)
         assert rec.xi == pytest.approx(
-            2.0 * eps_eff * rec.tau_eff_s / CONSTANTS.hbar, rel=1e-14, abs=0
+            2.0 * eps_eff * rec.tau_eff_s / HBAR, rel=1e-14, abs=0
         )
 
     def test_no_crossing_leaves_fields_absent(self):

@@ -113,11 +113,11 @@ def test_argparse_loads_only_for_an_argv_that_is_not_plain(tmp_path, args, absen
     assert modules & (absent | present) == present
 
 
-#: The 34 names the package exports.
+#: The 35 names the package exports.
 EXPORTS = (
-    "BarrierProblem", "CONSTANTS", "DEFAULT_CUTOFF", "DEPTH_LEVEL", "DomainError",
-    "EffectiveKinematics", "MissingGridPoint", "MomentumSpectrum", "NoConvergence",
-    "ParseError", "PhysicalConstants", "SPEED_OF_LIGHT", "StationarySolution", "SweepConfig",
+    "BarrierProblem", "DEFAULT_CUTOFF", "DEPTH_LEVEL", "DomainError", "ELECTRON_MASS",
+    "EV_TO_JOULE", "EffectiveKinematics", "HBAR", "MissingGridPoint", "MomentumSpectrum",
+    "NoConvergence", "ParseError", "SPEED_OF_LIGHT", "StationarySolution", "SweepConfig",
     "SweepRecord", "SweepTable", "ValidationError", "dwell_time_numeric",
     "emit_figure_data", "emit_table1", "energy_ev_to_si", "energy_si_to_ev", "evaluate",
     "length_nm_to_si", "length_si_to_nm", "momentum_spectrum", "parse_config",
@@ -130,9 +130,10 @@ EXPORTS = (
 #: momentum amplitude is the fig1 curve's kernel, and the boundary-matching
 #: check is a test oracle (oracles.continuity_residual). A solution holds its
 #: own k and kappa, and the record at one grid point is a test oracle too
-#: (oracles.evaluate_point).
+#: (oracles.evaluate_point). The physical constants are plain module constants.
 REMOVED = {
     "barrier": ("Wavenumbers", "continuity_residual", "incident_flux", "wavenumbers"),
+    "constants": ("CONSTANTS", "PhysicalConstants"),
     "depth": ("relative_density",),
     "momentum": ("momentum_amplitude",),
     "sweep": ("evaluate_point",),
@@ -158,7 +159,7 @@ SUBMODULES = (
 
 class TestPackageSurface:
     def test_every_export_imports_by_name(self):
-        assert len(EXPORTS) == 34 and sorted(tunneltimes.__all__) == sorted(EXPORTS)
+        assert len(EXPORTS) == 35 and sorted(tunneltimes.__all__) == sorted(EXPORTS)
         assert set(EXPORTS) | set(SUBMODULES) <= set(dir(tunneltimes))
         modules = [importlib.import_module(f"tunneltimes.{name}") for name in SUBMODULES]
         for name in EXPORTS:

@@ -36,7 +36,13 @@ from tunneltimes.barrier import (
     _wavenumber_pair,
     stationary_solution,
 )
-from tunneltimes.constants import CONSTANTS, energy_ev_to_si, length_nm_to_si
+from tunneltimes.constants import (
+    ELECTRON_MASS,
+    EV_TO_JOULE,
+    HBAR,
+    energy_ev_to_si,
+    length_nm_to_si,
+)
 from tunneltimes.errors import DomainError, MissingGridPoint
 from tunneltimes.momentum import MomentumSpectrum, _moments, _series_route, momentum_spectrum
 from tunneltimes.numerics import GRID
@@ -55,8 +61,8 @@ REL_TOL = 1e-13
 
 
 def _kappa(e_ratio, v0_ev):
-    gap = (1.0 - e_ratio) * v0_ev * CONSTANTS.ev_to_joule
-    return math.sqrt(2.0 * CONSTANTS.electron_mass * gap) / CONSTANTS.hbar
+    gap = (1.0 - e_ratio) * v0_ev * EV_TO_JOULE
+    return math.sqrt(2.0 * ELECTRON_MASS * gap) / HBAR
 
 
 def _grid(rng, count, low, high, log=True):

@@ -17,7 +17,13 @@ from oracles import (
     two_integral_moments,
 )
 from tunneltimes.barrier import BarrierProblem, stationary_solution
-from tunneltimes.constants import CONSTANTS, SPEED_OF_LIGHT, energy_si_to_ev
+from tunneltimes.constants import (
+    ELECTRON_MASS,
+    EV_TO_JOULE,
+    HBAR,
+    SPEED_OF_LIGHT,
+    energy_si_to_ev,
+)
 from tunneltimes.errors import DomainError
 from tunneltimes.momentum import (
     _SUMMED_TAILS_KAPPA_D,
@@ -130,7 +136,7 @@ def random_thin_points(count: int = 200):
 def series_points(count: int = 60):
     """Seeded problems with kappa d below 1/2, or a window c d of at most 2."""
     rng = random.Random(6_0612)
-    ev = CONSTANTS.ev_to_joule
+    ev = EV_TO_JOULE
     points = []
     for i in range(count):
         v0 = rng.uniform(1.0, 20.0)
@@ -139,7 +145,7 @@ def series_points(count: int = 60):
             log_kappa_d, log_edge = rng.uniform(-7.0, -0.3), rng.uniform(-6.0, 4.0)
         else:
             log_kappa_d, log_edge = rng.uniform(-0.3, 2.7), rng.uniform(-6.0, 0.3)
-        kappa = math.sqrt(2.0 * CONSTANTS.electron_mass * (v0 - e_ev) * ev) / CONSTANTS.hbar
+        kappa = math.sqrt(2.0 * ELECTRON_MASS * (v0 - e_ev) * ev) / HBAR
         d = 10.0**log_kappa_d / kappa
         points.append(BarrierProblem(e_ev * ev, v0 * ev, d, 10.0**log_edge / d))
     return points
@@ -227,8 +233,8 @@ class TestThickSeriesRoute:
 
     @staticmethod
     def problem(kappa_d, edge=1.0):
-        ev = CONSTANTS.ev_to_joule
-        kappa = math.sqrt(2.0 * CONSTANTS.electron_mass * 5.0 * ev) / CONSTANTS.hbar
+        ev = EV_TO_JOULE
+        kappa = math.sqrt(2.0 * ELECTRON_MASS * 5.0 * ev) / HBAR
         d = kappa_d / kappa
         return BarrierProblem(5.0 * ev, 10.0 * ev, d, edge / d)
 
@@ -269,11 +275,11 @@ class TestEffectiveKinematics:
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
         kin = momentum_spectrum(p).kinematics()
         assert kin.v_rms == pytest.approx(
-            CONSTANTS.hbar * kin.k_rms / CONSTANTS.electron_mass, rel=1e-14
+            HBAR * kin.k_rms / ELECTRON_MASS, rel=1e-14
         )
         assert kin.t_eff == pytest.approx(p.thickness / kin.v_rms, rel=1e-14, abs=0)
         assert kin.eps_eff == pytest.approx(
-            0.5 * CONSTANTS.electron_mass * kin.v_rms**2, rel=1e-14, abs=0
+            0.5 * ELECTRON_MASS * kin.v_rms**2, rel=1e-14, abs=0
         )
 
     def test_rms_wavenumber_bounded_by_window(self):

@@ -2,8 +2,9 @@
 README's Library example runs as written, every name a module of the
 package imports is used in that module, every private name a module defines
 is read somewhere in the package, no module reads a private attribute of
-anything but ``self``, the records module imports nothing from the package,
-and no module imports dataclasses, nor the CLI argparse at load."""
+anything but ``self``, each module imports only the package modules its
+layer allows, and no module imports dataclasses, nor the CLI argparse at
+load."""
 
 import ast
 import re
@@ -106,25 +107,75 @@ def test_no_module_reads_a_private_attribute():
     assert _private_reads(ast.parse("parser._actions\nself._x")) == ["line 1: parser._actions"]
 
 
-def _package_imports(tree: ast.Module) -> list[str]:
-    """Each import statement in ``tree`` that names a module of the package."""
-    return [
-        ast.unparse(node)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level > 0 or (node.module or "").partition(".")[0] == "tunneltimes")
-        or isinstance(node, ast.Import)
-        and any(alias.name.partition(".")[0] == "tunneltimes" for alias in node.names)
+#: The package modules each module may import, "__init__" being the package
+#: itself (``from . import __version__``). A module's row comes after the row
+#: of every module it may import, so no import cycle can form. A record is its
+#: cells and a table its columns, so records imports nothing: no solution or
+#: spectrum object may come back into the module that holds them.
+LAYERS = {
+    "__init__": (),
+    "constants": (),
+    "errors": (),
+    "records": (),
+    "numerics": ("errors",),
+    "barrier": ("constants", "errors", "numerics", "records"),
+    "depth": ("barrier", "errors", "numerics"),
+    "momentum": ("barrier", "constants", "errors", "numerics", "records"),
+    "times": ("barrier", "constants", "errors", "numerics"),
+    "sweep": ("__init__", "barrier", "constants", "depth", "errors", "momentum", "numerics",
+              "records", "times"),
+    "cli": ("__init__", "barrier", "errors", "sweep", "times"),
+}
+
+
+def _package_modules(tree: ast.AST) -> set[str]:
+    """The modules of the package that the import statements in ``tree``
+    import, in functions too; the package itself as "__init__"."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "tunneltimes":
+                    found.add(rest.partition(".")[0] or "__init__")
+        elif isinstance(node, ast.ImportFrom):
+            path = node.module or ""
+            if not node.level:
+                top, _, path = path.partition(".")
+                if top != "tunneltimes":
+                    continue
+            if path:
+                found.add(path.partition(".")[0])
+            else:
+                found.update(a.name if a.name in LAYERS else "__init__" for a in node.names)
+    return found
+
+
+def _disallowed_imports(module: str, tree: ast.AST) -> list[str]:
+    """The package modules that ``tree``, the source of ``module``, imports
+    and LAYERS does not allow it."""
+    return sorted(_package_modules(tree) - set(LAYERS[module]))
+
+
+def test_each_module_imports_only_the_modules_its_layer_allows():
+    # every module has a row, and a row names only rows before it
+    assert sorted(LAYERS) == sorted(path.stem for path in PACKAGE.glob("*.py"))
+    order = list(LAYERS)
+    for module, allowed in LAYERS.items():
+        assert all(order.index(name) < order.index(module) for name in allowed), module
+    found = {path.stem: _disallowed_imports(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
+    # the check sees each form of a package import, and refuses a disallowed
+    # one: the constants once built their value class from records'
+    sample = ast.parse(
+        "from .records import _Value\nfrom . import __version__, sweep\n"
+        "import tunneltimes.times\ndef f():\n    from tunneltimes.numerics import GRID\n"
+    )
+    assert _package_modules(sample) == {"records", "__init__", "sweep", "times", "numerics"}
+    assert _disallowed_imports("constants", ast.parse("from .records import _Value")) == [
+        "records"
     ]
-
-
-def test_the_records_module_imports_nothing_from_the_package():
-    # a record is its cells and a table its columns: no solution or spectrum
-    # object may come back into the module that holds them
-    tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
-    assert _package_imports(tree) == []
-    # the check sees the imports the other modules make
-    assert _package_imports(ast.parse((PACKAGE / "sweep.py").read_text(encoding="utf-8")))
 
 
 def _imports(tree: ast.AST, in_functions: bool = True) -> set[str]:

@@ -19,7 +19,7 @@ from test_point_pins import STDERR
 from test_point_pins import run as run_point
 from tunneltimes import momentum, sweep
 from tunneltimes.barrier import BarrierProblem
-from tunneltimes.constants import CONSTANTS
+from tunneltimes.constants import EV_TO_JOULE, HBAR
 from tunneltimes.errors import (
     DomainError,
     MissingGridPoint,
@@ -117,6 +117,26 @@ class TestParseConfig:
 
 
 class TestSweepConfig:
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("d_nm_grid", "12", "d_nm_grid"),
+            ("e_over_v0_grid", "0.5", "E_over_V0_grid"),
+            ("v0_ev", "10", "V0_eV"),
+            ("cutoff", np.array([1e10, 2e10]), "Kprime"),
+            ("d_nm_grid", 0.5, "d_nm_grid"),
+            ("e_over_v0_grid", (0.1, "0.5"), "E_over_V0_grid"),
+            ("v0_ev", None, "V0_eV"),
+            ("cutoff", 1e10j, "Kprime"),
+        ],
+        ids=["string-grid", "string-ratio-grid", "string-height", "array-cutoff",
+             "number-grid", "string-in-a-grid", "none-height", "complex-cutoff"],
+    )
+    def test_a_value_that_is_not_a_real_number_is_refused(self, field, value, key):
+        # float() reads a string's digits, and a grid string by character
+        with pytest.raises(ValidationError, match=f"^(each )?{key} (values? )?must be"):
+            SweepConfig(**{field: value})
+
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=str)
     @pytest.mark.parametrize(
         "field", ["v0_ev", "cutoff", "d_nm_grid"]
@@ -188,9 +208,9 @@ class TestRunSweep:
         (rec,) = run_sweep(cfg)
         assert rec.error == ""
         assert rec.s_abs2 + rec.r_abs2 == pytest.approx(1.0, abs=1e-12)
-        eps_si = rec.eps_eff_ev * CONSTANTS.ev_to_joule
+        eps_si = rec.eps_eff_ev * EV_TO_JOULE
         assert rec.xi == pytest.approx(
-            2.0 * eps_si * rec.tau_eff_s / CONSTANTS.hbar, rel=1e-6
+            2.0 * eps_si * rec.tau_eff_s / HBAR, rel=1e-6
         )
 
     def test_grid_order_and_count(self, default_records):
@@ -399,6 +419,20 @@ class TestEvaluate:
         assert [type(exc) for exc in caught] == [FloatingPointError]
         assert rec.error == "t_bl_s: refusing to serialize a non-finite value"
         assert parse_records(records_to_csv([rec]))[0].t_bl_s is None
+
+    def test_a_time_whose_cross_check_is_skipped_is_an_error_of_its_own(self, monkeypatch):
+        # the clipped stencil empties the numeric phase time, so the phase
+        # cross-check does not run and quotes neither time: a non-finite
+        # analytic time is explained by an entry of its own
+        closed = sweep._closed_times
+        monkeypatch.setattr(
+            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+        )
+        rec, caught = evaluate(BarrierProblem.from_ev_nm(5e-5, 10.0, 1.0), SweepConfig())
+        assert rec.note == "phase_stencil_clipped"
+        assert rec.t_ph_numeric_s is None and rec.t_ph_analytic_s is None
+        assert [type(exc) for exc in caught] == [DomainError, FloatingPointError]
+        assert rec.error == "t_ph_analytic_s: refusing to serialize a non-finite value"
 
 
 class TestNeverAborts:

@@ -15,7 +15,7 @@ from oracles import (
 )
 from tunneltimes import times
 from tunneltimes.barrier import BarrierProblem, _flux, stationary_solution
-from tunneltimes.constants import CONSTANTS, energy_ev_to_si
+from tunneltimes.constants import ELECTRON_MASS, HBAR, energy_ev_to_si
 from tunneltimes.errors import DomainError, NoConvergence
 from tunneltimes.sweep import SweepConfig, evaluate
 from tunneltimes.times import (
@@ -61,11 +61,11 @@ class TestPhaseTime:
         # carries a (kappa^2 - k^2) factor and dies, leaving only the sinh term
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         sol = stationary_solution(p)
-        g = 2.0 * CONSTANTS.electron_mass * p.height / CONSTANTS.hbar**2
+        g = 2.0 * ELECTRON_MASS * p.height / HBAR**2
         dd = 4.0 * sol.kappa**2 * sol.k**2 + g**2 * math.sinh(sol.kappa * p.thickness) ** 2
         want = (
-            CONSTANTS.electron_mass
-            / (CONSTANTS.hbar * sol.k * sol.kappa * dd)
+            ELECTRON_MASS
+            / (HBAR * sol.k * sol.kappa * dd)
             * g**2
             * math.sinh(2.0 * sol.kappa * p.thickness)
         )
@@ -75,7 +75,7 @@ class TestPhaseTime:
         # saturates at 2m / (hbar k kappa); 1.3169e-16 s at half height
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
         sol = stationary_solution(p)
-        limit = 2.0 * CONSTANTS.electron_mass / (CONSTANTS.hbar * sol.k * sol.kappa)
+        limit = 2.0 * ELECTRON_MASS / (HBAR * sol.k * sol.kappa)
         assert limit == pytest.approx(1.317e-16, rel=1e-3, abs=0)
         assert phase_closed(p) == pytest.approx(limit, rel=1e-6, abs=0)
 
@@ -124,7 +124,7 @@ class TestPhaseStencil:
     P = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
 
     def free_flight(self, p):
-        return p.thickness / math.sqrt(2.0 * p.energy / CONSTANTS.electron_mass)
+        return p.thickness / math.sqrt(2.0 * p.energy / ELECTRON_MASS)
 
     def test_equals_the_solved_stencil_on_the_dense_grid(self):
         # an energy's ten thicknesses at once, as the sweep runs them, keep
@@ -187,7 +187,7 @@ class TestPhaseStencil:
         slope = 1.3 / energy_ev_to_si(1.0)  # arg S = slope * E
         substitute_t(monkeypatch, lambda e: cmath.exp(1j * slope * e))
         delay = phase_time_numeric(self.P) - self.free_flight(self.P)
-        assert delay == pytest.approx(CONSTANTS.hbar * slope, rel=1e-9, abs=0)
+        assert delay == pytest.approx(HBAR * slope, rel=1e-9, abs=0)
 
     def test_constant_phase_leaves_the_free_flight(self, monkeypatch):
         substitute_t(monkeypatch, lambda e: 0.7 - 0.2j)
@@ -316,7 +316,7 @@ class TestScaledForms:
     def test_printed_denominator_is_the_scaled_one_times_e_2_kappa_d(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
         sol = stationary_solution(p)
-        g = 2.0 * CONSTANTS.electron_mass * p.height / CONSTANTS.hbar**2
+        g = 2.0 * ELECTRON_MASS * p.height / HBAR**2
         textbook = 4.0 * sol.kappa**2 * sol.k**2 + g**2 * math.sinh(sol.kappa * p.thickness) ** 2
         assert shared_denominator(p) == pytest.approx(textbook, rel=1e-14)
 
