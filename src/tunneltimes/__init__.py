@@ -59,7 +59,7 @@ _MODULE_EXPORTS = {
         "records_to_csv",
         "run_sweep",
     ),
-    "times": ("dwell_time_numeric", "phase_time_numeric", "shared_denominator"),
+    "times": ("dwell_time_numeric", "phase_time_numeric"),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 

@@ -89,6 +89,20 @@ def _g(height):
     return 2.0 * _M * height / _HBAR**2
 
 
+def _real(name: str, value, error=DomainError) -> float:
+    """``value`` as a Python float, where it is one real number; anything else
+    is refused as ``error`` naming ``name``. float() alone would read a
+    string's digits and the value of a one-element array."""
+    if type(value) is float:  # the common case, by one test
+        return value
+    if not isinstance(value, (str, bytes)) and not getattr(value, "ndim", 0):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{name} must be a real number")
+
+
 def _check_barrier(height: float, thickness: float, cutoff: float) -> None:
     """BarrierProblem's rules that do not involve the energy."""
     if not thickness > 0:
@@ -113,9 +127,10 @@ def _check_barrier(height: float, thickness: float, cutoff: float) -> None:
 class BarrierProblem(_Value):
     """One tunneling problem: energy, barrier, and momentum-window cutoff.
 
-    All fields are SI (joules, metres, 1/metres). Only the tunneling regime
-    0 < E < V0 is representable; construction rejects anything else; an
-    energy so small that its wavenumber k underflows to 0; a height or a
+    All fields are SI (joules, metres, 1/metres), each held as a Python
+    float. Only the tunneling regime 0 < E < V0 is representable;
+    construction rejects anything else; a field that is not one real number;
+    an energy so small that its wavenumber k underflows to 0; a height or a
     cutoff so large that g^2 = (2 m V0 / hbar^2)^2 or Kprime^2, which the
     closed forms square, is not a finite double; and a thickness so large
     that the phase k d, for any wavenumber up to sqrt(2 m V0) / hbar, or the
@@ -125,6 +140,8 @@ class BarrierProblem(_Value):
     def __init__(
         self, energy: float, height: float, thickness: float, cutoff: float = DEFAULT_CUTOFF
     ):
+        energy, height = _real("energy", energy), _real("height", height)
+        thickness, cutoff = _real("thickness", thickness), _real("cutoff", cutoff)
         _check_tunneling(energy, height)
         _check_barrier(height, thickness, cutoff)
         self.__dict__.update(energy=energy, height=height, thickness=thickness, cutoff=cutoff)
@@ -139,9 +156,9 @@ class BarrierProblem(_Value):
     ) -> "BarrierProblem":
         """Build a problem from eV / nm boundary units."""
         return cls(
-            energy=energy_ev_to_si(energy_ev),
-            height=energy_ev_to_si(height_ev),
-            thickness=length_nm_to_si(thickness_nm),
+            energy=energy_ev_to_si(_real("energy_ev", energy_ev)),
+            height=energy_ev_to_si(_real("height_ev", height_ev)),
+            thickness=length_nm_to_si(_real("thickness_nm", thickness_nm)),
             cutoff=cutoff,
         )
 

@@ -11,8 +11,9 @@ configured sweep and emit the corresponding CSV files; figures refuses --out
 with --which all (six files, into --out-dir) and --out-dir with one figure.
 Exit codes: 0 success, 1 validation or parse error or a file that cannot be
 read or written (a config that is missing or not UTF-8, an output path that
-cannot be made, an empty path; the message names the file, or the flag of an
-empty path), 2 missing grid point, 3 internal numeric failure.
+cannot be made, an empty path; the message names the file as it was given,
+or the flag of an empty path), 2 missing grid point, 3 internal numeric
+failure.
 
 Each subcommand's help text and flags are declared once, in _COMMANDS. A
 plain subcommand argv is parsed from that table without argparse (see
@@ -23,8 +24,8 @@ argv) goes to a parser that build_parser() makes for it.
 
 from __future__ import annotations
 
+import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
@@ -51,7 +52,6 @@ from .sweep import (
     records_to_csv,
     run_sweep,
 )
-from .times import shared_denominator
 
 #: The point commands backed by the sweep record, and the record columns
 #: each prints.
@@ -132,39 +132,37 @@ def _cmd_coeffs(args) -> str:
 
 
 def _cmd_record(args) -> str:
-    problem = _point_problem(args)
     columns = {column: RECORD_COLUMNS[column] for column in _RECORD_COMMANDS[args.command]}
-    cells, _, failures = _evaluate(problem)
+    cells, _, failures = _evaluate(_point_problem(args))
     for exc, concerns in failures:
         if not set(columns.values()).isdisjoint(concerns):
             raise exc
-    values = {column: cells[attr] for column, attr in columns.items()}
-    if args.command == "times":
-        values["D_denominator_per_m4"] = shared_denominator(problem)
-    return _point_csv(args, values)
+    return _point_csv(args, {column: cells[attr] for column, attr in columns.items()})
 
 
-def _path(flag: str, value: str) -> Path:
-    if not value:  # Path("") is the working directory
+def _path(flag: str, value: str) -> str:
+    if not value:  # names no file; refused by its flag, before the work
         raise ValidationError(f"{flag} {value!r} is an empty path")
-    return Path(value)
+    return value
 
 
 def _load_config(args) -> SweepConfig:
     if args.config is None:
         return SweepConfig()
     try:
-        text = _path("--config", args.config).read_text(encoding="utf-8-sig")
+        with open(_path("--config", args.config), encoding="utf-8-sig") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:  # named after the file, as an OSError is
         raise ParseError(f"{exc}: {args.config!r}") from None
     return parse_config(text)
 
 
-def _write(text: str, out: Path | None) -> None:
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_bytes(text.encode("utf-8"))
+        with open(out, "wb") as file:
+            file.write(text.encode("utf-8"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,7 +197,7 @@ def _dispatch(args) -> int:
         if args.which != "all" and args.out_dir is not None:
             raise ValidationError(f"--out-dir is for --which all; --which {args.which} "
                                   "writes one file, to --out or stdout")
-        out_dir = Path(".") if args.out_dir is None else _path("--out-dir", args.out_dir)
+        out_dir = "." if args.out_dir is None else _path("--out-dir", args.out_dir)
     out = None if args.out in (None, "-") else _path("--out", args.out)
     if args.command == "coeffs":
         _write(_cmd_coeffs(args), out)
@@ -218,9 +216,9 @@ def _dispatch(args) -> int:
             # every figure is emitted before any file is written, so a figure
             # that cannot be emitted leaves no part of the set behind
             texts = {fig: emit_figure_data(records, fig, cfg) for fig in FIGURE_IDS}
-            out_dir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(out_dir, exist_ok=True)
             for fig, text in texts.items():
-                (out_dir / f"{fig}.csv").write_bytes(text.encode("utf-8"))
+                _write(text, os.path.join(out_dir, f"{fig}.csv"))
         else:
             _write(emit_figure_data(records, args.which, cfg), out)
     return 0

@@ -109,6 +109,7 @@ from .barrier import (
     _coefficients,
     _flux,
     _g,
+    _real,
     _wave,
     _wavenumber_pair,
 )
@@ -185,7 +186,8 @@ class SweepConfig(_Value):
     ):
         # held as Python floats: a numpy scalar would echo as np.float64(...),
         # which parse_config() refuses, and be quoted so in error cells
-        v0_ev, cutoff = _real("V0_eV", v0_ev), _real("Kprime", cutoff)
+        v0_ev = _real("V0_eV", v0_ev, ValidationError)
+        cutoff = _real("Kprime", cutoff, ValidationError)
         if not v0_ev > 0:
             raise ValidationError("V0_eV must be positive")
         e_over_v0_grid = _grid("E_over_V0_grid", e_over_v0_grid)
@@ -205,25 +207,13 @@ class SweepConfig(_Value):
         )
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a Python float, where it is one real number; anything else
-    is refused under the config key ``name``. float() alone would read a
-    string's digits and the value of a one-element array."""
-    if not isinstance(value, (str, bytes)) and not getattr(value, "ndim", 0):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError(f"{name} must be a real number")
-
-
 def _grid(name: str, grid) -> tuple[float, ...]:
     """The checked grid ``grid``, as a tuple of Python floats by _real(), an
     array as its values; a string, which iterates by character, is refused
     like any other value that is not a sequence of numbers."""
     if isinstance(grid, (str, bytes)) or not hasattr(grid, "__iter__"):
         raise ValidationError(f"{name} must be a sequence of real numbers")
-    grid = tuple(_real(f"each {name} value", value) for value in grid)
+    grid = tuple(_real(f"each {name} value", value, ValidationError) for value in grid)
     if not grid:
         raise ValidationError(f"{name} must not be empty")
     if any(v <= 0 for v in grid):

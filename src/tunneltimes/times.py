@@ -24,9 +24,7 @@ e^{-2 kappa d}, on
 
 with sinh(2 kappa d) e^{-2 kappa d} = -expm1(-4 kappa d) / 2, so they stay
 finite at any thickness. One kernel, _closed_times(), evaluates both and
-computes D~, e^{-2 kappa d} and expm1(-4 kappa d) once. D itself, which only
-the ``times`` command prints (shared_denominator()), is D~ e^{2 kappa d} and
-is not a double past kappa d of about 355.
+computes D~, e^{-2 kappa d} and expm1(-4 kappa d) once.
 
 The closed forms and the traversal time (_bl_time()) are kernels, not
 per-problem functions: each is a column of the sweep's record, built by
@@ -59,7 +57,6 @@ from .barrier import (
     _check_tunneling,
     _energy_factors,
     _flux,
-    _g,
     _transmission,
     _wavenumber_pair,
     stationary_solution,
@@ -126,18 +123,6 @@ def _edge_stored(k, kappa, d, S):
 
 def _bl_time(kappa, d):
     return _M * d / (_HBAR * kappa)
-
-
-def shared_denominator(problem: BarrierProblem) -> float:
-    """D of the module docstring, 1/m^4, as D~ e^{2 kappa d}, with D~ from
-    _closed_times().
-
-    Past kappa d of about 355 it is not a double: inf, or OverflowError
-    from the exponential.
-    """
-    k, kappa = _wavenumber_pair(problem.energy, problem.height)
-    kd = kappa * problem.thickness
-    return _closed_times(k, kappa, kd, _g(problem.height))[2] * math.exp(2.0 * kd)
 
 
 def phase_time_numeric(problem: BarrierProblem) -> float:

@@ -94,6 +94,33 @@ class TestBarrierProblem:
         assert abs(sol.B) == pytest.approx(math.sqrt(2.0), rel=1e-12)
         assert abs(sol.R) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("energy", "8e-19"),
+            ("energy", np.array([8e-19, 9e-19])),
+            ("height", None),
+            ("cutoff", 7.5e10j),
+        ],
+        ids=["string", "array", "none", "complex"],
+    )
+    def test_a_value_that_is_not_a_real_number_is_refused(self, field, value):
+        # float() would read a string's digits; an array has no truth value
+        args = {"energy": 8e-19, "height": 1.6e-18, "thickness": 1e-9, "cutoff": 7.5e10}
+        with pytest.raises(DomainError, match=f"^{field} must be a real number$"):
+            BarrierProblem(**{**args, field: value})
+
+    def test_a_string_in_boundary_units_is_refused(self):
+        with pytest.raises(DomainError, match="^energy_ev must be a real number$"):
+            BarrierProblem.from_ev_nm("5", 10, 1)
+
+    def test_numpy_scalars_are_held_as_floats(self):
+        p = BarrierProblem(*map(np.float64, (8e-19, 1.6e-18, 1e-9, 7.5e10)))
+        assert all(type(value) is float for value in vars(p).values())
+        assert repr(p) == (
+            "BarrierProblem(energy=8e-19, height=1.6e-18, thickness=1e-09, cutoff=75000000000.0)"
+        )
+
     def test_boundary_unit_conversion(self):
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         assert p.energy == pytest.approx(5.0 * 1.6022e-19, rel=1e-15, abs=0)

@@ -89,6 +89,40 @@ class TestPointCommands:
         assert target.read_text(encoding="utf-8").startswith("# tool: tunneltimes")
 
 
+#: Thick barriers, kappa d from about 32 to 1300: (E eV, V0 eV, d nm).
+THICK_POINTS = [(r * v0, v0, d) for v0 in (1.0, 5.0, 10.0, 20.0) for r in (0.1, 0.5, 0.9)
+                for d in (20.0, 40.0, 60.0)]
+
+
+class TestThickBarriers:
+    def times(self, capsys, e_ev, v0_ev, d_nm):
+        """times' exit code, its one data row as a dict, and its stderr."""
+        code, out, err = run(capsys, "times", "--E-eV", repr(e_ev), "--V0-eV", repr(v0_ev),
+                             "--d-nm", repr(d_nm))
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        return code, dict(zip(lines[0].split(","), lines[1].split(","))) if lines else {}, err
+
+    def test_times_prints_six_finite_cells_but_where_the_stencil_aliases(self, capsys):
+        failed = []
+        for point in THICK_POINTS:
+            code, row, err = self.times(capsys, *point)
+            if code == 0:
+                assert len(row) == 6 and all(math.isfinite(float(v)) for v in row.values())
+            else:
+                assert code == 3 and "phase cross-check" in err and err.count("\n") == 1
+                failed.append(point)
+        # the 1e-4 eV stencil misses the closed form by more than 1e-5
+        assert failed == [(0.1, 1.0, 40.0), (0.1, 1.0, 60.0)]
+
+    def test_phase_and_dwell_saturate_while_the_effective_time_grows(self, capsys):
+        # no Hartman effect: t_eff grows with d, t_ph and t_dw do not
+        rows = [self.times(capsys, 5.0, 10.0, d)[1] for d in (20.0, 40.0, 60.0)]
+        saturating = ("t_ph_numeric_s", "t_ph_analytic_s", "t_dw_numeric_s", "t_dw_analytic_s")
+        assert all([row[c] for c in saturating] == [rows[0][c] for c in saturating]
+                   for row in rows)
+        assert [row["t_eff_s"] for row in rows] == ["7.93205e-15", "1.58641e-14", "2.37962e-14"]
+
+
 class TestGridCommands:
     def test_table1_has_45_rows(self, capsys, tmp_path):
         target = tmp_path / "table1.csv"
@@ -241,6 +275,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert repr(named.format(cfg=path, dir=tmp_path)) in err
 
+    def test_a_file_error_names_the_path_as_given(self, capsys, tmp_path, monkeypatch):
+        # not normalized: the doubled slash and the ./ stay
+        monkeypatch.chdir(tmp_path)
+        out = "./nope//x/./y.csv"
+        assert run(capsys, "coeffs", "--E-eV", "5", "--d-nm", "1", "--out", out) == (
+            1, "", f"tunneltimes: error: [Errno 2] No such file or directory: {out!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -276,8 +318,8 @@ class TestExitCodes:
         ids=["out", "times out", "sweep out", "config", "out-dir"],
     )
     def test_an_empty_path_is_one(self, capsys, tmp_path, monkeypatch, argv, flag):
-        # Path("") is the working directory; an empty path is refused by its
-        # flag before the command's work is done, and nothing is written there
+        # an empty path names no file; it is refused by its flag before the
+        # command's work is done, and nothing is written in the working directory
         def work(*args):
             raise AssertionError("the work ran before the path was refused")
 
@@ -391,8 +433,8 @@ class TestExitCodes:
         assert code == 2 and out == "" and "missing grid point" in err
 
     def test_numeric_failure_is_three(self, capsys):
-        # kappa*d is about 458: the printed D = D~ e^{2 kappa d} is not a double
-        code, _, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "40")
+        # the 1e-4 eV phase stencil misses the closed form by more than 1e-5
+        code, _, err = run(capsys, "times", "--E-eV", "0.02", "--V0-eV", "1", "--d-nm", "3")
         assert code == 3 and "numeric failure" in err
 
     def test_preposterous_window_is_one(self, capsys):

@@ -11,7 +11,9 @@ Importing the package or its CLI, --version, and each point command at a point
 whose momentum moments take the exponential sum load no numpy; a grid command
 and a point on the moments' series route do. Importing the CLI and each plain
 argv load no argparse and no dataclasses; an argv that is not plain loads
-argparse. Each process runs with PYTHONPROFILEIMPORTTIME, whose report on
+argparse. Started without ``site`` (``python -S``; a ``site`` that imports
+certifi, say, loads both itself), importing the CLI and each point command
+load neither pathlib nor re. Each process runs with PYTHONPROFILEIMPORTTIME, whose report on
 stderr names every module the process imports, so a module is in its
 sys.modules at exit exactly when the report names it. Each command's stdout
 must be byte for byte that of cli.main() in this process on the same argv.
@@ -113,7 +115,21 @@ def test_argparse_loads_only_for_an_argv_that_is_not_plain(tmp_path, args, absen
     assert modules & (absent | present) == present
 
 
-#: The 35 names the package exports.
+@pytest.mark.skipif(bool(INSTALLED), reason="python -S finds only the package in src/")
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import tunneltimes.cli"],
+     *(["-m", "tunneltimes.cli", command, *SUM_POINT]
+       for command in ("coeffs", "momentum", "times", "depth"))],
+    ids=["import", "coeffs", "momentum", "times", "depth"],
+)
+def test_a_point_command_loads_neither_pathlib_nor_re(tmp_path, args):
+    code, _, err, modules = start([sys.executable, "-S", *args], tmp_path)
+    assert (code, err) == (0, "")
+    assert modules & {"pathlib", "re"} == set()
+
+
+#: The 34 names the package exports.
 EXPORTS = (
     "BarrierProblem", "DEFAULT_CUTOFF", "DEPTH_LEVEL", "DomainError", "ELECTRON_MASS",
     "EV_TO_JOULE", "EffectiveKinematics", "HBAR", "MissingGridPoint", "MomentumSpectrum",
@@ -122,7 +138,7 @@ EXPORTS = (
     "emit_figure_data", "emit_table1", "energy_ev_to_si", "energy_si_to_ev", "evaluate",
     "length_nm_to_si", "length_si_to_nm", "momentum_spectrum", "parse_config",
     "parse_records", "penetration_depth", "phase_time_numeric", "records_to_csv",
-    "run_sweep", "shared_denominator", "stationary_solution",
+    "run_sweep", "stationary_solution",
 )
 #: Per-quantity functions that are gone, by the module that defined them: each
 #: closed form, the traversal time, the relative density and the incident
@@ -131,13 +147,16 @@ EXPORTS = (
 #: check is a test oracle (oracles.continuity_residual). A solution holds its
 #: own k and kappa, and the record at one grid point is a test oracle too
 #: (oracles.evaluate_point). The physical constants are plain module constants.
+#: The closed forms' shared denominator D is 4 k^2 kappa^2 / |S|^2, from
+#: coeffs' own columns.
 REMOVED = {
     "barrier": ("Wavenumbers", "continuity_residual", "incident_flux", "wavenumbers"),
     "constants": ("CONSTANTS", "PhysicalConstants"),
     "depth": ("relative_density",),
     "momentum": ("momentum_amplitude",),
     "sweep": ("evaluate_point",),
-    "times": ("bl_time", "dwell_time_analytic", "phase_time_analytic", "scaled_denominator"),
+    "times": ("bl_time", "dwell_time_analytic", "phase_time_analytic", "scaled_denominator",
+              "shared_denominator"),
 }
 #: Methods that are gone, by class: the curves fig1 and fig4 draw are the
 #: kernels' (oracles.momentum_density and oracles.psi_barrier at one problem).
@@ -159,7 +178,7 @@ SUBMODULES = (
 
 class TestPackageSurface:
     def test_every_export_imports_by_name(self):
-        assert len(EXPORTS) == 35 and sorted(tunneltimes.__all__) == sorted(EXPORTS)
+        assert len(EXPORTS) == 34 and sorted(tunneltimes.__all__) == sorted(EXPORTS)
         assert set(EXPORTS) | set(SUBMODULES) <= set(dir(tunneltimes))
         modules = [importlib.import_module(f"tunneltimes.{name}") for name in SUBMODULES]
         for name in EXPORTS:
@@ -285,9 +304,10 @@ class TestCommands:
         code, out, err = self.run(tmp_path, "times", "--E-eV", "5", "--d-nm", "1")
         assert (code, err) == (0, "") and data_rows(out)[1]
 
-    def test_a_thick_barrier_is_one_numeric_failure(self, tmp_path):
-        # the printed D is not a double
-        code, out, err = self.run(tmp_path, "times", "--E-eV", "5", "--d-nm", "40")
+    def test_a_numeric_failure_is_one_error_line(self, tmp_path):
+        # the phase cross-check fails
+        code, out, err = self.run(tmp_path, "times", "--E-eV", "0.02", "--V0-eV", "1",
+                                  "--d-nm", "3")
         assert (code, out) == (3, b"") and one_line(err) and "numeric failure" in err
 
     def test_an_energy_whose_k_underflows(self, tmp_path):

@@ -22,7 +22,6 @@ from tunneltimes.times import (
     DEFAULT_PHASE_STEP_EV,
     dwell_time_numeric,
     phase_time_numeric,
-    shared_denominator,
 )
 
 AGREEMENT = 1e-6  # numeric and analytic routes must agree this tightly
@@ -313,17 +312,17 @@ class TestScaledForms:
             assert dwell_closed(p) == pytest.approx(dwell, rel=1e-12, abs=0)
             assert closed_times(p)[2] == pytest.approx(scaled, rel=1e-12)
 
-    def test_printed_denominator_is_the_scaled_one_times_e_2_kappa_d(self):
+    def test_the_scaled_denominator_times_e_2_kappa_d_is_d(self):
+        # D = 4 k^2 kappa^2 / |S|^2, so coeffs' own columns give it
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
         sol = stationary_solution(p)
         g = 2.0 * ELECTRON_MASS * p.height / HBAR**2
         textbook = 4.0 * sol.kappa**2 * sol.k**2 + g**2 * math.sinh(sol.kappa * p.thickness) ** 2
-        assert shared_denominator(p) == pytest.approx(textbook, rel=1e-14)
-
-    def test_printed_denominator_is_not_a_double_on_a_thick_barrier(self):
-        # kappa d of about 458
-        with pytest.raises(OverflowError):
-            shared_denominator(BarrierProblem.from_ev_nm(5.0, 10.0, 40.0))
+        scaled = closed_times(p)[2] * math.exp(2.0 * sol.kappa * p.thickness)
+        assert scaled == pytest.approx(textbook, rel=1e-14)
+        assert 4.0 * sol.k**2 * sol.kappa**2 / sol.transmission == pytest.approx(
+            textbook, rel=1e-14
+        )
 
     def test_stencil_phase_is_finite_where_s_underflows(self):
         # kappa d of about 2300: S is below the smallest double, t is not
@@ -366,7 +365,6 @@ class TestTimeReport:
         )
         assert rec.t_bl_s == bl_time(p)
         assert rec.t_eff_s > 0.0
-        assert shared_denominator(p) > 0.0
 
     def test_cross_check_failure_reports_both_values(self):
         # at low energy the 1e-4 eV stencil and the closed form part by more
