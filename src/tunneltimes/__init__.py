@@ -4,8 +4,9 @@ Closed-form stationary scattering, in-barrier momentum spectra and the
 effective tunneling time they define, the classic phase/dwell/traversal
 times with analytic cross-checks, penetration depths with the energy-time
 uncertainty coefficient, and a deterministic CSV sweep engine plus CLI.
-Every per-point quantity is a column of the sweep's record: evaluate() gives
-the record at one problem, run_sweep() over a grid.
+Every per-point quantity is a column of the sweep's record, built by one
+kernel (the evaluation module): evaluate() gives the record at one problem,
+run_sweep() over a grid.
 
 The package exports lazily (PEP 562): ``import tunneltimes`` loads no
 submodule, and each name below imports its module on first access. No

@@ -3,12 +3,13 @@
 Single-point subcommands (coeffs, momentum, times, depth) report one barrier
 problem as a one-row CSV, after a config echo of its four inputs that reads
 back to the same floats. coeffs prints the stationary solution; momentum,
-times and depth evaluate the sweep's whole record at the point, by the same
-kernel as the sweep, and print their columns of it. Each raises the first
-failure that concerns a column it prints; a non-finite |S|^2 or |R|^2
-concerns every column. Grid subcommands (sweep, table1, figures) run the
-configured sweep and emit the corresponding CSV files; figures refuses --out
-with --which all (six files, into --out-dir) and --out-dir with one figure.
+times and depth evaluate the sweep's whole record at the point, by the
+record kernel the sweep runs too (the evaluation module), and print their
+columns of it. Each raises the first failure that concerns a column it
+prints; a non-finite |S|^2 or |R|^2 concerns every column. Grid subcommands
+(sweep, table1, figures) run the configured sweep and emit the corresponding
+CSV files; they alone import the sweep module. figures refuses --out with
+--which all (six files, into --out-dir) and --out-dir with one figure.
 Exit codes: 0 success, 1 validation or parse error or a file that cannot be
 read or written (a config that is missing or not UTF-8, an output path that
 cannot be made, an empty path; the message names the file as it was given,
@@ -37,21 +38,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .sweep import (
-    FIGURE_IDS,
-    RECORD_COLUMNS,
-    TOOL_NAME,
-    SweepConfig,
-    _csv,
-    _echo,
-    _evaluate,
-    _fmt,
-    emit_figure_data,
-    emit_table1,
-    parse_config,
-    records_to_csv,
-    run_sweep,
-)
+from .evaluation import FIGURE_IDS, TOOL_NAME, _csv, _echo, _evaluate, _fmt
+from .records import RECORD_COLUMNS
 
 #: The point commands backed by the sweep record, and the record columns
 #: each prints.
@@ -147,6 +135,8 @@ def _path(flag: str, value: str) -> str:
 
 
 def _load_config(args) -> SweepConfig:
+    from .sweep import SweepConfig, parse_config
+
     if args.config is None:
         return SweepConfig()
     try:
@@ -203,16 +193,16 @@ def _dispatch(args) -> int:
         _write(_cmd_coeffs(args), out)
     elif args.command in _RECORD_COMMANDS:
         _write(_cmd_record(args), out)
-    elif args.command == "sweep":
-        cfg = _load_config(args)
-        _write(records_to_csv(run_sweep(cfg), cfg), out)
-    elif args.command == "table1":
-        cfg = _load_config(args)
-        _write(emit_table1(run_sweep(cfg), cfg), out)
-    elif args.command == "figures":
+    else:
+        from .sweep import emit_figure_data, emit_table1, records_to_csv, run_sweep
+
         cfg = _load_config(args)
         records = run_sweep(cfg)
-        if args.which == "all":
+        if args.command == "sweep":
+            _write(records_to_csv(records, cfg), out)
+        elif args.command == "table1":
+            _write(emit_table1(records, cfg), out)
+        elif args.which == "all":
             # every figure is emitted before any file is written, so a figure
             # that cannot be emitted leaves no part of the set behind
             texts = {fig: emit_figure_data(records, fig, cfg) for fig in FIGURE_IDS}

@@ -62,9 +62,10 @@ where the window is narrow against kappa, down to about 4e-11 at c d of 2
 to 3 with kappa d near 700.
 
 momentum_spectrum() builds a MomentumSpectrum at one problem, for the library.
-The sweep builds none: its point path and its array pass run _moments() and
-_kinematics() themselves, and the point path fails a moment that is not
-positive with the spectrum's own check and message (_moments_error()).
+The record kernel builds none: the point path and the sweep's array pass
+(evaluation module) run _moments() and _kinematics() themselves, and the
+point path fails a moment that is not positive with the spectrum's own check
+and message (_moments_error()).
 
 Importing this module loads no numpy, and neither does a point on the
 exponential sum, which runs on math and cmath. The series route's constant
@@ -206,8 +207,8 @@ class EffectiveKinematics(_Value):
 
 
 def _kinematics_error(positive, v_rms) -> DomainError:
-    """The failure of EffectiveKinematics' checks, which the sweep's point
-    record quotes too: values not all ``positive``, or else a superluminal
+    """The failure of EffectiveKinematics' checks, which a point's record
+    quotes too (evaluation._failures): values not all ``positive``, or else a superluminal
     ``v_rms``."""
     if not positive:
         return DomainError("effective kinematics must be strictly positive")
@@ -245,8 +246,8 @@ class MomentumSpectrum(_Value):
 
 
 def _moments_error(normalization, second_moment) -> DomainError | None:
-    """The failure of MomentumSpectrum's checks, which the sweep's point
-    record quotes too: a moment that is not positive, or None."""
+    """The failure of MomentumSpectrum's checks, which a point's record
+    quotes too (evaluation._evaluate): a moment that is not positive, or None."""
     if not normalization > 0:
         return DomainError("momentum-density normalization must be positive")
     if not second_moment > 0:
@@ -339,8 +340,9 @@ def _moments(k, kappa, d, c, t, S, A, B, a_d, b_d, f=POINT):
     import numpy as np
 
     if f is POINT:
-        # as on the sweep's array pass (_grid_pass): a point whose series
-        # overflows ends non-finite and fails its checks, without a warning
+        # as on the sweep's array pass (evaluation._grid_pass): a point whose
+        # series overflows ends non-finite and fails its checks, without a
+        # warning
         with np.errstate(all="ignore"):
             norm, second = _series_moments(k, kappa, d, edge, t, S, decayed, tailed)
         return float(norm), float(second)

@@ -4,7 +4,7 @@ holds a whole grid's records as columns.
 A SweepTable keeps one float array per numeric record column, NaN in an
 empty cell, the note and error text, and the columns the curve figures draw
 from. The sweep writes them by flat index (_blank_columns, _write_row and the
-grid pass in the sweep module), and a row becomes a SweepRecord, built from
+array pass in the evaluation module), and a row becomes a SweepRecord, built from
 its cells, each time it is asked for. Every emitter reads a table's columns
 and builds no record: the curve figures are drawn from the curve columns,
 and any other sequence of records is written into a table once (_as_table),

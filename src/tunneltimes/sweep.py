@@ -1,136 +1,66 @@
-"""Parameter sweeps over barrier problems and deterministic CSV emission.
+"""Parameter sweeps over barrier problems and the CSV emitters of their
+records.
 
-Each quantity of a record has one evaluation: the kernel _columns() builds
-every numeric column from the solution's coefficients, the two window moments
-and the phase stencil's time, and returns the checks on them (the moments and
-the kinematics positive, v_rms subluminal, each numeric/analytic cross-check,
-each column finite). Each closed form in it is a kernel that takes the
-elementwise functions it calls. The point path (_evaluate()) and the sweep's
-array pass run the same kernels in the same order, _wavenumber_pair(),
-_coefficients(), _moments(), then _columns(): the point path with
-numerics.POINT (math, cmath) at one problem, the array pass with
-numerics.GRID (numpy). At a point, _failures() turns the checks and the
-exceptions the point caught into the note and error cells; the momentum,
-times and depth commands print their columns of that record and raise the
-first failure that concerns one.
+The config is SweepConfig, read from ``key=value`` text by parse_config() and
+echoed back by config_lines(). run_sweep() evaluates a grid over (E/V0, d),
+flattened thickness outer and energy inner, and returns a SweepTable (records
+module): a sequence of records that keeps its columns as arrays and builds a
+record from its cells when one is asked for. One pass of the array kernels
+(evaluation._grid_pass) writes the usual points straight into the table; the
+point path (evaluation._evaluate) evaluates every other point, and its record
+values and curve values are written into the same columns by its flat index,
+by the row writer that also writes a list of records into a table
+(records._write_row). evaluate() gives the record at one problem by the point
+path.
 
-run_sweep() evaluates a grid as arrays over (E/V0, d), flattened thickness
-outer and energy inner, and returns a SweepTable (records module): a sequence
-of records that keeps its columns as arrays and builds a record from its
-cells when one is asked for. The exponential integral runs as one continued
-fraction over the array. One pass of the kernels writes every column of the
-usual points, those that pass every check, straight into the table; the point
-path evaluates every other point, so each note and error cell is written by
-the point path, and its record values and curve values are written into the
-same columns by its flat index, by the row writer that also writes a list of
-records into a table (records._write_row). Where a
-rule belongs to another module, the grid asks that module's predicate or
-kernel. The moments' series route (kappa d < 1/2 or c d <= 2) and the dwell
-time's edge form (kappa d < 1/2) are array kernels too, each lane taking the
-route its own point would (momentum._moments, times._stored_probability). A
-point is unusual when:
-
-  * BarrierProblem refuses it (barrier);
-  * on the moments' exponential sum, e^{-z} E1(-z) lies in the exponential
-    integral's series domain, or its continued fraction does not settle
-    (numerics._series_domain, which scaled_e1_grid() applies), or kappa > 4 c,
-    where the sum cancels enough for its digits to depend on rounding
-    (momentum._moments);
-  * the phase stencil clips, or any check of _columns() fails.
-
-The phase stencil is the point code, run once per energy over all the
-accepted thicknesses (times._phase_stencil): its difference of two phases a
-few 1e-5 rad apart would turn a last-bit change in t into about 1e-11 of the
-time, so it stays in math and cmath, and each thickness takes a point's
-operations in their order. So the grid's phase times equal the point path's
-bit for bit, its other records match to about 1e-14, and their CSV cells
-match byte for byte. Records are pure data; the emitters below turn them into
-CSV with '#'-prefixed metadata lines (tool version, config echo, stencil
-clipping notes) ahead of the header. Identical configs produce byte-identical
-output: evaluation order is fixed, no timestamps are embedded, and floats are
-serialized at six significant digits (the depth table uses the conventional
-four decimals of nm instead). Every config echo (_echo, the point commands'
-too) and the clipping note keep six digits only where they read back to the
-same float.
-
-Every CSV, the point commands' one-row files included, is written by one
-writer from its metadata lines, header and rows. Every emitter converts its
-input into a SweepTable once (records._as_table: a table as it is, any other
-sequence of records written row by row) and reads its columns; none builds a
-record, not even to name a grid point in the clipping note or a
-MissingGridPoint message. The per-record CSVs (the sweep, table1 and fig2,
-fig3, fig5, fig6a) format each numeric column in one pass with one finiteness
-check, and a grid-key column once per distinct value; a required column is
-checked for gaps first, so the first incomplete record in row order is the
-one named.
+The emitters turn records into CSV by the evaluation module's writer, with
+'#'-prefixed metadata lines (tool version, config echo, stencil clipping
+notes) ahead of the header; the depth table prints the conventional four
+decimals of nm where every other cell has six significant digits. Every
+emitter converts its input into a SweepTable once (records._as_table: a table
+as it is, any other sequence of records written row by row) and reads its
+columns; none builds a record, not even to name a grid point in the clipping
+note or a MissingGridPoint message. The per-record CSVs (the sweep, table1 and
+fig2, fig3, fig5, fig6a) format each numeric column in one pass with one
+finiteness check, and a grid-key column once per distinct value; a required
+column is checked for gaps first, so the first incomplete record in row order
+is the one named.
 
 The curve figures fig1 and fig4 read the table's columns too: the wave's
 coefficients, the normalization, the thickness and fig1's cutoff. Each is one
 array of curves, a row per record, from the kernels momentum._amplitude() and
-barrier._wave(), so a curve has the point path's bits. Each distinct K or x
-grid (of the cutoff or the thickness) is built and formatted once, and a
-record's rows are one %-format of its curve. A row whose problem was refused
-or whose moments failed cannot be drawn. Neither can a list of records, which
-holds their cells alone (re-read from CSV, made by evaluate(), or joined
-from several tables): its first record is named.
+barrier._wave(), so a curve has the point path's bits. A row whose problem
+was refused or whose moments failed cannot be drawn. Neither can a list of
+records, which holds their cells alone (re-read from CSV, made by evaluate(),
+or joined from several tables): its first record is named.
 
-Per-point failures land in the record's ``error`` column; a missing depth on a
-thin barrier is a ``no_crossing`` note, not an error. The barrier solution and
-the closed forms are held in bounded form (see the barrier module), so no
-thickness aborts the sweep. NaN is never serialized: absent values are empty
-cells, and so is a value that evaluate() finds not finite. A failed
-cross-check already quotes such a time in the error column; any other
-non-finite value gets an error entry of its own, and a FloatingPointError
-among the caught exceptions, so a point command still exits as a numeric
-failure. An emitter refuses with FloatingPointError a non-finite value that
-still reaches it: in any numeric value of a record it writes into a table,
-where NaN can only mean an empty cell, and in any cell it prints.
-
-The point path imports no numpy of its own: SweepConfig, parse_config(),
-evaluate(), _evaluate(), _columns() and _failures() at a point, and the
-writer the point commands share (_csv, _fmt, _echo) run on math and cmath
-alone, so a point loads numpy only where its moments take the series route
-(momentum). The functions that work on arrays import numpy when they run:
-run_sweep() and its array pass, and the emitters.
+NaN is never serialized: absent values are empty cells. An emitter refuses
+with FloatingPointError a non-finite value that still reaches it: in any
+numeric value of a record it writes into a table, where NaN can only mean an
+empty cell, and in any cell it prints. The config and evaluate() import no
+numpy of their own; run_sweep() and the emitters import it when they run.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
-from itertools import compress
 
-from . import __version__
-from .barrier import (
-    DEFAULT_CUTOFF,
-    BarrierProblem,
-    _check_barrier,
-    _check_tunneling,
-    _coefficients,
-    _flux,
-    _g,
-    _real,
-    _wave,
-    _wavenumber_pair,
+from .barrier import DEFAULT_CUTOFF, BarrierProblem, _real, _wave
+from .constants import energy_ev_to_si, length_nm_to_si, length_si_to_nm
+from .depth import _relative_density
+from .errors import DomainError, MissingGridPoint, ParseError, ValidationError
+from .evaluation import (
+    FIGURE_IDS,
+    NOTE_PHASE_CLIPPED,
+    _csv,
+    _echo,
+    _evaluate,
+    _fmt,
+    _grid_pass,
+    _needs_crossing,
 )
-from .constants import (
-    HBAR,
-    SPEED_OF_LIGHT,
-    energy_ev_to_si,
-    energy_si_to_ev,
-    length_nm_to_si,
-    length_si_to_nm,
-)
-from .depth import _depth, _relative_density
-from .errors import (
-    DomainError,
-    MissingGridPoint,
-    NoConvergence,
-    ParseError,
-    ValidationError,
-)
-from .momentum import _amplitude, _kinematics, _kinematics_error, _moments, _moments_error
-from .numerics import POINT
+from .momentum import _amplitude
 from .records import (
     NON_FINITE,
     RECORD_COLUMNS,
@@ -142,24 +72,12 @@ from .records import (
     _Value,
     _write_row,
 )
-from .times import (
-    CROSS_CHECK_TOL,
-    _bl_time,
-    _closed_times,
-    _phase_stencil,
-    _stored_probability,
-    phase_time_numeric,
-)
 
 TYPE_CHECKING = False  # true for a type checker only
 if TYPE_CHECKING:
     import numpy as np
 
     _Source = str | Callable[[Callable[[str], np.ndarray]], np.ndarray]
-
-TOOL_NAME = "tunneltimes"
-
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6a")
 
 #: The depth-table grid: five energy ratios by nine thicknesses (nm).
 TABLE1_E_RATIOS = (0.01, 0.1, 0.5, 0.9, 0.99)
@@ -225,29 +143,12 @@ def _grid(name: str, grid) -> tuple[float, ...]:
     return grid
 
 
-NOTE_NO_CROSSING = "no_crossing"
-NOTE_PHASE_CLIPPED = "phase_stencil_clipped"
-
-#: Record attributes the kinematics fill, and tau_eff and xi built on them:
-#: the cells a momentum failure leaves empty.
-_MOMENTUM = ("k_rms", "v_rms", "t_eff_s", "eps_eff_ev", "tau_eff_s", "xi")
-#: The depth's attributes, absent where the density never reaches the level.
-_DEPTH = ("s_nm", "tau_eff_s", "xi")
-#: Each cross-check's name and the numeric and analytic times it compares. A
-#: failed one quotes both, so neither is an error of its own when not finite;
-#: a skipped one (the numeric time is empty) quotes neither.
-_CROSS_CHECKS = (
-    ("phase", "t_ph_numeric_s", "t_ph_analytic_s"),
-    ("dwell", "t_dw_numeric_s", "t_dw_analytic_s"),
-)
-
-
 def evaluate(problem: BarrierProblem, cfg: SweepConfig) -> tuple[SweepRecord, list[Exception]]:
     """The sweep's record at one problem, and the exceptions behind its
     failures.
 
-    Every column comes from the kernel _columns(), as on the sweep's array
-    pass. Failures become note or error cells, and the exceptions behind them
+    Every column comes from the kernel evaluation._columns(), as on the
+    sweep's array pass. Failures become note or error cells, and the exceptions behind them
     (a cross-check failure is a NoConvergence quoting both routes) are
     returned in the order of the cells. The sweep keeps only the cells; a
     point command raises the first exception that concerns a column it
@@ -265,129 +166,6 @@ def evaluate(problem: BarrierProblem, cfg: SweepConfig) -> tuple[SweepRecord, li
     values, _, failures = _evaluate(problem)
     record = _record(cfg, problem.e_over_v0, length_si_to_nm(problem.thickness), values)
     return record, [exc for exc, _ in failures]
-
-
-def _evaluate(problem: BarrierProblem):
-    """evaluate()'s record at ``problem`` but its grid key, as values by
-    attribute; the values of the curve columns (records._CURVES), the
-    normalization NaN where the moments failed; and its failures, each
-    exception with the attributes it concerns (see _failures).
-
-    The kernels run as on the sweep's array pass (_grid_pass), at a point:
-    _wavenumber_pair(), _coefficients(), _moments(), then _columns().
-    """
-    d, c = problem.thickness, problem.cutoff
-    k, kappa = _wavenumber_pair(problem.energy, problem.height)
-    coefficients = t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, d)
-    faults: dict[str, Exception] = {}
-    # the kernel takes NaN for a failed moment or stencil, as the array pass
-    # holds it; NaN passes math.sqrt and division without raising
-    try:
-        norm, second = _moments(k, kappa, d, c, t, S, A, B, a_d, b_d)
-        if exc := _moments_error(norm, second):
-            raise exc
-    except (DomainError, NoConvergence) as exc:
-        norm, second, faults["momentum"] = math.nan, math.nan, exc
-    try:
-        t_ph_num = phase_time_numeric(problem)
-    except DomainError as exc:
-        t_ph_num, faults["clipped"] = math.nan, exc
-    values, *checks = _columns(
-        k, kappa, d, problem.height, coefficients, norm, second, t_ph_num, POINT
-    )
-    curves = {"kappa": kappa, "A": A, "B": B, "a_d": a_d, "b_d": b_d, "normalization": norm}
-    return values, curves, _failures(values, *checks, faults)
-
-
-def _columns(k, kappa, d, height, coefficients, norm, second, t_ph_num, f):
-    """Every numeric record column but the grid key, and the checks on them:
-    the one evaluation of a record, at a point (``f`` is numerics.POINT) or
-    over 1-D arrays of lanes (numerics.GRID).
-
-    Takes the wavenumbers, the thickness, the barrier height, the solution's
-    (t, S, A, B, R, A e^{kappa d}, B e^{-kappa d}), the two window moments
-    and the phase stencil's time, each NaN where it failed. Returns the
-    columns by attribute in record order; the checks by name, each True where
-    it holds (the moments and the kinematics positive, v_rms subluminal, each
-    cross-check); the finiteness of each column, in that order; and where the
-    depth is a crossing, without which s_nm, tau_eff and xi are absent.
-    """
-    t, S, A, B, R, a_d, b_d = coefficients
-    lam, g = kappa * d, _g(height)
-    k_rms, v_rms, t_eff, eps_eff = _kinematics(norm, second, d, f)
-    depth, crossing = _depth(k, kappa, d, f)
-    tau = depth / v_rms
-    t_ph_ana, t_dw_ana, _ = _closed_times(k, kappa, lam, g, f)
-    values = {
-        "s_abs2": abs(S) ** 2, "r_abs2": abs(R) ** 2, "k_rms": k_rms, "v_rms": v_rms,
-        "t_eff_s": t_eff, "eps_eff_ev": energy_si_to_ev(eps_eff), "t_ph_numeric_s": t_ph_num,
-        "t_ph_analytic_s": t_ph_ana,
-        "t_dw_numeric_s": _stored_probability(k, kappa, d, A, B, a_d, S, f) / _flux(k),
-        "t_dw_analytic_s": t_dw_ana, "t_bl_s": _bl_time(kappa, d),
-        "s_nm": length_si_to_nm(depth), "tau_eff_s": tau,
-        "xi": 2.0 * eps_eff * tau / HBAR,
-    }
-    checks = {
-        "moments": (norm > 0.0) & (second > 0.0),
-        "positive": (k_rms > 0.0) & (v_rms > 0.0) & (t_eff > 0.0) & (eps_eff > 0.0),
-        "subluminal": v_rms < SPEED_OF_LIGHT,
-        **{name: _agrees(values[num], values[ana]) for name, num, ana in _CROSS_CHECKS},
-    }
-    return values, checks, f.finite(list(values.values())), crossing
-
-
-def _failures(values, checks, finite, crossing, faults):
-    """Turn a point's _columns() checks into its cells, in ``values``: empty
-    each value a failure leaves out, add the note and error cells, and return
-    the failures as (exception, the attributes it concerns).
-
-    ``faults`` holds what the point caught: the moments' exception
-    ("momentum") and the clipped phase stencil's ("clipped"). The failures
-    run in evaluation order: the moments' or the kinematics', the clipped
-    stencil (a note, not an error), the cross-checks, then each other value
-    that is not finite. A non-finite |S|^2 or |R|^2 concerns every attribute.
-    """
-    if crossing and not faults and all(checks.values()) and all(finite):
-        values.update(note="", error="")
-        return []
-    failures = []  # (exception, error cell or None, the attributes it concerns)
-    notes = []
-    if "momentum" in faults or not (checks["positive"] and checks["subluminal"]):
-        exc = faults.get("momentum") or _kinematics_error(checks["positive"], values["v_rms"])
-        failures.append((exc, f"momentum: {exc}", _MOMENTUM))
-    if "clipped" in faults:
-        failures.append((faults["clipped"], None, ("t_ph_numeric_s",)))
-        notes.append(NOTE_PHASE_CLIPPED)
-    empty = {name for *_, concerns in failures for name in concerns}
-    quoted = set()  # the times a failed cross-check quotes
-    for name, numeric, analytic in _CROSS_CHECKS:
-        if numeric not in empty and not checks[name]:
-            exc = NoConvergence(
-                f"{name} cross-check: numeric {values[numeric]!r} vs analytic {values[analytic]!r}"
-            )
-            failures.append((exc, str(exc), (numeric, analytic)))
-            quoted.update((numeric, analytic))
-    if not crossing:
-        notes.append(NOTE_NO_CROSSING)
-        empty.update(_DEPTH)
-    for name, ok in zip(list(values), finite):
-        if not (ok or name in empty or name in quoted):
-            every = name in ("s_abs2", "r_abs2")
-            failures.append((FloatingPointError(NON_FINITE), f"{name}: {NON_FINITE}",
-                             tuple(values) if every else (name,)))
-        if not ok or name in empty:
-            values[name] = None
-    errors = [cell for _, cell, _ in failures if cell is not None]
-    values.update(note=";".join(notes), error="; ".join(errors))
-    return [(exc, concerns) for exc, _, concerns in failures]
-
-
-def _agrees(numeric, analytic):
-    """The cross-check of a numeric and an analytic time, at a point or
-    elementwise: within CROSS_CHECK_TOL of a finite analytic value, written
-    so that a NaN or an infinite value fails it."""
-    close = abs(numeric - analytic) <= CROSS_CHECK_TOL * abs(analytic)
-    return close & (abs(analytic) < math.inf)
 
 
 def _record(cfg, e_ratio, d_nm, values):
@@ -436,68 +214,6 @@ def run_sweep(cfg: SweepConfig) -> SweepTable:
         values, curves = _point(cfg, e_grid[i % n_e], d_grid[i // n_e])
         _write_row(columns, i, values | curves)
     return SweepTable(columns)
-
-
-def _passes(check: Callable[..., None], *args: float) -> bool:
-    try:
-        check(*args)
-    except DomainError:
-        return False
-    return True
-
-
-def _grid_pass(cfg: SweepConfig, columns: dict[str, np.ndarray | list[str]]) -> np.ndarray:
-    """Write every usual grid point (see the module docstring) into
-    ``columns`` by one pass of the array kernels; return their flat indices."""
-    import numpy as np
-
-    from .numerics import GRID
-
-    e_grid, d_grid, c = cfg.e_over_v0_grid, cfg.d_nm_grid, cfg.cutoff
-    height = energy_ev_to_si(cfg.v0_ev)
-    # BarrierProblem's checks split into one on the energy and one on the
-    # barrier, so they run once per grid value
-    energies = [energy_ev_to_si(r * cfg.v0_ev) for r in e_grid]
-    thicknesses = [length_nm_to_si(d) for d in d_grid]
-    e_ok = [_passes(_check_tunneling, e, height) for e in energies]
-    d_ok = [_passes(_check_barrier, height, d, c) for d in thicknesses]
-    flat = np.flatnonzero(np.outer(d_ok, e_ok))
-    if not flat.size:
-        # every point is refused; the kernels would square a height or a
-        # cutoff past the largest double in Python floats, which raises
-        return flat
-    energy = energy_ev_to_si(columns["e_ev"][flat])
-    thickness = length_nm_to_si(columns["d_nm"][flat])
-    # the phase stencil is the point code, run once per accepted energy over
-    # the accepted thicknesses, which fills that energy's column of lanes
-    # (thickness outer); every lane of a clipped energy is NaN
-    ds = list(compress(thicknesses, d_ok))
-    t_ph_num = np.full((len(ds), sum(e_ok)), math.nan)
-    for j, e_j in enumerate(compress(energies, e_ok)):
-        try:
-            t_ph_num[:, j] = _phase_stencil(e_j, height, ds)
-        except DomainError:
-            pass
-    t_ph_num = t_ph_num.ravel()
-    # Python floats overflow to inf and make NaN without a warning; so does
-    # this pass, and every lane that ends non-finite or fails a check goes
-    # to the point path, which evaluates the same kernels
-    with np.errstate(all="ignore"):
-        k, kappa = _wavenumber_pair(energy, height, GRID)
-        coefficients = t, S, A, B, R, a_d, b_d = _coefficients(k, kappa, thickness, GRID)
-        # a lane whose moments the array pass cannot settle holds NaN
-        norm, second = _moments(k, kappa, thickness, c, t, S, A, B, a_d, b_d, GRID)
-        values, checks, finite, crossing = _columns(
-            k, kappa, thickness, height, coefficients, norm, second, t_ph_num, GRID
-        )
-    usual = np.logical_and.reduce([*checks.values(), *finite])
-    values.update(kappa=kappa, A=A, B=B, a_d=a_d, b_d=b_d, normalization=norm)
-    for name, lanes in values.items():
-        written = usual & crossing if name in _DEPTH else usual
-        columns[name][flat[written]] = lanes[written]
-    for i in flat[usual & ~crossing].tolist():
-        columns["note"][i] = NOTE_NO_CROSSING
-    return flat[usual]
 
 
 # --- config files -----------------------------------------------------------
@@ -556,14 +272,6 @@ def parse_config(text: str) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def _echo(value: float | tuple[float, ...]) -> str:
-    """A config value in file syntax that parses back to exactly that value."""
-    if isinstance(value, tuple):
-        return ",".join(_echo(v) for v in value)
-    text = _fmt(value)
-    return text if float(text) == value else repr(value)
-
-
 def config_lines(cfg: SweepConfig) -> list[str]:
     """The config echoed back in its own file syntax (used in CSV metadata).
 
@@ -579,19 +287,6 @@ def config_lines(cfg: SweepConfig) -> list[str]:
 # --- CSV emission -----------------------------------------------------------
 
 
-def _fmt(value: float | None) -> str:
-    """Six significant digits, empty cell for absent values, never NaN.
-
-    Adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is, so
-    zero of either sign prints as "0".
-    """
-    if value is None:
-        return ""
-    if not math.isfinite(value):
-        raise FloatingPointError(NON_FINITE)
-    return f"{value + 0.0:.6g}"
-
-
 def _cells(values: np.ndarray, empty: bool = False) -> list[str]:
     """_fmt of each element of a float array, checked for finiteness at once
     and formatted by one %-format of the whole array (%.6g is _fmt's .6g).
@@ -605,19 +300,6 @@ def _cells(values: np.ndarray, empty: bool = False) -> list[str]:
         raise FloatingPointError(NON_FINITE)
     text = "%.6g\n" * len(values) % tuple((values + 0.0).tolist())
     return (text.replace("nan", "") if empty else text).split("\n")[:-1]
-
-
-def _csv(meta: list[str], header: Iterable[str], rows: Iterable[str]) -> str:
-    """The one CSV writer: the tool line, ``meta``, the header and the rows.
-
-    The rows go into the one list that is joined, and the empty last entry
-    gives the final newline, so neither the rows nor the text are copied
-    again; the curve figures pass their rows as a generator for that reason.
-    """
-    lines = [f"# tool: {TOOL_NAME} {__version__}", *meta, ",".join(header)]
-    lines += rows
-    lines.append("")
-    return "\n".join(lines)
 
 
 def _key_cells(values: np.ndarray) -> list[str]:
@@ -854,5 +536,5 @@ def emit_figure_data(
         header = ("E_over_V0", "d_nm", *header)
         return _csv(_metadata(cfg, table), header, _curve_rows(table, fig1))
     columns = {"E_over_V0": "e_over_v0", "d_nm": "d_nm", **_SCALAR_FIGURES[which]}
-    required = [c for c, source in columns.items() if source not in _DEPTH]
+    required = [c for c, source in columns.items() if not _needs_crossing(source)]
     return _emit_rows(table, cfg, columns, required)

@@ -24,24 +24,28 @@ e^{-2 kappa d}, on
 
 with sinh(2 kappa d) e^{-2 kappa d} = -expm1(-4 kappa d) / 2, so they stay
 finite at any thickness. One kernel, _closed_times(), evaluates both and
-computes D~, e^{-2 kappa d} and expm1(-4 kappa d) once.
+computes D~, e^{-2 kappa d} and expm1(-4 kappa d) once. Each scaled
+numerator is divided by D~ before the prefactor m / (hbar k kappa) or
+m k / (hbar kappa) multiplies it: the product hbar k kappa D~ grows like V0^3
+and would underflow m / (hbar k kappa D~) above V0 of about 1e86 eV.
 
 The closed forms and the traversal time (_bl_time()) are kernels, not
 per-problem functions: each is a column of the sweep's record, built by
-``sweep._columns`` at a point and over the sweep's arrays alike. The "numeric"
-routes, phase_time_numeric() and dwell_time_numeric(), work from the
-scattering coefficients, not from D: the phase time differences the argument
-of the bounded t = S e^{kappa d} (which is arg S) at E +/- h, with the one
-step h = DEFAULT_PHASE_STEP_EV, and the dwell time integrates
+``evaluation._columns`` at a point and over the sweep's arrays alike. The
+"numeric" routes, phase_time_numeric() and dwell_time_numeric(), work from
+the scattering coefficients, not from D: the phase time differences the
+argument of the bounded t = S e^{kappa d} (which is arg S) at E +/- h, with
+the one step h = DEFAULT_PHASE_STEP_EV, and the dwell time integrates
 |A e^{kappa x} + B e^{-kappa x}|^2 over the barrier term by term, an exact
 integral of the definition, over the incident flux hbar k / m. The stencil
 checks its two energies and forms t's energy-only factors once for any number
 of thicknesses, and evaluates only the thickness's part of t per thickness: a
 point passes one thickness, the sweep all of an energy's at once, each with
 the bits of the one-thickness result. The numerical route is the arbiter.
-``sweep.evaluate`` cross-checks each pair: routes more than CROSS_CHECK_TOL
-(1e-5 relative) apart, or not finite, put both values in the record's error
-cell, and the ``times`` command exits 3 quoting them. (The test suite holds the routes to 1e-6.)
+``evaluation._columns`` cross-checks each pair: routes more than
+CROSS_CHECK_TOL (1e-5 relative) apart, or not finite, put both values in the
+record's error cell, and the ``times`` command exits 3 quoting them. (The
+test suite holds the routes to 1e-6.)
 Phase and dwell times saturate for thick barriers (their d-derivative dies
 off like exp(-2 kappa d)), which is exactly why they imply unbounded
 apparent velocities; the effective time does not saturate.
@@ -90,8 +94,8 @@ def _closed_times(k, kappa, kd, g, f=POINT):
     scaled = 4.0 * kappa**2 * k**2 * decay + g**2 * f.expm1(-2.0 * kd) ** 2 / 4.0
     phase = 2.0 * k**2 * spread * ramp - g**2 * fold / 2.0
     dwell = 2.0 * spread * ramp - g * fold / 2.0
-    return (_M / (_HBAR * k * kappa * scaled) * phase,
-            _M * k / (_HBAR * kappa * scaled) * dwell, scaled)
+    return (phase / scaled * (_M / (_HBAR * k * kappa)),
+            dwell / scaled * (_M * k / (_HBAR * kappa)), scaled)
 
 
 def _stored_probability(k, kappa, d, A, B, a_d, S, f=POINT):

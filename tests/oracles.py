@@ -32,14 +32,13 @@ from tunneltimes.constants import (
 )
 from tunneltimes.depth import DEPTH_LEVEL, _relative_density
 from tunneltimes.errors import DomainError, MissingGridPoint, NoConvergence
+from tunneltimes.evaluation import NOTE_PHASE_CLIPPED, TOOL_NAME
 from tunneltimes.momentum import _amplitude
 from tunneltimes.sweep import (
     FIG1_K_POINTS,
     FIG4_X_POINTS,
-    NOTE_PHASE_CLIPPED,
     RECORD_COLUMNS,
     TEXT_FIELDS,
-    TOOL_NAME,
     SweepTable,
     run_sweep,
 )

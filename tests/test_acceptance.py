@@ -23,8 +23,8 @@ from tunneltimes.barrier import BarrierProblem, stationary_solution
 from tunneltimes.constants import energy_si_to_ev, length_si_to_nm
 from tunneltimes.depth import penetration_depth
 from tunneltimes.momentum import momentum_spectrum
+from tunneltimes.evaluation import FIGURE_IDS
 from tunneltimes.sweep import (
-    FIGURE_IDS,
     SweepConfig,
     emit_figure_data,
     emit_table1,

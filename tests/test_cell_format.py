@@ -24,12 +24,11 @@ from oracles import (
     replace,
 )
 from tunneltimes.errors import MissingGridPoint
+from tunneltimes.evaluation import FIGURE_IDS, _fmt
 from tunneltimes.sweep import (
-    FIGURE_IDS,
     SweepConfig,
     SweepTable,
     _cells,
-    _fmt,
     emit_figure_data,
     emit_table1,
     parse_records,

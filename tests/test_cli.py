@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunneltimes import __version__, cli, sweep
+from tunneltimes import __version__, cli, evaluation, sweep
 from tunneltimes.cli import main
 from tunneltimes.errors import ValidationError
 
@@ -323,8 +323,9 @@ class TestExitCodes:
         def work(*args):
             raise AssertionError("the work ran before the path was refused")
 
-        for name in ("stationary_solution", "_evaluate", "run_sweep"):
-            monkeypatch.setattr(cli, name, work)
+        for module, name in ((cli, "stationary_solution"), (cli, "_evaluate"),
+                             (sweep, "run_sweep")):
+            monkeypatch.setattr(module, name, work)
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *argv) == (1, "", f"tunneltimes: error: {flag} '' is an empty path\n")
         assert list(tmp_path.iterdir()) == []
@@ -383,9 +384,9 @@ class TestExitCodes:
     def test_non_finite_output_is_three(self, capsys, monkeypatch):
         # a NaN closed-form time fails the cross-check before it could reach
         # a cell
-        closed = sweep._closed_times
+        closed = evaluation._closed_times
         monkeypatch.setattr(
-            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+            evaluation, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
         )
         code, out, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "0.5")
         assert code == 3 and out == ""
@@ -395,7 +396,7 @@ class TestExitCodes:
     def test_non_finite_uncross_checked_output_is_three(self, capsys, monkeypatch):
         # the value is left out of the record, and the command reports it
         # as it always did
-        monkeypatch.setattr(sweep, "_bl_time", lambda kappa, d: math.nan)
+        monkeypatch.setattr(evaluation, "_bl_time", lambda kappa, d: math.nan)
         code, out, err = run(capsys, "times", "--E-eV", "5", "--d-nm", "0.5")
         assert code == 3 and out == ""
         assert err == "tunneltimes: numeric failure: refusing to serialize a non-finite value\n"
@@ -403,9 +404,9 @@ class TestExitCodes:
     def test_a_clipped_stencil_stays_the_first_failure(self, capsys, monkeypatch):
         # a non-finite analytic phase time the skipped cross-check does not
         # quote is an error of its own, behind the clipped stencil
-        closed = sweep._closed_times
+        closed = evaluation._closed_times
         monkeypatch.setattr(
-            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+            evaluation, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
         )
         code, out, err = run(capsys, "times", "--E-eV", "5e-5", "--d-nm", "1")
         assert code == 1 and out == ""
@@ -613,7 +614,7 @@ def grid_argvs(draw):
     flags = draw(st.permutations(("--config", "--out", "--which", "--out-dir")))
     flags = flags[:draw(st.integers(0, len(flags)))]
     flags += draw(st.lists(st.sampled_from(flags), max_size=1)) if flags else []
-    values = st.sampled_from(("", "-", "-o", "x.csv", *sweep.FIGURE_IDS, "all", "fig9"))
+    values = st.sampled_from(("", "-", "-o", "x.csv", *evaluation.FIGURE_IDS, "all", "fig9"))
     argv = [draw(st.sampled_from(("sweep", "table1", "figures")))]
     for flag in flags:
         argv += [flag, draw(values)]

@@ -21,7 +21,8 @@ from tunneltimes.constants import (
 )
 from tunneltimes.depth import DEPTH_LEVEL, penetration_depth
 from tunneltimes.errors import DomainError
-from tunneltimes.sweep import NOTE_NO_CROSSING, SweepConfig, evaluate
+from tunneltimes.evaluation import NOTE_NO_CROSSING
+from tunneltimes.sweep import SweepConfig, evaluate
 
 DEPTH_TOL_NM = 0.002
 

@@ -13,8 +13,9 @@ and a point on the moments' series route do. Importing the CLI and each plain
 argv load no argparse and no dataclasses; an argv that is not plain loads
 argparse. Started without ``site`` (``python -S``; a ``site`` that imports
 certifi, say, loads both itself), importing the CLI and each point command
-load neither pathlib nor re. Each process runs with PYTHONPROFILEIMPORTTIME, whose report on
-stderr names every module the process imports, so a module is in its
+load neither pathlib nor re. None of them, nor --version, loads the sweep
+module: the grid engine and the emitters load for a grid command only. Each
+process runs with PYTHONPROFILEIMPORTTIME, whose report on stderr names every module the process imports, so a module is in its
 sys.modules at exit exactly when the report names it. Each command's stdout
 must be byte for byte that of cli.main() in this process on the same argv.
 
@@ -102,7 +103,7 @@ UNUSED = {"dataclasses", "inspect"}
         *(([*COMMAND, command, *SUM_POINT], ARGPARSE | UNUSED, set())
           for command in ("coeffs", "momentum", "times", "depth")),
         ([*COMMAND, "sweep"], {"argparse", "dataclasses"}, set()),  # numpy imports inspect
-        ([*COMMAND, "--version"], set(), {"argparse"}),
+        ([*COMMAND, "--version"], {"tunneltimes.sweep"}, {"argparse"}),
         ([*COMMAND, "times", "-h"], set(), {"argparse"}),
         ([*COMMAND, "times", "--E", "5", "--d-nm", "1"], set(), {"argparse"}),
     ],
@@ -126,7 +127,7 @@ def test_argparse_loads_only_for_an_argv_that_is_not_plain(tmp_path, args, absen
 def test_a_point_command_loads_neither_pathlib_nor_re(tmp_path, args):
     code, _, err, modules = start([sys.executable, "-S", *args], tmp_path)
     assert (code, err) == (0, "")
-    assert modules & {"pathlib", "re"} == set()
+    assert modules & {"pathlib", "re", "tunneltimes.sweep"} == set()
 
 
 #: The 34 names the package exports.

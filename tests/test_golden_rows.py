@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from tunneltimes.evaluation import FIGURE_IDS
 from tunneltimes.sweep import (
-    FIGURE_IDS,
     SweepConfig,
     emit_figure_data,
     emit_table1,

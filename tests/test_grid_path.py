@@ -29,7 +29,7 @@ from oracles import (
     per_cell_emit,
     point_table,
 )
-from tunneltimes import cli, sweep
+from tunneltimes import cli, evaluation, sweep
 from tunneltimes.barrier import (
     BarrierProblem,
     _coefficients,
@@ -46,8 +46,8 @@ from tunneltimes.constants import (
 from tunneltimes.errors import DomainError, MissingGridPoint
 from tunneltimes.momentum import MomentumSpectrum, _moments, _series_route, momentum_spectrum
 from tunneltimes.numerics import GRID
+from tunneltimes.evaluation import NOTE_NO_CROSSING
 from tunneltimes.sweep import (
-    NOTE_NO_CROSSING,
     RECORD_COLUMNS,
     SweepConfig,
     SweepRecord,
@@ -313,7 +313,7 @@ def test_records_carry_the_point_paths_problem_and_solution(cfg, monkeypatch):
         row for row in range(len(table)) if row not in problems
     ]]).all()
     for row, problem in problems.items():
-        _, curves, _ = sweep._evaluate(problem)
+        _, curves, _ = evaluation._evaluate(problem)
         grid = {name: table.column(name).item(row) for name in CURVE_COLUMNS}
         if math.isnan(curves["normalization"]):
             assert math.isnan(grid["normalization"])
@@ -415,11 +415,12 @@ def test_the_first_undrawable_row_in_row_order_is_named(fig):
     assert outcome(per_cell_emit, table, fig) == f"MissingGridPoint: {err.value}"
 
 
-def test_the_sweep_imports_no_private_constant():
+@pytest.mark.parametrize("module", [sweep, evaluation], ids=lambda module: module.__name__)
+def test_the_sweep_imports_no_private_constant(module):
     # a rule's bound lives beside the predicate or kernel that states it
     # (momentum._series_route, numerics._series_domain, depth._depth); a
     # sweep importing the bound could restate the rule and drift from it
-    tree = ast.parse(Path(sweep.__file__).read_text())
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = [
         alias.name
         for node in ast.walk(tree)

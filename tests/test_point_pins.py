@@ -67,7 +67,7 @@ STDERR = {
     "momentum --E-eV 0.02 --d-nm 3 --V0-eV 1": (0, ""),
     "times --E-eV 0.02 --d-nm 3 --V0-eV 1": (3, (
         "tunneltimes: numeric failure: phase cross-check: numeric 4.7032570481848125e-15"
-        " vs analytic 4.7033543163872216e-15\n"
+        " vs analytic 4.703354316387223e-15\n"
     )),
     "depth --E-eV 0.02 --d-nm 3 --V0-eV 1": (0, ""),
     "momentum --E-eV 5 --d-nm 40": (0, ""),

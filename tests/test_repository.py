@@ -111,7 +111,9 @@ def test_no_module_reads_a_private_attribute():
 #: itself (``from . import __version__``). A module's row comes after the row
 #: of every module it may import, so no import cycle can form. A record is its
 #: cells and a table its columns, so records imports nothing: no solution or
-#: spectrum object may come back into the module that holds them.
+#: spectrum object may come back into the module that holds them. The record
+#: kernel and the CSV writer (evaluation) import neither sweep nor cli, so
+#: a point command never loads the grid engine or the emitters.
 LAYERS = {
     "__init__": (),
     "constants": (),
@@ -122,9 +124,10 @@ LAYERS = {
     "depth": ("barrier", "errors", "numerics"),
     "momentum": ("barrier", "constants", "errors", "numerics", "records"),
     "times": ("barrier", "constants", "errors", "numerics"),
-    "sweep": ("__init__", "barrier", "constants", "depth", "errors", "momentum", "numerics",
-              "records", "times"),
-    "cli": ("__init__", "barrier", "errors", "sweep"),
+    "evaluation": ("__init__", "barrier", "constants", "depth", "errors", "momentum",
+                   "numerics", "records", "times"),
+    "sweep": ("barrier", "constants", "depth", "errors", "evaluation", "momentum", "records"),
+    "cli": ("__init__", "barrier", "errors", "evaluation", "records", "sweep"),
 }
 
 

@@ -17,7 +17,7 @@ from oracles import (
 from test_barrier import check_value_class
 from test_point_pins import STDERR
 from test_point_pins import run as run_point
-from tunneltimes import momentum, sweep
+from tunneltimes import evaluation, momentum, sweep
 from tunneltimes.barrier import BarrierProblem
 from tunneltimes.constants import EV_TO_JOULE, HBAR
 from tunneltimes.errors import (
@@ -27,8 +27,8 @@ from tunneltimes.errors import (
     ParseError,
     ValidationError,
 )
+from tunneltimes.evaluation import FIGURE_IDS
 from tunneltimes.sweep import (
-    FIGURE_IDS,
     RECORD_COLUMNS,
     SweepConfig,
     emit_figure_data,
@@ -253,9 +253,9 @@ class TestRunSweep:
         # the array pass runs the stencil once per energy over all ten
         # thicknesses of the dense grid
         calls = []
-        stencil = sweep._phase_stencil
+        stencil = evaluation._phase_stencil
         monkeypatch.setattr(
-            sweep, "_phase_stencil",
+            evaluation, "_phase_stencil",
             lambda e0, hi, ds: calls.append(len(ds)) or stencil(e0, hi, ds),
         )
         run_sweep(SweepConfig(e_over_v0_grid=tuple(i / 100.0 for i in range(1, 100))))
@@ -335,7 +335,7 @@ class TestEvaluate:
         # a clipped stencil leaves t_ph_numeric_s empty and no other cell, so
         # the momentum and depth commands still print their columns there
         problem = BarrierProblem.from_ev_nm(5e-5, 10.0, 0.5)
-        values, curves, failures = sweep._evaluate(problem)
+        values, curves, failures = evaluation._evaluate(problem)
         assert [(type(exc), concerns) for exc, concerns in failures] == [
             (DomainError, ("t_ph_numeric_s",))
         ]
@@ -351,7 +351,7 @@ class TestEvaluate:
         assert rec.error.startswith("momentum: rms tunneling velocity ")
         assert rec.s_nm is not None and rec.tau_eff_s is None and rec.xi is None
         assert rec.v_rms is None and rec.t_bl_s is not None
-        failures = sweep._evaluate(problem)[2]
+        failures = evaluation._evaluate(problem)[2]
         assert set(failures[0][1]) == {
             "k_rms", "v_rms", "t_eff_s", "eps_eff_ev", "tau_eff_s", "xi"
         }
@@ -369,7 +369,7 @@ class TestEvaluate:
         from tunneltimes import barrier
 
         solves = []
-        for module in (barrier, sweep):
+        for module in (barrier, evaluation):
             solve = module._coefficients
             monkeypatch.setattr(
                 module,
@@ -382,9 +382,9 @@ class TestEvaluate:
 
     def test_non_finite_analytic_route_fails_the_cross_check(self, monkeypatch):
         # a NaN closed form is something no comparison can certify
-        closed = sweep._closed_times
+        closed = evaluation._closed_times
         monkeypatch.setattr(
-            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+            evaluation, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
         )
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
@@ -396,9 +396,9 @@ class TestEvaluate:
 
     def test_infinite_analytic_route_fails_the_cross_check(self, monkeypatch):
         # |n - inf| <= tol * inf would hold
-        closed = sweep._closed_times
+        closed = evaluation._closed_times
         monkeypatch.setattr(
-            sweep, "_closed_times", lambda *args: (math.inf, *closed(*args)[1:])
+            evaluation, "_closed_times", lambda *args: (math.inf, *closed(*args)[1:])
         )
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
@@ -412,7 +412,7 @@ class TestEvaluate:
     def test_other_non_finite_value_is_an_error_of_its_own(self, monkeypatch, bad):
         # no cross-check quotes the BL time, so its empty cell is explained
         # by an entry of its own
-        monkeypatch.setattr(sweep, "_bl_time", lambda kappa, d: bad)
+        monkeypatch.setattr(evaluation, "_bl_time", lambda kappa, d: bad)
         problem = BarrierProblem.from_ev_nm(5.0, 10.0, 0.5)
         rec, caught = evaluate(problem, SweepConfig())
         assert rec.t_bl_s is None and rec.t_ph_analytic_s is not None
@@ -424,9 +424,9 @@ class TestEvaluate:
         # the clipped stencil empties the numeric phase time, so the phase
         # cross-check does not run and quotes neither time: a non-finite
         # analytic time is explained by an entry of its own
-        closed = sweep._closed_times
+        closed = evaluation._closed_times
         monkeypatch.setattr(
-            sweep, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
+            evaluation, "_closed_times", lambda *args: (math.nan, *closed(*args)[1:])
         )
         rec, caught = evaluate(BarrierProblem.from_ev_nm(5e-5, 10.0, 1.0), SweepConfig())
         assert rec.note == "phase_stencil_clipped"
@@ -473,7 +473,7 @@ class TestNeverAborts:
     def test_a_non_finite_value_on_the_array_pass_is_an_error_cell(self, monkeypatch):
         # no check quotes the BL time, so only the finiteness screen keeps a
         # NaN one off the array pass; the point path then writes its error
-        monkeypatch.setattr(sweep, "_bl_time", lambda kappa, d: kappa * math.nan)
+        monkeypatch.setattr(evaluation, "_bl_time", lambda kappa, d: kappa * math.nan)
         table = run_sweep(SMALL)
         assert len(table) == 9
         for rec in table:

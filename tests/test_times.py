@@ -312,6 +312,16 @@ class TestScaledForms:
             assert dwell_closed(p) == pytest.approx(dwell, rel=1e-12, abs=0)
             assert closed_times(p)[2] == pytest.approx(scaled, rel=1e-12)
 
+    @pytest.mark.parametrize("v0_ev", [1e86, 1e88, 1e90, 1e92, 1e100, 1e120, 1e130, 1e134], ids=str)
+    def test_match_mpmath_at_extreme_heights(self, v0_ev):
+        # m / (hbar k kappa D~) alone would underflow here; each numerator
+        # is divided by D~ first
+        pytest.importorskip("mpmath")
+        p = BarrierProblem.from_ev_nm(0.5 * v0_ev, v0_ev, 1.0)
+        _, phase, dwell, _ = mp_closed_forms(p)
+        assert phase_closed(p) == pytest.approx(phase, rel=1e-13, abs=0)
+        assert dwell_closed(p) == pytest.approx(dwell, rel=1e-13, abs=0)
+
     def test_the_scaled_denominator_times_e_2_kappa_d_is_d(self):
         # D = 4 k^2 kappa^2 / |S|^2, so coeffs' own columns give it
         p = BarrierProblem.from_ev_nm(5.0, 10.0, 1.0)
